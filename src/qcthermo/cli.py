@@ -267,6 +267,8 @@ def cmd_gibbs(args) -> None:
     levels = LevelSet(sorted(energies))
     if args.tol <= 0:
         raise ValidationError("--tol must be > 0")
+    if args.random_points < 1:
+        raise ValidationError("--random-points must be >= 1")
     result = minimize_free_energy(levels, args.T, args.tol)
     closed = gibbs_closed_form(levels, args.T)
     tv = 0.5 * sum(

@@ -149,10 +149,10 @@ class ThermoQuartet:
     log_Z: float = field(default=math.nan)
 
     def __post_init__(self):
-        if math.isnan(self.log_Z):
-            object.__setattr__(self, "log_Z", math.log(self.Z))
         if not (self.Z > 0):
             raise ValidationError(f"statistical sum must be positive, got {self.Z}")
+        if math.isnan(self.log_Z):
+            object.__setattr__(self, "log_Z", math.log(self.Z))
         if self.flavor not in ("classical", "quantum", "regularized"):
             raise ValidationError(f"unknown flavor {self.flavor!r}")
         scale = max(abs(self.E), abs(self.T * self.S), abs(self.F), 1e-300)

@@ -1,8 +1,12 @@
 """Second-order semiclassical (h^2) expansion for smooth potentials.
 
-Z0 = int exp(-V/T) dx and Z2 = 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx are
-evaluated by tensor-product Gauss-Legendre quadrature over automatically
-chosen bounds; the quartet predictions follow
+Z0 = int exp(-V/T) dx, Z2 = 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx and the
+mean potential <V> are evaluated by tensor-product Gauss-Legendre quadrature
+over automatically chosen bounds.  The box is found once, and each order makes
+one pass over its grid, streamed in slabs of CHUNK_POINTS nodes: V is
+evaluated once per node and all three moments come from the same Boltzmann
+factor.  Each moment is checked on its own against a reduced-order rule.  The
+quartet predictions follow
 
     Z_r ~ (2 pi m T)^(N/2) (Z0 - h^2 Z2)
     F_r ~ F_c + h^2 T Z2/Z0
@@ -33,6 +37,11 @@ __all__ = [
 
 MAX_TENSOR_DIMENSION = 4
 QUADRATURE_ORDER = 64
+# self-check order: a moment whose value moves by more than 1e-8 between the
+# two rules is rejected
+CHECK_ORDER = 3 * QUADRATURE_ORDER // 4
+# nodes per slab of the quadrature pass; bounds its working memory
+CHUNK_POINTS = 1 << 13
 # expansion parameter h^2 * Z2/Z0 beyond which predictions are flagged
 EXPANSION_VALIDITY = 0.1
 
@@ -47,6 +56,8 @@ class PotentialField:
     gradient, when given, returns shape (..., N).  bounds, when given, is a
     sequence of per-axis (lo, hi) pairs; otherwise bounds are grown
     automatically until the Boltzmann factor is negligible on the boundary.
+    scale is the potential's length scale: the first half-width tried by the
+    automatic bounds and the unit of the finite-difference step.
     """
 
     dimension: int
@@ -54,6 +65,10 @@ class PotentialField:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     bounds: tuple[tuple[float, float], ...] | None = None
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValidationError(f"scale must be finite and positive, got {self.scale}")
 
     def gradient_or_fd(self) -> Callable[[np.ndarray], np.ndarray]:
         """Analytic gradient, or central differences (reduced accuracy)."""
@@ -149,33 +164,62 @@ def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, floa
     return tuple((-h, h) for h in halves)
 
 
-def _tensor_quadrature(potential: PotentialField, T: float, weight=None) -> float:
+def _grid_slabs(bounds, order: int):
+    """Tensor Gauss-Legendre grid of the given order over bounds, in slabs.
+
+    The grid's nodes, in C order (leading axis slowest), are cut into slabs of
+    at most CHUNK_POINTS; each slab is yielded as (x, w) with x of shape
+    (slab, N) and product weights w of shape (slab,).
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    axes, wts = [], []
+    for lo, hi in bounds:
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        axes.append(mid + rad * nodes)
+        wts.append(rad * weights)
+    n = len(bounds)
+    total = order**n
+    for start in range(0, total, CHUNK_POINTS):
+        index = np.unravel_index(
+            np.arange(start, min(start + CHUNK_POINTS, total)), (order,) * n
+        )
+        # axis-major storage keeps each coordinate x[..., k] contiguous, which
+        # makes the evaluators' per-axis arithmetic several times faster
+        x = np.array([axis[i] for axis, i in zip(axes, index)])
+        w = np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
+        yield x.T, w
+
+
+def _boltzmann_moments(potential: PotentialField, T: float, gradient=None) -> np.ndarray:
+    """Moments of b = exp(-V/T): [int b, int b*V, int b*|grad V|^2].
+
+    Row 0 holds the moments at QUADRATURE_ORDER, row 1 at CHECK_ORDER (see
+    _stable).  The box is found once and each order is one slab-streamed pass,
+    so V is evaluated once per node and memory stays O(CHUNK_POINTS) in any
+    dimension.  The gradient moment is 0 when no gradient is given.
+    """
     n = potential.dimension
     if n > MAX_TENSOR_DIMENSION:
         raise ValidationError(
             f"tensor quadrature limited to N <= {MAX_TENSOR_DIMENSION}, got {n}"
         )
     bounds = potential.bounds or _auto_bounds(potential, T)
+    moments = np.zeros((2, 3))
+    for row, order in enumerate((QUADRATURE_ORDER, CHECK_ORDER)):
+        partials = []
+        for x, w in _grid_slabs(bounds, order):
+            v = potential.value(x)
+            b = np.exp(-v / T) * w
+            g2 = 0.0 if gradient is None else np.sum(b * np.sum(gradient(x) ** 2, axis=-1))
+            partials.append((np.sum(b), np.sum(b * v), g2))
+        # fsum keeps the number of slabs out of the rounding error
+        moments[row] = [math.fsum(column) for column in zip(*partials)]
+    return moments
 
-    def integrate(order):
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        axes, wts = [], []
-        for lo, hi in bounds:
-            mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            axes.append(mid + rad * nodes)
-            wts.append(rad * weights)
-        grids = np.meshgrid(*axes, indexing="ij")
-        x = np.stack(grids, axis=-1)
-        integrand = np.exp(-potential.value(x) / T)
-        if weight is not None:
-            integrand = integrand * weight(x)
-        w_total = wts[0]
-        for w in wts[1:]:
-            w_total = np.multiply.outer(w_total, w)
-        return float(np.sum(integrand * w_total))
 
-    value = integrate(QUADRATURE_ORDER)
-    check = integrate(3 * QUADRATURE_ORDER // 4)
+def _stable(moments: np.ndarray, k: int) -> float:
+    """Moment k at QUADRATURE_ORDER, if the CHECK_ORDER rule agrees to 1e-8."""
+    value, check = float(moments[0, k]), float(moments[1, k])
     if abs(value - check) > 1e-8 * (abs(value) + 1e-300):
         raise IntegrationError(
             f"quadrature unstable: {value} vs {check} at reduced order"
@@ -187,18 +231,15 @@ def z0_integral(potential: PotentialField, T: float) -> float:
     """Configuration integral int exp(-V/T) dx."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    return _tensor_quadrature(potential, T)
+    return _stable(_boltzmann_moments(potential, T), 0)
 
 
 def z2_integral(potential: PotentialField, T: float, m: float) -> float:
     """First quantum correction 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx."""
     if T <= 0 or m <= 0:
         raise ValidationError("need T > 0 and m > 0")
-    grad = potential.gradient_or_fd()
-    value = _tensor_quadrature(
-        potential, T, weight=lambda x: np.sum(grad(x) ** 2, axis=-1)
-    )
-    return value / (24.0 * m * T**3)
+    moments = _boltzmann_moments(potential, T, potential.gradient_or_fd())
+    return _stable(moments, 2) / (24.0 * m * T**3)
 
 
 @dataclass(frozen=True)
@@ -220,10 +261,11 @@ def kw_expansion(potential: PotentialField, params: PhysicalParams) -> KWPredict
     """
     T, m, h = params.T, params.m, params.h
     n = potential.dimension
-    z0 = z0_integral(potential, T)
-    z2 = z2_integral(potential, T, m)
+    moments = _boltzmann_moments(potential, T, potential.gradient_or_fd())
+    z0 = _stable(moments, 0)
+    z2 = _stable(moments, 2) / (24.0 * m * T**3)
     ratio = z2 / z0
-    v_mean = _tensor_quadrature(potential, T, weight=potential.value) / z0
+    v_mean = _stable(moments, 1) / z0
 
     log_prefactor = 0.5 * n * math.log(2.0 * math.pi * m * T)
     f_c = -T * (log_prefactor + math.log(z0))

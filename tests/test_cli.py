@@ -81,12 +81,17 @@ def test_expression_potential(capsys):
 
 
 def test_validation_exit_code(capsys):
-    code = run(["eval", "--system", "well", "--T", "1", "--h", "0.1"])
-    capsys.readouterr()
-    assert code == 2
-    code = run(["gibbs", "--levels", "0,1", "--T", "1", "--tol", "-1"])
-    capsys.readouterr()
-    assert code == 2
+    for args in (
+        ["eval", "--system", "well", "--T", "1", "--h", "0.1"],
+        ["gibbs", "--levels", "0,1", "--T", "1", "--tol", "-1"],
+        ["gibbs", "--levels", "0,1,2", "--T", "1", "--random-points", "0"],
+        ["kw", "--potential", "x1^2/2", "--dim", "1", "--T", "1", "--h", "0.1", "--scale", "0"],
+        ["kw", "--potential", "x1^2/2", "--dim", "1", "--T", "1", "--h", "0.1", "--scale", "-1"],
+    ):
+        code = run(args)
+        err = capsys.readouterr().err
+        assert code == 2, args
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_computation_exit_code(capsys):

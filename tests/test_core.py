@@ -90,6 +90,10 @@ def test_quartet_identity_enforced():
 def test_quartet_rejects_nonpositive_z():
     with pytest.raises(ValidationError):
         ThermoQuartet(Z=0.0, F=0.0, E=0.0, S=0.0, flavor="quantum", T=1.0, log_Z=0.0)
+    # without log_Z the check must come before log(Z) is taken
+    for z in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match="statistical sum must be positive"):
+            ThermoQuartet(Z=z, F=0.0, E=0.0, S=0.0, flavor="quantum", T=1.0)
 
 
 def test_quartet_rejects_unknown_flavor():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +11,12 @@ from qcthermo.core import (
     PhysicalParams,
     ValidationError,
 )
+from qcthermo import semiclassical
+from qcthermo.expressions import parse_potential
 from qcthermo.oscillator import osc_classical, osc_regularized
 from qcthermo.semiclassical import (
     PotentialField,
+    _auto_bounds,
     harmonic_potential,
     kw_expansion,
     z0_integral,
@@ -122,3 +127,71 @@ def test_explicit_bounds_respected():
         bounds=((-15.0, 15.0),),
     )
     assert z0_integral(pot, 1.0) == pytest.approx(SQRT_2PI, rel=1e-10)
+    # on +-15 the order-48 rule resolves Z0 but not the weighted moments, and
+    # each moment is checked on its own; Z2 is checked before <V>, and
+    # int b*|grad V|^2 = sqrt(2 pi) here
+    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
+    with pytest.raises(IntegrationError, match=r"quadrature unstable: 2\.50662827"):
+        kw_expansion(pot, params)
+    # with a zero gradient the Z2 moment passes and <V> (= sqrt(pi/2)) fails
+    flat_gradient = dataclasses.replace(pot, gradient=lambda x: np.zeros(np.shape(x)))
+    with pytest.raises(IntegrationError, match=r"quadrature unstable: 1\.25331413"):
+        kw_expansion(flat_gradient, params)
+
+
+def test_scale_must_be_finite_and_positive():
+    for scale in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            PotentialField(dimension=1, value=lambda x: x[..., 0] ** 2, scale=scale)
+
+
+def _counted(fn, counts, key):
+    def wrapped(x):
+        counts[key] += int(np.prod(np.shape(x)[:-1]))
+        return fn(x)
+
+    return wrapped
+
+
+def test_one_potential_evaluation_per_node():
+    base = harmonic_potential(1.0, [1.0, 2.0])
+    counts = {"value": 0, "gradient": 0}
+    pot = dataclasses.replace(
+        base,
+        value=_counted(base.value, counts, "value"),
+        gradient=_counted(base.gradient, counts, "gradient"),
+    )
+    _auto_bounds(pot, 1.0)
+    probes = counts["value"]
+    counts["value"] = 0
+    kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
+    grid = 64**2 + 48**2
+    assert counts == {"value": probes + grid, "gradient": grid}
+
+
+def test_results_independent_of_slab_size(monkeypatch):
+    params = PhysicalParams(T=0.8, h=0.2, m=1.3)
+    potentials = [
+        harmonic_potential(1.3, [0.7, 1.9]),
+        PotentialField(dimension=2, value=parse_potential("x1^2 + x2^2 + x1*x2 + 0.1*x1^4", 2)),
+    ]
+    default = [kw_expansion(pot, params) for pot in potentials]
+    monkeypatch.setattr(semiclassical, "CHUNK_POINTS", 7)
+    for pot, expected in zip(potentials, default):
+        got = kw_expansion(pot, params)
+        for field in ("Zr", "Fr", "Er", "Sr", "z2_over_z0"):
+            assert getattr(got, field) == pytest.approx(getattr(expected, field), rel=1e-13)
+
+
+def test_quadrature_memory_stays_per_slab():
+    pot = harmonic_potential(1.0, [0.7, 1.1, 1.9])
+    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
+    kw_expansion(pot, params)
+    tracemalloc.start()
+    try:
+        kw_expansion(pot, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float array over the full order-64 grid would take 64^3 * 8 bytes
+    assert peak < 64**3 * 8
