@@ -31,8 +31,8 @@ for h in (0.4, 0.2, 0.1, 0.05):
     print(f"{h:8.2f} {abs(pr.Fr - ex.F):22.3e}")
 print("\neach halving of h divides the residual by ~16: an h^4 law.\n")
 
-# user-supplied potential through the expression grammar (finite
-# difference gradient)
+# user-supplied potential through the expression grammar; the parsed
+# potential carries its exact gradient, which PotentialField adopts
 quartic = PotentialField(dimension=1, value=parse_potential("x1^4/4", 1))
 pred_q = kw_expansion(quartic, params)
 print(f"quartic well x^4/4: Z2/Z0 = {pred_q.z2_over_z0:.8f}")

@@ -40,7 +40,7 @@ from .gibbs import (
 )
 from .oscillator import osc_regularized
 from .semiclassical import PotentialField, harmonic_potential, kw_expansion
-from .sweeps import SweepPlan, comparison_report, run_sweep
+from .sweeps import RESIDUAL_NAMES, SweepPlan, comparison_report, run_sweep
 from .well import hear_the_drum, well_classical, well_regularized
 
 __all__ = ["main", "run"]
@@ -180,9 +180,7 @@ def cmd_sweep(args) -> None:
         base_spec=system if isinstance(system, OscillatorSpec) else None,
     )
     result = run_sweep(plan)
-    residual_names = sorted(
-        {name for row in result.rows if row.report for name in row.report.asymptotic_residuals}
-    )
+    residual_names = RESIDUAL_NAMES[args.system]
     header = [
         "swept_value", "Z_ratio", "E_ratio", "dF", "dE", "dS",
         "sgn_dF", "sgn_dE", "sgn_dS",
@@ -197,7 +195,8 @@ def cmd_sweep(args) -> None:
             [row.swept_value, rep.ratios["Z_ratio"], rep.ratios["E_ratio"],
              rep.diffs["dF"], rep.diffs["dE"], rep.diffs["dS"],
              rep.signs["sgn_dF"], rep.signs["sgn_dE"], rep.signs["sgn_dS"]]
-            + [rep.asymptotic_residuals[n] for n in residual_names]
+            # an empty cell marks a residual that is undefined at this point
+            + [rep.asymptotic_residuals.get(n, "") for n in residual_names]
         )
         json_rows.append(
             {

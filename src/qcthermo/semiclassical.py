@@ -5,8 +5,11 @@ mean potential <V> are evaluated by tensor-product Gauss-Legendre quadrature
 over automatically chosen bounds.  The box is found once, and each order makes
 one pass over its grid, streamed in slabs of CHUNK_POINTS nodes: V is
 evaluated once per node and all three moments come from the same Boltzmann
-factor.  Each moment is checked on its own against a reduced-order rule.  The
-quartet predictions follow
+factor.  Each moment is checked on its own against a reduced-order rule, and
+a moment that is not finite is rejected.  The gradient is exact for the
+built-in harmonic potential and for potentials parsed by
+:func:`qcthermo.expressions.parse_potential`; only an opaque callable without
+a gradient falls back to central differences.  The quartet predictions follow
 
     Z_r ~ (2 pi m T)^(N/2) (Z0 - h^2 Z2)
     F_r ~ F_c + h^2 T Z2/Z0
@@ -53,11 +56,14 @@ class PotentialField:
     """Potential on R^N: vectorized evaluator and optional gradient.
 
     value takes an array of shape (..., N) and returns shape (...);
-    gradient, when given, returns shape (..., N).  bounds, when given, is a
-    sequence of per-axis (lo, hi) pairs; otherwise bounds are grown
-    automatically until the Boltzmann factor is negligible on the boundary.
-    scale is the potential's length scale: the first half-width tried by the
-    automatic bounds and the unit of the finite-difference step.
+    gradient returns shape (..., N).  When gradient is None it is adopted
+    from value.gradient if value has one, as a parsed expression does, so
+    PotentialField(dimension=n, value=parse_potential(text, n)) has an exact
+    gradient.  bounds, when given, is a sequence of per-axis (lo, hi) pairs;
+    otherwise bounds are grown automatically until the Boltzmann factor is
+    negligible on the boundary.  scale is the potential's length scale: the
+    first half-width tried by the automatic bounds and, for an opaque value
+    with no gradient, the unit of the finite-difference step.
     """
 
     dimension: int
@@ -69,9 +75,12 @@ class PotentialField:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
+        if self.gradient is None:
+            # set on the instance, so dataclasses.replace carries it over
+            object.__setattr__(self, "gradient", getattr(self.value, "gradient", None))
 
     def gradient_or_fd(self) -> Callable[[np.ndarray], np.ndarray]:
-        """Analytic gradient, or central differences (reduced accuracy)."""
+        """The exact gradient, or central differences for an opaque value."""
         if self.gradient is not None:
             return self.gradient
         step = FD_GRADIENT_STEP * self.scale
@@ -218,8 +227,10 @@ def _boltzmann_moments(potential: PotentialField, T: float, gradient=None) -> np
 
 
 def _stable(moments: np.ndarray, k: int) -> float:
-    """Moment k at QUADRATURE_ORDER, if the CHECK_ORDER rule agrees to 1e-8."""
+    """Moment k at QUADRATURE_ORDER, if finite and the CHECK_ORDER rule agrees to 1e-8."""
     value, check = float(moments[0, k]), float(moments[1, k])
+    if not (math.isfinite(value) and math.isfinite(check)):
+        raise IntegrationError(f"quadrature not finite: {value} vs {check} at reduced order")
     if abs(value - check) > 1e-8 * (abs(value) + 1e-300):
         raise IntegrationError(
             f"quadrature unstable: {value} vs {check} at reduced order"

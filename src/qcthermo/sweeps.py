@@ -30,6 +30,7 @@ from .well import well_classical, well_regularized
 __all__ = [
     "WELL_DIRECTIONS",
     "OSCILLATOR_DIRECTIONS",
+    "RESIDUAL_NAMES",
     "SweepPlan",
     "SweepRow",
     "FitResult",
@@ -42,6 +43,12 @@ __all__ = [
 
 WELL_DIRECTIONS = ("h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf")
 OSCILLATOR_DIRECTIONS = ("h_to_0", "T_to_inf", "omega_to_0", "N_to_inf")
+# every residual a report of each system may carry, sorted; a residual whose
+# asymptote is undefined at a point is left out of that point's report
+RESIDUAL_NAMES = {
+    "well": ("small_mu_energy", "small_mu_product"),
+    "oscillator": ("small_tau_quadratic_e", "small_tau_quadratic_z"),
+}
 
 
 @dataclass(frozen=True)
@@ -99,15 +106,13 @@ class SweepResult:
 
 
 def _well_residuals(reduced: ReducedParams, z_ratio, e_ratio) -> dict[str, float]:
-    n = len(reduced.mu)
     z_pred = math.prod(1.0 - mu / 2.0 for mu in reduced.mu)
-    e_pred = sum(1.0 / (1.0 - mu / 2.0) for mu in reduced.mu) / n if all(
-        mu < 2.0 for mu in reduced.mu
-    ) else math.nan
-    return {
-        "small_mu_product": abs(z_ratio - z_pred),
-        "small_mu_energy": abs(e_ratio - e_pred) if math.isfinite(e_pred) else math.inf,
-    }
+    residuals = {"small_mu_product": abs(z_ratio - z_pred)}
+    # the energy asymptote has a pole at mu = 2 and no meaning beyond it
+    if all(mu < 2.0 for mu in reduced.mu):
+        e_pred = sum(1.0 / (1.0 - mu / 2.0) for mu in reduced.mu) / len(reduced.mu)
+        residuals["small_mu_energy"] = abs(e_ratio - e_pred)
+    return residuals
 
 
 def _osc_residuals(reduced: ReducedParams, z_ratio, e_ratio) -> dict[str, float]:

@@ -42,12 +42,22 @@ __all__ = [
 ASYMPTOTIC_EPS_LIMIT = 0.3
 
 
+def _z_from_log(log_z: float) -> float:
+    """Z = e^log_Z; a statistical sum beyond float range is a computation failure."""
+    try:
+        return math.exp(log_z)
+    except OverflowError:
+        raise ConvergenceError(
+            f"statistical sum overflows a float: log Z = {log_z}"
+        ) from None
+
+
 def well_classical(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
     """Classical quartet: Z = (2mT*pi)^(N/2) * prod(a_k), E = N*T/2."""
     n = geom.dimension
     T = params.T
     log_z = sum(math.log(a * math.sqrt(2.0 * params.m * T * math.pi)) for a in geom.edges)
-    z = math.exp(log_z)
+    z = _z_from_log(log_z)
     e = 0.5 * n * T
     s = 0.5 * n + log_z
     f = e - T * s
@@ -73,7 +83,7 @@ def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet
     f = -T * log_zr
     s = (e - f) / T
     return ThermoQuartet(
-        Z=math.exp(log_zr), F=f, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
+        Z=_z_from_log(log_zr), F=f, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
     )
 
 

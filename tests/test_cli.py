@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -76,8 +78,8 @@ def test_expression_potential(capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    # matches the built-in harmonic potential at omega = 1 (FD gradient noise aside)
-    assert payload["z2_over_z0"] == pytest.approx(1.0 / 24.0, rel=1e-6)
+    # matches the built-in harmonic potential at omega = 1
+    assert payload["z2_over_z0"] == pytest.approx(1.0 / 24.0, rel=1e-12, abs=0)
 
 
 def test_validation_exit_code(capsys):
@@ -95,10 +97,50 @@ def test_validation_exit_code(capsys):
 
 
 def test_computation_exit_code(capsys):
-    # enormous h underflows the lattice sum
-    code = run(["eval", "--system", "well", "--edges", "1", "--T", "1", "--h", "1e6"])
-    capsys.readouterr()
-    assert code == 3
+    for args in (
+        # enormous h underflows the lattice sum
+        ["eval", "--system", "well", "--edges", "1", "--T", "1", "--h", "1e6"],
+        # huge edges overflow the classical statistical sum
+        ["eval", "--system", "well", "--edges", "1e300,1e300,1e300", "--T", "1", "--h", "1"],
+    ):
+        code = run(args)
+        err = capsys.readouterr().err
+        assert code == 3, args
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+WELL_MU_2 = ["eval", "--system", "well", "--edges", "1", "--T", "1", "--h", "1"]  # mu = 2.5
+WELL_SWEEP_ACROSS_MU_2 = [
+    "sweep", "--system", "well", "--direction", "h_to_0", "--edges", "1", "--T", "1",
+    "--h", "3", "--start", "3", "--factor", "0.7", "--points", "6",
+]
+
+
+def test_energy_residual_left_out_beyond_mu_2(capsys):
+    code, out = run_cli(WELL_MU_2, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert set(payload["asymptotic_residuals"]) == {"small_mu_product"}
+    code, out = run_cli(WELL_SWEEP_ACROSS_MU_2, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    energy = ["small_mu_energy" in row["asymptotic_residuals"] for row in payload["rows"]]
+    # mu = 2.5066 h: the grid 3, 2.1, ..., 0.504 crosses mu = 2 after the fourth row
+    assert energy == [False] * 4 + [True] * 2
+
+
+def test_sweep_csv_keeps_residual_columns_across_mu_2(capsys):
+    code, out = run_cli(WELL_SWEEP_ACROSS_MU_2 + ["--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == [
+        "swept_value", "Z_ratio", "E_ratio", "dF", "dE", "dS",
+        "sgn_dF", "sgn_dE", "sgn_dS", "residual_small_mu_energy", "residual_small_mu_product",
+    ]
+    assert [row[9] == "" for row in rows[1:]] == [True] * 4 + [False] * 2
+    assert all(float(row[10]) >= 0 for row in rows[1:])
 
 
 def test_argparse_exit_code():
@@ -119,6 +161,18 @@ def cli_bytes(args, env_extra=None):
         env=env,
     )
     return proc.returncode, proc.stdout
+
+
+def test_numpy_warnings_stay_off_stderr():
+    # the potential is nan at the origin; only the one-line error is printed
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcthermo.cli", "kw", "--potential", "x1^2 + (x1-1)^0.5",
+         "--dim", "1", "--T", "1", "--h", "0.1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == "error: potential not finite at the origin\n"
 
 
 def test_determinism_byte_identical():

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcthermo.core import ValidationError
 from qcthermo.expressions import parse_number, parse_potential
@@ -78,3 +81,128 @@ def test_syntax_errors():
 def test_constant_expression_broadcasts():
     f = parse_potential("3", 2)
     assert np.allclose(f(np.zeros((5, 2))), 3.0)
+
+
+def test_parsed_potential_hashable_by_identity():
+    f, g = parse_potential("x1^2", 1), parse_potential("x1^2", 1)
+    assert len({f, g, f}) == 2
+
+
+# each grammar rule against its closed-form gradient, at points away from
+# the singularities of / and fractional ^
+GRADIENT_POINTS = np.array([[0.7, -1.3], [1.9, 0.4], [-0.6, 2.2]])
+GRADIENT_RULES = [
+    ("x1 + 2*x2", lambda x1, x2: (1.0, 2.0)),
+    ("x1 - x2", lambda x1, x2: (1.0, -1.0)),
+    ("x1 * x2", lambda x1, x2: (x2, x1)),
+    ("x1 / x2", lambda x1, x2: (1.0 / x2, -x1 / x2**2)),
+    ("-x1*x2", lambda x1, x2: (-x2, -x1)),
+    ("exp(x1*x2)", lambda x1, x2: (x2 * np.exp(x1 * x2), x1 * np.exp(x1 * x2))),
+    ("pi*x1^2", lambda x1, x2: (2.0 * math.pi * x1, 0.0)),
+    ("x1^3 + x2^-2", lambda x1, x2: (3.0 * x1**2, -2.0 * x2**-3.0)),
+    ("x2^0 + x1^1", lambda x1, x2: (1.0, 0.0)),
+    ("x1^40", lambda x1, x2: (40.0 * x1**39, 0.0)),
+    ("(x1^2)^1.25", lambda x1, x2: (2.5 * np.abs(x1) ** 1.5 * np.sign(x1), 0.0)),
+    ("(1 + x1^2)^x2", lambda x1, x2: (
+        x2 * (1 + x1**2) ** (x2 - 1) * 2 * x1,
+        (1 + x1**2) ** x2 * np.log(1 + x1**2),
+    )),
+    ("2^x1", lambda x1, x2: (math.log(2.0) * 2.0**x1, 0.0)),
+    ("3*2^-1 - pi/4 + exp(1)", lambda x1, x2: (0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("text,closed_form", GRADIENT_RULES)
+def test_gradient_rules(text, closed_form):
+    f = parse_potential(text, 2)
+    x1, x2 = GRADIENT_POINTS[:, 0], GRADIENT_POINTS[:, 1]
+    want = np.stack([np.broadcast_to(g, x1.shape) for g in closed_form(x1, x2)], axis=-1)
+    got = f.gradient(GRADIENT_POINTS)
+    assert got.shape == GRADIENT_POINTS.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-300)
+
+
+def test_constant_expression_folds():
+    f = parse_potential("3*2^-1 - pi/4 + exp(1)", 2)
+    x = np.zeros((5, 3, 2))
+    assert np.all(f(x) == 1.5 - math.pi / 4 + math.e)
+    assert f(x).shape == (5, 3)
+    assert np.all(f.gradient(x) == 0.0) and f.gradient(x).shape == (5, 3, 2)
+
+
+def test_gradient_is_sparse_per_axis():
+    # a term in one coordinate contributes to that axis only, exactly
+    f = parse_potential("x1^2/2 + 3*x3", 3)
+    x = np.array([[0.5, 7.0, -2.0]])
+    assert f.gradient(x).tolist() == [[0.5, 0.0, 3.0]]
+
+
+def test_constants_use_numpy_float_semantics():
+    # folded constants follow NumPy: inf and nan instead of exceptions or complex
+    assert parse_potential("x1 + 1/0", 1)(np.array([[1.0]]))[0] == math.inf
+    assert math.isnan(parse_potential("x1 + (-8)^(1/3)", 1)(np.array([[1.0]]))[0])
+
+
+def test_singular_gradient_is_inf_without_warning():
+    f = parse_potential("x1^0.5", 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.gradient(np.array([[0.0]]))[0, 0] == math.inf
+        assert math.isnan(f(np.array([[-1.0]]))[0])
+
+
+def _grammar_expressions(n):
+    """Random expressions over x1..xn, every rule of the grammar included.
+
+    Divisors and the bases of fractional and variable powers are kept
+    positive, so the expressions are smooth everywhere.
+    """
+    leaves = st.sampled_from([f"x{k}" for k in range(1, n + 1)] + ["pi", "0.5", "1.5", "2"])
+
+    def extend(inner):
+        positive = inner.map(lambda a: f"(1 + ({a})^2)")
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(
+                lambda t: f"({t[0]}) {t[1]} ({t[2]})"
+            ),
+            st.tuples(inner, positive).map(lambda t: f"({t[0]}) / {t[1]}"),
+            inner.map(lambda a: f"-({a})"),
+            inner.map(lambda a: f"exp(({a})/4)"),
+            st.tuples(inner, st.integers(-3, 5)).map(lambda t: f"(2 + ({t[0]})^2)^{t[1]}"),
+            st.tuples(inner, st.integers(1, 5)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(positive, st.floats(-2.0, 2.0)).map(lambda t: f"{t[0]}^{t[1]!r}"),
+            st.tuples(positive, inner).map(lambda t: f"{t[0]}^(({t[1]})/4)"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+def _central_differences(f, x, step):
+    """Fourth-order central differences of f at the points x, shape (..., N)."""
+    out = np.empty(x.shape)
+    for k in range(x.shape[-1]):
+        dx = np.zeros(x.shape[-1])
+        dx[k] = step
+        out[..., k] = (
+            8.0 * (f(x + dx) - f(x - dx)) - (f(x + 2 * dx) - f(x - 2 * dx))
+        ) / (12.0 * step)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_gradient_matches_central_differences(data, n):
+    text = data.draw(_grammar_expressions(n), label="expression")
+    f = parse_potential(text, n)
+    x = np.array(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="x")
+    )[None, :]
+    got = f.gradient(x)
+    with np.errstate(all="ignore"):
+        coarse = _central_differences(f, x, 2e-3)
+        fine = _central_differences(f, x, 1e-3)
+    scale = 1.0 + np.abs(f(x)).max() + np.abs(fine).max()
+    # the reference is trusted only where two step sizes agree: nested exp and
+    # powers make some expressions too steep for any fixed step
+    assume(np.all(np.isfinite(coarse)) and np.abs(coarse - fine).max() < 1e-8 * scale)
+    np.testing.assert_allclose(got, fine, rtol=0, atol=1e-7 * scale, err_msg=text)

@@ -153,20 +153,63 @@ def _counted(fn, counts, key):
     return wrapped
 
 
+def _counted_parsed(text, n, counts):
+    """A parsed potential whose value and carried gradient are both counted."""
+    parsed = parse_potential(text, n)
+    value = _counted(parsed, counts, "value")
+    value.gradient = _counted(parsed.gradient, counts, "gradient")
+    return PotentialField(dimension=n, value=value)
+
+
 def test_one_potential_evaluation_per_node():
     base = harmonic_potential(1.0, [1.0, 2.0])
-    counts = {"value": 0, "gradient": 0}
-    pot = dataclasses.replace(
+    harmonic_counts = {"value": 0, "gradient": 0}
+    harmonic = dataclasses.replace(
         base,
-        value=_counted(base.value, counts, "value"),
-        gradient=_counted(base.gradient, counts, "gradient"),
+        value=_counted(base.value, harmonic_counts, "value"),
+        gradient=_counted(base.gradient, harmonic_counts, "gradient"),
     )
-    _auto_bounds(pot, 1.0)
-    probes = counts["value"]
-    counts["value"] = 0
-    kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
-    grid = 64**2 + 48**2
-    assert counts == {"value": probes + grid, "gradient": grid}
+    # a parsed potential's gradient is its own, exact one: no finite
+    # differences, so no value calls beyond one per node and the bounds probes
+    parsed_counts = {"value": 0, "gradient": 0}
+    parsed = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4", 2, parsed_counts)
+    for pot, counts in ((harmonic, harmonic_counts), (parsed, parsed_counts)):
+        _auto_bounds(pot, 1.0)
+        probes = counts["value"]
+        counts["value"] = 0
+        kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
+        grid = 64**2 + 48**2
+        assert counts == {"value": probes + grid, "gradient": grid}
+
+
+def test_parsed_gradient_adopted_and_kept_by_replace():
+    value = parse_potential("x1^2/2", 1)
+    pot = PotentialField(dimension=1, value=value)
+    assert pot.gradient == value.gradient
+    assert dataclasses.replace(pot, bounds=((-9.0, 9.0),)).gradient == value.gradient
+    explicit = lambda x: np.zeros(np.shape(x))  # noqa: E731
+    assert PotentialField(dimension=1, value=value, gradient=explicit).gradient is explicit
+
+
+def test_parsed_quartic_z2_closed_form():
+    # V = x^4/4, T = m = 1: Z2/Z0 = int x^6 e^-V / (24 int e^-V)
+    # = Gamma(3/4) / (4 Gamma(1/4)); central differences missed it by ~1e-10
+    pot = PotentialField(dimension=1, value=parse_potential("x1^4/4", 1))
+    pred = kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
+    assert pred.z2_over_z0 == pytest.approx(
+        math.gamma(0.75) / (4.0 * math.gamma(0.25)), rel=1e-14, abs=0
+    )
+
+
+def test_non_finite_moments_rejected():
+    # sqrt(x + 1) is nan for x < -1, inside the box: the moments are nan
+    pot = PotentialField(
+        1, parse_potential("x1^2 + (x1+1)^0.5", 1), bounds=((-3.0, 3.0),)
+    )
+    with pytest.raises(IntegrationError, match="quadrature not finite"):
+        z0_integral(pot, 1.0)
+    with pytest.raises(IntegrationError, match="quadrature not finite"):
+        kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
 
 
 def test_results_independent_of_slab_size(monkeypatch):
