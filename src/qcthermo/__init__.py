@@ -80,7 +80,6 @@ from .theta import (
     theta,
     theta_direct,
     theta_poisson,
-    w_pair,
 )
 from .well import (
     EntropyAsymptote,
@@ -104,7 +103,7 @@ __all__ = [
     "reduce_well", "reduce_oscillator", "reduce_rho", "sign_with_zero_band",
     # theta
     "ThetaValue", "CROSSOVER_MU", "theta", "theta_direct", "theta_poisson",
-    "energy_sum", "w_pair", "SlopeWitnesses", "small_mu_slope_witnesses",
+    "energy_sum", "SlopeWitnesses", "small_mu_slope_witnesses",
     # well
     "well_classical", "well_regularized", "well_energy_ratio",
     "EntropyAsymptote", "well_entropy_asymptotic",

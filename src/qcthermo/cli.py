@@ -27,13 +27,11 @@ from .core import (
     OscillatorSpec,
     PhysicalParams,
     ValidationError,
-    reduce_oscillator,
-    reduce_rho,
-    reduce_well,
 )
 from .expressions import parse_number, parse_potential
 from .gibbs import (
     LevelSet,
+    SimplexPoint,
     free_energy_functional,
     gibbs_closed_form,
     minimize_free_energy,
@@ -126,24 +124,14 @@ def cmd_eval(args) -> None:
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
     system = _build_system(args)
     report = comparison_report(params, system)
-    if isinstance(system, BoxGeometry):
-        classical = well_classical(params, system)
-        regularized = well_regularized(params, system)
-        reduced = reduce_well(params, system)
-    else:
-        from .oscillator import osc_classical
-
-        classical = osc_classical(params, system)
-        regularized = osc_regularized(params, system)
-        reduced = reduce_oscillator(params, system)
     payload = {
         "command": "eval",
         "version": __version__,
         "system": args.system,
         "params": {"T": params.T, "h": params.h, "m": params.m},
-        "reduced": _reduced_dict(reduced),
-        "classical": _quartet_dict(classical),
-        "regularized": _quartet_dict(regularized),
+        "reduced": _reduced_dict(report.point),
+        "classical": _quartet_dict(report.classical),
+        "regularized": _quartet_dict(report.regularized),
         "ratios": report.ratios,
         "diffs": report.diffs,
         "signs": report.signs,
@@ -235,15 +223,13 @@ def cmd_hear_drum(args) -> None:
     T, m = args.T, args.m
     count = max(args.samples, n + 2)
     rho_unit = math.sqrt(math.pi / (2.0 * m * T))
+    # the classical statistical sum does not depend on h
+    log_zc = well_classical(PhysicalParams(T=T, h=0.0, m=m), geom).log_Z
     samples = []
     for i in range(count):
         rho = min(geom.edges) * 0.01 * (i + 1)
-        h = rho / rho_unit
-        params = PhysicalParams(T=T, h=h, m=m)
-        ratio = math.exp(
-            well_regularized(params, geom).log_Z - well_classical(params, geom).log_Z
-        )
-        samples.append((rho, ratio))
+        params = PhysicalParams(T=T, h=rho / rho_unit, m=m)
+        samples.append((rho, math.exp(well_regularized(params, geom).log_Z - log_zc)))
     recovered = hear_the_drum(samples, n)
     true_sorted = sorted(geom.edges)
     round_trip = max(
@@ -278,8 +264,6 @@ def cmd_gibbs(args) -> None:
     min_gap = math.inf
     for _ in range(args.random_points):
         raw = rng.random(len(levels.energies))
-        from .gibbs import SimplexPoint
-
         point = SimplexPoint(tuple(raw / raw.sum()))
         min_gap = min(
             min_gap, free_energy_functional(levels, args.T, point) - f_closed

@@ -136,8 +136,11 @@ class ReducedParams:
 class ThermoQuartet:
     """Statistical sum, free energy, mean energy and entropy of one flavor.
 
-    log_Z is carried alongside Z so that deep-quantum points (Z underflowing
-    towards 0) keep exact free energies.
+    log_Z is primary and Z is derived from it (see _z_from_log).  Where
+    e^log_Z underflows, deep in the quantum regime, Z is the smallest
+    positive float, 5e-324, and log_Z carries the value, so free energies
+    stay exact; where it overflows, the quartet is not built and the builder
+    raises ConvergenceError.
     """
 
     Z: float
@@ -165,13 +168,28 @@ class ThermoQuartet:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Regularized-vs-classical comparison at one parameter point."""
+    """Regularized-vs-classical comparison at one parameter point, with the
+    two quartets it compares."""
 
     point: ReducedParams
     ratios: dict[str, float]
     diffs: dict[str, float]
     signs: dict[str, int]
     asymptotic_residuals: dict[str, float]
+    classical: ThermoQuartet
+    regularized: ThermoQuartet
+
+
+def _z_from_log(log_z: float) -> float:
+    """Z = e^log_Z for a quartet: 5e-324 where it underflows, and a
+    ConvergenceError where it is beyond float range."""
+    try:
+        z = math.exp(log_z)
+    except OverflowError:
+        z = math.inf
+    if not z < math.inf:
+        raise ConvergenceError(f"statistical sum overflows a float: log Z = {log_z}")
+    return max(z, 5e-324)
 
 
 def sign_with_zero_band(d: float, reference: float = 0.0) -> int:
@@ -187,16 +205,18 @@ def reduce_rho(params: PhysicalParams) -> float:
 
 
 def reduce_well(params: PhysicalParams, geom: BoxGeometry) -> ReducedParams:
-    """Dimensionless box parameters mu_k = h*sqrt(2*pi/(m*a_k^2*T))."""
-    mu = tuple(
-        params.h * math.sqrt(2.0 * math.pi / (params.m * a * a * params.T))
-        for a in geom.edges
-    )
-    lam = tuple(4.0 / (math.pi * m * m) if m > 0 else math.inf for m in mu)
+    """Dimensionless box parameters mu_k = 2*rho/a_k = h*sqrt(2*pi/(m*a_k^2*T)).
+
+    Neither a_k^2 nor mu_k^2 is formed, so no edge in float range overflows
+    mu to 0 and lam = 4/(pi*mu^2) never divides by an underflowed square.
+    """
+    rho = reduce_rho(params)
+    mu = tuple(2.0 * rho / a for a in geom.edges)
+    lam = tuple(4.0 / math.pi / m / m if m > 0 else math.inf for m in mu)
     return ReducedParams(
         mu=mu,
         lambda_theta=lam,
-        rho=reduce_rho(params),
+        rho=rho,
         eps=max(mu),
         nu=min(mu),
     )

@@ -17,6 +17,7 @@ from .core import (
     PhysicalParams,
     ThermoQuartet,
     ValidationError,
+    _z_from_log,
     reduce_oscillator,
 )
 
@@ -48,7 +49,7 @@ def osc_classical(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet
     e = n * T
     s = n + log_z
     return ThermoQuartet(
-        Z=math.exp(log_z), F=e - T * s, E=e, S=s, flavor="classical", T=T, log_Z=log_z
+        Z=_z_from_log(log_z), F=e - T * s, E=e, S=s, flavor="classical", T=T, log_Z=log_z
     )
 
 
@@ -80,10 +81,9 @@ def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuart
     e = T * sum(_tau_over_tanh(tau) for tau in reduced.tau)
     f = -T * log_zr
     s = (e - f) / T
-    # Z may underflow deep in the quantum regime; keep it positive, the
-    # log-space value carries the information.
-    z = max(math.exp(log_zr), 5e-324)
-    return ThermoQuartet(Z=z, F=f, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr)
+    return ThermoQuartet(
+        Z=_z_from_log(log_zr), F=f, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
+    )
 
 
 def f_ratio(taus) -> float:

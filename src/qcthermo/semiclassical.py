@@ -120,35 +120,39 @@ def harmonic_potential(m: float, omegas) -> PotentialField:
 
 
 def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, float], ...]:
-    """Per-axis symmetric bounds with exp(-V/T) < 1e-16 * peak outside.
+    """Per-axis symmetric bounds with exp(-V/T) < 1e-16 * exp(-V(0)/T) outside.
 
-    Each half-width is grown by doubling and then shrunk back so the
-    quadrature window stays as tight as the decay allows (wide windows
-    waste Gauss-Legendre nodes).
+    Boltzmann factors are compared through their exponents relative to the
+    origin, -(V - V(0))/T against log(1e-16), so no probe overflows however
+    deep the potential dips.  Each half-width is grown by doubling and then
+    shrunk back so the quadrature window stays as tight as the decay allows
+    (wide windows waste Gauss-Legendre nodes).
     """
     n = potential.dimension
     center = np.zeros(n)
-    peak = math.exp(-float(potential.value(center)) / T)
-    if not math.isfinite(peak) or peak <= 0:
+    v0 = float(potential.value(center))
+    # the quadrature sums exp(-V/T) unshifted, so it must not underflow to 0
+    # here; one that overflows fails the quadrature's finiteness check
+    if not (math.isfinite(v0) and math.exp(min(-v0 / T, 0.0)) > 0.0):
         raise IntegrationError("potential not finite at the origin")
-    cutoff = 1e-16 * peak
+    cutoff = math.log(1e-16)
 
-    def face_value(axis, half):
+    def face_exponent(axis, half):
         x = np.zeros(n)
         x[axis] = half
-        lo = math.exp(-float(potential.value(x)) / T)
+        lo = -(float(potential.value(x)) - v0) / T
         x[axis] = -half
-        return max(lo, math.exp(-float(potential.value(x)) / T))
+        return max(lo, -(float(potential.value(x)) - v0) / T)
 
     halves = []
     for k in range(n):
         half = potential.scale
         prev = math.inf
         for _ in range(200):
-            val = face_value(k, half)
+            val = face_exponent(k, half)
             if val < cutoff:
                 break
-            if val > prev * 0.999999 and val >= peak:
+            if val > prev + math.log(0.999999) and val >= 0.0:
                 raise IntegrationError(
                     "Boltzmann factor does not decay; potential looks non-integrable"
                 )
@@ -156,7 +160,7 @@ def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, floa
             half *= 2.0
         else:
             raise IntegrationError("could not bound the integration domain")
-        while face_value(k, 0.85 * half) < cutoff:
+        while face_exponent(k, 0.85 * half) < cutoff:
             half *= 0.85
         halves.append(half)
 
@@ -165,7 +169,7 @@ def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, floa
         corners = np.array(
             [[s * h for s, h in zip(signs, halves)] for signs in ((1,) * n, (-1,) * n)]
         )
-        if float(np.exp(-potential.value(corners) / T).max()) < cutoff:
+        if float((-(potential.value(corners) - v0) / T).max()) < cutoff:
             break
         halves = [1.3 * h for h in halves]
     else:
@@ -199,6 +203,9 @@ def _grid_slabs(bounds, order: int):
         yield x.T, w
 
 
+# a Boltzmann factor beyond float range makes a moment non-finite, which
+# _stable reports in one line; numpy need not warn about it as well
+@np.errstate(over="ignore", invalid="ignore")
 def _boltzmann_moments(potential: PotentialField, T: float, gradient=None) -> np.ndarray:
     """Moments of b = exp(-V/T): [int b, int b*V, int b*|grad V|^2].
 

@@ -159,6 +159,8 @@ def comparison_report(
         diffs=diffs,
         signs=signs,
         asymptotic_residuals=residuals(reduced, z_ratio, e_ratio),
+        classical=classical,
+        regularized=regularized,
     )
 
 

@@ -10,7 +10,14 @@ summed directly for large mu and through its Poisson-transformed dual
     lam = 4/(pi mu^2),
 
 for small mu.  Both series decay like exp(-pi n^2) at mu = 2/sqrt(pi), which
-is where the dispatcher switches representation.
+is where theta switches representation.
+
+Both representations run the same single loop, _gaussian_moments, which sums
+the series and its n^2-weighted moment together with the leading term
+factored out.  So one pass per axis gives Z_q and the mean energy, and on the
+direct side log Z_q = -(pi/4) mu^2 + log(sum) is formed in log space: it
+stays finite however deep in the quantum regime mu lies, where Z_q itself
+underflows to 0.
 """
 
 from __future__ import annotations
@@ -27,9 +34,6 @@ __all__ = [
     "theta_poisson",
     "theta",
     "energy_sum",
-    "energy_sum_direct",
-    "w_pair",
-    "theta_lambda_derivative",
     "SlopeWitnesses",
     "small_mu_slope_witnesses",
 ]
@@ -43,124 +47,102 @@ DEFAULT_TOL = 1e-16
 
 @dataclass(frozen=True)
 class ThetaValue:
+    """Z_q(mu) and how it was summed.
+
+    truncation_bound bounds the omitted tail of value.  log_value is
+    log Z_q, finite where value underflows to 0; mean_energy is the per-axis
+    mean energy over T, lam * dZ_q/dlam / Z_q.
+    """
+
     value: float
     representation_used: str  # direct | poisson
     terms_used: int
     truncation_bound: float
+    log_value: float
+    mean_energy: float
 
     def __float__(self) -> float:
         return self.value
 
 
-def _sum_gaussian(decay: float, weight=None, tol: float = DEFAULT_TOL):
-    """sum_{n>=1} w(n)*exp(-decay*n^2); returns (sum, terms, tail bound).
+def _gaussian_moments(decay: float, tol: float = DEFAULT_TOL):
+    """s0 = sum_{n>=1} e^{-decay(n^2-1)} and s2 = sum_{n>=1} n^2 e^{-decay(n^2-1)}.
 
-    Stops once the next term falls below tol * partial sum.  The tail is
-    bounded by a geometric series with ratio exp(-decay*(2n+3)).
+    Returns (s0, s2, terms, bound).  Both sums start at 1, so neither
+    underflows.  Summing stops once the next n^2-weighted term falls below
+    tol * s0.  Weighted terms dominate plain ones, and for k >= m the ratio
+    of consecutive weighted terms, ((k+1)/k)^2 e^{-decay(2k+1)}, is largest
+    at the first omitted index m; so bound, the geometric series from m with
+    that ratio, bounds the omitted tail of both s0 and s2.
     """
-    total = 0.0
-    n = 0
+    s0 = s2 = 1.0
+    n = 1
     while n < MAX_TERMS:
-        n += 1
-        term = math.exp(-decay * n * n)
-        if weight is not None:
-            term *= weight(n)
-        total += term
-        nxt = math.exp(-decay * (n + 1) * (n + 1))
-        if weight is not None:
-            nxt *= weight(n + 1)
-        if nxt < tol * total or nxt == 0.0:
-            ratio = math.exp(-decay * (2 * n + 3))
-            bound = nxt / (1.0 - ratio) if ratio < 1.0 else math.inf
-            return total, n, bound
+        m = n + 1
+        term = math.exp(-decay * (m * m - 1))
+        weighted = m * m * term
+        if weighted <= tol * s0:
+            ratio = ((m + 1) / m) ** 2 * math.exp(-decay * (2 * m + 1))
+            bound = weighted / (1.0 - ratio) if ratio < 1.0 else math.inf
+            return s0, s2, n, bound
+        s0 += term
+        s2 += weighted
+        n = m
     raise ConvergenceError(f"Gaussian sum did not converge in {MAX_TERMS} terms")
 
 
-def theta_direct(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Direct sum sum_{n>=1} exp(-(pi/4) n^2 mu^2)."""
+def _check(mu: float, tol: float) -> None:
     if not (mu > 0):
         raise ValidationError(f"mu must be positive, got {mu}")
     if not (tol > 0):
         raise ValidationError(f"tol must be positive, got {tol}")
+
+
+def theta_direct(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
+    """Direct sum sum_{n>=1} exp(-(pi/4) n^2 mu^2), with log Z_q in log space."""
+    _check(mu, tol)
     if mu < 1e-4:
         raise ConvergenceError(
             f"mu={mu} too small for the direct representation; use theta_poisson"
         )
-    decay = (math.pi / 4.0) * mu * mu
-    total, terms, bound = _sum_gaussian(decay, tol=tol)
-    return ThetaValue(total, "direct", terms, bound)
+    decay = (math.pi / 4.0) * mu * mu  # = 1/lam
+    s0, s2, terms, bound = _gaussian_moments(decay, tol)
+    lead = math.exp(-decay)
+    return ThetaValue(
+        lead * s0, "direct", terms, lead * bound, -decay + math.log(s0), decay * s2 / s0
+    )
 
 
 def theta_poisson(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Poisson-transformed sum -1/2 + 1/mu + (2/mu) sum exp(-(n pi)^2 lam)."""
-    if not (mu > 0):
-        raise ValidationError(f"mu must be positive, got {mu}")
-    lam = 4.0 / (math.pi * mu * mu)
-    tail, terms, bound = _sum_gaussian(math.pi * math.pi * lam, tol=tol)
-    value = -0.5 + 1.0 / mu + (2.0 / mu) * tail
-    return ThetaValue(value, "poisson", terms, (2.0 / mu) * bound)
+    """Poisson-transformed sum -1/2 + 1/mu + (2/mu) sum exp(-(n pi)^2 lam).
+
+    With W0 = mu * Z_q and W1 = 1 + 2 sum (1 - 2 (n pi)^2 lam) e^{-(n pi)^2 lam},
+    the mean energy is W1 / (2 W0).
+    """
+    _check(mu, tol)
+    decay = 4.0 * math.pi / mu / mu  # = pi^2 lam
+    s0, s2, terms, bound = _gaussian_moments(decay, tol)
+    lead = math.exp(-decay)
+    value = -0.5 + 1.0 / mu + (2.0 / mu) * lead * s0
+    # lead is 0 once decay overflows, where decay * lead would be nan
+    w1 = 1.0 + 2.0 * lead * (s0 - 2.0 * decay * s2) if lead else 1.0
+    return ThetaValue(
+        value, "poisson", terms, (2.0 / mu) * lead * bound, math.log(value),
+        w1 / (2.0 * mu * value),
+    )
 
 
 def theta(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
-    """Dispatch to the representation with the faster-decaying series."""
-    if not (mu > 0):
-        raise ValidationError(f"mu must be positive, got {mu}")
+    """Z_q(mu) from the representation with the faster-decaying series."""
     if mu >= CROSSOVER_MU:
         return theta_direct(mu, tol)
     return theta_poisson(mu, tol)
 
 
-def energy_sum_direct(mu: float, tol: float = DEFAULT_TOL) -> float:
-    """sum_{n>=1} (n^2/lam) exp(-n^2/lam) with lam = 4/(pi mu^2)."""
-    if not (mu > 0):
-        raise ValidationError(f"mu must be positive, got {mu}")
-    decay = (math.pi / 4.0) * mu * mu  # = 1/lam
-    total, _, _ = _sum_gaussian(decay, weight=lambda n: decay * n * n, tol=tol)
-    return total
-
 def energy_sum(mu: float, tol: float = DEFAULT_TOL) -> float:
-    """Energy-weighted lattice sum; mean energy is T*energy_sum(mu)/theta(mu).
-
-    Equal to lam * d(theta)/d(lam).  Below the crossover it is evaluated in
-    the transformed representation as sqrt(pi*lam)/4 * W1.
-    """
-    if not (mu > 0):
-        raise ValidationError(f"mu must be positive, got {mu}")
-    if mu >= CROSSOVER_MU:
-        return energy_sum_direct(mu, tol)
-    lam = 4.0 / (math.pi * mu * mu)
-    _, w1 = w_pair(lam, tol)
-    return 0.25 * math.sqrt(math.pi * lam) * w1
-
-
-def w_pair(lam: float, tol: float = DEFAULT_TOL) -> tuple[float, float]:
-    """Auxiliary sums (W0, W1) of the transformed representation.
-
-    W0 = 1 - (lam*pi)^(-1/2) + 2*sum exp(-(n pi)^2 lam)
-    W1 = 1 + 2*sum exp(-(n pi)^2 lam) - 4*lam*sum (n pi)^2 exp(-(n pi)^2 lam)
-
-    Z_q = sqrt(lam*pi)/2 * W0 and d(Z_q)/d(lam) = sqrt(pi/lam)/4 * W1.
-    """
-    if not (lam > 0):
-        raise ValidationError(f"lam must be positive, got {lam}")
-    decay = math.pi * math.pi * lam
-    tail0, _, _ = _sum_gaussian(decay, tol=tol)
-    tail2, _, _ = _sum_gaussian(
-        decay, weight=lambda n: (n * math.pi) ** 2, tol=tol
-    )
-    w0 = 1.0 - 1.0 / math.sqrt(lam * math.pi) + 2.0 * tail0
-    w1 = 1.0 + 2.0 * tail0 - 4.0 * lam * tail2
-    return w0, w1
-
-
-def theta_lambda_derivative(lam: float, tol: float = DEFAULT_TOL) -> float:
-    """d(theta)/d(lam) = sum n^2/lam^2 exp(-n^2/lam), summed directly."""
-    if not (lam > 0):
-        raise ValidationError(f"lam must be positive, got {lam}")
-    total, _, _ = _sum_gaussian(
-        1.0 / lam, weight=lambda n: n * n / (lam * lam), tol=tol
-    )
-    return total
+    """Energy-weighted lattice sum lam * dZ_q/dlam = Z_q * mean_energy."""
+    t = theta(mu, tol)
+    return t.value * t.mean_energy
 
 
 def _adaptive_simpson(f, a, b, tol):
@@ -202,8 +184,8 @@ def small_mu_slope_witnesses() -> SlopeWitnesses:
     """Recompute the bound -1/2 + 2*pi^4*sum n^2 exp(-n^2 pi^3) and its
     integral-comparison witnesses; the bound must be negative."""
     eta = math.pi**-3
-    tail, _, _ = _sum_gaussian(math.pi**3, weight=lambda n: n * n)
-    slope_bound = -0.5 + 2.0 * math.pi**4 * tail
+    _, s2, _, _ = _gaussian_moments(math.pi**3)
+    slope_bound = -0.5 + 2.0 * math.pi**4 * math.exp(-(math.pi**3)) * s2
     integral = _adaptive_simpson(
         lambda x: x * x * math.exp(-x * x / eta), 0.0, 1.0, 1e-12
     )

@@ -14,14 +14,14 @@ import numpy as np
 
 from .core import (
     BoxGeometry,
-    ConvergenceError,
     InversionError,
     PhysicalParams,
     ThermoQuartet,
     ValidationError,
+    _z_from_log,
     reduce_well,
 )
-from .theta import CROSSOVER_MU, energy_sum, theta, w_pair
+from .theta import theta
 
 __all__ = [
     "well_classical",
@@ -40,16 +40,6 @@ __all__ = [
 # e^{-4*pi/eps^2} < 1e-60 for eps <= 0.3: the neglected tail of the
 # small-parameter expansions is far below float noise in this range.
 ASYMPTOTIC_EPS_LIMIT = 0.3
-
-
-def _z_from_log(log_z: float) -> float:
-    """Z = e^log_Z; a statistical sum beyond float range is a computation failure."""
-    try:
-        return math.exp(log_z)
-    except OverflowError:
-        raise ConvergenceError(
-            f"statistical sum overflows a float: log Z = {log_z}"
-        ) from None
 
 
 def well_classical(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
@@ -73,11 +63,9 @@ def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet
     log_zq = 0.0
     e = 0.0
     for mu in reduced.mu:
-        zq = theta(mu).value
-        if zq <= 0.0:
-            raise ConvergenceError(f"lattice sum underflowed at mu={mu}")
-        log_zq += math.log(zq)
-        e += T * energy_sum(mu) / zq
+        axis = theta(mu)
+        log_zq += axis.log_value
+        e += T * axis.mean_energy
     n = geom.dimension
     log_zr = n * math.log(2.0 * math.pi * params.h) + log_zq
     f = -T * log_zr
@@ -92,12 +80,7 @@ def well_energy_ratio(mu: float) -> float:
 
     Equals W1/W0 in the transformed representation; always > 1.
     """
-    if not (mu > 0):
-        raise ValidationError(f"mu must be positive, got {mu}")
-    if mu >= CROSSOVER_MU:
-        return 2.0 * energy_sum(mu) / theta(mu).value
-    w0, w1 = w_pair(4.0 / (math.pi * mu * mu))
-    return w1 / w0
+    return 2.0 * theta(mu).mean_energy
 
 
 @dataclass(frozen=True)

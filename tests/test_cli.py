@@ -1,14 +1,18 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
+import mpmath as mp
 import pytest
 
 from qcthermo.cli import run
+from qcthermo.core import BoxGeometry, PhysicalParams, reduce_well
+from qcthermo.well import well_classical, well_regularized
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "output.schema.json").read_text()
@@ -47,6 +51,11 @@ def test_eval_values(capsys):
     assert payload["ratios"]["Z_ratio"] == pytest.approx(0.81985686103665, rel=1e-12)
     assert payload["signs"]["sgn_dF"] == 1
     assert payload["signs"]["sgn_dS"] == -1
+    params, box = PhysicalParams(T=1.0, h=0.1, m=1.0), BoxGeometry([1.0, 2.0])
+    for key, quartet in (("classical", well_classical(params, box)),
+                         ("regularized", well_regularized(params, box))):
+        assert payload[key] == {k: getattr(quartet, k) for k in payload[key]}
+    assert payload["reduced"]["mu"] == list(reduce_well(params, box).mu)
 
 
 def test_sweep_csv_headers(capsys):
@@ -98,15 +107,52 @@ def test_validation_exit_code(capsys):
 
 def test_computation_exit_code(capsys):
     for args in (
-        # enormous h underflows the lattice sum
-        ["eval", "--system", "well", "--edges", "1", "--T", "1", "--h", "1e6"],
         # huge edges overflow the classical statistical sum
         ["eval", "--system", "well", "--edges", "1e300,1e300,1e300", "--T", "1", "--h", "1"],
+        # so do tiny frequencies
+        ["eval", "--system", "oscillator", "--omega", "1e-300,1e-300", "--T", "1", "--h", "1"],
+        # mu = 2.5e-300 is computed, but lam = 4/(pi mu^2) is beyond float range
+        ["eval", "--system", "well", "--edges", "1e300", "--T", "1", "--h", "1"],
+        # the double well's Boltzmann factor is beyond float range
+        ["kw", "--potential", "x1^4 - 100*x1^2", "--dim", "1", "--T", "0.01", "--h", "0.1"],
     ):
         code = run(args)
         err = capsys.readouterr().err
         assert code == 3, args
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("args", [
+    # mu = 2.5e6: Z_q underflows, log Z_q does not
+    ["eval", "--system", "well", "--edges", "1", "--T", "1", "--h", "1e6"],
+    # both statistical sums underflow; log Z carries them
+    ["eval", "--system", "well", "--edges", "1e-300,1e-300,1e-300", "--T", "1", "--h", "1e-300"],
+    ["eval", "--system", "oscillator", "--omega", "1e300,1e300,1e300", "--T", "1", "--h", "1e-300"],
+])
+def test_underflowing_statistical_sums_are_computed(args, capsys):
+    code = run(args)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    payload = json.loads(captured.out)
+    jsonschema.validate(payload, SCHEMA)
+    tiny = [q for q in (payload["classical"], payload["regularized"]) if q["Z"] == 5e-324]
+    assert tiny and all(q["log_Z"] < -700 for q in tiny)
+    assert all(q["F"] == pytest.approx(-1.0 * q["log_Z"], rel=1e-15) for q in tiny)  # T = 1
+
+
+def test_deep_quantum_box_matches_mpmath(capsys):
+    code, out = run_cli(["eval", "--system", "well", "--edges", "1", "--T", "1", "--h", "25"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    with mp.workdps(40):
+        h = mp.mpf(25)
+        d = mp.pi / 4 * (h * mp.sqrt(2 * mp.pi)) ** 2  # (pi/4) mu^2, mu = h sqrt(2 pi)
+        s0 = mp.nsum(lambda n: mp.exp(-d * (n * n - 1)), [1, mp.inf])
+        log_z = mp.log(2 * mp.pi * h) - d + mp.log(s0)
+    assert payload["reduced"]["mu"][0] == pytest.approx(25 * math.sqrt(2 * math.pi), rel=1e-15)
+    assert payload["regularized"]["log_Z"] == pytest.approx(float(log_z), rel=1e-14)
+    assert payload["regularized"]["E"] == pytest.approx(float(d), rel=1e-14)
 
 
 WELL_MU_2 = ["eval", "--system", "well", "--edges", "1", "--T", "1", "--h", "1"]  # mu = 2.5
@@ -164,15 +210,20 @@ def cli_bytes(args, env_extra=None):
 
 
 def test_numpy_warnings_stay_off_stderr():
-    # the potential is nan at the origin; only the one-line error is printed
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcthermo.cli", "kw", "--potential", "x1^2 + (x1-1)^0.5",
-         "--dim", "1", "--T", "1", "--h", "0.1"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 3
-    assert proc.stderr == "error: potential not finite at the origin\n"
+    for potential, message in (
+        # nan at the origin
+        ("x1^2 + (x1-1)^0.5", "potential not finite at the origin"),
+        # exp(-V/T) overflows on the quadrature nodes
+        ("x1^2 - 1000", "quadrature not finite: inf vs inf at reduced order"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcthermo.cli", "kw", "--potential", potential,
+             "--dim", "1", "--T", "1", "--h", "0.1"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {message}\n"
 
 
 def test_determinism_byte_identical():

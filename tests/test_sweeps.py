@@ -122,14 +122,29 @@ def test_n_sweep_reduced_parameters_shrink():
     assert all(b < a for a, b in zip(deltas, deltas[1:]))
 
 
-def test_row_level_error_capture():
-    # enormous mu underflows the lattice sum; the row records the error
+def test_deep_quantum_rows_are_reports():
+    # mu up to 2.5e5: Z_q underflows, log Z_q does not, so every row is a report
     grid = (1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0)
-    plan = make_plan(direction="h_to_0", grid=grid)
-    result = run_sweep(plan)
-    assert result.rows[0].report is not None
-    assert result.rows[-1].report is None
-    assert "ConvergenceError" in result.rows[-1].error
+    result = run_sweep(make_plan(direction="h_to_0", grid=grid))
+    assert all(row.error is None for row in result.rows)
+    deepest = result.rows[-1].report
+    (mu,) = deepest.point.mu
+    assert deepest.regularized.Z == 5e-324
+    assert deepest.regularized.log_Z == pytest.approx(
+        math.log(2 * math.pi * grid[-1]) - math.pi / 4 * mu * mu, rel=1e-14
+    )
+    assert deepest.regularized.E == pytest.approx(math.pi / 4 * mu * mu, rel=1e-14)
+    assert deepest.ratios["Z_ratio"] == 0.0
+    assert deepest.signs == {"sgn_dF": 1, "sgn_dE": 1, "sgn_dS": 1}
+
+
+def test_row_level_error_capture():
+    # N = round(0.4) = 0 is no box; the row records the error and the rest run
+    grid = (0.4, 1.0, 2.0, 3.0, 4.0, 5.0)
+    result = run_sweep(make_plan(direction="N_to_inf", grid=grid))
+    assert result.rows[0].report is None
+    assert result.rows[0].error == "ValidationError: N must be >= 1, got 0.4"
+    assert all(row.report is not None for row in result.rows[1:])
 
 
 def test_bounds_check_sandwich():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,14 +8,12 @@ from hypothesis import strategies as st
 from qcthermo.core import ConvergenceError, ValidationError
 from qcthermo.theta import (
     CROSSOVER_MU,
+    _gaussian_moments,
     energy_sum,
-    energy_sum_direct,
     small_mu_slope_witnesses,
     theta,
     theta_direct,
-    theta_lambda_derivative,
     theta_poisson,
-    w_pair,
 )
 
 # Frozen against a 40-digit mpmath evaluation of the lattice sums.
@@ -61,7 +60,11 @@ def test_truncation_bound_is_honest():
 
 def test_energy_sum_matches_direct():
     for mu in (0.5, 0.9, 1.0, 1.5):
-        assert energy_sum(mu) == pytest.approx(energy_sum_direct(mu), rel=1e-12)
+        direct, dual = theta_direct(mu), theta_poisson(mu)
+        assert dual.mean_energy == pytest.approx(direct.mean_energy, rel=1e-12)
+        assert energy_sum(mu) == pytest.approx(
+            direct.value * direct.mean_energy, rel=1e-12
+        )
 
 
 def test_energy_ratio_oracles():
@@ -73,19 +76,24 @@ def test_energy_ratio_oracles():
     )
 
 
-def test_w_pair_oracle():
-    w0, w1 = w_pair(4.0 / math.pi)
-    assert w0 == pytest.approx(W0_AT_4_OVER_PI, rel=1e-14)
-    assert w1 == pytest.approx(W1_AT_4_OVER_PI, rel=1e-14)
+def test_transformed_sums_at_mu_one():
+    # at mu = 1 (lam = 4/pi): W0 = mu * Z_q and W1 = 2 * W0 * mean_energy
+    t = theta(1.0)
+    assert t.representation_used == "poisson"
+    assert t.value == pytest.approx(W0_AT_4_OVER_PI, rel=1e-14)
+    assert 2.0 * t.value * t.mean_energy == pytest.approx(W1_AT_4_OVER_PI, rel=1e-14)
 
 
 def test_energy_sum_is_lambda_derivative():
-    # energy_sum = lam * d(theta)/d(lam)
-    for mu in (1.0, 1.5, 2.0):
-        lam = 4.0 / (math.pi * mu * mu)
-        assert energy_sum(mu) == pytest.approx(
-            lam * theta_lambda_derivative(lam), rel=1e-12
-        )
+    # energy_sum = lam * dZ_q/dlam and mean_energy = lam * d(log Z_q)/dlam, with
+    # lam * d/dlam = -(mu/2) * d/dmu; central differences in mu
+    for mu in (0.3, 1.0, 1.5, 2.0, 40.0):
+        step = 1e-5 * mu
+        lo, hi = theta(mu - step), theta(mu + step)
+        slope = (hi.log_value - lo.log_value) / (2 * step)
+        assert theta(mu).mean_energy == pytest.approx(-0.5 * mu * slope, rel=1e-8)
+        slope = (hi.value - lo.value) / (2 * step)
+        assert energy_sum(mu) == pytest.approx(-0.5 * mu * slope, rel=1e-8, abs=1e-300)
 
 
 def test_small_mu_asymptote():
@@ -121,3 +129,73 @@ def test_theta_positive_and_decreasing_shape(mu):
     assert val > 0
     # theta is strictly decreasing in mu
     assert theta(mu * 1.01).value < val
+
+
+def _mp_lattice(mu):
+    """(log Z_q, mean energy) of one axis from 40-digit direct term sums."""
+    with mp.workdps(40):
+        a = mp.pi / 4 * mp.mpf(mu) ** 2
+        s0 = s2 = mp.mpf(1)
+        n = 2
+        while True:
+            term = mp.exp(-a * (n * n - 1))
+            s0 += term
+            s2 += n * n * term
+            if n * n * term < mp.mpf(10) ** -40 * s2:
+                return -a + mp.log(s0), a * s2 / s0
+            n += 1
+
+
+@given(log_mu=st.floats(min_value=math.log(1e-2), max_value=math.log(1e3)))
+@settings(max_examples=120, deadline=None)
+def test_kernel_matches_mpmath(log_mu):
+    mu = math.exp(log_mu)
+    got = theta(mu)
+    log_z, mean = _mp_lattice(mu)
+    # an absolute error in log Z_q is a relative error in Z_q, so it is
+    # measured against max(|log Z_q|, 1), not against a log crossing 0
+    assert abs(got.log_value - float(log_z)) <= 1e-14 * max(abs(float(log_z)), 1.0)
+    assert got.mean_energy == pytest.approx(float(mean), rel=1e-14, abs=0)
+
+
+@given(mu=st.floats(min_value=0.9 * CROSSOVER_MU, max_value=1.1 * CROSSOVER_MU))
+@settings(max_examples=100, deadline=None)
+def test_representations_agree_near_crossover(mu):
+    direct, dual = theta_direct(mu), theta_poisson(mu)
+    assert dual.log_value == pytest.approx(direct.log_value, rel=1e-14, abs=1e-15)
+    assert dual.mean_energy == pytest.approx(direct.mean_energy, rel=1e-14, abs=0)
+
+
+def test_deep_quantum_stays_in_log_space():
+    t = theta(1e3)
+    assert t.value == 0.0  # e^{-(pi/4) 1e6} underflows ...
+    assert t.log_value == pytest.approx(-(math.pi / 4) * 1e6, rel=1e-15)  # ... its log does not
+    assert t.mean_energy == pytest.approx((math.pi / 4) * 1e6, rel=1e-15)
+
+
+@pytest.mark.parametrize("decay", [1e-3, 0.05, 0.3, 1.0, math.pi, 10.0])
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-16])
+def test_truncation_bound_covers_both_moments(decay, tol):
+    # the loop's bound covers the omitted tails of the plain and of the
+    # n^2-weighted sum, and is tight for the weighted one
+    s0, s2, terms, bound = _gaussian_moments(decay, tol)
+    with mp.workdps(40):
+        d = mp.mpf(decay)
+        tail0 = tail2 = mp.mpf(0)
+        n = terms + 1
+        while True:
+            term = mp.exp(-d * (n * n - 1))
+            tail0 += term
+            tail2 += n * n * term
+            if n * n * term < mp.mpf(10) ** -40 * tail2:
+                break
+            n += 1
+    assert float(tail0) <= float(tail2) <= bound * (1 + 1e-14)
+    assert bound <= 1.1 * float(tail2)
+
+
+def test_theta_value_bound_is_honest_at_loose_tol():
+    for mu in (0.3, 0.8, 1.2, 2.0):
+        tv = theta(mu, tol=1e-6)
+        log_z, _ = _mp_lattice(mu)
+        assert abs(tv.value - math.exp(float(log_z))) <= tv.truncation_bound + 1e-15 * tv.value
