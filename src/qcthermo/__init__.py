@@ -66,7 +66,6 @@ from .sweeps import (
     SweepPlan,
     SweepResult,
     SweepRow,
-    appendix_bounds_check,
     comparison_report,
     fit_leading_order,
     run_sweep,
@@ -123,8 +122,7 @@ __all__ = [
     "KWPrediction", "kw_expansion",
     # sweeps
     "SweepPlan", "SweepRow", "FitResult", "SweepResult",
-    "comparison_report", "run_sweep", "appendix_bounds_check",
-    "fit_leading_order",
+    "comparison_report", "run_sweep", "fit_leading_order",
     # expressions
     "parse_potential", "parse_number",
 ]

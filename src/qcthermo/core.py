@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = [
     "ValidationError",
@@ -72,6 +73,13 @@ class PhysicalParams:
         return 1.0 / self.T
 
 
+def _distinct(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
+    counts: dict[float, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(counts.items())
+
+
 @dataclass(frozen=True)
 class BoxGeometry:
     """Rectangular box 0 <= x_k <= a_k."""
@@ -89,6 +97,11 @@ class BoxGeometry:
     @property
     def dimension(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def distinct_edges(self) -> tuple[tuple[float, int], ...]:
+        """(edge, multiplicity) pairs in first-seen order."""
+        return _distinct(self.edges)
 
 
 @dataclass(frozen=True)
@@ -108,6 +121,11 @@ class OscillatorSpec:
     @property
     def dimension(self) -> int:
         return len(self.frequencies)
+
+    @cached_property
+    def distinct_frequencies(self) -> tuple[tuple[float, int], ...]:
+        """(frequency, multiplicity) pairs in first-seen order."""
+        return _distinct(self.frequencies)
 
 
 @dataclass(frozen=True)
@@ -138,9 +156,9 @@ class ThermoQuartet:
 
     log_Z is primary and Z is derived from it (see _z_from_log).  Where
     e^log_Z underflows, deep in the quantum regime, Z is the smallest
-    positive float, 5e-324, and log_Z carries the value, so free energies
-    stay exact; where it overflows, the quartet is not built and the builder
-    raises ConvergenceError.
+    positive float, 5e-324; where it overflows, at large N or huge edges, Z
+    is inf.  Either way log_Z carries the value, so free energies and ratios
+    stay exact; only a printed Z of inf is an error (the CLI exits 3).
     """
 
     Z: float
@@ -181,15 +199,14 @@ class ComparisonReport:
 
 
 def _z_from_log(log_z: float) -> float:
-    """Z = e^log_Z for a quartet: 5e-324 where it underflows, and a
-    ConvergenceError where it is beyond float range."""
+    """Z = e^log_Z for a quartet: 5e-324 where it underflows and inf where
+    it overflows; a NaN log Z raises ConvergenceError."""
+    if math.isnan(log_z):
+        raise ConvergenceError("statistical sum is not a number: log Z = nan")
     try:
-        z = math.exp(log_z)
+        return max(math.exp(log_z), 5e-324)
     except OverflowError:
-        z = math.inf
-    if not z < math.inf:
-        raise ConvergenceError(f"statistical sum overflows a float: log Z = {log_z}")
-    return max(z, 5e-324)
+        return math.inf
 
 
 def sign_with_zero_band(d: float, reference: float = 0.0) -> int:
@@ -201,7 +218,22 @@ def sign_with_zero_band(d: float, reference: float = 0.0) -> int:
 
 def reduce_rho(params: PhysicalParams) -> float:
     """Thermal length scale rho = h*sqrt(pi/(2mT)); mu_k = 2*rho/a_k."""
-    return params.h * math.sqrt(math.pi / (2.0 * params.m * params.T))
+    mt = 2.0 * params.m * params.T
+    if 0.0 < mt < math.inf:
+        return params.h * math.sqrt(math.pi / mt)
+    # 2mT under- or overflows; take the root factor by factor
+    return params.h * math.sqrt(math.pi / 2.0) / math.sqrt(params.m) / math.sqrt(params.T)
+
+
+def _edge_mu(rho: float, a: float) -> float:
+    """mu = 2*rho/a for one edge a; reduce_well and the box builders share it."""
+    return 2.0 * rho / a
+
+
+def _frequency_tau(params: PhysicalParams, omega: float) -> float:
+    """tau = h*omega/(2T) for one frequency; reduce_oscillator and the
+    oscillator builders share it."""
+    return params.h * omega / (2.0 * params.T)
 
 
 def reduce_well(params: PhysicalParams, geom: BoxGeometry) -> ReducedParams:
@@ -211,7 +243,7 @@ def reduce_well(params: PhysicalParams, geom: BoxGeometry) -> ReducedParams:
     mu to 0 and lam = 4/(pi*mu^2) never divides by an underflowed square.
     """
     rho = reduce_rho(params)
-    mu = tuple(2.0 * rho / a for a in geom.edges)
+    mu = tuple(_edge_mu(rho, a) for a in geom.edges)
     lam = tuple(4.0 / math.pi / m / m if m > 0 else math.inf for m in mu)
     return ReducedParams(
         mu=mu,
@@ -224,7 +256,7 @@ def reduce_well(params: PhysicalParams, geom: BoxGeometry) -> ReducedParams:
 
 def reduce_oscillator(params: PhysicalParams, spec: OscillatorSpec) -> ReducedParams:
     """Dimensionless oscillator parameters tau_k = h*omega_k/(2T)."""
-    tau = tuple(params.h * w / (2.0 * params.T) for w in spec.frequencies)
+    tau = tuple(_frequency_tau(params, w) for w in spec.frequencies)
     return ReducedParams(
         tau=tau,
         rho=reduce_rho(params),

@@ -3,6 +3,8 @@
 Closed forms for the classical and regularized quartets, the even-power
 series of the ratio functions built from exact Bernoulli numbers, and the
 closed-form derivative certificates behind the monotonicity statements.
+The quartet builders loop over the distinct frequencies and weight each by
+its multiplicity.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from .core import (
     PhysicalParams,
     ThermoQuartet,
     ValidationError,
+    _frequency_tau,
     _z_from_log,
-    reduce_oscillator,
 )
 
 __all__ = [
@@ -45,7 +47,7 @@ def osc_classical(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet
     """Classical quartet: Z = prod(2*pi*T/omega_k), E = N*T, S = N + log Z."""
     n = spec.dimension
     T = params.T
-    log_z = sum(math.log(2.0 * math.pi * T / w) for w in spec.frequencies)
+    log_z = sum(k * _log_classical_axis(T, w) for w, k in spec.distinct_frequencies)
     e = n * T
     s = n + log_z
     return ThermoQuartet(
@@ -53,15 +55,27 @@ def osc_classical(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet
     )
 
 
+def _log_classical_axis(T: float, omega: float) -> float:
+    """log(2*pi*T/omega), also where the quotient leaves float range."""
+    x = 2.0 * math.pi * T / omega
+    if 0.0 < x < math.inf:
+        return math.log(x)
+    return math.log(2.0 * math.pi) + math.log(T) - math.log(omega)
+
+
 def _log_tau_over_sinh(tau: float) -> float:
     # log(tau/sinh(tau)); log(sinh t) = t - log 2 + log1p(-e^{-2t}) avoids
-    # overflow for large tau.
+    # overflow for large tau.  tau = 0 (h*omega underflowed) is the limit 0.
+    if tau == 0.0:
+        return 0.0
     if tau > LOG_SPACE_TAU:
         return math.log(tau) - (tau - math.log(2.0) + math.log1p(-math.exp(-2.0 * tau)))
     return math.log(tau / math.sinh(tau))
 
 
 def _tau_over_tanh(tau: float) -> float:
+    if tau == 0.0:
+        return 1.0
     if tau > 20.0:
         # tanh saturates to 1 well inside double precision here
         return tau
@@ -72,13 +86,13 @@ def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuart
     """Regularized quartet Z_r = prod 2*pi*T*tau_k/(omega_k*sinh(tau_k))."""
     if params.h == 0:
         raise ValidationError("quantum sums need h > 0")
-    reduced = reduce_oscillator(params, spec)
     T = params.T
+    axes = [(w, _frequency_tau(params, w), k) for w, k in spec.distinct_frequencies]
     log_zr = sum(
-        math.log(2.0 * math.pi * T / w) + _log_tau_over_sinh(tau)
-        for w, tau in zip(spec.frequencies, reduced.tau)
+        k * (_log_classical_axis(T, w) + _log_tau_over_sinh(tau))
+        for w, tau, k in axes
     )
-    e = T * sum(_tau_over_tanh(tau) for tau in reduced.tau)
+    e = T * sum(k * _tau_over_tanh(tau) for _, tau, k in axes)
     f = -T * log_zr
     s = (e - f) / T
     return ThermoQuartet(

@@ -4,6 +4,12 @@ A sweep moves one knob (h -> 0, T -> inf, omega -> 0, a -> inf, m -> inf,
 or N -> inf with shrinking reduced parameters) along a geometric grid,
 collects regularized-vs-classical comparison reports per point, and fits
 the leading-order rate of the deviation of each ratio from 1.
+
+A row costs one lattice sum per distinct edge or frequency: N -> inf repeats
+the base axes N times, and the quartet builders weight each distinct axis by
+its count.  Only log Z enters a row, so rows stay finite at any N even where
+Z itself is beyond float range.  The rate fit is a closed-form two-parameter
+least squares in plain Python.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .core import (
     BoxGeometry,
     ComparisonReport,
+    ConvergenceError,
+    IntegrationError,
+    InversionError,
     OscillatorSpec,
     PhysicalParams,
     ReducedParams,
@@ -37,7 +44,6 @@ __all__ = [
     "SweepResult",
     "comparison_report",
     "run_sweep",
-    "appendix_bounds_check",
     "fit_leading_order",
 ]
 
@@ -198,13 +204,17 @@ def _point_at(plan: SweepPlan, value: float):
 
 
 def run_sweep(plan: SweepPlan) -> SweepResult:
-    """Evaluate the plan row by row; row failures are recorded, not raised."""
+    """Evaluate the plan row by row.
+
+    A row that fails with one of the package's errors is recorded, not
+    raised; any other exception is a fault and propagates.
+    """
     rows = []
     for value in plan.grid:
         try:
             params, system = _point_at(plan, value)
             rows.append(SweepRow(value, comparison_report(params, system)))
-        except Exception as exc:  # row-level error record
+        except (ValidationError, ConvergenceError, InversionError, IntegrationError) as exc:
             rows.append(SweepRow(value, None, error=f"{type(exc).__name__}: {exc}"))
 
     fits = {}
@@ -219,44 +229,52 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
     return SweepResult(plan=plan, rows=tuple(rows), fitted_rates=fits)
 
 
-def appendix_bounds_check(reduced: ReducedParams) -> bool:
-    """Sandwich bounds: min <= mean <= max of mu, and of tau squared."""
-    ok = True
-    if reduced.mu:
-        mean = sum(reduced.mu) / len(reduced.mu)
-        ok &= reduced.nu <= mean * (1 + 1e-15) and mean <= reduced.eps * (1 + 1e-15)
-    if reduced.tau:
-        mean2 = sum(t * t for t in reduced.tau) / len(reduced.tau)
-        ok &= reduced.kappa**2 <= mean2 * (1 + 1e-15)
-        ok &= mean2 <= reduced.delta**2 * (1 + 1e-15)
-    if not reduced.mu and not reduced.tau:
-        raise ValidationError("no reduced parameters to check")
-    return bool(ok)
-
-
 def fit_leading_order(xs, ys, expected_slope: float | None = None) -> FitResult:
-    """Fit |y| ~ coefficient * x^slope by least squares in log-log space."""
-    xs = np.asarray([float(x) for x in xs])
-    ys = np.asarray([float(y) for y in ys])
+    """Fit |y| ~ coefficient * x^slope by least squares in log-log space.
+
+    Points with |y| <= 1e-280 are left out.  The line is solved in closed
+    form about the centroid of the log points, every sum taken by math.fsum.
+    """
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
     if len(xs) < 4:
         raise ValidationError("need at least 4 points to fit a rate")
-    if np.any(xs <= 0):
+    if len(xs) != len(ys):
+        raise ValidationError(f"got {len(xs)} abscissae but {len(ys)} deviations")
+    if any(x <= 0 for x in xs):
         raise ValidationError("fit abscissae must be positive")
-    mask = np.abs(ys) > 1e-280
-    if mask.sum() < 4:
+    kept = [(x, y) for x, y in zip(xs, ys) if abs(y) > 1e-280]
+    if len(kept) < 4:
         raise ValidationError("deviations underflowed; nothing to fit")
-    sgns = np.sign(ys[mask])
-    sign = int(sgns[0]) if np.all(sgns == sgns[0]) else 0
-    lx, ly = np.log(xs[mask]), np.log(np.abs(ys[mask]))
-    design = np.column_stack([np.ones_like(lx), lx])
-    sol, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    resid = ly - design @ sol
+    if all(y > 0 for _, y in kept):
+        sign = 1
+    elif all(y < 0 for _, y in kept):
+        sign = -1
+    else:
+        sign = 0
+    lx = [math.log(x) for x, _ in kept]
+    ly = [math.log(abs(y)) for _, y in kept]
+    if not all(math.isfinite(v) for v in lx + ly):
+        raise ValidationError("fit points must be finite")
+    mx = math.fsum(lx) / len(lx)
+    my = math.fsum(ly) / len(ly)
+    dx = [v - mx for v in lx]
+    dy = [v - my for v in ly]
+    sxx = math.fsum(d * d for d in dx)
+    if sxx == 0:
+        raise ValidationError("fit abscissae must not all be equal")
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    log_coefficient = my - slope * mx
+    try:
+        coefficient = math.exp(log_coefficient)
+    except OverflowError:
+        coefficient = math.inf
     return FitResult(
-        coefficient=float(np.exp(sol[0])),
-        slope=float(sol[1]),
-        residual_norm=float(np.linalg.norm(resid)),
+        coefficient=coefficient,
+        slope=slope,
+        residual_norm=math.sqrt(math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))),
         sign=sign,
         exponent_residual=(
-            abs(float(sol[1]) - expected_slope) if expected_slope is not None else None
+            abs(slope - expected_slope) if expected_slope is not None else None
         ),
     )

@@ -14,10 +14,12 @@ is where theta switches representation.
 
 Both representations run the same single loop, _gaussian_moments, which sums
 the series and its n^2-weighted moment together with the leading term
-factored out.  So one pass per axis gives Z_q and the mean energy, and on the
-direct side log Z_q = -(pi/4) mu^2 + log(sum) is formed in log space: it
-stays finite however deep in the quantum regime mu lies, where Z_q itself
-underflows to 0.
+factored out.  So one pass per axis gives Z_q, the mean energy and the
+entropy, and on the direct side log Z_q = -(pi/4) mu^2 + log(sum) is formed
+in log space: it stays finite however deep in the quantum regime mu lies,
+where Z_q itself underflows to 0.  The loop also sums the (n^2 - 1)-weighted
+moment on its own, so the direct-side entropy log(s0) + d (s2 - s0)/s0 never
+subtracts the two large, nearly equal terms log Z_q and the mean energy.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ class ThetaValue:
 
     truncation_bound bounds the omitted tail of value.  log_value is
     log Z_q, finite where value underflows to 0; mean_energy is the per-axis
-    mean energy over T, lam * dZ_q/dlam / Z_q.
+    mean energy over T, lam * dZ_q/dlam / Z_q; entropy is the per-axis
+    entropy log_value + mean_energy, which the direct side forms without
+    cancelling the two (both grow like (pi/4) mu^2 deep in the quantum regime).
     """
 
     value: float
@@ -60,6 +64,7 @@ class ThetaValue:
     truncation_bound: float
     log_value: float
     mean_energy: float
+    entropy: float
 
     def __float__(self) -> float:
         return self.value
@@ -68,14 +73,17 @@ class ThetaValue:
 def _gaussian_moments(decay: float, tol: float = DEFAULT_TOL):
     """s0 = sum_{n>=1} e^{-decay(n^2-1)} and s2 = sum_{n>=1} n^2 e^{-decay(n^2-1)}.
 
-    Returns (s0, s2, terms, bound).  Both sums start at 1, so neither
-    underflows.  Summing stops once the next n^2-weighted term falls below
+    Returns (s0, s2, s2_minus_s0, terms, bound), where s2_minus_s0 =
+    sum_{n>=2} (n^2-1) e^{-decay(n^2-1)} is summed term by term, not as a
+    difference.  s0 and s2 start at 1, so neither underflows.  Summing stops
+    once the next n^2-weighted term falls below
     tol * s0.  Weighted terms dominate plain ones, and for k >= m the ratio
     of consecutive weighted terms, ((k+1)/k)^2 e^{-decay(2k+1)}, is largest
     at the first omitted index m; so bound, the geometric series from m with
     that ratio, bounds the omitted tail of both s0 and s2.
     """
     s0 = s2 = 1.0
+    s2_minus_s0 = 0.0
     n = 1
     while n < MAX_TERMS:
         m = n + 1
@@ -84,9 +92,10 @@ def _gaussian_moments(decay: float, tol: float = DEFAULT_TOL):
         if weighted <= tol * s0:
             ratio = ((m + 1) / m) ** 2 * math.exp(-decay * (2 * m + 1))
             bound = weighted / (1.0 - ratio) if ratio < 1.0 else math.inf
-            return s0, s2, n, bound
+            return s0, s2, s2_minus_s0, n, bound
         s0 += term
         s2 += weighted
+        s2_minus_s0 += (m * m - 1) * term
         n = m
     raise ConvergenceError(f"Gaussian sum did not converge in {MAX_TERMS} terms")
 
@@ -106,10 +115,12 @@ def theta_direct(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
             f"mu={mu} too small for the direct representation; use theta_poisson"
         )
     decay = (math.pi / 4.0) * mu * mu  # = 1/lam
-    s0, s2, terms, bound = _gaussian_moments(decay, tol)
+    s0, s2, s2_minus_s0, terms, bound = _gaussian_moments(decay, tol)
     lead = math.exp(-decay)
+    log_s0 = math.log(s0)
     return ThetaValue(
-        lead * s0, "direct", terms, lead * bound, -decay + math.log(s0), decay * s2 / s0
+        lead * s0, "direct", terms, lead * bound, -decay + log_s0, decay * s2 / s0,
+        log_s0 + decay * s2_minus_s0 / s0,
     )
 
 
@@ -121,14 +132,16 @@ def theta_poisson(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     """
     _check(mu, tol)
     decay = 4.0 * math.pi / mu / mu  # = pi^2 lam
-    s0, s2, terms, bound = _gaussian_moments(decay, tol)
+    s0, s2, _, terms, bound = _gaussian_moments(decay, tol)
     lead = math.exp(-decay)
     value = -0.5 + 1.0 / mu + (2.0 / mu) * lead * s0
     # lead is 0 once decay overflows, where decay * lead would be nan
     w1 = 1.0 + 2.0 * lead * (s0 - 2.0 * decay * s2) if lead else 1.0
+    log_value = math.log(value)
+    mean_energy = w1 / (2.0 * mu * value)
     return ThetaValue(
-        value, "poisson", terms, (2.0 / mu) * lead * bound, math.log(value),
-        w1 / (2.0 * mu * value),
+        value, "poisson", terms, (2.0 / mu) * lead * bound, log_value, mean_energy,
+        log_value + mean_energy,
     )
 
 
@@ -184,7 +197,7 @@ def small_mu_slope_witnesses() -> SlopeWitnesses:
     """Recompute the bound -1/2 + 2*pi^4*sum n^2 exp(-n^2 pi^3) and its
     integral-comparison witnesses; the bound must be negative."""
     eta = math.pi**-3
-    _, s2, _, _ = _gaussian_moments(math.pi**3)
+    _, s2, _, _, _ = _gaussian_moments(math.pi**3)
     slope_bound = -0.5 + 2.0 * math.pi**4 * math.exp(-(math.pi**3)) * s2
     integral = _adaptive_simpson(
         lambda x: x * x * math.exp(-x * x / eta), 0.0, 1.0, 1e-12

@@ -3,6 +3,11 @@
 Classical closed forms, regularized quantum values built from the lattice
 sums in :mod:`qcthermo.theta`, the small-parameter geometric expansion of the
 statistical-sum ratio, and recovery of the edges from sampled ratios.
+
+The quartet builders loop over the box's distinct edges and weight each by
+its multiplicity, so a box of N copies of a few edges costs one lattice sum
+per distinct edge, not N.  The regularized entropy is summed per axis, never
+formed as (E - F)/T, which cancels deep in the quantum regime.
 """
 
 from __future__ import annotations
@@ -18,7 +23,9 @@ from .core import (
     PhysicalParams,
     ThermoQuartet,
     ValidationError,
+    _edge_mu,
     _z_from_log,
+    reduce_rho,
     reduce_well,
 )
 from .theta import theta
@@ -46,7 +53,8 @@ def well_classical(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
     """Classical quartet: Z = (2mT*pi)^(N/2) * prod(a_k), E = N*T/2."""
     n = geom.dimension
     T = params.T
-    log_z = sum(math.log(a * math.sqrt(2.0 * params.m * T * math.pi)) for a in geom.edges)
+    root = math.sqrt(2.0 * params.m * T * math.pi)
+    log_z = sum(k * _log_edge_root(a, root, params) for a, k in geom.distinct_edges)
     z = _z_from_log(log_z)
     e = 0.5 * n * T
     s = 0.5 * n + log_z
@@ -54,22 +62,39 @@ def well_classical(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
     return ThermoQuartet(Z=z, F=f, E=e, S=s, flavor="classical", T=T, log_Z=log_z)
 
 
+def _log_edge_root(a: float, root: float, params: PhysicalParams) -> float:
+    """log(a * root) with root = sqrt(2*pi*m*T), also where the product
+    leaves float range."""
+    product = a * root
+    if 0.0 < product < math.inf:
+        return math.log(product)
+    return math.log(a) + 0.5 * (
+        math.log(2.0 * math.pi) + math.log(params.m) + math.log(params.T)
+    )
+
+
 def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
-    """Regularized quantum quartet (2*pi*h)^N * prod_k Z_q(mu_k)."""
+    """Regularized quantum quartet (2*pi*h)^N * prod_k Z_q(mu_k).
+
+    S = N log(2*pi*h) + sum_k S_q(mu_k) from the per-axis entropies.
+    """
     if params.h == 0:
         raise ValidationError("quantum sums need h > 0")
-    reduced = reduce_well(params, geom)
+    rho = reduce_rho(params)
     T = params.T
     log_zq = 0.0
     e = 0.0
-    for mu in reduced.mu:
-        axis = theta(mu)
-        log_zq += axis.log_value
-        e += T * axis.mean_energy
+    s_q = 0.0
+    for a, k in geom.distinct_edges:
+        axis = theta(_edge_mu(rho, a))
+        log_zq += k * axis.log_value
+        e += k * (T * axis.mean_energy)
+        s_q += k * axis.entropy
     n = geom.dimension
-    log_zr = n * math.log(2.0 * math.pi * params.h) + log_zq
+    log_2pi_h = math.log(2.0 * math.pi * params.h)
+    log_zr = n * log_2pi_h + log_zq
     f = -T * log_zr
-    s = (e - f) / T
+    s = n * log_2pi_h + s_q
     return ThermoQuartet(
         Z=_z_from_log(log_zr), F=f, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
     )
@@ -166,17 +191,28 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
     ys = np.array([v for _, v in samples]) - 1.0
     if len(set(rhos.tolist())) != len(rhos):
         raise ValidationError("sample rho values must be distinct")
+    if not (np.all(np.isfinite(rhos)) and np.all(np.isfinite(ys))):
+        raise InversionError("ratio samples are not finite")
 
     # Design matrix for rho^1..rho^N; columns scaled to unit norm to keep
     # the tiny Vandermonde system well conditioned.
-    powers = np.vander(rhos, n_edges + 1, increasing=True)[:, 1:]
-    scale = np.linalg.norm(powers, axis=0)
+    with np.errstate(all="ignore"):
+        powers = np.vander(rhos, n_edges + 1, increasing=True)[:, 1:]
+        scale = np.linalg.norm(powers, axis=0)
+    if not (np.all(np.isfinite(powers)) and np.all((scale > 0) & np.isfinite(scale))):
+        raise InversionError(
+            "rho powers are beyond float range; edges too large or too small"
+        )
     coeffs, *_ = np.linalg.lstsq(powers / scale, ys, rcond=None)
     coeffs /= scale
 
     # Roots of 1 + c_1 rho + ... + c_N rho^N are the edges.
     poly = np.concatenate(([1.0], coeffs))[::-1]
     roots = np.roots(poly)
+    if len(roots) != n_edges:
+        raise InversionError(
+            f"recovered {len(roots)} of {n_edges} edges; the fitted polynomial lost its degree"
+        )
     imag_tol = 1e-5 * (1.0 + np.abs(roots))
     if np.any(np.abs(roots.imag) > imag_tol):
         raise InversionError(

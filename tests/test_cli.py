@@ -107,14 +107,18 @@ def test_validation_exit_code(capsys):
 
 def test_computation_exit_code(capsys):
     for args in (
-        # huge edges overflow the classical statistical sum
+        # huge edges: the printed classical Z is beyond float range
         ["eval", "--system", "well", "--edges", "1e300,1e300,1e300", "--T", "1", "--h", "1"],
-        # so do tiny frequencies
+        # so is the one of tiny frequencies
         ["eval", "--system", "oscillator", "--omega", "1e-300,1e-300", "--T", "1", "--h", "1"],
         # mu = 2.5e-300 is computed, but lam = 4/(pi mu^2) is beyond float range
         ["eval", "--system", "well", "--edges", "1e300", "--T", "1", "--h", "1"],
         # the double well's Boltzmann factor is beyond float range
         ["kw", "--potential", "x1^4 - 100*x1^2", "--dim", "1", "--T", "0.01", "--h", "0.1"],
+        # rho^3 is beyond float range in hear_the_drum's design matrix
+        ["hear-drum", "--edges", "1e150,1e150,1e150", "--T", "1"],
+        # the norm of the rho^2 column is, too
+        ["hear-drum", "--edges", "1e100,1e100", "--T", "1"],
     ):
         code = run(args)
         err = capsys.readouterr().err
@@ -138,6 +142,27 @@ def test_underflowing_statistical_sums_are_computed(args, capsys):
     tiny = [q for q in (payload["classical"], payload["regularized"]) if q["Z"] == 5e-324]
     assert tiny and all(q["log_Z"] < -700 for q in tiny)
     assert all(q["F"] == pytest.approx(-1.0 * q["log_Z"], rel=1e-15) for q in tiny)  # T = 1
+
+
+N_TO_INF_ARGS = [
+    "sweep", "--system", "well", "--direction", "N_to_inf", "--edges", "1,2",
+    "--start", "100", "--factor", "2", "--points", "6", "--T", "1", "--h", "0.3",
+]
+
+
+def test_n_to_inf_sweep_prints_every_row(capsys):
+    # log Z reaches ~1e4 at N = 3200; a row prints only ratios and differences
+    code, out = run_cli(N_TO_INF_ARGS + ["--format", "csv"], capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [float(row[0]) for row in rows] == [100.0 * 2**k for k in range(6)]
+    assert all(0.0 < float(row[1]) < 1.0 < float(row[2]) for row in rows)
+    code, out = run_cli(N_TO_INF_ARGS, capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert all("error" not in row for row in payload["rows"])
+    assert set(payload["fitted_rates"]) == {"E_ratio", "Z_ratio"}
 
 
 def test_deep_quantum_box_matches_mpmath(capsys):
@@ -210,15 +235,18 @@ def cli_bytes(args, env_extra=None):
 
 
 def test_numpy_warnings_stay_off_stderr():
-    for potential, message in (
+    kw = ["kw", "--dim", "1", "--T", "1", "--h", "0.1", "--potential"]
+    for args, message in (
         # nan at the origin
-        ("x1^2 + (x1-1)^0.5", "potential not finite at the origin"),
+        (kw + ["x1^2 + (x1-1)^0.5"], "potential not finite at the origin"),
         # exp(-V/T) overflows on the quadrature nodes
-        ("x1^2 - 1000", "quadrature not finite: inf vs inf at reduced order"),
+        (kw + ["x1^2 - 1000"], "quadrature not finite: inf vs inf at reduced order"),
+        # rho^2 underflows in hear_the_drum's design matrix
+        (["hear-drum", "--edges", "1e-200,1e-200", "--T", "1"],
+         "rho powers are beyond float range; edges too large or too small"),
     ):
         proc = subprocess.run(
-            [sys.executable, "-m", "qcthermo.cli", "kw", "--potential", potential,
-             "--dim", "1", "--T", "1", "--h", "0.1"],
+            [sys.executable, "-m", "qcthermo.cli", *args],
             capture_output=True,
             text=True,
         )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qcthermo.core import (
     BoxGeometry,
+    ConvergenceError,
     OscillatorSpec,
     PhysicalParams,
     ThermoQuartet,
@@ -14,6 +15,7 @@ from qcthermo.core import (
     reduce_rho,
     reduce_well,
     sign_with_zero_band,
+    _z_from_log,
 )
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -41,6 +43,33 @@ def test_geometry_validation():
         OscillatorSpec([0.0])
     assert BoxGeometry([3, 1]).dimension == 2
     assert OscillatorSpec([2.0]).frequencies == (2.0,)
+
+
+def test_distinct_axes_in_first_seen_order():
+    box = BoxGeometry([2, 1, 2, 3, 1])
+    assert box.distinct_edges == ((2.0, 2), (1.0, 2), (3.0, 1))
+    assert box.distinct_edges is box.distinct_edges  # computed once per geometry
+    assert OscillatorSpec([1.5] * 4 + [0.5]).distinct_frequencies == ((1.5, 4), (0.5, 1))
+
+
+def test_z_from_log_is_total():
+    assert _z_from_log(0.0) == 1.0
+    assert _z_from_log(-1e4) == 5e-324
+    assert _z_from_log(1e4) == math.inf
+    assert _z_from_log(math.inf) == math.inf
+    with pytest.raises(ConvergenceError):
+        _z_from_log(math.nan)
+    # a quartet whose Z is beyond float range is a valid value; log_Z carries it
+    q = ThermoQuartet(Z=math.inf, F=-1e4, E=1.0, S=1e4 + 1.0, flavor="classical", T=1.0,
+                      log_Z=1e4)
+    assert q.log_Z == 1e4
+
+
+def test_rho_where_2mT_leaves_float_range():
+    tiny = PhysicalParams(T=1e-200, h=1.0, m=1e-200)
+    assert reduce_rho(tiny) == pytest.approx(math.sqrt(math.pi / 2.0) * 1e200, rel=1e-15)
+    huge = PhysicalParams(T=1e200, h=1.0, m=1e200)
+    assert reduce_rho(huge) == pytest.approx(math.sqrt(math.pi / 2.0) * 1e-200, rel=1e-15)
 
 
 def test_beta_is_inverse_temperature():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from qcthermo.core import OscillatorSpec, PhysicalParams, ValidationError
 from qcthermo.oscillator import (
+    _log_tau_over_sinh,
+    _tau_over_tanh,
     bernoulli_even,
     bernoulli_series,
     f_ratio,
@@ -41,6 +43,66 @@ def test_regularized_closed_form():
     q = osc_regularized(params, spec)
     assert q.Z == pytest.approx(2.0 * math.pi * INV_SINH_1, rel=1e-14)
     assert q.E == pytest.approx(COTH_1, rel=1e-14)
+
+
+def per_axis_quartets(params, omegas):
+    """(log_Z, E, S, F) of the classical and regularized quartets, summed one
+    axis at a time in frequency order: the reference the grouped builders meet.
+    Also returns the summed magnitude of every term, the scale of the
+    rounding of either summation order; S = (E - F)/T cancels to far below
+    it deep in the quantum regime."""
+    T, n = params.T, len(omegas)
+    log_zc = log_zr = sum_e = 0.0
+    magnitude = float(n)
+    for w in omegas:
+        tau = params.h * w / (2.0 * T)
+        log_zc += math.log(2.0 * math.pi * T / w)
+        log_zr += math.log(2.0 * math.pi * T / w) + _log_tau_over_sinh(tau)
+        sum_e += _tau_over_tanh(tau)
+        magnitude += (abs(math.log(2.0 * math.pi * T / w)) + abs(_log_tau_over_sinh(tau))
+                      + _tau_over_tanh(tau))
+    e_c, s_c = n * T, n + log_zc
+    e_r, f_r = T * sum_e, -T * log_zr
+    return ((log_zc, e_c, s_c, e_c - T * s_c), (log_zr, e_r, (e_r - f_r) / T, f_r),
+            magnitude)
+
+
+def quartet_tuple(q):
+    return (q.log_Z, q.E, q.S, q.F)
+
+
+osc_params = st.builds(
+    PhysicalParams,
+    T=st.floats(min_value=0.1, max_value=10.0),
+    h=st.floats(min_value=0.01, max_value=10.0),
+    m=st.just(1.0),
+)
+frequency = st.floats(min_value=0.1, max_value=10.0)
+
+
+@given(params=osc_params, omegas=st.lists(frequency, min_size=1, max_size=5, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_builders_bit_equal_per_axis_on_distinct_frequencies(params, omegas):
+    spec = OscillatorSpec(omegas)
+    classical, regularized, _ = per_axis_quartets(params, spec.frequencies)
+    assert quartet_tuple(osc_classical(params, spec)) == classical
+    assert quartet_tuple(osc_regularized(params, spec)) == regularized
+
+
+@given(params=osc_params, base=st.lists(frequency, min_size=1, max_size=3, unique=True),
+       copies=st.integers(min_value=2, max_value=60), seed=st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_builders_match_per_axis_on_repeated_frequencies(params, base, copies, seed):
+    omegas = base * copies
+    seed.shuffle(omegas)
+    spec = OscillatorSpec(omegas)
+    *want, magnitude = per_axis_quartets(params, spec.frequencies)
+    got = (quartet_tuple(osc_classical(params, spec)),
+           quartet_tuple(osc_regularized(params, spec)))
+    for got_q, want_q in zip(got, want):
+        # E and F carry a factor T
+        for g, w, unit in zip(got_q, want_q, (1.0, params.T, 1.0, params.T)):
+            assert math.isclose(g, w, rel_tol=1e-13, abs_tol=1e-13 * unit * magnitude)
 
 
 def test_regularized_needs_h():

@@ -1,20 +1,25 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qcthermo.sweeps
 from qcthermo.core import (
     BoxGeometry,
+    ConvergenceError,
+    IntegrationError,
+    InversionError,
     OscillatorSpec,
     PhysicalParams,
     ValidationError,
-    reduce_oscillator,
-    reduce_well,
 )
 from qcthermo.sweeps import (
     OSCILLATOR_DIRECTIONS,
     WELL_DIRECTIONS,
     SweepPlan,
-    appendix_bounds_check,
     comparison_report,
     fit_leading_order,
     run_sweep,
@@ -147,16 +152,128 @@ def test_row_level_error_capture():
     assert all(row.report is not None for row in result.rows[1:])
 
 
-def test_bounds_check_sandwich():
-    params = PhysicalParams(T=1.0, h=0.3, m=1.0)
-    assert appendix_bounds_check(reduce_well(params, BoxGeometry([1.0, 2.0, 4.0])))
-    assert appendix_bounds_check(reduce_oscillator(params, OscillatorSpec([1.0, 3.0])))
-    # equal edges: all three quantities coincide
-    assert appendix_bounds_check(reduce_well(params, BoxGeometry([2.0, 2.0])))
-    from qcthermo.core import ReducedParams
+def test_run_sweep_propagates_foreign_errors(monkeypatch):
+    # only the package's own errors become row records; a TypeError is a fault
+    def broken(params, system):
+        raise TypeError("unsupported operand")
 
-    with pytest.raises(ValidationError):
-        appendix_bounds_check(ReducedParams())
+    monkeypatch.setattr(qcthermo.sweeps, "comparison_report", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_sweep(make_plan())
+
+
+def box_n_row(T, h, m, base, n):
+    """Z_ratio, E_ratio, dF, dE, dS of the N_to_inf row N = n (h/n, n copies of
+    base) at 40 digits.  Z_q(mu) = (theta_3(q) - 1)/2 with q = e^{-pi mu^2/4},
+    taken through the Jacobi transform theta_3(q) = (2/mu) theta_3(e^{-4 pi/mu^2})
+    so that jtheta sees a small nome; E/T = -(mu/2) d log Z_q/dmu."""
+    with mp.workdps(40):
+        T, m, h = mp.mpf(T), mp.mpf(m), mp.mpf(h) / n
+
+        def log_zq(mu):
+            return mp.log((2 / mu * mp.jtheta(3, 0, mp.exp(-4 * mp.pi / mu**2)) - 1) / 2)
+
+        rho = h * mp.sqrt(mp.pi / (2 * m * T))
+        log_zc = log_zr = e_r = mp.mpf(0)
+        for a in map(mp.mpf, base):
+            mu = 2 * rho / a
+            log_zc += n * mp.log(a * mp.sqrt(2 * mp.pi * m * T))
+            log_zr += n * (mp.log(2 * mp.pi * h) + log_zq(mu))
+            e_r += n * T * (-mu / 2) * mp.diff(log_zq, mu)
+        e_c = len(base) * n * T / 2
+        d_log_z = log_zr - log_zc
+        return {"Z_ratio": mp.exp(d_log_z), "E_ratio": e_r / e_c, "dF": -T * d_log_z,
+                "dE": e_r - e_c, "dS": d_log_z + (e_r - e_c) / T}
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5])
+def test_box_n_to_inf_rows_match_mpmath(n):
+    # log Z is ~1e3 n here, far beyond float range for e^log_Z; the row is not.
+    # Its differences of two such logs carry their rounding, ~1e-16 n relative.
+    T, h, m, base = 1.0, 0.3, 1.0, (1.0, 2.0)
+    plan = make_plan(direction="N_to_inf", grid=tuple(n / 2.0**k for k in range(6)),
+                     base_params=PhysicalParams(T=T, h=h, m=m),
+                     base_geometry=BoxGeometry(base))
+    row = run_sweep(plan).rows[0]
+    assert row.error is None
+    assert row.report.classical.Z == math.inf
+    want = box_n_row(T, h, m, base, n)
+    got = dict(row.report.ratios, **row.report.diffs)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(float(value), rel=1e-14 * n), key
+
+
+@given(system=st.sampled_from(["well", "oscillator"]),
+       log_n=st.floats(min_value=0.0, max_value=5.0 - math.log10(32.0)),
+       h=st.floats(min_value=1.0, max_value=10.0),
+       T=st.floats(min_value=0.5, max_value=2.0),
+       base=st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=1, max_size=3))
+@settings(max_examples=8, deadline=None)
+def test_n_to_inf_rows_are_reports_at_any_n(system, log_n, h, T, base):
+    # N log-uniform up to 1e5: every row is a report, and the ratios deviate
+    # from 1 with the documented signs, Z below and E above
+    n0 = 10.0**log_n
+    well = system == "well"
+    plan = SweepPlan(
+        system=system, direction="N_to_inf", grid=tuple(n0 * 2.0**k for k in range(6)),
+        base_params=PhysicalParams(T=T, h=h, m=1.0),
+        base_geometry=BoxGeometry(base) if well else None,
+        base_spec=None if well else OscillatorSpec(base),
+    )
+    result = run_sweep(plan)
+    for row in result.rows:
+        assert row.error is None
+        z_dev = row.report.ratios["Z_ratio"] - 1.0
+        e_dev = row.report.ratios["E_ratio"] - 1.0
+        assert math.isfinite(z_dev) and z_dev < 0
+        assert math.isfinite(e_dev) and e_dev > 0
+
+
+def log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda x: 10.0**x)
+
+
+@given(T=log_uniform(-300, 300), h=log_uniform(-300, 300), m=log_uniform(-300, 300),
+       box=st.booleans(), axes=st.lists(log_uniform(-300, 300), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_report_raises_only_package_errors(T, h, m, box, axes):
+    # run_sweep records only the package's errors, so at float-range extremes
+    # a report either computes or raises one of them
+    params = PhysicalParams(T=T, h=h, m=m)
+    system = BoxGeometry(axes) if box else OscillatorSpec(axes)
+    try:
+        comparison_report(params, system)
+    except (ValidationError, ConvergenceError, InversionError, IntegrationError):
+        pass
+
+
+def lstsq_fit(xs, ys):
+    """The numpy least-squares fit that fit_leading_order replaced."""
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    mask = np.abs(ys) > 1e-280
+    lx, ly = np.log(xs[mask]), np.log(np.abs(ys[mask]))
+    design = np.column_stack([np.ones_like(lx), lx])
+    sol, *_ = np.linalg.lstsq(design, ly, rcond=None)
+    return float(sol[0]), float(sol[1]), float(np.linalg.norm(ly - design @ sol))
+
+
+@given(x0=log_uniform(-3, 3), step=st.floats(min_value=0.3, max_value=3.0).filter(
+           lambda f: abs(f - 1.0) > 1e-3),
+       points=st.integers(min_value=6, max_value=12),
+       slope=st.floats(min_value=-3.0, max_value=3.0),
+       coefficient=log_uniform(-3, 3),
+       noise=st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=12, max_size=12),
+       sign=st.sampled_from([1.0, -1.0]))
+@settings(max_examples=200, deadline=None)
+def test_fit_leading_order_matches_lstsq(x0, step, points, slope, coefficient, noise, sign):
+    xs = [x0 * step**k for k in range(points)]
+    ys = [sign * coefficient * x**slope * math.exp(e) for x, e in zip(xs, noise)]
+    log_coefficient, want_slope, want_norm = lstsq_fit(xs, ys)
+    fit = fit_leading_order(xs, ys)
+    assert fit.slope == pytest.approx(want_slope, rel=0, abs=1e-9)
+    assert math.log(fit.coefficient) == pytest.approx(log_coefficient, rel=0, abs=1e-9)
+    assert fit.residual_norm == pytest.approx(want_norm, rel=0, abs=1e-13)
+    assert fit.sign == int(sign)
 
 
 def test_fit_leading_order_synthetic():
@@ -176,3 +293,11 @@ def test_fit_leading_order_validation():
         fit_leading_order([1, 2, 3, 4], [0.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValidationError):
         fit_leading_order([-1, 2, 3, 4], [1, 2, 3, 4])
+    with pytest.raises(ValidationError):
+        fit_leading_order([1, 2, 3, 4], [1, 2, 3])  # lengths differ
+    with pytest.raises(ValidationError):
+        fit_leading_order([2, 2, 2, 2], [1, 2, 3, 4])  # no spread to fit a slope
+    with pytest.raises(ValidationError):
+        fit_leading_order([1, 2, 3, math.inf], [1, 2, 3, 4])
+    # mixed signs give sign 0
+    assert fit_leading_order([1, 2, 3, 4], [1, -2, 3, 4]).sign == 0

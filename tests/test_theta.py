@@ -178,7 +178,8 @@ def test_deep_quantum_stays_in_log_space():
 def test_truncation_bound_covers_both_moments(decay, tol):
     # the loop's bound covers the omitted tails of the plain and of the
     # n^2-weighted sum, and is tight for the weighted one
-    s0, s2, terms, bound = _gaussian_moments(decay, tol)
+    s0, s2, s2_minus_s0, terms, bound = _gaussian_moments(decay, tol)
+    assert s2_minus_s0 == pytest.approx(s2 - s0, rel=0, abs=4e-16 * s2)
     with mp.workdps(40):
         d = mp.mpf(decay)
         tail0 = tail2 = mp.mpf(0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,10 @@ from qcthermo.core import (
     InversionError,
     PhysicalParams,
     ValidationError,
+    reduce_rho,
     reduce_well,
 )
+from qcthermo.theta import theta
 from qcthermo.well import (
     geometric_coefficients,
     hear_the_drum,
@@ -62,6 +65,84 @@ def test_ratio_factorizes_over_axes():
     assert math.exp(q3.log_Z - c3.log_Z) == pytest.approx(
         math.exp(q1.log_Z - c1.log_Z) ** 3, rel=1e-12
     )
+
+
+def per_axis_quartets(params, edges):
+    """(log_Z, E, S, F) of the classical and regularized quartets, summed one
+    axis at a time in edge order: the reference the grouped builders meet.
+    Also returns the summed magnitude of every term, the scale of the
+    rounding of either summation order."""
+    T, n = params.T, len(edges)
+    root = math.sqrt(2.0 * params.m * T * math.pi)
+    log_2pi_h = math.log(2.0 * math.pi * params.h)
+    magnitude = n * (1.0 + abs(log_2pi_h))
+    log_zc = 0.0
+    for a in edges:
+        log_zc += math.log(a * root)
+        magnitude += abs(math.log(a * root))
+    e_c, s_c = 0.5 * n * T, 0.5 * n + log_zc
+    rho = reduce_rho(params)
+    log_zq = e_r = s_q = 0.0
+    for a in edges:
+        axis = theta(2.0 * rho / a)
+        log_zq += axis.log_value
+        e_r += T * axis.mean_energy
+        s_q += axis.entropy
+        magnitude += abs(axis.log_value) + axis.mean_energy + abs(axis.entropy)
+    log_zr = n * log_2pi_h + log_zq
+    return ((log_zc, e_c, s_c, e_c - T * s_c),
+            (log_zr, e_r, n * log_2pi_h + s_q, -T * log_zr), magnitude)
+
+
+def quartet_tuple(q):
+    return (q.log_Z, q.E, q.S, q.F)
+
+
+box_params = st.builds(
+    PhysicalParams,
+    T=st.floats(min_value=0.1, max_value=10.0),
+    h=st.floats(min_value=0.01, max_value=10.0),
+    m=st.floats(min_value=0.1, max_value=10.0),
+)
+box_edge = st.floats(min_value=0.1, max_value=10.0)
+
+
+@given(params=box_params, edges=st.lists(box_edge, min_size=1, max_size=5, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_builders_bit_equal_per_axis_on_distinct_edges(params, edges):
+    geom = BoxGeometry(edges)
+    classical, regularized, _ = per_axis_quartets(params, geom.edges)
+    assert quartet_tuple(well_classical(params, geom)) == classical
+    assert quartet_tuple(well_regularized(params, geom)) == regularized
+
+
+@given(params=box_params, base=st.lists(box_edge, min_size=1, max_size=3, unique=True),
+       copies=st.integers(min_value=2, max_value=60), seed=st.randoms())
+@settings(max_examples=60, deadline=None)
+def test_builders_match_per_axis_on_repeated_edges(params, base, copies, seed):
+    edges = base * copies
+    seed.shuffle(edges)
+    geom = BoxGeometry(edges)
+    *want, magnitude = per_axis_quartets(params, geom.edges)
+    got = (quartet_tuple(well_classical(params, geom)),
+           quartet_tuple(well_regularized(params, geom)))
+    for got_q, want_q in zip(got, want):
+        # E and F carry a factor T
+        for g, w, unit in zip(got_q, want_q, (1.0, params.T, 1.0, params.T)):
+            assert math.isclose(g, w, rel_tol=1e-13, abs_tol=1e-13 * unit * magnitude)
+
+
+@pytest.mark.parametrize("h", [0.1, 1.0, 10.0, 1e3, 1e5])
+def test_regularized_entropy_matches_mpmath(h):
+    # deep in the quantum regime E and F both grow like (pi/4) mu^2 T while S
+    # stays near log(2 pi h); the per-axis sum must not cancel them
+    q = well_regularized(PhysicalParams(T=1.0, h=h, m=1.0), BoxGeometry([1.0]))
+    with mp.workdps(40):
+        d = mp.pi / 4 * (mp.mpf(h) * mp.sqrt(2 * mp.pi)) ** 2  # (pi/4) mu^2
+        s0 = mp.nsum(lambda n: mp.exp(-d * (n * n - 1)), [1, mp.inf])
+        s2_minus_s0 = mp.nsum(lambda n: (n * n - 1) * mp.exp(-d * (n * n - 1)), [2, mp.inf])
+        entropy = mp.log(2 * mp.pi * h) + mp.log(s0) + d * s2_minus_s0 / s0
+    assert q.S == pytest.approx(float(entropy), rel=1e-13)
 
 
 def test_energy_ratio_continuity_at_crossover():
@@ -153,6 +234,29 @@ def test_hear_the_drum_rejects_garbage():
     samples = [(0.1 * i, 1.0 + 0.01 * i**2) for i in range(1, 6)]
     with pytest.raises(InversionError):
         hear_the_drum(samples, 2)
+
+
+@pytest.mark.parametrize("rho, n_edges", [
+    (1e148, 3),   # rho^3 overflows
+    (1e98, 2),    # rho^2 does not, but the norm of its column does
+    (1e-200, 2),  # rho^2 underflows to 0: the column cannot be scaled
+])
+def test_hear_the_drum_rejects_design_beyond_float_range(rho, n_edges):
+    samples = [(rho * i, 1.0 - 0.01 * i) for i in range(1, 6)]
+    with pytest.raises(InversionError):
+        hear_the_drum(samples, n_edges)
+
+
+def test_hear_the_drum_rejects_nonfinite_samples():
+    samples = [(0.1 * i, math.nan if i == 3 else 1.0 - 0.1 * i) for i in range(1, 6)]
+    with pytest.raises(InversionError):
+        hear_the_drum(samples, 2)
+
+
+def test_hear_the_drum_never_returns_fewer_edges():
+    # a flat ratio fits the zero polynomial, which has no roots at all
+    with pytest.raises(InversionError, match="recovered 0 of 2 edges"):
+        hear_the_drum([(0.1 * i, 1.0) for i in range(1, 6)], 2)
 
 
 def test_monotone_in_mu():
