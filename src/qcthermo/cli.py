@@ -31,7 +31,7 @@ from .core import (
 from .expressions import parse_number, parse_potential
 from .gibbs import (
     LevelSet,
-    SimplexPoint,
+    _free_energy,
     free_energy_functional,
     gibbs_closed_form,
     minimize_free_energy,
@@ -59,7 +59,7 @@ def _finite(x: float, name: str) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ConvergenceError(f"non-finite value in output field {name!r}")
-    return float(format(x, ".17g"))
+    return x
 
 
 def _sanitize(obj, path="$"):
@@ -260,14 +260,13 @@ def cmd_gibbs(args) -> None:
         abs(a - b) for a, b in zip(result.point.probabilities, closed.probabilities)
     )
     f_closed = free_energy_functional(levels, args.T, closed)
+    # each normalized draw is a simplex point by construction; one draw at a
+    # time keeps the memory of a long ladder at one row
+    energies = np.array(levels.energies)
     rng = np.random.default_rng(args.seed)
-    min_gap = math.inf
-    for _ in range(args.random_points):
-        raw = rng.random(len(levels.energies))
-        point = SimplexPoint(tuple(raw / raw.sum()))
-        min_gap = min(
-            min_gap, free_energy_functional(levels, args.T, point) - f_closed
-        )
+    draws = (rng.random(len(energies)) for _ in range(args.random_points))
+    f_random = min(float(_free_energy(energies, args.T, raw / raw.sum())) for raw in draws)
+    min_gap = f_random - f_closed
     payload = {
         "command": "gibbs",
         "version": __version__,

@@ -1,14 +1,16 @@
 """Minimal arithmetic expression grammar for user-supplied potentials.
 
-Grammar (recursive descent):
-
     expr   := term (('+' | '-') term)*
     term   := factor (('*' | '/') factor)*
     factor := '-' factor | power
     power  := atom ('^' factor)?
     atom   := number | 'pi' | 'x'<k> | 'exp' '(' expr ')' | '(' expr ')'
 
-Variables x1..xN address coordinates.  The parser builds a small tree of
+Variables x1..xN address coordinates.  With ``^`` read as ``**`` this is a
+subset of Python's expressions, precedence and associativity included, so the
+text is parsed by :func:`ast.parse` and walked through a whitelist of these
+forms: anything else Python accepts (``//``, ``+x``, ``0x10``, ``1j``,
+attributes, keywords) is a ValidationError.  The walker builds a small tree of
 nodes.  A subtree without a variable is folded to one float constant at parse
 time, with NumPy's float semantics (1/0 is inf, (-1)^0.5 is nan), and ``^``
 with a small integer constant exponent becomes repeated multiplication.
@@ -23,9 +25,11 @@ non-finite value is left for the caller to reject.
 
 from __future__ import annotations
 
+import ast
 import math
 import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -35,32 +39,6 @@ __all__ = ["parse_potential", "parse_number"]
 
 # integer exponents up to this magnitude are expanded into multiplications
 MAX_INT_POWER = 16
-
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise ValidationError(f"unexpected character {text[pos:].lstrip()[0]!r}")
-            break
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-    tokens.append(("end", None))
-    return tokens
 
 
 def _ipow(a, n: int):
@@ -237,80 +215,39 @@ def _power(base, expo):
     return _node(_ConstPow, base, c)
 
 
-class _Parser:
-    def __init__(self, tokens, dimension):
-        self.tokens = tokens
-        self.pos = 0
-        self.dimension = dimension
+# the grammar's alphabet; this keeps out comments, '@', ',', quotes and the like
+_ALPHABET = re.compile(r"[0-9A-Za-z_.+\-*/^()\s]*")
+_LITERAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# the grammar allows leading zeros in integers (007); Python does not
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
+_BINARY = {ast.Add: _Add, ast.Sub: _Sub, ast.Mult: _Mul, ast.Div: _Div, ast.Pow: _Pow}
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ValidationError(f"expected {kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ValidationError(f"expected {value!r}, found {tok[1]!r}")
-        self.pos += 1
-        return tok
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            node = _node(_Add if op == "+" else _Sub, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            node = _node(_Mul if op == "*" else _Div, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return _node(_Neg, self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return _power(base, self.factor())
-        return base
-
-    def atom(self):
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return _Const(value)
-        if kind == "name":
-            self.take()
-            if value == "pi":
-                return _Const(math.pi)
-            if value == "exp":
-                self.take("op", "(")
-                inner = self.expr()
-                self.take("op", ")")
-                return _node(_Exp, inner)
-            m = re.fullmatch(r"x(\d+)", value)
-            if m:
-                k = int(m.group(1))
-                if not (1 <= k <= self.dimension):
-                    raise ValidationError(
-                        f"variable {value} out of range for dimension {self.dimension}"
-                    )
-                return _Var(k - 1)
-            raise ValidationError(f"unknown name {value!r}")
-        if (kind, value) == ("op", "("):
-            self.take()
-            inner = self.expr()
-            self.take("op", ")")
-            return inner
-        raise ValidationError(f"unexpected token {value!r}")
+def _tree(node, source: str, dimension: int):
+    """The node tree of a Python syntax tree that stays inside the grammar."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op = _BINARY[type(node.op)]
+        left, right = _tree(node.left, source, dimension), _tree(node.right, source, dimension)
+        return _power(left, right) if op is _Pow else _node(op, left, right)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _node(_Neg, _tree(node.operand, source, dimension))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exp":
+        if len(node.args) == 1 and not node.keywords:
+            return _node(_Exp, _tree(node.args[0], source, dimension))
+    elif isinstance(node, ast.Name):
+        if node.id == "pi":
+            return _Const(math.pi)
+        m = re.fullmatch(r"x(\d+)", node.id)
+        if m is None:
+            raise ValidationError(f"unknown name {node.id!r}")
+        if not (1 <= int(m.group(1)) <= dimension):
+            raise ValidationError(f"variable {node.id} out of range for dimension {dimension}")
+        return _Var(int(m.group(1)) - 1)
+    # the source is one ASCII line, so the offsets index it directly
+    segment = source[node.col_offset : node.end_col_offset]
+    if isinstance(node, ast.Constant) and _LITERAL.fullmatch(segment):
+        return _Const(float(segment))
+    raise ValidationError(f"unsupported expression {segment.replace('**', '^')!r}")
 
 
 class _CompiledPotential:
@@ -324,20 +261,23 @@ class _CompiledPotential:
         self._root = root
         self.dimension = dimension
 
-    def _columns(self, x):
+    def _run(self, x, method: str):
+        """x's batch shape and root.<method>(columns of x), NumPy warnings off."""
         x = np.asarray(x, dtype=float)
-        return x.shape[:-1], [x[..., k] for k in range(self.dimension)]
+        try:
+            with np.errstate(all="ignore"):
+                out = getattr(self._root, method)([x[..., k] for k in range(self.dimension)])
+        except RecursionError as exc:  # a tree too deep for the stack its caller left
+            raise ValidationError("expression nests too deeply to evaluate") from exc
+        return x.shape[:-1], out
 
     def __call__(self, x):
-        shape, cols = self._columns(x)
-        with np.errstate(all="ignore"):
-            v = np.asarray(self._root.value(cols), dtype=float)
+        shape, v = self._run(x, "value")
+        v = np.asarray(v, dtype=float)
         return v if v.shape == shape else np.full(shape, v)
 
     def gradient(self, x):
-        shape, cols = self._columns(x)
-        with np.errstate(all="ignore"):
-            _, partials = self._root.forward(cols)
+        shape, (_, partials) = self._run(x, "forward")
         out = np.zeros(shape + (self.dimension,))
         for axis, d in partials.items():
             out[..., axis] = d
@@ -348,16 +288,23 @@ def parse_potential(text: str, dimension: int):
     """Compile an expression into a vectorized potential with an exact gradient."""
     if dimension < 1:
         raise ValidationError("dimension must be >= 1")
-    parser = _Parser(_tokenize(text), dimension)
-    fn = _CompiledPotential(parser.expr(), dimension)
-    parser.take("end")
-    probe = np.zeros((1, dimension))
+    if not _ALPHABET.fullmatch(text):
+        raise ValidationError(f"unexpected character {text[_ALPHABET.match(text).end()]!r}")
+    if "**" in text:
+        raise ValidationError("unexpected '**'; powers are written '^'")
+    source = _LEADING_ZEROS.sub("", re.sub(r"\s+", " ", text).strip().replace("^", "**"))
     try:
-        out = np.asarray(fn(probe), dtype=float)
-    except ZeroDivisionError as exc:
-        raise ValidationError(f"expression fails at the origin: {exc}") from exc
-    if out.shape != (1,):
-        raise ValidationError("expression must reduce to a scalar per point")
+        with warnings.catch_warnings():
+            # Python only warns of some forms outside the grammar, as '1and x1'
+            warnings.simplefilter("error")
+            body = ast.parse(source, mode="eval").body
+        fn = _CompiledPotential(_tree(body, source, dimension), dimension)
+    except SyntaxError as exc:
+        raise ValidationError(f"invalid expression: {exc.msg}") from exc
+    except (RecursionError, MemoryError) as exc:
+        # Python's parser reports input too deep for its own stack as MemoryError
+        raise ValidationError("expression nests too deeply to parse") from exc
+    fn(np.zeros((1, dimension)))  # the origin probe: a tree too deep to evaluate fails here
     return fn
 
 

@@ -110,13 +110,15 @@ def gibbs_closed_form(levels: LevelSet, T: float) -> SimplexPoint:
     return SimplexPoint(tuple(w / w.sum()))
 
 
+def _free_energy(energies: np.ndarray, T: float, p: np.ndarray) -> np.ndarray:
+    """F = sum P E + T sum P log P over the last axis of p, with 0*log(0) = 0."""
+    log_p = np.log(p, out=np.zeros(np.shape(p)), where=p > 0)
+    return np.sum(p * energies + T * p * log_p, axis=-1)
+
+
 def free_energy_functional(levels: LevelSet, T: float, point: SimplexPoint) -> float:
     """F = sum P E + T sum P log P, with 0*log(0) = 0."""
-    acc = 0.0
-    for p, e in zip(point.probabilities, levels.energies):
-        if p > 0:
-            acc += p * e + T * p * math.log(p)
-    return acc
+    return float(_free_energy(np.array(levels.energies), T, np.array(point.probabilities)))
 
 
 @dataclass(frozen=True)
@@ -168,33 +170,24 @@ def hessian_positivity_check(
     if np.any(p <= 0):
         raise ValidationError("interior simplex point required")
     e = np.array(levels.energies)
-
-    def f(v):
-        return float(np.sum(v * e) + T * np.sum(v * np.log(v)))
-
-    n = len(p)
     hs = step * p
-    diag = np.empty(n)
-    for i in range(n):
-        d = np.zeros(n)
-        d[i] = hs[i]
-        diag[i] = (f(p + d) - 2.0 * f(p) + f(p - d)) / hs[i] ** 2
+    shifts = np.diag(hs)  # row i moves coordinate i by hs[i]
+    f0 = _free_energy(e, T, p)
+    diag = (_free_energy(e, T, p + shifts) - 2.0 * f0 + _free_energy(e, T, p - shifts)) / hs**2
     if np.any(diag <= 0):
         return False
-    f_scale = abs(f(p)) + 1.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            di = np.zeros(n)
-            dj = np.zeros(n)
-            di[i] = hs[i]
-            dj[j] = hs[j]
-            mixed = (
-                f(p + di + dj) - f(p + di - dj) - f(p - di + dj) + f(p - di - dj)
-            ) / (4.0 * hs[i] * hs[j])
-            # cancellation is exact in exact arithmetic; allow FD roundoff
-            noise = 64.0 * np.finfo(float).eps * f_scale / (4.0 * hs[i] * hs[j])
-            if abs(mixed) > 1e-3 * math.sqrt(diag[i] * diag[j]) + noise:
-                return False
+    f_scale = abs(f0) + 1.0
+    for i in range(len(p) - 1):
+        # every pair (i, j > i) at once: the rows of dj move j = i+1, ..., n-1
+        di, dj, hj = shifts[i], shifts[i + 1 :], hs[i + 1 :]
+        mixed = (
+            _free_energy(e, T, p + di + dj) - _free_energy(e, T, p + di - dj)
+            - _free_energy(e, T, p - di + dj) + _free_energy(e, T, p - di - dj)
+        ) / (4.0 * hs[i] * hj)
+        # cancellation is exact in exact arithmetic; allow FD roundoff
+        noise = 64.0 * np.finfo(float).eps * f_scale / (4.0 * hs[i] * hj)
+        if np.any(np.abs(mixed) > 1e-3 * np.sqrt(diag[i] * diag[i + 1 :]) + noise):
+            return False
     return True
 
 

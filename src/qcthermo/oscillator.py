@@ -4,7 +4,8 @@ Closed forms for the classical and regularized quartets, the even-power
 series of the ratio functions built from exact Bernoulli numbers, and the
 closed-form derivative certificates behind the monotonicity statements.
 The quartet builders loop over the distinct frequencies and weight each by
-its multiplicity.
+its multiplicity.  The regularized entropy is summed per axis, never formed as
+(E - F)/T, which cancels deep in the quantum regime.
 """
 
 from __future__ import annotations
@@ -82,6 +83,19 @@ def _tau_over_tanh(tau: float) -> float:
     return tau / math.tanh(tau)
 
 
+def _entropy_over_classical_axis(tau: float) -> float:
+    """One axis's entropy less log(2*pi*T/omega): log(tau/sinh tau) + tau/tanh tau.
+
+    From tau = 1 on, the two terms' large parts -tau and +tau are cancelled
+    analytically, so deep in the quantum regime nothing cancels in floats.
+    tau = 0 is the limit 1.
+    """
+    if tau < 1.0:
+        return _log_tau_over_sinh(tau) + _tau_over_tanh(tau)
+    q = math.exp(-2.0 * tau)
+    return math.log(2.0) + math.log(tau) - math.log1p(-q) + 2.0 * tau * q / (1.0 - q)
+
+
 def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet:
     """Regularized quartet Z_r = prod 2*pi*T*tau_k/(omega_k*sinh(tau_k))."""
     if params.h == 0:
@@ -93,10 +107,11 @@ def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuart
         for w, tau, k in axes
     )
     e = T * sum(k * _tau_over_tanh(tau) for _, tau, k in axes)
-    f = -T * log_zr
-    s = (e - f) / T
+    s = sum(
+        k * (_log_classical_axis(T, w) + _entropy_over_classical_axis(tau)) for w, tau, k in axes
+    )
     return ThermoQuartet(
-        Z=_z_from_log(log_zr), F=f, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
+        Z=_z_from_log(log_zr), F=-T * log_zr, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
     )
 
 

@@ -19,6 +19,7 @@ a gradient falls back to central differences.  The quartet predictions follow
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -164,12 +165,11 @@ def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, floa
             half *= 0.85
         halves.append(half)
 
-    # corners may decay slower than face centers for non-separable potentials
+    # corners may decay slower than face centers for non-separable potentials,
+    # along any diagonal: all 2^N of them are probed (N <= MAX_TENSOR_DIMENSION)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
     for _ in range(60):
-        corners = np.array(
-            [[s * h for s, h in zip(signs, halves)] for signs in ((1,) * n, (-1,) * n)]
-        )
-        if float((-(potential.value(corners) - v0) / T).max()) < cutoff:
+        if float((-(potential.value(signs * halves) - v0) / T).max()) < cutoff:
             break
         halves = [1.3 * h for h in halves]
     else:

@@ -31,7 +31,7 @@ from .core import (
     reduce_well,
     sign_with_zero_band,
 )
-from .oscillator import f_ratio, g_ratio, osc_classical, osc_regularized
+from .oscillator import osc_classical, osc_regularized
 from .well import well_classical, well_regularized
 
 __all__ = [

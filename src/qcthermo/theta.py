@@ -158,27 +158,6 @@ def energy_sum(mu: float, tol: float = DEFAULT_TOL) -> float:
     return t.value * t.mean_energy
 
 
-def _adaptive_simpson(f, a, b, tol):
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + recurse(
-            m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 50)
-
-
 @dataclass(frozen=True)
 class SlopeWitnesses:
     """Numerical witnesses of the small-mu monotonicity bound.
@@ -199,11 +178,13 @@ def small_mu_slope_witnesses() -> SlopeWitnesses:
     eta = math.pi**-3
     _, s2, _, _, _ = _gaussian_moments(math.pi**3)
     slope_bound = -0.5 + 2.0 * math.pi**4 * math.exp(-(math.pi**3)) * s2
-    integral = _adaptive_simpson(
-        lambda x: x * x * math.exp(-x * x / eta), 0.0, 1.0, 1e-12
+    at_one = math.exp(-1.0 / eta)
+    # int_0^1 x^2 exp(-x^2/eta) dx in closed form
+    integral = (
+        eta**1.5 * math.sqrt(math.pi) / 4.0 * math.erf(1.0 / math.sqrt(eta)) - eta / 2.0 * at_one
     )
     return SlopeWitnesses(
         slope_bound=slope_bound,
         integral_to_one=integral,
-        integrand_at_one=math.exp(-1.0 / eta),
+        integrand_at_one=at_one,
     )

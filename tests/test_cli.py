@@ -254,6 +254,25 @@ def test_numpy_warnings_stay_off_stderr():
         assert proc.stderr == f"error: {message}\n"
 
 
+def test_deep_potentials_exit_0_or_2():
+    def kw(text):
+        return subprocess.run(
+            [sys.executable, "-m", "qcthermo.cli", "kw", "--potential", text,
+             "--dim", "1", "--T", "1", "--h", "0.1"],
+            capture_output=True,
+            text=True,
+        )
+
+    # 490 terms of 0.01*x1^2: omega^2 = 9.8, and z2/z0 = omega^2/24 at T = m = 1
+    ok = kw(" + ".join(["0.01*x1^2"] * 490))
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["z2_over_z0"] == pytest.approx(9.8 / 24.0, rel=1e-12)
+    for text in ("(" * 1200 + "x1^2" + ")" * 1200, " + ".join(["0.01*x1^2"] * 3000)):
+        proc = kw(text)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
 def test_determinism_byte_identical():
     for args in (GIBBS_ARGS, SWEEP_ARGS + ["--format", "csv"], DRUM_ARGS):
         code1, out1 = cli_bytes(args)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -73,9 +74,48 @@ def test_variable_out_of_range():
 
 
 def test_syntax_errors():
-    for bad in ("x1 +", "(x1", "x1 ** 2", "sin(x1)", "1 @ 2"):
+    # the last eleven are Python but not the grammar; Python warns of the last
+    outside = ("x1 # c", "0x10", "1_0", "1j*x1", "True", "x1.real", "x1 // 2",
+               "x1 if x2 else 1", "exp(x1, 2)", "+x1", "1and x1")
+    for bad in ("x1 +", "(x1", "x1 ** 2", "sin(x1)", "1 @ 2", "exp()", "exp(^x1)") + outside:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError):
+                parse_potential(bad, 2)
+
+
+def test_parser_warnings_do_not_leak():
+    # Python warns of '1and x1' (DeprecationWarning in 3.11, SyntaxWarning
+    # from 3.12); the CLI's stderr must keep its single error line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         with pytest.raises(ValidationError):
-            parse_potential(bad, 1)
+            parse_potential("1and x1", 2)
+    assert not caught
+
+
+def test_leading_zeros_and_line_breaks():
+    x = np.array([[2.0, 3.0]])
+    assert parse_potential("007*x1", 2)(x)[0] == 14.0
+    assert parse_potential("x1^2 +\n\t2*x2\n", 2)(x)[0] == 10.0
+
+
+def test_deep_trees_raise_validation_error():
+    for text in ("(" * 1200 + "x1" + ")" * 1200, " + ".join(["x1"] * 3000), "-" * 3000 + "x1"):
+        with pytest.raises(ValidationError):
+            parse_potential(text, 1)
+    # a tree that evaluates here but not from deep in the call stack
+    f = parse_potential(" + ".join(["x1^2"] * 200), 1)
+    x = np.ones((1, 1))
+
+    def deep(depth, fn):
+        return fn(x) if depth == 0 else deep(depth - 1, fn)
+
+    room = sys.getrecursionlimit() - 150
+    for fn in (f, f.gradient):
+        with pytest.raises(ValidationError, match="nests too deeply"):
+            deep(room, fn)
+    assert f(x)[0] == 200.0 and f.gradient(x)[0, 0] == 400.0
 
 
 def test_constant_expression_broadcasts():

@@ -110,6 +110,21 @@ def test_gibbs_point_beats_random_points(energies, T, data):
     assert free_energy_functional(levels, T, trial) >= f_gibbs - 1e-10 * (1 + abs(f_gibbs))
 
 
+def test_functional_matches_loop_reference():
+    # the array form against the term-by-term loop, zero probabilities
+    # included; numpy sums pairwise, so allow n*eps of the summed magnitudes
+    rng = np.random.default_rng(3)
+    for n, T in ((2, 0.5), (7, 1.3), (3700, 40.0)):
+        levels = LevelSet(np.sort(rng.uniform(0.0, 50.0, n)))
+        raw = rng.random(n)
+        raw[1:][rng.random(n - 1) < 0.2] = 0.0
+        point = SimplexPoint(raw / raw.sum())
+        terms = [p * e + T * p * math.log(p)
+                 for p, e in zip(point.probabilities, levels.energies) if p > 0]
+        bound = n * np.finfo(float).eps * math.fsum(abs(t) for t in terms)
+        assert abs(free_energy_functional(levels, T, point) - math.fsum(terms)) <= bound
+
+
 def test_zero_probability_entropy_convention():
     levels = LevelSet([0.0, 1.0])
     assert free_energy_functional(levels, 1.0, SimplexPoint([1.0, 0.0])) == 0.0

@@ -1,12 +1,14 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcthermo.core import OscillatorSpec, PhysicalParams, ValidationError
 from qcthermo.oscillator import (
+    _entropy_over_classical_axis,
     _log_tau_over_sinh,
     _tau_over_tanh,
     bernoulli_even,
@@ -48,23 +50,23 @@ def test_regularized_closed_form():
 def per_axis_quartets(params, omegas):
     """(log_Z, E, S, F) of the classical and regularized quartets, summed one
     axis at a time in frequency order: the reference the grouped builders meet.
-    Also returns the summed magnitude of every term, the scale of the
-    rounding of either summation order; S = (E - F)/T cancels to far below
-    it deep in the quantum regime."""
+    The regularized S is the sum of the per-axis entropies.  Also returns the
+    summed magnitude of every term, the scale of the rounding of either
+    summation order."""
     T, n = params.T, len(omegas)
-    log_zc = log_zr = sum_e = 0.0
+    log_zc = log_zr = sum_e = s_r = 0.0
     magnitude = float(n)
     for w in omegas:
         tau = params.h * w / (2.0 * T)
         log_zc += math.log(2.0 * math.pi * T / w)
         log_zr += math.log(2.0 * math.pi * T / w) + _log_tau_over_sinh(tau)
         sum_e += _tau_over_tanh(tau)
+        s_r += math.log(2.0 * math.pi * T / w) + _entropy_over_classical_axis(tau)
         magnitude += (abs(math.log(2.0 * math.pi * T / w)) + abs(_log_tau_over_sinh(tau))
                       + _tau_over_tanh(tau))
     e_c, s_c = n * T, n + log_zc
     e_r, f_r = T * sum_e, -T * log_zr
-    return ((log_zc, e_c, s_c, e_c - T * s_c), (log_zr, e_r, (e_r - f_r) / T, f_r),
-            magnitude)
+    return ((log_zc, e_c, s_c, e_c - T * s_c), (log_zr, e_r, s_r, f_r), magnitude)
 
 
 def quartet_tuple(q):
@@ -120,6 +122,17 @@ def test_deep_quantum_log_space():
     )
     assert q.E == pytest.approx(1000.0, rel=1e-14)
     assert q.Z > 0
+
+
+@pytest.mark.parametrize("tau", [1e-3, 1.0, 20.0, 1e3, 1e6])
+def test_regularized_entropy_matches_mpmath(tau):
+    # S = log(2 pi T/omega) + log(tau/sinh tau) + tau/tanh tau at T = omega = 1;
+    # S formed as (E - F)/T cancels to 5.5e-12 relative at tau = 1e6
+    with mpmath.workdps(50):
+        t = mpmath.mpf(tau)
+        want = mpmath.log(2 * mpmath.pi) + mpmath.log(t / mpmath.sinh(t)) + t / mpmath.tanh(t)
+    q = osc_regularized(params_for_tau(tau), OscillatorSpec([1.0]))
+    assert q.S == pytest.approx(float(want), rel=1e-13)
 
 
 def test_f_ratio_values():

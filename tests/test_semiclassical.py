@@ -120,6 +120,21 @@ def test_anisotropic_bounds():
     )
 
 
+def test_box_covers_every_corner():
+    # x1^2 + x2^2 + c*x1*x2 decays slowest along the anti-diagonal for c > 0:
+    # Z0 = pi/sqrt(1 - c^2/4) at T = 1.  A box sized from the (+,+) and (-,-)
+    # corners alone truncates c = 1.5 by 4e-10 and c = 1.9 by 0.37 %, unnoticed
+    for c in (1.5, -1.5):
+        pot = PotentialField(dimension=2, value=parse_potential(f"x1^2 + x2^2 + {c}*x1*x2", 2))
+        exact = math.pi / math.sqrt(1.0 - c * c / 4.0)
+        assert z0_integral(pot, 1.0) == pytest.approx(exact, rel=1e-14)
+    # at c = +-1.9 the box that holds the tail is too wide for the order-48 check
+    for c in (1.9, -1.9):
+        pot = PotentialField(dimension=2, value=parse_potential(f"x1^2 + x2^2 + {c}*x1*x2", 2))
+        with pytest.raises(IntegrationError, match="quadrature unstable"):
+            z0_integral(pot, 1.0)
+
+
 def test_explicit_bounds_respected():
     pot = PotentialField(
         dimension=1,
