@@ -4,6 +4,8 @@ The first quantum correction to the classical quartet is governed by
 Z2/Z0 with Z2 = 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx.  For a
 harmonic potential this has the closed form sum omega_k^2 / (24 T^2),
 and the prediction error against the exact oscillator shrinks like h^4.
+A potential that is a sum of terms in separate coordinates is integrated
+one coordinate at a time, so it may have any number of dimensions.
 """
 
 from qcthermo import (
@@ -37,3 +39,14 @@ quartic = PotentialField(dimension=1, value=parse_potential("x1^4/4", 1))
 pred_q = kw_expansion(quartic, params)
 print(f"quartic well x^4/4: Z2/Z0 = {pred_q.z2_over_z0:.8f}")
 print(f"predicted free energy shift: {pred_q.Fr:+.8f}")
+
+# a separable potential in 20 dimensions: its blocks are the 20 axes, each
+# integrated on its own 64-node grid (a tensor grid would need 64^20 nodes)
+n = 20
+coeffs = [0.5 + 0.05 * k for k in range(1, n + 1)]
+text = " + ".join(f"{c:g}*x{k}^2" for k, c in enumerate(coeffs, 1))
+separable = PotentialField(dimension=n, value=parse_potential(text, n))
+pred_s = kw_expansion(separable, params)
+print(f"\nseparable V = sum c_k x_k^2 in {n} dimensions: {len(separable.blocks)} blocks")
+print(f"quadrature Z2/Z0 = {pred_s.z2_over_z0:.12f}")
+print(f"closed form      = {sum(coeffs) / 12:.12f}  (sum c_k / (12 m T^2))")

@@ -21,6 +21,12 @@ evaluated in forward mode, each node returning its value together with a
 sparse {axis: partial derivative} map, so a term in one coordinate touches
 that axis only.  Both are evaluated with NumPy floating-point warnings off: a
 non-finite value is left for the caller to reject.
+
+``V.blocks`` partitions the axes so that V is a constant plus one function of
+each block's axes: the top-level terms of the sum (the operands of its
+outermost +, - and unary -) are found, and axes that appear in one term are
+joined; an axis no term uses is a block of its own.  ``x1^2 + x2^2`` has
+blocks ((0,), (1,)), ``(x1 + x2)^2`` and ``2*(x1^2 + x2^2)`` have ((0, 1),).
 """
 
 from __future__ import annotations
@@ -250,16 +256,54 @@ def _tree(node, source: str, dimension: int):
     raise ValidationError(f"unsupported expression {segment.replace('**', '^')!r}")
 
 
+def _blocks(root, dimension: int) -> tuple[tuple[int, ...], ...]:
+    """The axes of root's top-level terms joined into disjoint blocks.
+
+    Both walks use an explicit stack, so a long sum cannot exhaust the
+    recursion limit.  Blocks are ordered by their first axis.
+    """
+    parent = list(range(dimension))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    terms, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (_Add, _Sub, _Neg)):
+            stack.extend(node.args)
+        else:
+            terms.append(node)
+    for term in terms:
+        axes, stack = [], [term]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Var):
+                axes.append(node.axis)
+            stack.extend(getattr(node, "args", ()))
+        for axis in axes[1:]:
+            parent[find(axis)] = find(axes[0])
+    groups = {}
+    for axis in range(dimension):
+        groups.setdefault(find(axis), []).append(axis)
+    return tuple(tuple(group) for group in groups.values())
+
+
 class _CompiledPotential:
     """V(x) of a parsed expression, with its exact gradient.
 
     Calling it on x of shape (..., N) returns V of shape (...);
-    gradient(x) returns shape (..., N).  Hashable by identity.
+    gradient(x) returns shape (..., N).  blocks partitions the axes as
+    described in the module docstring.  Hashable by identity.
     """
 
     def __init__(self, root, dimension: int):
         self._root = root
         self.dimension = dimension
+        self.blocks = _blocks(root, dimension)
 
     def _run(self, x, method: str):
         """x's batch shape and root.<method>(columns of x), NumPy warnings off."""

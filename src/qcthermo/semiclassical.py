@@ -2,11 +2,23 @@
 
 Z0 = int exp(-V/T) dx, Z2 = 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx and the
 mean potential <V> are evaluated by tensor-product Gauss-Legendre quadrature
-over automatically chosen bounds.  The box is found once, and each order makes
-one pass over its grid, streamed in slabs of CHUNK_POINTS nodes: V is
-evaluated once per node and all three moments come from the same Boltzmann
-factor.  Each moment is checked on its own against a reduced-order rule, and
-a moment that is not finite is rejected.  The gradient is exact for the
+over automatically chosen bounds, one small grid per block of coupled axes.
+A potential V = c + sum_j V_j(x_{B_j}) over disjoint blocks B_j factorizes by
+Fubini.  With U_j the potential on block j and every other axis at 0,
+
+    log Z0 = sum_j log z_j + (N_b - 1) V(0)/T,  z_j = int exp(-U_j/T) dx_{B_j}
+    <V>    = sum_j <U_j>_j - (N_b - 1) V(0)
+    Z2/Z0  = sum_j <|grad_{B_j} V|^2>_j / (24 m T^3)
+
+so a separable potential costs N grids of one axis, in any dimension, and
+only the largest block counts against MAX_TENSOR_DIMENSION.  The built-in
+harmonic potential declares one block per axis, a parsed potential joins the
+axes of its top-level terms, and an opaque callable is one block.  Each block
+finds its own box, and each order makes one pass over the block's grid,
+streamed in slabs of CHUNK_POINTS nodes: V is evaluated once per node and all
+moments come from the same Boltzmann factor.  Each block's moments are checked
+on their own against a reduced-order rule, and a moment that is not finite is
+rejected.  Z0 is carried as its logarithm.  The gradient is exact for the
 built-in harmonic potential and for potentials parsed by
 :func:`qcthermo.expressions.parse_potential`; only an opaque callable without
 a gradient falls back to central differences.  The quartet predictions follow
@@ -19,6 +31,7 @@ a gradient falls back to central differences.  The quartet predictions follow
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,6 +78,12 @@ class PotentialField:
     negligible on the boundary.  scale is the potential's length scale: the
     first half-width tried by the automatic bounds and, for an opaque value
     with no gradient, the unit of the finite-difference step.
+
+    blocks partitions the axes 0..N-1 into disjoint tuples such that V is a
+    constant plus one term per block, each depending on that block's axes
+    only; the quadrature then integrates each block on its own grid.  When
+    None it is adopted from value.blocks, as gradient is, and otherwise all
+    axes form one block.  A wrong partition gives wrong moments.
     """
 
     dimension: int
@@ -72,13 +91,22 @@ class PotentialField:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     bounds: tuple[tuple[float, float], ...] | None = None
     scale: float = 1.0
+    blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
+        # adopted values are set on the instance, so dataclasses.replace
+        # carries them over
         if self.gradient is None:
-            # set on the instance, so dataclasses.replace carries it over
             object.__setattr__(self, "gradient", getattr(self.value, "gradient", None))
+        if self.blocks is None:
+            blocks = getattr(self.value, "blocks", None) or (tuple(range(self.dimension)),)
+            object.__setattr__(self, "blocks", blocks)
+        if sorted(k for block in self.blocks for k in block) != list(range(self.dimension)):
+            raise ValidationError(
+                f"blocks {self.blocks} do not partition the axes 0..{self.dimension - 1}"
+            )
 
     def gradient_or_fd(self) -> Callable[[np.ndarray], np.ndarray]:
         """The exact gradient, or central differences for an opaque value."""
@@ -99,7 +127,7 @@ class PotentialField:
 
 
 def harmonic_potential(m: float, omegas) -> PotentialField:
-    """V(x) = sum m*omega_k^2*x_k^2/2 with analytic gradient."""
+    """V(x) = sum m*omega_k^2*x_k^2/2 with analytic gradient, one block per axis."""
     omegas = np.asarray([float(w) for w in omegas])
     if np.any(omegas <= 0) or m <= 0:
         raise ValidationError("need m > 0 and omega_k > 0")
@@ -117,25 +145,33 @@ def harmonic_potential(m: float, omegas) -> PotentialField:
         value=value,
         gradient=gradient,
         scale=float(1.0 / omegas.min()),
+        blocks=tuple((k,) for k in range(len(omegas))),
     )
 
 
-def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, float], ...]:
-    """Per-axis symmetric bounds with exp(-V/T) < 1e-16 * exp(-V(0)/T) outside.
-
-    Boltzmann factors are compared through their exponents relative to the
-    origin, -(V - V(0))/T against log(1e-16), so no probe overflows however
-    deep the potential dips.  Each half-width is grown by doubling and then
-    shrunk back so the quadrature window stays as tight as the decay allows
-    (wide windows waste Gauss-Legendre nodes).
-    """
-    n = potential.dimension
-    center = np.zeros(n)
-    v0 = float(potential.value(center))
+def _origin(potential: PotentialField, T: float) -> float:
+    """V(0), checked so that exp(-V(0)/T) neither is nan nor underflows to 0."""
+    v0 = float(potential.value(np.zeros(potential.dimension)))
     # the quadrature sums exp(-V/T) unshifted, so it must not underflow to 0
     # here; one that overflows fails the quadrature's finiteness check
     if not (math.isfinite(v0) and math.exp(min(-v0 / T, 0.0)) > 0.0):
         raise IntegrationError("potential not finite at the origin")
+    return v0
+
+
+def _auto_bounds(
+    potential: PotentialField, T: float, axes: tuple[int, ...], v0: float
+) -> tuple[tuple[float, float], ...]:
+    """Symmetric bounds on the given axes with exp(-V/T) < 1e-16 * exp(-v0/T) outside.
+
+    Every other axis is held at 0, and v0 is V(0) (see _origin).  Boltzmann
+    factors are compared through their exponents relative to the origin,
+    -(V - V(0))/T against log(1e-16), so no probe overflows however deep the
+    potential dips.  Each half-width is grown by doubling and then shrunk back
+    so the quadrature window stays as tight as the decay allows (wide windows
+    waste Gauss-Legendre nodes).
+    """
+    n = potential.dimension
     cutoff = math.log(1e-16)
 
     def face_exponent(axis, half):
@@ -146,7 +182,7 @@ def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, floa
         return max(lo, -(float(potential.value(x)) - v0) / T)
 
     halves = []
-    for k in range(n):
+    for k in axes:
         half = potential.scale
         prev = math.inf
         for _ in range(200):
@@ -166,10 +202,12 @@ def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, floa
         halves.append(half)
 
     # corners may decay slower than face centers for non-separable potentials,
-    # along any diagonal: all 2^N of them are probed (N <= MAX_TENSOR_DIMENSION)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
+    # along any diagonal: all 2^d of the block's are probed (d <= MAX_TENSOR_DIMENSION)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(axes))))
+    corners = np.zeros((len(signs), n))
     for _ in range(60):
-        if float((-(potential.value(signs * halves) - v0) / T).max()) < cutoff:
+        corners[:, axes] = signs * halves
+        if float((-(potential.value(corners) - v0) / T).max()) < cutoff:
             break
         halves = [1.3 * h for h in halves]
     else:
@@ -177,87 +215,153 @@ def _auto_bounds(potential: PotentialField, T: float) -> tuple[tuple[float, floa
     return tuple((-h, h) for h in halves)
 
 
-def _grid_slabs(bounds, order: int):
-    """Tensor Gauss-Legendre grid of the given order over bounds, in slabs.
-
-    The grid's nodes, in C order (leading axis slowest), are cut into slabs of
-    at most CHUNK_POINTS; each slab is yielded as (x, w) with x of shape
-    (slab, N) and product weights w of shape (slab,).
-    """
+@functools.lru_cache(maxsize=None)
+def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    axes, wts = [], []
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _grid_slabs(bounds, order: int, axes: tuple[int, ...], n: int):
+    """Tensor Gauss-Legendre grid of the given order over one block, in slabs.
+
+    Axis axes[i] runs over bounds[i] and every other of the n coordinates is
+    0.  The grid's nodes, in C order (leading axis slowest), are cut into
+    slabs of at most CHUNK_POINTS nodes and CHUNK_POINTS * MAX_TENSOR_DIMENSION
+    coordinates, so a block of a potential in many dimensions is streamed in
+    small slabs too; each slab is yielded as (x, w) with x of shape (slab, n)
+    and product weights w of shape (slab,).
+    """
+    nodes, weights = _rule(order)
+    coords, wts = [], []
     for lo, hi in bounds:
         mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        axes.append(mid + rad * nodes)
+        coords.append(mid + rad * nodes)
         wts.append(rad * weights)
-    n = len(bounds)
-    total = order**n
-    for start in range(0, total, CHUNK_POINTS):
+    total = order ** len(axes)
+    step = max(1, min(CHUNK_POINTS, CHUNK_POINTS * MAX_TENSOR_DIMENSION // n))
+    for start in range(0, total, step):
         index = np.unravel_index(
-            np.arange(start, min(start + CHUNK_POINTS, total)), (order,) * n
+            np.arange(start, min(start + step, total)), (order,) * len(axes)
         )
         # axis-major storage keeps each coordinate x[..., k] contiguous, which
         # makes the evaluators' per-axis arithmetic several times faster
-        x = np.array([axis[i] for axis, i in zip(axes, index)])
+        x = np.zeros((n, len(index[0])))
+        for k, coord, i in zip(axes, coords, index):
+            x[k] = coord[i]
         w = np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
         yield x.T, w
+
+
+# columns of a block's moments (see _boltzmann_moments)
+INT_B, INT_BV, INT_B_ABS_V, INT_B_GRAD2 = range(4)
 
 
 # a Boltzmann factor beyond float range makes a moment non-finite, which
 # _stable reports in one line; numpy need not warn about it as well
 @np.errstate(over="ignore", invalid="ignore")
-def _boltzmann_moments(potential: PotentialField, T: float, gradient=None) -> np.ndarray:
-    """Moments of b = exp(-V/T): [int b, int b*V, int b*|grad V|^2].
+def _boltzmann_moments(
+    potential: PotentialField, T: float, gradient=None
+) -> tuple[float, list[np.ndarray]]:
+    """(V(0) * (N_b - 1), per-block moments) over the potential's N_b blocks.
 
-    Row 0 holds the moments at QUADRATURE_ORDER, row 1 at CHECK_ORDER (see
-    _stable).  The box is found once and each order is one slab-streamed pass,
-    so V is evaluated once per node and memory stays O(CHUNK_POINTS) in any
-    dimension.  The gradient moment is 0 when no gradient is given.
+    Block j's moments are those of b = exp(-U_j/T), with U_j the potential on
+    the block's axes and every other axis at 0, in the columns INT_B, INT_BV,
+    INT_B_ABS_V and INT_B_GRAD2: int b, int b*U_j, int b*|U_j| and
+    int b*|grad_{B_j} V|^2.  Row 0 holds them at QUADRATURE_ORDER, row 1 at
+    CHECK_ORDER (see _stable).  Each block's box is found once and each order
+    is one slab-streamed pass, so V is evaluated once per node and memory
+    stays O(CHUNK_POINTS) in any dimension (see _grid_slabs).  The gradient
+    moment is 0 when no gradient is given.
     """
-    n = potential.dimension
-    if n > MAX_TENSOR_DIMENSION:
+    n, blocks = potential.dimension, potential.blocks
+    largest = max(len(block) for block in blocks)
+    if largest > MAX_TENSOR_DIMENSION:
         raise ValidationError(
-            f"tensor quadrature limited to N <= {MAX_TENSOR_DIMENSION}, got {n}"
+            f"tensor quadrature limited to N <= {MAX_TENSOR_DIMENSION} coupled axes, got {largest}"
         )
-    bounds = potential.bounds or _auto_bounds(potential, T)
-    moments = np.zeros((2, 3))
-    for row, order in enumerate((QUADRATURE_ORDER, CHECK_ORDER)):
-        partials = []
-        for x, w in _grid_slabs(bounds, order):
-            v = potential.value(x)
-            b = np.exp(-v / T) * w
-            g2 = 0.0 if gradient is None else np.sum(b * np.sum(gradient(x) ** 2, axis=-1))
-            partials.append((np.sum(b), np.sum(b * v), g2))
-        # fsum keeps the number of slabs out of the rounding error
-        moments[row] = [math.fsum(column) for column in zip(*partials)]
-    return moments
+    # V(0) serves the automatic bounds and the offset between blocks; a single
+    # block over explicit bounds never evaluates it
+    v0 = _origin(potential, T) if potential.bounds is None or len(blocks) > 1 else 0.0
+    # every box is found before any grid is integrated, so a block that does
+    # not decay is rejected early
+    if potential.bounds is None:
+        boxes = [_auto_bounds(potential, T, axes, v0) for axes in blocks]
+    else:
+        boxes = [[potential.bounds[k] for k in axes] for axes in blocks]
+    out = []
+    for axes, bounds in zip(blocks, boxes):
+        moments = np.zeros((2, 4))
+        for row, order in enumerate((QUADRATURE_ORDER, CHECK_ORDER)):
+            partials = []
+            for x, w in _grid_slabs(bounds, order, axes, n):
+                v = potential.value(x)
+                b = np.exp(-v / T) * w
+                bv = b * v
+                g2 = 0.0
+                if gradient is not None:
+                    g2 = np.sum(b * np.sum(gradient(x)[..., list(axes)] ** 2, axis=-1))
+                partials.append((np.sum(b), np.sum(bv), np.sum(np.abs(bv)), g2))
+            # fsum keeps the number of slabs out of the rounding error
+            moments[row] = [math.fsum(column) for column in zip(*partials)]
+        out.append(moments)
+    return (len(blocks) - 1) * v0, out
 
 
-def _stable(moments: np.ndarray, k: int) -> float:
-    """Moment k at QUADRATURE_ORDER, if finite and the CHECK_ORDER rule agrees to 1e-8."""
+def _stable(moments: np.ndarray, k: int, scale: int | None = None) -> float:
+    """Moment k at QUADRATURE_ORDER, if finite and the CHECK_ORDER rule agrees.
+
+    The two rules must agree to 1e-8 of |moment k|, or of moment scale when
+    given: a moment of a sign-changing integrand is judged against the
+    integral of its magnitude, so a mean near 0 is not held to 1e-8 of itself.
+    """
     value, check = float(moments[0, k]), float(moments[1, k])
     if not (math.isfinite(value) and math.isfinite(check)):
         raise IntegrationError(f"quadrature not finite: {value} vs {check} at reduced order")
-    if abs(value - check) > 1e-8 * (abs(value) + 1e-300):
+    size = abs(value) if scale is None else float(moments[0, scale])
+    if abs(value - check) > 1e-8 * (size + 1e-300):
         raise IntegrationError(
             f"quadrature unstable: {value} vs {check} at reduced order"
         )
     return value
 
 
+def _log_z0(offset: float, blocks: list[np.ndarray], T: float) -> float:
+    """log Z0 = sum_j log z_j + (N_b - 1) V(0)/T, each z_j checked."""
+    return math.fsum(math.log(_stable(moments, INT_B)) for moments in blocks) + offset / T
+
+
+def _grad2_mean(blocks: list[np.ndarray], m: float, T: float) -> float:
+    """Z2/Z0 = sum_j <|grad_{B_j} V|^2>_j / (24 m T^3), each block checked."""
+    return math.fsum(
+        _stable(moments, INT_B_GRAD2) / (24.0 * m * T**3) / moments[0, INT_B]
+        for moments in blocks
+    )
+
+
+def _exp(x: float) -> float:
+    """e^x, inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def z0_integral(potential: PotentialField, T: float) -> float:
-    """Configuration integral int exp(-V/T) dx."""
+    """Configuration integral int exp(-V/T) dx; inf where it overflows."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    return _stable(_boltzmann_moments(potential, T), 0)
+    return _exp(_log_z0(*_boltzmann_moments(potential, T), T))
 
 
 def z2_integral(potential: PotentialField, T: float, m: float) -> float:
     """First quantum correction 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx."""
     if T <= 0 or m <= 0:
         raise ValidationError("need T > 0 and m > 0")
-    moments = _boltzmann_moments(potential, T, potential.gradient_or_fd())
-    return _stable(moments, 2) / (24.0 * m * T**3)
+    offset, blocks = _boltzmann_moments(potential, T, potential.gradient_or_fd())
+    log_z0 = _log_z0(offset, blocks, T)
+    return _exp(log_z0) * _grad2_mean(blocks, m, T)
 
 
 @dataclass(frozen=True)
@@ -279,19 +383,20 @@ def kw_expansion(potential: PotentialField, params: PhysicalParams) -> KWPredict
     """
     T, m, h = params.T, params.m, params.h
     n = potential.dimension
-    moments = _boltzmann_moments(potential, T, potential.gradient_or_fd())
-    z0 = _stable(moments, 0)
-    z2 = _stable(moments, 2) / (24.0 * m * T**3)
-    ratio = z2 / z0
-    v_mean = _stable(moments, 1) / z0
+    offset, blocks = _boltzmann_moments(potential, T, potential.gradient_or_fd())
+    log_z0 = _log_z0(offset, blocks, T)
+    ratio = _grad2_mean(blocks, m, T)
+    v_mean = math.fsum(
+        _stable(moments, INT_BV, INT_B_ABS_V) / moments[0, INT_B] for moments in blocks
+    ) - offset
 
     log_prefactor = 0.5 * n * math.log(2.0 * math.pi * m * T)
-    f_c = -T * (log_prefactor + math.log(z0))
+    f_c = -T * (log_prefactor + log_z0)
     e_c = 0.5 * n * T + v_mean
     s_c = (e_c - f_c) / T
 
     param = h * h * ratio
-    zr = math.exp(log_prefactor) * (z0 - h * h * z2)
+    zr = _exp(log_prefactor + log_z0) * (1.0 - param)
     fr = f_c + h * h * T * ratio
     er = e_c + 2.0 * h * h * T * ratio
     sr = s_c + h * h * ratio

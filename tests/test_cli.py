@@ -91,6 +91,46 @@ def test_expression_potential(capsys):
     assert payload["z2_over_z0"] == pytest.approx(1.0 / 24.0, rel=1e-12, abs=0)
 
 
+def test_separable_potential_in_50_dimensions(capsys):
+    # V = sum c_k x_k^2: z2/z0 = sum c_k / (12 m T^2), <V> = N T/2, and
+    # Z0 = prod sqrt(pi T / c_k)
+    n, T, m, h = 50, 1.3, 0.7, 0.1
+    coeffs = [0.5 + 0.02 * k for k in range(1, n + 1)]
+    text = " + ".join(f"{c!r}*x{k}^2" for k, c in enumerate(coeffs, 1))
+    args = ["kw", "--potential", text, "--dim", str(n), "--T", str(T), "--m", str(m)]
+    code, out = run_cli(args + ["--h", str(h)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    ratio = sum(coeffs) / (12.0 * m * T * T)
+    assert payload["z2_over_z0"] == pytest.approx(ratio, rel=1e-12)
+    predicted = payload["predicted"]
+    assert predicted["Er"] == pytest.approx(n * T + 2 * h * h * T * ratio, rel=1e-12)
+    log_z0 = sum(0.5 * math.log(math.pi * T / c) for c in coeffs)
+    log_zc = 0.5 * n * math.log(2 * math.pi * m * T) + log_z0
+    assert predicted["Fr"] == pytest.approx(-T * log_zc + h * h * T * ratio, rel=1e-12)
+    assert predicted["Zr"] == pytest.approx(math.exp(log_zc) * (1 - h * h * ratio), rel=1e-12)
+
+
+def test_mean_potential_of_zero_exits_0(capsys):
+    # <V> = 0 exactly; its quadrature check is scaled by int b*|V|
+    code, out = run_cli(
+        ["kw", "--potential", "x1^2 + x2^2 - 1", "--dim", "2", "--T", "1", "--h", "0.1"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    want = 1.0 + 0.02 * payload["z2_over_z0"]
+    assert payload["predicted"]["Er"] == pytest.approx(want, rel=1e-14)
+
+
+def test_kw_z_beyond_float_range_exits_3(capsys):
+    # Z0 = (sqrt(2 pi)/0.01)^300 overflows while log Z0 and F, E, S do not:
+    # the printed Z_r is inf, an error, as for an eval quartet
+    code = run(["kw", "--omega", ",".join(["0.01"] * 300), "--T", "1", "--h", "0.1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: non-finite value in output field '$.predicted.Zr'\n"
+
+
 def test_validation_exit_code(capsys):
     for args in (
         ["eval", "--system", "well", "--T", "1", "--h", "0.1"],
@@ -98,6 +138,9 @@ def test_validation_exit_code(capsys):
         ["gibbs", "--levels", "0,1,2", "--T", "1", "--random-points", "0"],
         ["kw", "--potential", "x1^2/2", "--dim", "1", "--T", "1", "--h", "0.1", "--scale", "0"],
         ["kw", "--potential", "x1^2/2", "--dim", "1", "--T", "1", "--h", "0.1", "--scale", "-1"],
+        # five coupled axes are beyond the tensor quadrature
+        ["kw", "--potential", "(x1+x2+x3+x4+x5)^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2",
+         "--dim", "5", "--T", "1", "--h", "0.1"],
     ):
         code = run(args)
         err = capsys.readouterr().err

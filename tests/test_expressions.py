@@ -191,6 +191,35 @@ def test_singular_gradient_is_inf_without_warning():
         assert math.isnan(f(np.array([[-1.0]]))[0])
 
 
+@pytest.mark.parametrize("text, n, blocks", [
+    ("x1^2 + x2^2", 2, ((0,), (1,))),
+    # a coupling term joins its axes, and joins are transitive
+    ("x1^2 + x2^2 + 0.5*x1*x2", 2, ((0, 1),)),
+    ("x1*x2 + x2*x3 + x4^2", 4, ((0, 1, 2), (3,))),
+    ("x1^2 + x3^2 + x2*x4 + x4^4", 4, ((0,), (1, 3), (2,))),
+    # unary minus and subtraction, nested
+    ("-(x1^2 + x2^2)", 2, ((0,), (1,))),
+    ("x1^2 - (x2^2 - x3^2)", 3, ((0,), (1,), (2,))),
+    ("-(x1^2 - -(x2^4 - x3*x1))", 3, ((0, 2), (1,))),
+    # constants belong to no block; an axis no term uses is its own block
+    ("3 + x1^2 - pi + exp(1)*x3^4", 3, ((0,), (1,), (2,))),
+    # parentheses around a sum do not make it one term; a product or power does
+    ("(x1^2 + x2^2) + ((x3^2))", 3, ((0,), (1,), (2,))),
+    ("2*(x1^2 + x2^2)", 2, ((0, 1),)),
+    ("(x1 + x2)^2 + x3^2", 3, ((0, 1), (2,))),
+    ("exp(x1^2 + x2^2)", 2, ((0, 1),)),
+])
+def test_blocks(text, n, blocks):
+    assert parse_potential(text, n).blocks == blocks
+
+
+def test_blocks_of_a_long_sum():
+    # the terms are found without recursion, however long the chain of +
+    n = 400
+    f = parse_potential(" - ".join(f"x{k}^2" for k in range(1, n + 1)), n)
+    assert f.blocks == tuple((k,) for k in range(n))
+
+
 def _grammar_expressions(n):
     """Random expressions over x1..xn, every rule of the grammar included.
 
@@ -246,3 +275,29 @@ def test_gradient_matches_central_differences(data, n):
     # powers make some expressions too steep for any fixed step
     assume(np.all(np.isfinite(coarse)) and np.abs(coarse - fine).max() < 1e-8 * scale)
     np.testing.assert_allclose(got, fine, rtol=0, atol=1e-7 * scale, err_msg=text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_blocks_separate_the_potential(data, n):
+    # V(x) = sum_j V(x on block j, 0 elsewhere) - (N_b - 1) V(0)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 4), label="terms")):
+        if data.draw(st.booleans(), label="one axis"):
+            axis = data.draw(st.integers(1, n), label="axis")
+            term = data.draw(_grammar_expressions(1), label="term").replace("x1", f"x{axis}")
+        else:
+            term = data.draw(_grammar_expressions(n), label="term")
+        terms.append(f"({term})")
+    signs = data.draw(st.lists(st.sampled_from("+-"), min_size=len(terms), max_size=len(terms)))
+    text = " ".join(f"{s} {t}" for s, t in zip(signs, terms)).removeprefix("+")
+    f = parse_potential(text, n)
+    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="x"))
+    on_block = np.zeros((len(f.blocks), n))
+    for row, block in zip(on_block, f.blocks):
+        row[list(block)] = x[list(block)]
+    pieces, v0, want = f(on_block), f(np.zeros((1, n)))[0], f(x[None, :])[0]
+    assume(np.all(np.isfinite(pieces)) and np.isfinite(v0) and np.isfinite(want))
+    got = math.fsum(pieces) - (len(f.blocks) - 1) * v0
+    scale = abs(want) + np.abs(pieces).sum() + len(f.blocks) * abs(v0)
+    assert abs(got - want) <= 1e-13 * scale, text

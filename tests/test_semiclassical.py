@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcthermo.core import (
     IntegrationError,
@@ -17,6 +19,8 @@ from qcthermo.oscillator import osc_classical, osc_regularized
 from qcthermo.semiclassical import (
     PotentialField,
     _auto_bounds,
+    _grid_slabs,
+    _origin,
     harmonic_potential,
     kw_expansion,
     z0_integral,
@@ -60,8 +64,19 @@ def test_fd_gradient_agrees_with_analytic():
 
 
 def test_dimension_cap():
-    with pytest.raises(ValidationError):
-        z0_integral(harmonic_potential(1.0, [1.0] * 5), 1.0)
+    # only a block of coupled axes counts against the cap
+    coupled = "(x1 + x2 + x3 + x4 + x5)^2 + " + " + ".join(f"x{k}^2" for k in range(1, 6))
+    with pytest.raises(ValidationError, match="limited to N <= 4 coupled axes, got 5"):
+        z0_integral(PotentialField(dimension=5, value=parse_potential(coupled, 5)), 1.0)
+    # a separable potential is not capped: Z0 = prod sqrt(2 pi T)/omega_k and
+    # Z2/Z0 = sum omega_k^2 / (24 T^2) at m = 1
+    omegas = [0.5, 0.8, 1.0, 1.3, 2.0]
+    pot = harmonic_potential(1.0, omegas)
+    assert z0_integral(pot, 1.0) == pytest.approx(
+        math.prod(SQRT_2PI / w for w in omegas), rel=1e-12
+    )
+    ratio = kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0)).z2_over_z0
+    assert ratio == pytest.approx(sum(w * w for w in omegas) / 24.0, rel=1e-12)
 
 
 def test_non_integrable_potential_rejected():
@@ -154,6 +169,20 @@ def test_explicit_bounds_respected():
         kw_expansion(flat_gradient, params)
 
 
+def test_explicit_bounds_split_into_blocks():
+    # each block takes its own axes' bounds, and V(0) = 3 still offsets the
+    # blocks: Z0 = pi/sqrt(2) e^-3 and <V> = 1/2 + 1/2 + 3 at T = 1
+    pot = PotentialField(
+        dimension=2,
+        value=parse_potential("x1^2 + 2*x2^2 + 3", 2),
+        bounds=((-7.0, 7.0), (-5.0, 5.0)),
+    )
+    assert pot.blocks == ((0,), (1,))
+    assert z0_integral(pot, 1.0) == pytest.approx(math.pi / math.sqrt(2.0) / math.e**3, rel=1e-13)
+    pred = kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
+    assert pred.Er - 0.02 * pred.z2_over_z0 == pytest.approx(1.0 + 4.0, rel=1e-13)
+
+
 def test_scale_must_be_finite_and_positive():
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
@@ -173,27 +202,39 @@ def _counted_parsed(text, n, counts):
     parsed = parse_potential(text, n)
     value = _counted(parsed, counts, "value")
     value.gradient = _counted(parsed.gradient, counts, "gradient")
+    value.blocks = parsed.blocks
     return PotentialField(dimension=n, value=value)
 
 
 def test_one_potential_evaluation_per_node():
     base = harmonic_potential(1.0, [1.0, 2.0])
-    harmonic_counts = {"value": 0, "gradient": 0}
-    harmonic = dataclasses.replace(
+    opaque_counts = {"value": 0, "gradient": 0}
+    # an opaque callable declares no blocks, so both axes share one grid
+    opaque = dataclasses.replace(
         base,
-        value=_counted(base.value, harmonic_counts, "value"),
-        gradient=_counted(base.gradient, harmonic_counts, "gradient"),
+        value=_counted(base.value, opaque_counts, "value"),
+        gradient=_counted(base.gradient, opaque_counts, "gradient"),
+        blocks=None,
     )
     # a parsed potential's gradient is its own, exact one: no finite
     # differences, so no value calls beyond one per node and the bounds probes
-    parsed_counts = {"value": 0, "gradient": 0}
-    parsed = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4", 2, parsed_counts)
-    for pot, counts in ((harmonic, harmonic_counts), (parsed, parsed_counts)):
-        _auto_bounds(pot, 1.0)
+    coupled_counts = {"value": 0, "gradient": 0}
+    coupled = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4 + 0.3*x1*x2", 2, coupled_counts)
+    # a separable one integrates each axis on its own grid
+    split_counts = {"value": 0, "gradient": 0}
+    split = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4", 2, split_counts)
+    assert (opaque.blocks, coupled.blocks, split.blocks) == (((0, 1),),) * 2 + (((0,), (1,)),)
+    for pot, counts, grid in (
+        (opaque, opaque_counts, 64**2 + 48**2),
+        (coupled, coupled_counts, 64**2 + 48**2),
+        (split, split_counts, 2 * (64 + 48)),
+    ):
+        v0 = _origin(pot, 1.0)
+        for axes in pot.blocks:
+            _auto_bounds(pot, 1.0, axes, v0)
         probes = counts["value"]
         counts["value"] = 0
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
-        grid = 64**2 + 48**2
         assert counts == {"value": probes + grid, "gradient": grid}
 
 
@@ -204,6 +245,19 @@ def test_parsed_gradient_adopted_and_kept_by_replace():
     assert dataclasses.replace(pot, bounds=((-9.0, 9.0),)).gradient == value.gradient
     explicit = lambda x: np.zeros(np.shape(x))  # noqa: E731
     assert PotentialField(dimension=1, value=value, gradient=explicit).gradient is explicit
+
+
+def test_blocks_adopted_kept_and_checked():
+    value = parse_potential("x1^2 + x2^2 + x3^4 + x2*x3", 3)
+    pot = PotentialField(dimension=3, value=value)
+    assert pot.blocks == value.blocks == ((0,), (1, 2))
+    wrapped = dataclasses.replace(pot, value=lambda x: value(x))
+    assert wrapped.blocks == ((0,), (1, 2))
+    assert PotentialField(dimension=3, value=lambda x: value(x)).blocks == ((0, 1, 2),)
+    assert harmonic_potential(1.0, [1.0, 2.0]).blocks == ((0,), (1,))
+    for blocks in (((0,), (1,)), ((0, 1), (1, 2)), ((0, 1, 2, 3),), ((0,), (1,), (3,))):
+        with pytest.raises(ValidationError, match="do not partition"):
+            PotentialField(dimension=3, value=value, blocks=blocks)
 
 
 def test_parsed_quartic_z2_closed_form():
@@ -227,6 +281,66 @@ def test_non_finite_moments_rejected():
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.tuples(st.floats(-0.5, 0.5), st.floats(0.3, 1.5), st.floats(0.0, 0.3)),
+        min_size=2,
+        max_size=3,
+    ),
+    offset=st.floats(-2.0, 2.0),
+    T=st.floats(0.5, 2.0),
+    h=st.floats(0.05, 0.3),
+    m=st.floats(0.5, 2.0),
+)
+def test_split_quadrature_matches_one_tensor_grid(coeffs, offset, T, h, m):
+    n = len(coeffs)
+    # the linear terms make each block's gradient nonzero at the origin, where
+    # the other blocks are evaluated
+    text = f"{offset!r} + " + " + ".join(
+        f"{c1!r}*x{k} + {c2!r}*x{k}^2 + {c4!r}*x{k}^4" for k, (c1, c2, c4) in enumerate(coeffs, 1)
+    )
+    split = PotentialField(dimension=n, value=parse_potential(text, n))
+    # a zero coupling term joins every axis into one block
+    coupling = "*".join(f"x{k}" for k in range(1, n + 1))
+    tensor = PotentialField(dimension=n, value=parse_potential(f"{text} + 0*{coupling}", n))
+    assert len(split.blocks) == n and len(tensor.blocks) == 1
+    params = PhysicalParams(T=T, h=h, m=m)
+    got, want = kw_expansion(split, params), kw_expansion(tensor, params)
+    scale = abs(want.Fr) + abs(want.Er) + T * abs(want.Sr)
+    for field in ("Fr", "Er", "Sr"):
+        assert getattr(got, field) == pytest.approx(
+            getattr(want, field), rel=1e-12, abs=1e-13 * scale
+        )
+    for field in ("Zr", "z2_over_z0"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-12)
+
+
+def test_mean_potential_near_zero_is_stable():
+    # <V> = 1 - c at T = 1: its moment is checked against int b*|V|, so a
+    # mean of 0, per block or in all, is not held to 1e-8 of itself
+    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
+    for text in ("x1^2 + x2^2 - 1", "x1^2 + x2^2 - 0.5", "x1^2 + x2^2 - 1 + 0*x1*x2"):
+        c = 0.5 if "0.5" in text else 1.0
+        pred = kw_expansion(PotentialField(dimension=2, value=parse_potential(text, 2)), params)
+        assert pred.z2_over_z0 == pytest.approx(2.0 / 12.0, rel=1e-13)
+        assert pred.Er - 2 * 0.01 * pred.z2_over_z0 == pytest.approx(2.0 - c, rel=1e-13)
+
+
+def test_z0_carried_in_log_space():
+    # Z0 = (sqrt(2 pi)/0.01)^300 is beyond float range; Z0 and Z_r are inf
+    # while F, E and S stay exact
+    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
+    pot = harmonic_potential(1.0, [0.01] * 300)
+    assert z0_integral(pot, 1.0) == math.inf
+    pred = kw_expansion(pot, params)
+    assert pred.Zr == math.inf
+    ratio = 300 * 1e-4 / 24.0
+    assert pred.z2_over_z0 == pytest.approx(ratio, rel=1e-12)
+    assert pred.Fr == pytest.approx(-300 * math.log(2 * math.pi / 0.01) + 0.01 * ratio, rel=1e-13)
+    assert pred.Er == pytest.approx(300.0 + 0.02 * ratio, rel=1e-13)
+
+
 def test_results_independent_of_slab_size(monkeypatch):
     params = PhysicalParams(T=0.8, h=0.2, m=1.3)
     potentials = [
@@ -242,14 +356,29 @@ def test_results_independent_of_slab_size(monkeypatch):
 
 
 def test_quadrature_memory_stays_per_slab():
-    pot = harmonic_potential(1.0, [0.7, 1.1, 1.9])
-    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
-    kw_expansion(pot, params)
-    tracemalloc.start()
-    try:
+    split = harmonic_potential(1.0, [0.7, 1.1, 1.9])
+    # as one block the three axes share one 3-D grid, streamed in slabs
+    for pot in (split, dataclasses.replace(split, blocks=((0, 1, 2),))):
+        params = PhysicalParams(T=1.0, h=0.1, m=1.0)
         kw_expansion(pot, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one float array over the full order-64 grid would take 64^3 * 8 bytes
-    assert peak < 64**3 * 8
+        tracemalloc.start()
+        try:
+            kw_expansion(pot, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float array over the full order-64 grid would take 64^3 * 8 bytes
+        assert peak < 64**3 * 8
+
+
+def test_slabs_stay_small_in_many_dimensions():
+    # a one-axis block of a potential in 10^4 dimensions: the slabs hold no
+    # more coordinates than those of a 4-D grid, and together cover the grid
+    n, cap = 10**4, semiclassical.CHUNK_POINTS * semiclassical.MAX_TENSOR_DIMENSION
+    nodes = weight = 0.0
+    for x, w in _grid_slabs([(-2.0, 3.0)], 64, (7,), n):
+        assert x.shape == (len(w), n) and x.size <= cap
+        assert not x[:, :7].any() and not x[:, 8:].any()
+        nodes += len(w)
+        weight += w.sum()
+    assert nodes == 64 and weight == pytest.approx(5.0, rel=1e-14)
