@@ -27,6 +27,7 @@ from .core import (
     OscillatorSpec,
     PhysicalParams,
     ValidationError,
+    reduce_rho,
 )
 from .expressions import parse_number, parse_potential
 from .gibbs import (
@@ -47,12 +48,7 @@ MAX_DRUM_EDGES = 10
 
 
 def _number_list(text: str) -> list[float]:
-    try:
-        return [parse_number(part) for part in text.split(",") if part.strip()]
-    except ValidationError:
-        raise
-    except Exception as exc:
-        raise ValidationError(f"malformed number list {text!r}") from exc
+    return [parse_number(part) for part in text.split(",") if part.strip()]
 
 
 def _finite(x: float, name: str) -> float:
@@ -158,7 +154,10 @@ def cmd_sweep(args) -> None:
     system = _build_system(args)
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
-    grid = tuple(args.start * args.factor**k for k in range(args.points))
+    try:
+        grid = tuple(args.start * args.factor**k for k in range(args.points))
+    except OverflowError:
+        raise ValidationError("sweep grid is beyond float range") from None
     plan = SweepPlan(
         system=args.system,
         direction=args.direction,
@@ -222,7 +221,7 @@ def cmd_hear_drum(args) -> None:
         raise ValidationError(f"at most {MAX_DRUM_EDGES} edges supported, got {n}")
     T, m = args.T, args.m
     count = max(args.samples, n + 2)
-    rho_unit = math.sqrt(math.pi / (2.0 * m * T))
+    rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
     # the classical statistical sum does not depend on h
     log_zc = well_classical(PhysicalParams(T=T, h=0.0, m=m), geom).log_Z
     samples = []

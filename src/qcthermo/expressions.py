@@ -359,7 +359,7 @@ _NUMBER_PI = re.compile(
 
 
 def parse_number(text: str) -> float:
-    """Float parser for CLI flags; accepts forms like 2pi, pi/2, 1.5e-3."""
+    """Finite float parser for CLI flags; accepts forms like 2pi, pi/2, 1.5e-3."""
     m = _NUMBER_PI.match(text)
     if not m or (m.group("coef") is None and m.group("pi") is None):
         raise ValidationError(f"cannot parse number {text!r}")
@@ -369,5 +369,10 @@ def parse_number(text: str) -> float:
     if m.group("pi"):
         value *= math.pi
     if m.group("div") is not None:
-        value /= float(m.group("div"))
+        divisor = float(m.group("div"))
+        if divisor == 0:
+            raise ValidationError(f"division by zero in number {text!r}")
+        value /= divisor
+    if not math.isfinite(value):
+        raise ValidationError(f"number {text!r} is beyond float range")
     return value

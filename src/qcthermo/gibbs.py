@@ -2,9 +2,11 @@
 
 The discrete functional F(P) = sum P_n E_n + T sum P_n log P_n is minimized
 over the simplex; the minimizer is the Gibbs distribution P_n proportional
-to exp(-E_n/T) with minimum value -T log Z.  A phase-space discretization of
-the continuous version is verified against the closed forms of the box and
-the oscillator.
+to exp(-E_n/T) with minimum value -T log Z.  F is a sum of one-variable
+terms, so the first- and second-order conditions of that minimum are
+certified level by level, from difference quotients of each level's own
+term.  A phase-space discretization of the continuous version is verified
+against the closed forms of the box and the oscillator.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
 
 MAX_ITERATIONS = 10**5
 TAIL_BOUND_REL = 1e-12
+# step of the per-level difference quotients, relative to each P_n
+STEP_REL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -156,39 +160,35 @@ def minimize_free_energy(levels: LevelSet, T: float, tol: float) -> MinimizeResu
     return MinimizeResult(point, free_energy_functional(levels, T, point), iteration)
 
 
-def hessian_positivity_check(
-    levels: LevelSet, T: float, point: SimplexPoint, step: float = 1e-3
-) -> bool:
-    """Finite-difference check of the curvature structure of F.
+def _level_quotients(energies: np.ndarray, T: float, p: np.ndarray):
+    """Each level's term t_n = P E_n + T P log P at P_n and P_n -/+ h_n, h_n =
+    STEP_REL * P_n, from _free_energy itself (a last axis of length 1 gives one
+    term per level).  Returns whether F(P) is the fsum of the terms to rounding
+    (the separability that makes the Hessian diagonal), their central first
+    differences, and their second differences divided by h twice, so that h^2
+    never underflows."""
+    h = STEP_REL * p
+    if not np.all(h >= np.finfo(float).tiny):
+        raise ValidationError("interior simplex point required")
+    stencil = p + np.array([[-1.0], [0.0], [1.0]]) * h
+    lo, mid, hi = _free_energy(energies[:, None], T, stencil[..., None])
+    error = abs(float(_free_energy(energies, T, p)) - math.fsum(mid))
+    separable = bool(error <= 64.0 * np.finfo(float).eps * math.fsum(np.abs(mid)))
+    return separable, (hi - lo) / (2.0 * h), (hi - 2.0 * mid + lo) / h / h
 
-    The diagonal second differences must be positive (they approximate
-    T/P_n) and the mixed second differences must vanish relative to the
-    diagonal scale.  Steps are relative to each coordinate so that
-    near-boundary points keep the diagonal growth T/P_n resolvable.
+
+def hessian_positivity_check(levels: LevelSet, T: float, point: SimplexPoint) -> bool:
+    """Second-order certificate of the convexity of F at an interior point.
+
+    F is a sum of one-variable terms, so its Hessian is diagonal with
+    entries T/P_n: the check holds iff F(P) is the sum of its per-level
+    terms and every term's second difference is positive.  Each level is
+    judged on its own scale, so levels far above the ground still count.  A
+    P_n whose step is 0 or subnormal (P_n below ~2e-305) raises ValidationError.
     """
     p = np.array(point.probabilities)
-    if np.any(p <= 0):
-        raise ValidationError("interior simplex point required")
-    e = np.array(levels.energies)
-    hs = step * p
-    shifts = np.diag(hs)  # row i moves coordinate i by hs[i]
-    f0 = _free_energy(e, T, p)
-    diag = (_free_energy(e, T, p + shifts) - 2.0 * f0 + _free_energy(e, T, p - shifts)) / hs**2
-    if np.any(diag <= 0):
-        return False
-    f_scale = abs(f0) + 1.0
-    for i in range(len(p) - 1):
-        # every pair (i, j > i) at once: the rows of dj move j = i+1, ..., n-1
-        di, dj, hj = shifts[i], shifts[i + 1 :], hs[i + 1 :]
-        mixed = (
-            _free_energy(e, T, p + di + dj) - _free_energy(e, T, p + di - dj)
-            - _free_energy(e, T, p - di + dj) + _free_energy(e, T, p - di - dj)
-        ) / (4.0 * hs[i] * hj)
-        # cancellation is exact in exact arithmetic; allow FD roundoff
-        noise = 64.0 * np.finfo(float).eps * f_scale / (4.0 * hs[i] * hj)
-        if np.any(np.abs(mixed) > 1e-3 * np.sqrt(diag[i] * diag[i + 1 :]) + noise):
-            return False
-    return True
+    separable, _, curvature = _level_quotients(np.array(levels.energies), T, p)
+    return separable and bool(np.all(curvature > 0))
 
 
 @dataclass(frozen=True)
@@ -205,18 +205,16 @@ def classical_phase_space_check(
     params: PhysicalParams,
     system: BoxGeometry | OscillatorSpec,
     grid_resolution: int = 256,
-    rng: np.random.Generator | None = None,
 ) -> PhaseSpaceCheck:
     """Trapezoidal phase-space quadrature against the closed forms.
 
-    Reproduces Z_c and E_c of the 1-D box and oscillator, and checks that
-    random simplex-preserving perturbations of the discretized Gibbs
-    density never decrease the free energy.
+    Reproduces Z_c and E_c of the 1-D box and oscillator, and certifies
+    that the discretized Gibbs density minimizes the discrete free energy:
+    first-order (equal slopes) and second-order (positive curvature)
+    conditions from each cell's own term.
     """
     if grid_resolution < 64:
         raise ValidationError("grid_resolution must be >= 64 per axis")
-    if rng is None:
-        rng = np.random.default_rng(0)
     T, m = params.T, params.m
     p_max = 12.0 * math.sqrt(m * T)
 
@@ -268,29 +266,19 @@ def classical_phase_space_check(
         )
     e_quad = float(np.sum(ham * boltz * cell)) / z_quad
 
-    # Variational test: the discretized Gibbs density minimizes the
-    # discrete free energy among nearby densities.
+    # Variational test: the discretized Gibbs density is a stationary point
+    # of the discrete free energy sum P (H - T log cell) + T sum P log P on
+    # the simplex (every cell's slope equal) and each cell's term is convex.
     prob = boltz * cell
     prob /= prob.sum()
-    mask = prob.ravel() > 1e-300
-    pv = prob.ravel()[mask]
-    hv = ham.ravel()[mask]
-    cv = cell.ravel()[mask]
-
-    def free_energy(pvec):
-        return float(np.sum(pvec * hv) + T * np.sum(pvec * np.log(pvec / cv)))
-
-    f0 = free_energy(pv)
-    variational_ok = True
-    for _ in range(20):
-        d = rng.normal(size=pv.size)
-        d -= d.mean()
-        scale = 0.1 * np.min(pv / (np.abs(d) + 1e-300))
-        trial = pv + scale * d
-        trial /= trial.sum()
-        if free_energy(trial) < f0 - 1e-12 * (1.0 + abs(f0)):
-            variational_ok = False
-            break
+    mask = prob > 1e-300
+    pv = prob[mask]
+    energy = ham[mask] - T * np.log(cell[mask])
+    separable, slope, curvature = _level_quotients(energy, T, pv)
+    # the O(h^2) error of a central difference is the same -T h^2/(6 P^2) in
+    # every cell, so the slopes differ by rounding only
+    tol = 1e-9 * np.max(np.abs(energy) + T * np.abs(np.log(pv)))
+    variational_ok = separable and bool(np.all(curvature > 0) and np.ptp(slope) <= tol)
 
     return PhaseSpaceCheck(
         z_quadrature=z_quad,

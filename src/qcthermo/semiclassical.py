@@ -334,9 +334,14 @@ def _log_z0(offset: float, blocks: list[np.ndarray], T: float) -> float:
 
 def _grad2_mean(blocks: list[np.ndarray], m: float, T: float) -> float:
     """Z2/Z0 = sum_j <|grad_{B_j} V|^2>_j / (24 m T^3), each block checked."""
+    try:
+        scale = 24.0 * m * T**3
+    except OverflowError:
+        scale = math.inf
+    if not 0.0 < scale < math.inf:
+        raise IntegrationError("24 m T^3 is beyond float range")
     return math.fsum(
-        _stable(moments, INT_B_GRAD2) / (24.0 * m * T**3) / moments[0, INT_B]
-        for moments in blocks
+        _stable(moments, INT_B_GRAD2) / scale / float(moments[0, INT_B]) for moments in blocks
     )
 
 
@@ -390,6 +395,7 @@ def kw_expansion(potential: PotentialField, params: PhysicalParams) -> KWPredict
         _stable(moments, INT_BV, INT_B_ABS_V) / moments[0, INT_B] for moments in blocks
     ) - offset
 
+    # 2 pi m T is a positive float wherever 24 m T^3 is (_grad2_mean)
     log_prefactor = 0.5 * n * math.log(2.0 * math.pi * m * T)
     f_c = -T * (log_prefactor + log_z0)
     e_c = 0.5 * n * T + v_mean

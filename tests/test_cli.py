@@ -1,17 +1,22 @@
+import contextlib
 import csv
 import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcthermo.cli import run
 from qcthermo.core import BoxGeometry, PhysicalParams, reduce_well
+from qcthermo.sweeps import OSCILLATOR_DIRECTIONS, WELL_DIRECTIONS
 from qcthermo.well import well_classical, well_regularized
 
 SCHEMA = json.loads(
@@ -141,6 +146,11 @@ def test_validation_exit_code(capsys):
         # five coupled axes are beyond the tensor quadrature
         ["kw", "--potential", "(x1+x2+x3+x4+x5)^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2",
          "--dim", "5", "--T", "1", "--h", "0.1"],
+        # a number list holding a division by zero or a number beyond float range
+        ["eval", "--system", "well", "--edges", "1/0", "--T", "1", "--h", "1"],
+        ["eval", "--system", "oscillator", "--omega", "1,pi/0", "--T", "1", "--h", "1"],
+        ["eval", "--system", "well", "--edges", "1e999", "--T", "1", "--h", "1"],
+        ["gibbs", "--levels", "0,1e999", "--T", "1"],
     ):
         code = run(args)
         err = capsys.readouterr().err
@@ -336,3 +346,131 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     jsonschema.validate(json.loads(target.read_text()), SCHEMA)
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr, warning messages, argparse usage error) of
+    cli.run; any other exception propagates as the traceback it would print."""
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse rejected a flag value
+            code, usage = exc.code, True
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught], usage
+
+
+def check_contract(argv):
+    """Exit 0, 2 or 3 with no warning; one error line, or argparse's usage
+    error; on exit 0 schema-valid JSON with F = E - T S for eval."""
+    code, out, err, caught, usage = run_captured(argv)
+    assert not caught, (argv, caught)
+    if usage:
+        assert code == 2 and err.startswith("usage: ") and "error: argument" in err, err
+        return code, None
+    assert code in (0, 2, 3), argv
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        return code, None
+    assert err == ""
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    if payload["command"] == "eval":
+        T = payload["params"]["T"]
+        for q in (payload["classical"], payload["regularized"]):
+            scale = max(abs(q["E"]), abs(T * q["S"]), abs(q["F"]), 1e-300)
+            assert abs(q["F"] - (q["E"] - T * q["S"])) <= 1e-12 * scale, (argv, q)
+    return code, payload
+
+
+def test_range_reproducers():
+    # a flag value that is no finite number is argparse's usage error
+    for value in ("1/0", "pi/0", "1e999"):
+        assert check_contract(["eval", "--system", "well", "--edges", "1",
+                               "--T", value, "--h", "1"]) == (2, None)
+    # 24 m T^3 underflows to 0
+    assert check_contract(["kw", "--omega", "1", "--T", "1e-200", "--h", "1e-200",
+                           "--m", "1e-200"]) == (3, None)
+    # z2/z0 = omega^2/(24 T^2) = 4e317 is beyond float range: inf, with no warning
+    assert check_contract(["kw", "--omega", "1e60", "--T", "1e-100", "--h", "1e-200",
+                           "--m", "1"]) == (3, None)
+    # 2 m T overflows; rho's unit is taken factor by factor
+    code, payload = check_contract(["hear-drum", "--edges", "1,2", "--T", "1e200",
+                                    "--m", "1e200"])
+    assert code == 0
+    assert payload["recovered_edges"] == pytest.approx([1.0, 2.0], rel=1e-9)
+    # factor**k overflows on the grid, or the last start * factor**k does
+    for start, factor in (("1", "1e300"), ("1e300", "100")):
+        assert check_contract(["sweep", "--system", "well", "--direction", "h_to_0",
+                               "--edges", "1", "--start", start, "--factor", factor,
+                               "--points", "6", "--T", "1", "--h", "1"]) == (2, None)
+    # N beyond MAX_N is a row error, found before any geometry is built
+    for start in ("2e220", "1e16"):
+        code, payload = check_contract(["sweep", "--system", "well", "--direction", "N_to_inf",
+                                        "--edges", "1", "--start", start, "--factor", "2",
+                                        "--points", "6", "--T", "1", "--h", "1"])
+        assert code == 0
+        assert all(row["error"].startswith("ValidationError: N must be <= 1000000, got ")
+                   for row in payload["rows"])
+
+
+def number(lo=-300.0, hi=300.0):
+    """A log-uniform positive number, printed as the CLI reads it."""
+    return st.floats(min_value=lo, max_value=hi).map(lambda x: repr(10.0**x))
+
+
+def number_list(max_size=3):
+    return st.lists(number(), min_size=1, max_size=max_size).map(",".join)
+
+
+@st.composite
+def physics(draw, need_h=True):
+    argv = ["--T", draw(number()), "--m", draw(number())]
+    return argv + ["--h", draw(number())] if need_h else argv
+
+
+@st.composite
+def eval_argv(draw):
+    system = draw(st.sampled_from(["well", "oscillator"]))
+    flag = "--edges" if system == "well" else "--omega"
+    return ["eval", "--system", system, flag, draw(number_list())] + draw(physics())
+
+
+@st.composite
+def sweep_argv(draw):
+    system = draw(st.sampled_from(["well", "oscillator"]))
+    flag = "--edges" if system == "well" else "--omega"
+    directions = WELL_DIRECTIONS if system == "well" else OSCILLATOR_DIRECTIONS
+    direction = draw(st.sampled_from(directions))
+    points = draw(st.integers(min_value=6, max_value=8))
+    if direction == "N_to_inf":  # N from 1 to 1e5 along the grid
+        start, end = draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0))
+        grid = [repr(10.0**start), repr(10.0 ** ((end - start) / (points - 1)))]
+    else:
+        grid = [draw(number()), draw(number())]
+    return (["sweep", "--system", system, "--direction", direction,
+             flag, draw(number_list(max_size=2)), "--start", grid[0], "--factor", grid[1],
+             "--points", str(points)] + draw(physics()))
+
+
+@st.composite
+def drum_argv(draw):
+    return ["hear-drum", "--edges", draw(number_list())] + draw(physics(need_h=False))
+
+
+@st.composite
+def kw_argv(draw):
+    field = draw(st.sampled_from([
+        ["--omega", draw(number_list(max_size=2))],
+        ["--potential", "x1^2 + 0.1*x1^4", "--dim", "1", "--scale", draw(number())],
+    ]))
+    return ["kw"] + field + draw(physics())
+
+
+@given(argv=st.one_of(eval_argv(), sweep_argv(), drum_argv(), kw_argv()))
+@settings(max_examples=200, deadline=None)
+def test_extreme_inputs_keep_the_exit_contract(argv):
+    check_contract(argv + ["--format", "json"])

@@ -22,7 +22,9 @@ def test_parse_number_forms():
 
 
 def test_parse_number_rejects_garbage():
-    for bad in ("", "two", "pi pi", "1..2", "1+1"):
+    for bad in ("", "two", "pi pi", "1..2", "1+1",
+                # no finite value: division by zero, overflow
+                "1/0", "pi/0", "-2pi/0.0", "1e999", "-1e999", "1e300/1e-300"):
         with pytest.raises(ValidationError):
             parse_number(bad)
 

@@ -1,10 +1,13 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcthermo import gibbs
 from qcthermo.core import BoxGeometry, OscillatorSpec, PhysicalParams, ValidationError
 from qcthermo.gibbs import (
     LevelSet,
@@ -136,6 +139,82 @@ def test_hessian_positivity():
     assert hessian_positivity_check(levels, 1.0, point)
     # also away from the minimizer; the Hessian is diagonal everywhere
     assert hessian_positivity_check(levels, 1.0, SimplexPoint([0.2, 0.3, 0.5]))
+
+
+@pytest.mark.parametrize("levels", [
+    oscillator_level_set(PhysicalParams(T=1.0, h=0.5, m=1.0), 1.0),  # 60 levels
+    well_level_set(PhysicalParams(T=1.0, h=0.3, m=1.0), 1.0),  # 10 levels
+], ids=["oscillator", "well"])
+def test_hessian_check_holds_far_above_the_ground(levels):
+    # the top levels sit 30 T (oscillator) and 44 T (well) above the ground
+    assert hessian_positivity_check(levels, 1.0, gibbs_closed_form(levels, 1.0))
+
+
+@given(span=st.floats(min_value=30.0, max_value=50.0),
+       raw=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=8, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_hessian_check_holds_for_levels_spanning_30_to_50_T(span, raw):
+    levels = LevelSet(sorted([0.0, span] + [span * r for r in raw]))
+    assert hessian_positivity_check(levels, 1.0, gibbs_closed_form(levels, 1.0))
+
+
+def test_hessian_check_is_linear_in_the_levels():
+    # 3700 levels spanning 42 T, as the CLI's gibbs ladder
+    T = 1.3
+    levels = LevelSet([T * 42.0 / 3700 * (k + 0.5) for k in range(3700)])
+    point = gibbs_closed_form(levels, T)
+    start = time.perf_counter()
+    assert hessian_positivity_check(levels, T, point)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_hessian_check_needs_a_resolvable_step():
+    # P_1 = 4.2e-322, whose step underflows to 0, and 2.2e-310, whose step is
+    # subnormal and has lost most of its digits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for top in (740.0, 713.0):
+            levels = LevelSet([0.0, top])
+            for p in (gibbs_closed_form(levels, 1.0), SimplexPoint([1.0, 0.0])):
+                assert p.probabilities[1] < 1e-309
+                with pytest.raises(ValidationError, match="interior simplex point required"):
+                    hessian_positivity_check(levels, 1.0, p)
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda f, e, T, p: f(e, -T, p),  # the entropy's sign flipped
+    lambda f, e, T, p: -f(e, T, p),  # stationary at the same point, but concave
+    lambda f, e, T, p: f(e, T, p) + 0.3 * np.sum(p, axis=-1) ** 2,  # convex, not separable
+    lambda f, e, T, p: f(e, T, p) + 1e-9 * np.sum(p, axis=-1) ** 2,  # barely so
+], ids=["entropy_sign", "negated", "non_separable", "weakly_non_separable"])
+def test_certificates_reject_a_wrong_functional(wrong, monkeypatch):
+    levels = LevelSet([0.0, 1.0, 2.0, 3.5])
+    point = gibbs_closed_form(levels, 1.0)
+    params = PhysicalParams(T=1.3, h=0.0, m=0.8)
+    kernel = gibbs._free_energy
+    monkeypatch.setattr(gibbs, "_free_energy", lambda e, T, p: wrong(kernel, e, T, p))
+    assert not hessian_positivity_check(levels, 1.0, point)
+    for system in (OscillatorSpec([1.7]), BoxGeometry([2.0])):
+        assert not classical_phase_space_check(params, system).variational_ok
+
+
+def test_phase_space_certificate_needs_the_gibbs_density(monkeypatch):
+    # a separable convex F whose minimizer is the Gibbs density of energies
+    # larger by a factor 1 + 1e-6: only the equal-slope condition can tell
+    kernel = gibbs._free_energy
+    monkeypatch.setattr(gibbs, "_free_energy", lambda e, T, p: kernel(e * (1 + 1e-6), T, p))
+    levels = LevelSet([0.0, 1.0, 2.0, 3.5])
+    assert hessian_positivity_check(levels, 1.0, gibbs_closed_form(levels, 1.0))
+    params = PhysicalParams(T=1.3, h=0.0, m=0.8)
+    for system in (OscillatorSpec([1.7]), BoxGeometry([2.0])):
+        assert not classical_phase_space_check(params, system).variational_ok
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e3])
+def test_phase_space_certificate_across_temperatures(T):
+    params = PhysicalParams(T=T, h=0.0, m=1.0)
+    for system in (OscillatorSpec([1.0]), BoxGeometry([2.0])):
+        assert classical_phase_space_check(params, system).variational_ok
 
 
 def test_oscillator_level_set_tail_bound():
