@@ -11,6 +11,9 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
+import importlib.util
+import sys
+
 from .core import (
     BoxGeometry,
     ComparisonReport,
@@ -22,24 +25,11 @@ from .core import (
     ReducedParams,
     ThermoQuartet,
     ValidationError,
+    parse_number,
     reduce_oscillator,
     reduce_rho,
     reduce_well,
     sign_with_zero_band,
-)
-from .expressions import parse_number, parse_potential
-from .gibbs import (
-    LevelSet,
-    MinimizeResult,
-    PhaseSpaceCheck,
-    SimplexPoint,
-    classical_phase_space_check,
-    free_energy_functional,
-    gibbs_closed_form,
-    hessian_positivity_check,
-    minimize_free_energy,
-    oscillator_level_set,
-    well_level_set,
 )
 from .oscillator import (
     BernoulliSeries,
@@ -52,14 +42,6 @@ from .oscillator import (
     osc_classical,
     osc_regularized,
     series_eval,
-)
-from .semiclassical import (
-    KWPrediction,
-    PotentialField,
-    harmonic_potential,
-    kw_expansion,
-    z0_integral,
-    z2_integral,
 )
 from .sweeps import (
     FitResult,
@@ -93,6 +75,53 @@ from .well import (
     well_regularized,
 )
 
+# The modules that import numpy, and the public names of each.  Each is put
+# in sys.modules unexecuted and runs on its first attribute access, so `eval`
+# and `sweep` never import numpy.  Being in sys.modules from the start, they
+# are found by code that looks a module up there, as the benchmark's tracer
+# does.  The names are listed here because reading __all__ would load them.
+_LAZY = {
+    "expressions": ("parse_potential",),
+    "gibbs": (
+        "LevelSet", "MinimizeResult", "PhaseSpaceCheck", "SimplexPoint",
+        "classical_phase_space_check", "free_energy_functional", "gibbs_closed_form",
+        "hessian_positivity_check", "minimize_free_energy", "oscillator_level_set",
+        "well_level_set",
+    ),
+    "semiclassical": (
+        "KWPrediction", "PotentialField", "harmonic_potential", "kw_expansion",
+        "z0_integral", "z2_integral",
+    ),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def _lazy_module(name: str):
+    """Register qcthermo.<name> unexecuted; it runs on first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+expressions = _lazy_module("expressions")
+gibbs = _lazy_module("gibbs")
+semiclassical = _lazy_module("semiclassical")
+
+
+def __getattr__(name: str):
+    if name in _LAZY_NAMES:
+        return getattr(globals()[_LAZY_NAMES[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES})
+
+
 __all__ = [
     "__version__",
     # core
@@ -123,6 +152,6 @@ __all__ = [
     # sweeps
     "SweepPlan", "SweepRow", "FitResult", "SweepResult",
     "comparison_report", "run_sweep", "fit_leading_order",
-    # expressions
+    # expressions (parse_number lives in core)
     "parse_potential", "parse_number",
 ]

@@ -16,8 +16,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .core import (
     BoxGeometry,
@@ -27,18 +25,10 @@ from .core import (
     OscillatorSpec,
     PhysicalParams,
     ValidationError,
+    parse_number,
     reduce_rho,
 )
-from .expressions import parse_number, parse_potential
-from .gibbs import (
-    LevelSet,
-    _free_energy,
-    free_energy_functional,
-    gibbs_closed_form,
-    minimize_free_energy,
-)
 from .oscillator import osc_regularized
-from .semiclassical import PotentialField, harmonic_potential, kw_expansion
 from .sweeps import RESIDUAL_NAMES, SweepPlan, comparison_report, run_sweep
 from .well import hear_the_drum, well_classical, well_regularized
 
@@ -63,11 +53,13 @@ def _sanitize(obj, path="$"):
         return {k: _sanitize(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v, f"{path}[{i}]") for i, v in enumerate(obj)]
-    if isinstance(obj, (bool, np.bool_)):
+    # numpy scalars exist only once a subcommand has loaded numpy
+    np = sys.modules.get("numpy")
+    if isinstance(obj, bool) or np is not None and isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
         return _finite(obj, path)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
         return int(obj)
     return obj
 
@@ -247,6 +239,16 @@ def cmd_hear_drum(args) -> None:
 
 
 def cmd_gibbs(args) -> None:
+    import numpy as np
+
+    from .gibbs import (
+        LevelSet,
+        _free_energy,
+        free_energy_functional,
+        gibbs_closed_form,
+        minimize_free_energy,
+    )
+
     energies = _number_list(args.levels)
     levels = LevelSet(sorted(energies))
     if args.tol <= 0:
@@ -288,6 +290,9 @@ def cmd_gibbs(args) -> None:
 
 
 def cmd_kw(args) -> None:
+    from .expressions import parse_potential
+    from .semiclassical import PotentialField, harmonic_potential, kw_expansion
+
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
     if args.potential:
         dim = args.dim

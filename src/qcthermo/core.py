@@ -1,4 +1,5 @@
-"""Shared domain types, validation and dimensionless parameter reductions.
+"""Shared domain types, validation, dimensionless parameter reductions and
+the number parser of the command-line flags.
 
 Units: k_B = 1 (temperatures are energies), h carries action units, m mass
 units.  h = 0 is accepted by the reductions as the classical limit point;
@@ -8,6 +9,7 @@ operations that evaluate quantum sums reject it.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -26,6 +28,7 @@ __all__ = [
     "reduce_oscillator",
     "reduce_rho",
     "sign_with_zero_band",
+    "parse_number",
 ]
 
 # |d| <= ZERO_BAND*(1+|reference|) counts as zero when classifying signs;
@@ -263,3 +266,29 @@ def reduce_oscillator(params: PhysicalParams, spec: OscillatorSpec) -> ReducedPa
         delta=max(tau),
         kappa=min(tau),
     )
+
+
+_NUMBER_PI = re.compile(
+    r"(?i)^\s*(?P<sign>[+-])?\s*(?P<coef>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*"
+    r"(?P<pi>pi)?\s*(?:/\s*(?P<div>[+-]?(?:\d+\.?\d*|\.\d+)))?\s*$"
+)
+
+
+def parse_number(text: str) -> float:
+    """Finite float parser for CLI flags; accepts forms like 2pi, pi/2, 1.5e-3."""
+    m = _NUMBER_PI.match(text)
+    if not m or (m.group("coef") is None and m.group("pi") is None):
+        raise ValidationError(f"cannot parse number {text!r}")
+    value = float(m.group("coef")) if m.group("coef") is not None else 1.0
+    if m.group("sign") == "-":
+        value = -value
+    if m.group("pi"):
+        value *= math.pi
+    if m.group("div") is not None:
+        divisor = float(m.group("div"))
+        if divisor == 0:
+            raise ValidationError(f"division by zero in number {text!r}")
+        value /= divisor
+    if not math.isfinite(value):
+        raise ValidationError(f"number {text!r} is beyond float range")
+    return value

@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import ValidationError
 
-__all__ = ["parse_potential", "parse_number"]
+__all__ = ["parse_potential"]
 
 # integer exponents up to this magnitude are expanded into multiplications
 MAX_INT_POWER = 16
@@ -351,28 +351,3 @@ def parse_potential(text: str, dimension: int):
     fn(np.zeros((1, dimension)))  # the origin probe: a tree too deep to evaluate fails here
     return fn
 
-
-_NUMBER_PI = re.compile(
-    r"(?i)^\s*(?P<sign>[+-])?\s*(?P<coef>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?\s*"
-    r"(?P<pi>pi)?\s*(?:/\s*(?P<div>[+-]?(?:\d+\.?\d*|\.\d+)))?\s*$"
-)
-
-
-def parse_number(text: str) -> float:
-    """Finite float parser for CLI flags; accepts forms like 2pi, pi/2, 1.5e-3."""
-    m = _NUMBER_PI.match(text)
-    if not m or (m.group("coef") is None and m.group("pi") is None):
-        raise ValidationError(f"cannot parse number {text!r}")
-    value = float(m.group("coef")) if m.group("coef") is not None else 1.0
-    if m.group("sign") == "-":
-        value = -value
-    if m.group("pi"):
-        value *= math.pi
-    if m.group("div") is not None:
-        divisor = float(m.group("div"))
-        if divisor == 0:
-            raise ValidationError(f"division by zero in number {text!r}")
-        value /= divisor
-    if not math.isfinite(value):
-        raise ValidationError(f"number {text!r} is beyond float range")
-    return value

@@ -183,11 +183,14 @@ def hessian_positivity_check(levels: LevelSet, T: float, point: SimplexPoint) ->
     F is a sum of one-variable terms, so its Hessian is diagonal with
     entries T/P_n: the check holds iff F(P) is the sum of its per-level
     terms and every term's second difference is positive.  Each level is
-    judged on its own scale, so levels far above the ground still count.  A
-    P_n whose step is 0 or subnormal (P_n below ~2e-305) raises ValidationError.
+    judged on its own scale, so levels far above the ground still count.  The
+    energies are measured from the lowest level, which leaves the curvature as
+    it is and keeps a large common offset from rounding it away.  A P_n whose
+    step is 0 or subnormal (P_n below ~2e-305) raises ValidationError.
     """
     p = np.array(point.probabilities)
-    separable, _, curvature = _level_quotients(np.array(levels.energies), T, p)
+    energies = np.array(levels.energies)
+    separable, _, curvature = _level_quotients(energies - energies.min(), T, p)
     return separable and bool(np.all(curvature > 0))
 
 

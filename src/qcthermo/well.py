@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (
     BoxGeometry,
     InversionError,
@@ -180,6 +178,8 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
     squares in the monomial basis (columns scaled by rho powers); its roots
     in rho are the edges.
     """
+    import numpy as np
+
     samples = [(float(r), float(v)) for r, v in samples]
     if n_edges < 1:
         raise ValidationError("n_edges must be >= 1")

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -274,8 +275,6 @@ def test_argparse_exit_code():
 
 
 def cli_bytes(args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -285,6 +284,37 @@ def cli_bytes(args, env_extra=None):
         env=env,
     )
     return proc.returncode, proc.stdout
+
+
+NO_NUMPY_CHILD = """
+import json, sys
+
+def check(step):
+    assert "numpy" not in sys.modules, f"numpy imported by {step}"
+
+import qcthermo
+check("import qcthermo")
+import qcthermo.cli
+check("import qcthermo.cli")
+for argv in json.loads(sys.argv[1]):
+    assert qcthermo.cli.run(argv) == 0, argv
+    check(argv)
+"""
+
+
+def test_eval_and_sweep_never_import_numpy(tmp_path):
+    argvs = [
+        EVAL_ARGS,
+        ["eval", "--system", "oscillator", "--omega", "1,2", "--T", "1", "--h", "0.5"],
+        SWEEP_ARGS + ["--format", "csv", "--out", str(tmp_path / "sweep.csv")],
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").read_text().startswith("swept_value,")
 
 
 def test_numpy_warnings_stay_off_stderr():

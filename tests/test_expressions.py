@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qcthermo import parse_number
 from qcthermo.core import ValidationError
-from qcthermo.expressions import parse_number, parse_potential
+from qcthermo.expressions import parse_potential
 
 
 def test_parse_number_forms():

@@ -158,6 +158,14 @@ def test_hessian_check_holds_for_levels_spanning_30_to_50_T(span, raw):
     assert hessian_positivity_check(levels, 1.0, gibbs_closed_form(levels, 1.0))
 
 
+@pytest.mark.parametrize("offset", [1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16])
+def test_hessian_check_holds_at_large_level_offsets(offset):
+    # the curvature T/P_n does not see a common offset; rounding at
+    # eps*P*E_n would, once E_n passes ~1e12 at T = 1
+    levels = LevelSet([offset, offset + 1.0, offset + 2.0])
+    assert hessian_positivity_check(levels, 1.0, gibbs_closed_form(levels, 1.0))
+
+
 def test_hessian_check_is_linear_in_the_levels():
     # 3700 levels spanning 42 T, as the CLI's gibbs ladder
     T = 1.3
