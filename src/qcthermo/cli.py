@@ -41,27 +41,52 @@ def _number_list(text: str) -> list[float]:
     return [parse_number(part) for part in text.split(",") if part.strip()]
 
 
-def _finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ConvergenceError(f"non-finite value in output field {name!r}")
-    return x
+class _NonFinite(Exception):
+    """A non-finite output float; args gather its path, innermost key first."""
 
 
-def _sanitize(obj, path="$"):
+def _plain(obj):
+    """obj with numpy scalars made Python ones; _NonFinite at a non-finite float."""
     if isinstance(obj, dict):
-        return {k: _sanitize(v, f"{path}.{k}") for k, v in obj.items()}
+        out = {}
+        for k, v in obj.items():
+            try:
+                out[k] = _plain(v)
+            except _NonFinite as exc:
+                exc.args += (f".{k}",)
+                raise
+        return out
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+        items = []
+        for i, v in enumerate(obj):
+            try:
+                items.append(_plain(v))
+            except _NonFinite as exc:
+                exc.args += (f"[{i}]",)
+                raise
+        return items
     # numpy scalars exist only once a subcommand has loaded numpy
     np = sys.modules.get("numpy")
     if isinstance(obj, bool) or np is not None and isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
-        return _finite(obj, path)
+        x = float(obj)
+        if not math.isfinite(x):
+            raise _NonFinite()
+        return x
     if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
         return int(obj)
     return obj
+
+
+def _sanitize(obj):
+    """_plain(obj); a non-finite float is a ConvergenceError naming its field
+    as $.key[index], a path built only for that field."""
+    try:
+        return _plain(obj)
+    except _NonFinite as exc:
+        path = "$" + "".join(reversed(exc.args))
+        raise ConvergenceError(f"non-finite value in output field {path!r}") from None
 
 
 def _emit(payload: dict, csv_rows, args) -> None:

@@ -14,9 +14,11 @@ so a separable potential costs N grids of one axis, in any dimension, and
 only the largest block counts against MAX_TENSOR_DIMENSION.  The built-in
 harmonic potential declares one block per axis, a parsed potential joins the
 axes of its top-level terms, and an opaque callable is one block.  Each block
-finds its own box, and each order makes one pass over the block's grid,
-streamed in slabs of CHUNK_POINTS nodes: V is evaluated once per node and all
-moments come from the same Boltzmann factor.  Each block's moments are checked
+finds its own box, the probes of all blocks' searches batched into a few
+calls of the potential.  Then the grids of every block and of both orders are
+packed into batches of at most CHUNK_POINTS nodes, so V and its gradient are
+called once per batch and evaluated once per node, and all moments come from
+the same Boltzmann factor.  Each block's moments are checked
 on their own against a reduced-order rule, and a moment that is not finite is
 rejected.  Z0 is carried as its logarithm.  The gradient is exact for the
 built-in harmonic potential and for potentials parsed by
@@ -159,60 +161,208 @@ def _origin(potential: PotentialField, T: float) -> float:
     return v0
 
 
-def _auto_bounds(
-    potential: PotentialField, T: float, axes: tuple[int, ...], v0: float
-) -> tuple[tuple[float, float], ...]:
-    """Symmetric bounds on the given axes with exp(-V/T) < 1e-16 * exp(-v0/T) outside.
+@functools.lru_cache(maxsize=None)
+def _signs(d: int) -> np.ndarray:
+    """The 2^d sign patterns of a box's corners, (+, ..., +) first; read-only."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
+    signs.flags.writeable = False
+    return signs
 
-    Every other axis is held at 0, and v0 is V(0) (see _origin).  Boltzmann
-    factors are compared through their exponents relative to the origin,
-    -(V - V(0))/T against log(1e-16), so no probe overflows however deep the
-    potential dips.  Each half-width is grown by doubling and then shrunk back
-    so the quadrature window stays as tight as the decay allows (wide windows
-    waste Gauss-Legendre nodes).
+
+# rungs of each ladder probed per round of the automatic bounds: enough for
+# the usual few doublings, and then the few shrinks, to take one round each
+_RUNGS = 8
+
+
+def _slab_points(n: int) -> int:
+    """Points per call of the evaluators: at most CHUNK_POINTS, and at most
+    CHUNK_POINTS * MAX_TENSOR_DIMENSION coordinates where n allows."""
+    return max(1, min(CHUNK_POINTS, CHUNK_POINTS * MAX_TENSOR_DIMENSION // n))
+
+
+def _ladders(starts, factor, width: int) -> np.ndarray:
+    """Row i is starts[i] times factor (a scalar or one per row) again and
+    again, width rungs, multiplied in order as repeated products are."""
+    ladders = np.empty((len(starts), width))
+    ladders[:, 0] = starts
+    ladders[:, 1:] = np.reshape(factor, (-1, 1))
+    return np.multiply.accumulate(ladders, axis=1)
+
+
+def _exponents(potential: PotentialField, T: float, v0: float, groups) -> list[np.ndarray]:
+    """-(V - v0)/T at the points of every (axes, coords) group.
+
+    axes has shape (g, d) and coords shape (g, m, d): the m points of row i
+    lie on the axes axes[i], every other axis at 0.  Each group's exponents
+    come back in shape (g, m).  The points of all groups are evaluated
+    together, _slab_points at a time.
     """
-    n = potential.dimension
-    cutoff = math.log(1e-16)
+    d = max(axes.shape[1] for axes, _ in groups)
+    cols, vals = [], []
+    for axes, coords in groups:
+        g, m, e = coords.shape
+        if e < d:
+            # a point on fewer axes repeats its last axis and coordinate,
+            # which writes the same value twice
+            axes = np.concatenate([axes] + [axes[:, -1:]] * (d - e), axis=1)
+            coords = np.concatenate([coords] + [coords[..., -1:]] * (d - e), axis=2)
+        cols.append(axes.repeat(m, axis=0))
+        vals.append(coords.reshape(g * m, d))
+    cols, vals = np.concatenate(cols), np.concatenate(vals)
+    v = np.empty(len(vals))
+    step = _slab_points(potential.dimension)
+    for start in range(0, len(vals), step):
+        s = slice(start, min(start + step, len(vals)))
+        x = np.zeros((s.stop - start, potential.dimension))
+        x[np.arange(len(x))[:, None], cols[s]] = vals[s]
+        v[s] = potential.value(x)
+    exponents = -(v - v0) / T
+    out, at = [], 0
+    for _, coords in groups:
+        g, m, _ = coords.shape
+        out.append(exponents[at : at + g * m].reshape(g, m))
+        at += g * m
+    return out
 
-    def face_exponent(axis, half):
-        x = np.zeros(n)
-        x[axis] = half
-        lo = -(float(potential.value(x)) - v0) / T
-        x[axis] = -half
-        return max(lo, -(float(potential.value(x)) - v0) / T)
 
-    halves = []
-    for k in axes:
-        half = potential.scale
-        prev = math.inf
-        for _ in range(200):
-            val = face_exponent(k, half)
-            if val < cutoff:
-                break
-            if val > prev + math.log(0.999999) and val >= 0.0:
-                raise IntegrationError(
-                    "Boltzmann factor does not decay; potential looks non-integrable"
-                )
-            prev = val
-            half *= 2.0
+def _half_widths(potential: PotentialField, T: float, v0: float, axes: list[int], cutoff: float):
+    """({axis: its half-width or the IntegrationError its search ends in},
+    the axes whose two faces at that half-width were both not nan).
+
+    A half-width doubles from potential.scale until the exponents at both
+    faces, +half and -half, are below the cutoff, then shrinks by 0.85 while
+    they stay below, so the quadrature window stays as tight as the decay
+    allows (wide windows waste Gauss-Legendre nodes).  Each round probes the
+    next _RUNGS rungs of every pending axis in one pass and reads them in
+    order; rungs past a turn or an end are ignored.
+    """
+    rise = math.log(0.999999)
+    ends, clean = {}, set()
+    # per pending axis: the next rung, its factor (2.0 doubling, 0.85
+    # shrinking), the last face exponent (doubling) or the half-width accepted
+    # so far (shrinking), the rungs doubled, and whether the accepted
+    # half-width's -half face was not nan (its +half face is not)
+    state = {k: (potential.scale, 2.0, math.inf, 0, False) for k in axes}
+    while state:
+        keys = list(state)
+        rungs = _ladders([state[k][0] for k in keys], [state[k][1] for k in keys], _RUNGS)
+        (faces,) = _exponents(
+            potential, T, v0,
+            [(np.array(keys)[:, None], (rungs.reshape(-1, 1, 1) * _signs(1)).reshape(len(keys), -1, 1))],
+        )
+        for k, ladder, pairs in zip(keys, rungs.tolist(), faces.reshape(len(keys), -1, 2).tolist()):
+            _, factor, last, doubled, seen = state.pop(k)
+            end = None
+            for rung, (lo, hi) in zip(ladder, pairs):
+                # Python's max, so a nan at the -half face alone is passed over
+                val = max(lo, hi)
+                if factor == 2.0:
+                    if val < cutoff:
+                        factor, last, seen = 0.85, rung, hi == hi
+                        break
+                    if val > last + rise and val >= 0.0:
+                        end = IntegrationError(
+                            "Boltzmann factor does not decay; potential looks non-integrable"
+                        )
+                        break
+                    last, doubled = val, doubled + 1
+                    if doubled == 200:
+                        end = IntegrationError("could not bound the integration domain")
+                        break
+                elif val < cutoff:
+                    # an infinite half-width cannot shrink
+                    if rung == last:
+                        end = IntegrationError("could not bound the integration domain")
+                        break
+                    last, seen = rung, hi == hi
+                else:
+                    end = last
+                    if seen:
+                        clean.add(k)
+                    break
+            if end is None:
+                state[k] = (factor * rung, factor, last, doubled, seen)
+            else:
+                ends[k] = end
+    return ends, clean
+
+
+def _corner_boxes(potential, T, v0, blocks, halves, clean, cutoff) -> list:
+    """Each block's box, or the IntegrationError its search ends in.
+
+    Corners may decay slower than face centres for non-separable potentials,
+    along any diagonal, so a block's half-widths grow by 1.3 until the
+    exponents at all 2^d corners are below the cutoff (numpy's max, so a nan
+    at any corner fails).  The first round probes every block's first rung in
+    one pass; a block that fails probes its next _RUNGS rungs a round.  A
+    one-axis block's first corners are its faces, which _half_widths has
+    probed: they pass if neither was nan (clean).
+    """
+    ends, tried = [None] * len(blocks), [0] * len(blocks)
+    state = {}
+    for j, block in enumerate(blocks):
+        if len(block) == 1 and block[0] in clean:
+            ends[j] = ((-halves[block[0]], halves[block[0]]),)
         else:
-            raise IntegrationError("could not bound the integration domain")
-        while face_exponent(k, 0.85 * half) < cutoff:
-            half *= 0.85
-        halves.append(half)
+            state[j] = [halves[k] for k in block]
+    width = 1
+    while state:
+        members = {}
+        for j in state:
+            members.setdefault(len(blocks[j]), []).append(j)
+        ladders, groups = [], []
+        for d, group in members.items():
+            # (block, axis, rung) -> (block, rung, axis)
+            rungs = _ladders([h for j in group for h in state[j]], 1.3, width)
+            rungs = rungs.reshape(len(group), d, width).transpose(0, 2, 1)
+            ladders.append(rungs)
+            corners = rungs[:, :, None, :] * _signs(d)
+            groups.append((np.array([blocks[j] for j in group]), corners.reshape(len(group), -1, d)))
+        probed = _exponents(potential, T, v0, groups)
+        for group, rungs, exponents in zip(members.values(), ladders, probed):
+            worst = exponents.reshape(len(group), width, -1).max(axis=2)
+            for j, boxes, vals in zip(group, rungs.tolist(), worst.tolist()):
+                del state[j]
+                for box, val in zip(boxes, vals):
+                    if val < cutoff:
+                        ends[j] = tuple((-h, h) for h in box)
+                        break
+                    tried[j] += 1
+                    if tried[j] == 60:
+                        ends[j] = IntegrationError("could not bound the integration domain")
+                        break
+                else:
+                    state[j] = [1.3 * h for h in box]
+        width = _RUNGS
+    return ends
 
-    # corners may decay slower than face centers for non-separable potentials,
-    # along any diagonal: all 2^d of the block's are probed (d <= MAX_TENSOR_DIMENSION)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(axes))))
-    corners = np.zeros((len(signs), n))
-    for _ in range(60):
-        corners[:, axes] = signs * halves
-        if float((-(potential.value(corners) - v0) / T).max()) < cutoff:
-            break
-        halves = [1.3 * h for h in halves]
-    else:
-        raise IntegrationError("could not bound the integration domain")
-    return tuple((-h, h) for h in halves)
+
+def _auto_bounds(
+    potential: PotentialField, T: float, blocks: tuple[tuple[int, ...], ...], v0: float
+) -> list[tuple[tuple[float, float], ...]]:
+    """One symmetric box per block with exp(-V/T) < 1e-16 * exp(-v0/T) outside.
+
+    Each block is probed on its own axes with every other axis at 0, and v0
+    is V(0) (see _origin).  Boltzmann factors are compared through their
+    exponents relative to the origin, -(V - V(0))/T against log(1e-16), so no
+    probe overflows however deep the potential dips.  Every axis's faces are
+    searched at once (_half_widths), then every block's corners
+    (_corner_boxes).  Boxes and errors are those of searching block by block
+    and axis by axis: the first error in that order is raised.
+    """
+    cutoff = math.log(1e-16)
+    halves, clean = _half_widths(potential, T, v0, [k for block in blocks for k in block], cutoff)
+    # blocks after one with a failed axis are never reached
+    reached = next(
+        (j for j, b in enumerate(blocks) if any(isinstance(halves[k], Exception) for k in b)),
+        len(blocks),
+    )
+    boxes = _corner_boxes(potential, T, v0, blocks[:reached], halves, clean, cutoff)
+    for j, block in enumerate(blocks):
+        for result in [halves[k] for k in block] + boxes[j : j + 1]:
+            if isinstance(result, Exception):
+                raise result
+    return boxes
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,35 +373,65 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _grid_slabs(bounds, order: int, axes: tuple[int, ...], n: int):
-    """Tensor Gauss-Legendre grid of the given order over one block, in slabs.
+def _grid_batches(grids, n: int):
+    """The nodes of tensor Gauss-Legendre grids, packed into batches.
 
-    Axis axes[i] runs over bounds[i] and every other of the n coordinates is
-    0.  The grid's nodes, in C order (leading axis slowest), are cut into
-    slabs of at most CHUNK_POINTS nodes and CHUNK_POINTS * MAX_TENSOR_DIMENSION
-    coordinates, so a block of a potential in many dimensions is streamed in
-    small slabs too; each slab is yielded as (x, w) with x of shape (slab, n)
-    and product weights w of shape (slab,).
+    grids is a list of (bounds, order, axes): axis axes[i] runs over
+    bounds[i], every other of the n coordinates is 0, and the nodes are in C
+    order (leading axis slowest).  A grid of at most _slab_points(n) nodes
+    joins the current batch if it fits and starts the next one if not; a
+    larger grid is cut into slabs of that many nodes, each a batch of its
+    own.  So a batch never holds more than CHUNK_POINTS nodes, nor more than
+    CHUNK_POINTS * MAX_TENSOR_DIMENSION coordinates where n allows, and a
+    block of a potential in many dimensions is streamed in small batches too.
+
+    Yields (x, w, pieces): x of shape (batch, n), product weights w of shape
+    (batch,), and the grid pieces in the batch, those cut alike (same order,
+    block size and node range) together as (grid indices, their nodes'
+    positions in the batch of shape (g, piece), their axes of shape (g, d)).
     """
-    nodes, weights = _rule(order)
-    coords, wts = [], []
-    for lo, hi in bounds:
-        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        coords.append(mid + rad * nodes)
-        wts.append(rad * weights)
-    total = order ** len(axes)
-    step = max(1, min(CHUNK_POINTS, CHUNK_POINTS * MAX_TENSOR_DIMENSION // n))
-    for start in range(0, total, step):
-        index = np.unravel_index(
-            np.arange(start, min(start + step, total)), (order,) * len(axes)
-        )
+    step = _slab_points(n)
+    plan, used = [], step
+    for i, (_, order, axes) in enumerate(grids):
+        total = order ** len(axes)
+        if total > step:
+            plan += [[(i, s, min(s + step, total))] for s in range(0, total, step)]
+            used = step
+        elif used + total <= step:
+            plan[-1].append((i, 0, total))
+            used += total
+        else:
+            plan.append([(i, 0, total)])
+            used = total
+    for batch in plan:
+        alike, at = {}, 0
+        for i, start, stop in batch:
+            _, order, axes = grids[i]
+            alike.setdefault((order, len(axes), start, stop), []).append((i, at))
+            at += stop - start
         # axis-major storage keeps each coordinate x[..., k] contiguous, which
         # makes the evaluators' per-axis arithmetic several times faster
-        x = np.zeros((n, len(index[0])))
-        for k, coord, i in zip(axes, coords, index):
-            x[k] = coord[i]
-        w = np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
-        yield x.T, w
+        x, w, pieces = np.zeros((n, at)), np.empty(at), []
+        for (order, d, start, stop), members in alike.items():
+            members, offsets = zip(*members)
+            rows = np.array(offsets)[:, None] + np.arange(stop - start)
+            axes = np.array([grids[i][2] for i in members])
+            lo, hi = np.array([grids[i][0] for i in members], dtype=float).transpose(2, 0, 1)
+            mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+            nodes, weights = _rule(order)
+            index = np.unravel_index(np.arange(start, stop), (order,) * d)
+            for k, i in enumerate(index):
+                x[axes[:, k, None], rows] = mid[:, k, None] + rad[:, k, None] * nodes[i]
+                wk = rad[:, k, None] * weights[i]
+                w[rows] = wk if k == 0 else w[rows] * wk
+            pieces.append((members, rows, axes))
+        yield x.T, w, pieces
+
+
+def _grid_slabs(bounds, order: int, axes: tuple[int, ...], n: int):
+    """One block's grid (see _grid_batches), as (x, w) slabs."""
+    for x, w, _ in _grid_batches([(bounds, order, axes)], n):
+        yield x, w
 
 
 # columns of a block's moments (see _boltzmann_moments)
@@ -270,10 +450,12 @@ def _boltzmann_moments(
     the block's axes and every other axis at 0, in the columns INT_B, INT_BV,
     INT_B_ABS_V and INT_B_GRAD2: int b, int b*U_j, int b*|U_j| and
     int b*|grad_{B_j} V|^2.  Row 0 holds them at QUADRATURE_ORDER, row 1 at
-    CHECK_ORDER (see _stable).  Each block's box is found once and each order
-    is one slab-streamed pass, so V is evaluated once per node and memory
-    stays O(CHUNK_POINTS) in any dimension (see _grid_slabs).  The gradient
-    moment is 0 when no gradient is given.
+    CHECK_ORDER (see _stable).  Every block's box is found first; then the
+    grids of all blocks and both orders are packed into batches
+    (_grid_batches), V and the gradient are evaluated once per batch, and
+    memory stays O(CHUNK_POINTS) in any dimension.  A grid piece's four
+    moments are row sums of one (4, piece) array, and a grid's pieces are
+    added with math.fsum.  The gradient moment is 0 when no gradient is given.
     """
     n, blocks = potential.dimension, potential.blocks
     largest = max(len(block) for block in blocks)
@@ -287,26 +469,37 @@ def _boltzmann_moments(
     # every box is found before any grid is integrated, so a block that does
     # not decay is rejected early
     if potential.bounds is None:
-        boxes = [_auto_bounds(potential, T, axes, v0) for axes in blocks]
+        boxes = _auto_bounds(potential, T, blocks, v0)
     else:
         boxes = [[potential.bounds[k] for k in axes] for axes in blocks]
-    out = []
-    for axes, bounds in zip(blocks, boxes):
-        moments = np.zeros((2, 4))
-        for row, order in enumerate((QUADRATURE_ORDER, CHECK_ORDER)):
-            partials = []
-            for x, w in _grid_slabs(bounds, order, axes, n):
-                v = potential.value(x)
-                b = np.exp(-v / T) * w
-                bv = b * v
-                g2 = 0.0
-                if gradient is not None:
-                    g2 = np.sum(b * np.sum(gradient(x)[..., list(axes)] ** 2, axis=-1))
-                partials.append((np.sum(b), np.sum(bv), np.sum(np.abs(bv)), g2))
-            # fsum keeps the number of slabs out of the rounding error
-            moments[row] = [math.fsum(column) for column in zip(*partials)]
-        out.append(moments)
-    return (len(blocks) - 1) * v0, out
+    grids = [
+        (bounds, order, axes)
+        for axes, bounds in zip(blocks, boxes)
+        for order in (QUADRATURE_ORDER, CHECK_ORDER)
+    ]
+    partials = [[] for _ in grids]
+    for x, w, pieces in _grid_batches(grids, n):
+        v = potential.value(x)
+        b = np.exp(-v / T) * w
+        bv = b * v
+        grad = None if gradient is None else gradient(x)
+        for members, rows, axes in pieces:
+            terms = np.empty((4,) + rows.shape)
+            terms[INT_B] = b[rows]
+            terms[INT_BV] = bv[rows]
+            np.abs(terms[INT_BV], out=terms[INT_B_ABS_V])
+            if grad is None:
+                terms[INT_B_GRAD2] = 0.0
+            else:
+                # |grad|^2 summed over the block's axes in order, as sum does
+                # below 8 terms
+                grad2 = (grad[rows[..., None], axes[:, None, :]] ** 2).sum(axis=-1)
+                np.multiply(terms[INT_B], grad2, out=terms[INT_B_GRAD2])
+            for i, sums in zip(members, terms.sum(axis=-1).T.tolist()):
+                partials[i].append(sums)
+    # fsum keeps the number of slabs out of the rounding error
+    moments = [[math.fsum(column) for column in zip(*slabs)] for slabs in partials]
+    return (len(blocks) - 1) * v0, [np.array(moments[2 * j : 2 * j + 2]) for j in range(len(blocks))]
 
 
 def _stable(moments: np.ndarray, k: int, scale: int | None = None) -> float:

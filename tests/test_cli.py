@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcthermo import cli
 from qcthermo.cli import run
-from qcthermo.core import BoxGeometry, PhysicalParams, reduce_well
+from qcthermo.core import BoxGeometry, ConvergenceError, PhysicalParams, reduce_well
 from qcthermo.sweeps import OSCILLATOR_DIRECTIONS, WELL_DIRECTIONS
 from qcthermo.well import well_classical, well_regularized
 
@@ -135,6 +136,17 @@ def test_kw_z_beyond_float_range_exits_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err == "error: non-finite value in output field '$.predicted.Zr'\n"
+
+
+def test_non_finite_field_path_names_list_items():
+    # the path is formatted only for the field that fails
+    with pytest.raises(ConvergenceError) as exc:
+        cli._sanitize({"levels": [0.0, 1.0], "probabilities": [0.5, float("nan")]})
+    assert str(exc.value) == "non-finite value in output field '$.probabilities[1]'"
+    with pytest.raises(ConvergenceError, match=r"field '\$\.rows\[2\]\.F'$"):
+        cli._sanitize({"rows": [{"F": 1.0}, {"F": 2.0}, {"F": -math.inf}]})
+    with pytest.raises(ConvergenceError, match=r"field '\$\[1\]'$"):
+        cli._sanitize([0.0, math.inf])
 
 
 def test_validation_exit_code(capsys):

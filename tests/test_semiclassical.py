@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -189,19 +190,20 @@ def test_scale_must_be_finite_and_positive():
             PotentialField(dimension=1, value=lambda x: x[..., 0] ** 2, scale=scale)
 
 
-def _counted(fn, counts, key):
+def _counted(fn, counts, key, points=True):
+    """fn, counting the points it is called on, or its calls."""
     def wrapped(x):
-        counts[key] += int(np.prod(np.shape(x)[:-1]))
+        counts[key] += int(np.prod(np.shape(x)[:-1])) if points else 1
         return fn(x)
 
     return wrapped
 
 
-def _counted_parsed(text, n, counts):
+def _counted_parsed(text, n, counts, points=True):
     """A parsed potential whose value and carried gradient are both counted."""
     parsed = parse_potential(text, n)
-    value = _counted(parsed, counts, "value")
-    value.gradient = _counted(parsed.gradient, counts, "gradient")
+    value = _counted(parsed, counts, "value", points)
+    value.gradient = _counted(parsed.gradient, counts, "gradient", points)
     value.blocks = parsed.blocks
     return PotentialField(dimension=n, value=value)
 
@@ -229,13 +231,18 @@ def test_one_potential_evaluation_per_node():
         (coupled, coupled_counts, 64**2 + 48**2),
         (split, split_counts, 2 * (64 + 48)),
     ):
-        v0 = _origin(pot, 1.0)
-        for axes in pot.blocks:
-            _auto_bounds(pot, 1.0, axes, v0)
+        _auto_bounds(pot, 1.0, pot.blocks, _origin(pot, 1.0))
         probes = counts["value"]
         counts["value"] = 0
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
         assert counts == {"value": probes + grid, "gradient": grid}
+    # the potential is called per batch of points, not per point: V(0), the
+    # face search's rounds, the corners and the grid of every block at once
+    calls = {"value": 0, "gradient": 0}
+    three = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4 + x3^2 + 0.05*x3^4", 3, calls, False)
+    assert three.blocks == ((0,), (1,), (2,))
+    kw_expansion(three, PhysicalParams(T=1.0, h=0.1, m=1.0))
+    assert calls["value"] <= 6 and calls["gradient"] <= 2
 
 
 def test_parsed_gradient_adopted_and_kept_by_replace():
@@ -382,3 +389,187 @@ def test_slabs_stay_small_in_many_dimensions():
         nodes += len(w)
         weight += w.sum()
     assert nodes == 64 and weight == pytest.approx(5.0, rel=1e-14)
+
+
+def _sequential_box(potential, T, axes, v0):
+    """One block's box by the per-axis search with one potential call per
+    probe, as _auto_bounds found it before its probes were batched."""
+    n = potential.dimension
+    cutoff = math.log(1e-16)
+
+    def face_exponent(axis, half):
+        x = np.zeros(n)
+        x[axis] = half
+        lo = -(float(potential.value(x)) - v0) / T
+        x[axis] = -half
+        return max(lo, -(float(potential.value(x)) - v0) / T)
+
+    halves = []
+    for k in axes:
+        half = potential.scale
+        prev = math.inf
+        for _ in range(200):
+            val = face_exponent(k, half)
+            if val < cutoff:
+                break
+            if val > prev + math.log(0.999999) and val >= 0.0:
+                raise IntegrationError(
+                    "Boltzmann factor does not decay; potential looks non-integrable"
+                )
+            prev = val
+            half *= 2.0
+        else:
+            raise IntegrationError("could not bound the integration domain")
+        while face_exponent(k, 0.85 * half) < cutoff:
+            half *= 0.85
+        halves.append(half)
+
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(axes))))
+    corners = np.zeros((len(signs), n))
+    for _ in range(60):
+        corners[:, axes] = signs * halves
+        if float((-(potential.value(corners) - v0) / T).max()) < cutoff:
+            break
+        halves = [1.3 * h for h in halves]
+    else:
+        raise IntegrationError("could not bound the integration domain")
+    return tuple((-h, h) for h in halves)
+
+
+_HARMONIC = harmonic_potential(1.3, [0.6, 1.7, 1.1])
+_SEARCHED = [
+    (_HARMONIC, 0.8),
+    (PotentialField(3, parse_potential("0.7*x1^2 + 0.1*x1^4 + 1.2*x2^2 + 0.03*x2^4 + x3^2", 3)), 1.3),
+    (PotentialField(2, parse_potential("x1^2 + x2^2 + 0.3*x1*x2", 2)), 1.0),
+    (PotentialField(2, parse_potential("x1^2 + x2^2 + 1.5*x1*x2", 2)), 1.0),
+    (PotentialField(1, parse_potential("(x1-3)^2", 1)), 1.0),
+    (PotentialField(1, parse_potential("-x1^2", 1)), 1.0),
+    (PotentialField(1, parse_potential("x1^4 - 100*x1^2", 1)), 100.0),
+    # an opaque callable without blocks: all axes share one box
+    (PotentialField(3, lambda x: _HARMONIC.value(x), scale=_HARMONIC.scale), 0.8),
+    # blocks of 2 and 3 axes have their corners probed in the same pass
+    (PotentialField(5, parse_potential("x1^2 + x2^2 + x1*x2 + x3^2 + x4^2 + x5^4 + 0.3*(x3*x4*x5)^2", 5)), 1.0),
+    # a nan at the -half face, then at every corner; at scale 0.8125 the
+    # half-width where the doubling stops does not shrink
+    (PotentialField(2, parse_potential("x1^2 + (x1+1)^0.5 + x2^2 + 0.1*x1*x2", 2)), 1.0),
+    (PotentialField(2, parse_potential("x1^2 + (x1+1)^0.5 + x2^2", 2)), 1.0),
+    (PotentialField(1, parse_potential("x1^2 + (x1+1)^0.5", 1), scale=0.8125), 1.0),
+    # a nan at the -half face only, on the axis: the corners are finite
+    (PotentialField(2, parse_potential("x1^2 + x2^2 + (x1 + 1 + x2^2)^0.5", 2)), 1.0),
+    # the faces are below the cutoff at the 200th and last doubling, and the
+    # corners at the 60th and last growth
+    (PotentialField(1, parse_potential("x1^2", 1), scale=6.5 / 2**199), 1.0),
+    (PotentialField(2, parse_potential("x1^2 + x2^2 - 2*x1*x2 + 3.75e-29*(x1*x2)^2", 2)), 1.0),
+    # the first block's corners never decay, the second block does not at all,
+    # and the same blocks in the other order
+    (PotentialField(3, parse_potential("x1^2 + x2^2 - 2*x1*x2 - x3^2", 3)), 1.0),
+    (PotentialField(3, parse_potential("-x1^2 + x2^2 + x3^2 - 2*x2*x3", 3)), 1.0),
+    (PotentialField(1, parse_potential("x1^2", 1), scale=1e-3), 1.0),
+    (PotentialField(1, parse_potential("x1^2", 1), scale=1e3), 1.0),
+]
+
+
+@pytest.mark.parametrize("pot, T", _SEARCHED)
+def test_batched_bounds_match_the_sequential_search(pot, T):
+    v0 = _origin(pot, T)
+    try:
+        expected = [_sequential_box(pot, T, axes, v0) for axes in pot.blocks]
+    except IntegrationError as err:
+        with pytest.raises(IntegrationError) as got:
+            _auto_bounds(pot, T, pot.blocks, v0)
+        assert str(got.value) == str(err)
+    else:
+        assert _auto_bounds(pot, T, pot.blocks, v0) == expected
+
+
+def test_bounds_fail_where_the_window_cannot_shrink():
+    # V stays below 37 T up to the largest float and is inf beyond it, so the
+    # half-width doubles to inf, where 0.85 * inf = inf can never shrink
+    pot = PotentialField(1, parse_potential("1e-200*x1*1e-200*x1", 1), scale=1e300)
+    with pytest.raises(IntegrationError, match="could not bound the integration domain"):
+        kw_expansion(pot, PhysicalParams(T=1e300, h=0.1, m=1.0))
+
+
+def test_probes_and_batches_stay_small_in_many_dimensions():
+    n, cap = 300, semiclassical.CHUNK_POINTS * semiclassical.MAX_TENSOR_DIMENSION
+    pot = harmonic_potential(1.0, [0.5 + k / n for k in range(n)])
+    sizes = []
+
+    def recorded(fn):
+        def wrapped(x):
+            sizes.append(np.size(x))
+            return fn(x)
+
+        return wrapped
+
+    pot = dataclasses.replace(pot, value=recorded(pot.value), gradient=recorded(pot.gradient))
+    pred = kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
+    assert pred.z2_over_z0 == pytest.approx(sum((0.5 + k / n) ** 2 for k in range(n)) / 24.0, rel=1e-12)
+    assert max(sizes) <= cap
+
+
+def _slab_by_slab(potential, T, gradient, boxes):
+    """Each block's moments from its own slabs, one pass per order and one
+    potential call per slab, as _boltzmann_moments summed them before the
+    grids of all blocks were batched."""
+    n = potential.dimension
+    step = max(1, min(semiclassical.CHUNK_POINTS, semiclassical.CHUNK_POINTS * 4 // n))
+    out = []
+    for axes, bounds in zip(potential.blocks, boxes):
+        moments = np.zeros((2, 4))
+        for row, order in enumerate((64, 48)):
+            nodes, weights = np.polynomial.legendre.leggauss(order)
+            coords, wts = [], []
+            for lo, hi in bounds:
+                mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+                coords.append(mid + rad * nodes)
+                wts.append(rad * weights)
+            partials = []
+            total = order ** len(axes)
+            for start in range(0, total, step):
+                index = np.unravel_index(
+                    np.arange(start, min(start + step, total)), (order,) * len(axes)
+                )
+                x = np.zeros((n, len(index[0])))
+                for k, coord, i in zip(axes, coords, index):
+                    x[k] = coord[i]
+                w = np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
+                x = x.T
+                v = potential.value(x)
+                b = np.exp(-v / T) * w
+                bv = b * v
+                g2 = 0.0
+                if gradient is not None:
+                    g2 = np.sum(b * np.sum(gradient(x)[..., list(axes)] ** 2, axis=-1))
+                partials.append((np.sum(b), np.sum(bv), np.sum(np.abs(bv)), g2))
+            moments[row] = [math.fsum(column) for column in zip(*partials)]
+        out.append(moments)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [semiclassical.CHUNK_POINTS, 1000])
+def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
+    monkeypatch.setattr(semiclassical, "CHUNK_POINTS", chunk)
+    potentials = [
+        harmonic_potential(1.3, [0.6, 1.7, 1.1]),
+        harmonic_potential(1.0, [0.5 + k / 40 for k in range(40)]),
+        PotentialField(3, parse_potential("0.7*x1^2 + 0.1*x1^4 + 1.2*x2^2 + 0.03*x2^4 + x3^2", 3)),
+        PotentialField(3, parse_potential("x1^2 + x2^2 + x3^4 + x2*x3 + 0.5", 3)),
+        PotentialField(5, parse_potential("x1^2 + x2^2 + x1*x2 + x3^2 + x4^2 + x5^4 + 0.3*(x3*x4*x5)^2", 5)),
+        # a grid larger than CHUNK_POINTS = 1000 is streamed in slabs
+        dataclasses.replace(harmonic_potential(1.0, [0.7, 1.9]), blocks=((0, 1),)),
+        # an opaque callable with central differences, and explicit bounds
+        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 0.1 * x[..., 0] ** 4),
+        PotentialField(2, parse_potential("x1^2 + 2*x2^2 + 3", 2), bounds=((-7.0, 7.0), (-5.0, 5.0))),
+    ]
+    for pot in potentials:
+        v0 = _origin(pot, 0.8)
+        if pot.bounds is None:
+            boxes = _auto_bounds(pot, 0.8, pot.blocks, v0)
+        else:
+            boxes = [[pot.bounds[k] for k in axes] for axes in pot.blocks]
+        for gradient in (None, pot.gradient_or_fd()):
+            offset, got = semiclassical._boltzmann_moments(pot, 0.8, gradient)
+            assert offset == (len(pot.blocks) - 1) * v0
+            for moments, expected in zip(got, _slab_by_slab(pot, 0.8, gradient, boxes), strict=True):
+                assert np.array_equal(moments, expected)
