@@ -41,52 +41,27 @@ def _number_list(text: str) -> list[float]:
     return [parse_number(part) for part in text.split(",") if part.strip()]
 
 
-class _NonFinite(Exception):
-    """A non-finite output float; args gather its path, innermost key first."""
+def _finite(x: float, name: str) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ConvergenceError(f"non-finite value in output field {name!r}")
+    return x
 
 
-def _plain(obj):
-    """obj with numpy scalars made Python ones; _NonFinite at a non-finite float."""
+def _sanitize(obj, path="$"):
     if isinstance(obj, dict):
-        out = {}
-        for k, v in obj.items():
-            try:
-                out[k] = _plain(v)
-            except _NonFinite as exc:
-                exc.args += (f".{k}",)
-                raise
-        return out
+        return {k: _sanitize(v, f"{path}.{k}") for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        items = []
-        for i, v in enumerate(obj):
-            try:
-                items.append(_plain(v))
-            except _NonFinite as exc:
-                exc.args += (f"[{i}]",)
-                raise
-        return items
+        return [_sanitize(v, f"{path}[{i}]") for i, v in enumerate(obj)]
     # numpy scalars exist only once a subcommand has loaded numpy
     np = sys.modules.get("numpy")
     if isinstance(obj, bool) or np is not None and isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise _NonFinite()
-        return x
+        return _finite(obj, path)
     if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
         return int(obj)
     return obj
-
-
-def _sanitize(obj):
-    """_plain(obj); a non-finite float is a ConvergenceError naming its field
-    as $.key[index], a path built only for that field."""
-    try:
-        return _plain(obj)
-    except _NonFinite as exc:
-        path = "$" + "".join(reversed(exc.args))
-        raise ConvergenceError(f"non-finite value in output field {path!r}") from None
 
 
 def _emit(payload: dict, csv_rows, args) -> None:

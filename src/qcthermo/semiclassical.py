@@ -14,12 +14,12 @@ so a separable potential costs N grids of one axis, in any dimension, and
 only the largest block counts against MAX_TENSOR_DIMENSION.  The built-in
 harmonic potential declares one block per axis, a parsed potential joins the
 axes of its top-level terms, and an opaque callable is one block.  Each block
-finds its own box, the probes of all blocks' searches batched into a few
-calls of the potential.  Then the grids of every block and of both orders are
-packed into batches of at most CHUNK_POINTS nodes, so V and its gradient are
-called once per batch and evaluated once per node, and all moments come from
-the same Boltzmann factor.  Each block's moments are checked
-on their own against a reduced-order rule, and a moment that is not finite is
+finds its own box: the face probes of all blocks' searches are batched into
+a few calls of the potential, then each block of several axes probes its
+corners.  The grids of every block and of both orders are packed into
+batches of at most CHUNK_POINTS nodes, so V and its gradient are called once
+per batch and evaluated once per node, and all moments come from the same
+Boltzmann factor.  Each block's moments are checked on their own against a reduced-order rule, and a moment that is not finite is
 rejected.  Z0 is carried as its logarithm.  The gradient is exact for the
 built-in harmonic potential and for potentials parsed by
 :func:`qcthermo.expressions.parse_potential`; only an opaque callable without
@@ -180,49 +180,31 @@ def _slab_points(n: int) -> int:
     return max(1, min(CHUNK_POINTS, CHUNK_POINTS * MAX_TENSOR_DIMENSION // n))
 
 
-def _ladders(starts, factor, width: int) -> np.ndarray:
-    """Row i is starts[i] times factor (a scalar or one per row) again and
-    again, width rungs, multiplied in order as repeated products are."""
+def _ladders(starts, factors, width: int) -> np.ndarray:
+    """Row i is starts[i] times factors[i] again and again, width rungs,
+    multiplied in order as repeated products are."""
     ladders = np.empty((len(starts), width))
     ladders[:, 0] = starts
-    ladders[:, 1:] = np.reshape(factor, (-1, 1))
+    ladders[:, 1:] = np.reshape(factors, (-1, 1))
     return np.multiply.accumulate(ladders, axis=1)
 
 
-def _exponents(potential: PotentialField, T: float, v0: float, groups) -> list[np.ndarray]:
-    """-(V - v0)/T at the points of every (axes, coords) group.
+def _exponents(potential: PotentialField, T: float, v0: float, axes, coords) -> np.ndarray:
+    """-(V - v0)/T at coords, of shape (g, m, d), in shape (g, m).
 
-    axes has shape (g, d) and coords shape (g, m, d): the m points of row i
-    lie on the axes axes[i], every other axis at 0.  Each group's exponents
-    come back in shape (g, m).  The points of all groups are evaluated
-    together, _slab_points at a time.
+    The m points of row i lie on the axes axes[i] (axes has shape (g, d)),
+    every other axis at 0.  They are evaluated _slab_points at a time.
     """
-    d = max(axes.shape[1] for axes, _ in groups)
-    cols, vals = [], []
-    for axes, coords in groups:
-        g, m, e = coords.shape
-        if e < d:
-            # a point on fewer axes repeats its last axis and coordinate,
-            # which writes the same value twice
-            axes = np.concatenate([axes] + [axes[:, -1:]] * (d - e), axis=1)
-            coords = np.concatenate([coords] + [coords[..., -1:]] * (d - e), axis=2)
-        cols.append(axes.repeat(m, axis=0))
-        vals.append(coords.reshape(g * m, d))
-    cols, vals = np.concatenate(cols), np.concatenate(vals)
-    v = np.empty(len(vals))
+    g, m, d = coords.shape
+    cols, vals = axes.repeat(m, axis=0), coords.reshape(g * m, d)
+    v = np.empty(g * m)
     step = _slab_points(potential.dimension)
-    for start in range(0, len(vals), step):
-        s = slice(start, min(start + step, len(vals)))
+    for start in range(0, g * m, step):
+        s = slice(start, min(start + step, g * m))
         x = np.zeros((s.stop - start, potential.dimension))
         x[np.arange(len(x))[:, None], cols[s]] = vals[s]
         v[s] = potential.value(x)
-    exponents = -(v - v0) / T
-    out, at = [], 0
-    for _, coords in groups:
-        g, m, _ = coords.shape
-        out.append(exponents[at : at + g * m].reshape(g, m))
-        at += g * m
-    return out
+    return (-(v - v0) / T).reshape(g, m)
 
 
 def _half_widths(potential: PotentialField, T: float, v0: float, axes: list[int], cutoff: float):
@@ -246,9 +228,9 @@ def _half_widths(potential: PotentialField, T: float, v0: float, axes: list[int]
     while state:
         keys = list(state)
         rungs = _ladders([state[k][0] for k in keys], [state[k][1] for k in keys], _RUNGS)
-        (faces,) = _exponents(
+        faces = _exponents(
             potential, T, v0,
-            [(np.array(keys)[:, None], (rungs.reshape(-1, 1, 1) * _signs(1)).reshape(len(keys), -1, 1))],
+            np.array(keys)[:, None], (rungs.reshape(-1, 1, 1) * _signs(1)).reshape(len(keys), -1, 1),
         )
         for k, ladder, pairs in zip(keys, rungs.tolist(), faces.reshape(len(keys), -1, 2).tolist()):
             _, factor, last, doubled, seen = state.pop(k)
@@ -287,56 +269,6 @@ def _half_widths(potential: PotentialField, T: float, v0: float, axes: list[int]
     return ends, clean
 
 
-def _corner_boxes(potential, T, v0, blocks, halves, clean, cutoff) -> list:
-    """Each block's box, or the IntegrationError its search ends in.
-
-    Corners may decay slower than face centres for non-separable potentials,
-    along any diagonal, so a block's half-widths grow by 1.3 until the
-    exponents at all 2^d corners are below the cutoff (numpy's max, so a nan
-    at any corner fails).  The first round probes every block's first rung in
-    one pass; a block that fails probes its next _RUNGS rungs a round.  A
-    one-axis block's first corners are its faces, which _half_widths has
-    probed: they pass if neither was nan (clean).
-    """
-    ends, tried = [None] * len(blocks), [0] * len(blocks)
-    state = {}
-    for j, block in enumerate(blocks):
-        if len(block) == 1 and block[0] in clean:
-            ends[j] = ((-halves[block[0]], halves[block[0]]),)
-        else:
-            state[j] = [halves[k] for k in block]
-    width = 1
-    while state:
-        members = {}
-        for j in state:
-            members.setdefault(len(blocks[j]), []).append(j)
-        ladders, groups = [], []
-        for d, group in members.items():
-            # (block, axis, rung) -> (block, rung, axis)
-            rungs = _ladders([h for j in group for h in state[j]], 1.3, width)
-            rungs = rungs.reshape(len(group), d, width).transpose(0, 2, 1)
-            ladders.append(rungs)
-            corners = rungs[:, :, None, :] * _signs(d)
-            groups.append((np.array([blocks[j] for j in group]), corners.reshape(len(group), -1, d)))
-        probed = _exponents(potential, T, v0, groups)
-        for group, rungs, exponents in zip(members.values(), ladders, probed):
-            worst = exponents.reshape(len(group), width, -1).max(axis=2)
-            for j, boxes, vals in zip(group, rungs.tolist(), worst.tolist()):
-                del state[j]
-                for box, val in zip(boxes, vals):
-                    if val < cutoff:
-                        ends[j] = tuple((-h, h) for h in box)
-                        break
-                    tried[j] += 1
-                    if tried[j] == 60:
-                        ends[j] = IntegrationError("could not bound the integration domain")
-                        break
-                else:
-                    state[j] = [1.3 * h for h in box]
-        width = _RUNGS
-    return ends
-
-
 def _auto_bounds(
     potential: PotentialField, T: float, blocks: tuple[tuple[int, ...], ...], v0: float
 ) -> list[tuple[tuple[float, float], ...]]:
@@ -346,22 +278,31 @@ def _auto_bounds(
     is V(0) (see _origin).  Boltzmann factors are compared through their
     exponents relative to the origin, -(V - V(0))/T against log(1e-16), so no
     probe overflows however deep the potential dips.  Every axis's faces are
-    searched at once (_half_widths), then every block's corners
-    (_corner_boxes).  Boxes and errors are those of searching block by block
-    and axis by axis: the first error in that order is raised.
+    searched at once (_half_widths), then each block's corners in turn.
+    Boxes and errors are those of searching block by block and axis by axis:
+    the first error in that order is raised.
     """
     cutoff = math.log(1e-16)
     halves, clean = _half_widths(potential, T, v0, [k for block in blocks for k in block], cutoff)
-    # blocks after one with a failed axis are never reached
-    reached = next(
-        (j for j, b in enumerate(blocks) if any(isinstance(halves[k], Exception) for k in b)),
-        len(blocks),
-    )
-    boxes = _corner_boxes(potential, T, v0, blocks[:reached], halves, clean, cutoff)
-    for j, block in enumerate(blocks):
-        for result in [halves[k] for k in block] + boxes[j : j + 1]:
-            if isinstance(result, Exception):
-                raise result
+    boxes = []
+    for block in blocks:
+        for k in block:
+            if isinstance(halves[k], Exception):
+                raise halves[k]
+        box = [halves[k] for k in block]
+        # corners may decay slower than face centers for non-separable
+        # potentials, along any diagonal: all 2^d of the block's are probed
+        # (d <= MAX_TENSOR_DIMENSION).  A one-axis block's corners are its
+        # faces, which _half_widths has probed: they pass if neither was nan
+        if not (len(block) == 1 and block[0] in clean):
+            for _ in range(60):
+                corners = _signs(len(block)) * box
+                if float(_exponents(potential, T, v0, np.array([block]), corners[None]).max()) < cutoff:
+                    break
+                box = [1.3 * h for h in box]
+            else:
+                raise IntegrationError("could not bound the integration domain")
+        boxes.append(tuple((-h, h) for h in box))
     return boxes
 
 

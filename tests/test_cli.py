@@ -139,7 +139,6 @@ def test_kw_z_beyond_float_range_exits_3(capsys):
 
 
 def test_non_finite_field_path_names_list_items():
-    # the path is formatted only for the field that fails
     with pytest.raises(ConvergenceError) as exc:
         cli._sanitize({"levels": [0.0, 1.0], "probabilities": [0.5, float("nan")]})
     assert str(exc.value) == "non-finite value in output field '$.probabilities[1]'"

@@ -237,7 +237,8 @@ def test_one_potential_evaluation_per_node():
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
         assert counts == {"value": probes + grid, "gradient": grid}
     # the potential is called per batch of points, not per point: V(0), the
-    # face search's rounds, the corners and the grid of every block at once
+    # face search's rounds and the grid of every block at once; one-axis
+    # blocks whose faces were finite probe no corners
     calls = {"value": 0, "gradient": 0}
     three = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4 + x3^2 + 0.05*x3^4", 3, calls, False)
     assert three.blocks == ((0,), (1,), (2,))
@@ -447,7 +448,7 @@ _SEARCHED = [
     (PotentialField(1, parse_potential("x1^4 - 100*x1^2", 1)), 100.0),
     # an opaque callable without blocks: all axes share one box
     (PotentialField(3, lambda x: _HARMONIC.value(x), scale=_HARMONIC.scale), 0.8),
-    # blocks of 2 and 3 axes have their corners probed in the same pass
+    # blocks of 2 and 3 axes probe their corners after one face search
     (PotentialField(5, parse_potential("x1^2 + x2^2 + x1*x2 + x3^2 + x4^2 + x5^4 + 0.3*(x3*x4*x5)^2", 5)), 1.0),
     # a nan at the -half face, then at every corner; at scale 0.8125 the
     # half-width where the doubling stops does not shrink
