@@ -10,23 +10,45 @@ Variables x1..xN address coordinates.  With ``^`` read as ``**`` this is a
 subset of Python's expressions, precedence and associativity included, so the
 text is parsed by :func:`ast.parse` and walked through a whitelist of these
 forms: anything else Python accepts (``//``, ``+x``, ``0x10``, ``1j``,
-attributes, keywords) is a ValidationError.  The walker builds a small tree of
-nodes.  A subtree without a variable is folded to one float constant at parse
-time, with NumPy's float semantics (1/0 is inf, (-1)^0.5 is nan), and ``^``
-with a small integer constant exponent becomes repeated multiplication.
+attributes, keywords) is a ValidationError.
+
+The walk compiles the syntax tree into one flat post-order list of
+(op, arg) instructions, the "tape" or Wengert list of forward-mode
+differentiation: CONST and VAR push a number or a coordinate; NEG, EXP, MUL,
+DIV and POW (a non-constant exponent) apply to the values on top of the
+stack; IPOW raises to an integer constant n with 0 < |n| <= MAX_INT_POWER by
+repeated squaring and CPOW to any other constant.  A chain of ``+`` and
+``-`` is one SUM, which adds its operands left to right with a sign per
+operand, exactly as the left-deep chain of binary operations it stands for.
+An instruction whose operands are all constants is folded into one CONST at
+compile time, with NumPy's float semantics (1/0 is inf, (-1)^0.5 is nan);
+``x^0`` is 1 for every x, nan and inf included; a SUM folds only its leading
+run of constants, so ``1 + 2 + x1 + 3`` adds 3, x1 and 3.
 
 The compiled potential V is vectorized over arrays of shape (..., N) and
-carries its exact gradient: ``V.gradient(x)`` has shape (..., N) and is
-evaluated in forward mode, each node returning its value together with a
-sparse {axis: partial derivative} map, so a term in one coordinate touches
-that axis only.  Both are evaluated with NumPy floating-point warnings off: a
+carries its exact gradient.  ``V(x)`` runs the list in one loop over a stack
+of values; ``V.gradient(x)``, of shape (..., N), runs it over a stack of
+(value, {axis: partial derivative}) pairs, so a term in one coordinate
+touches that axis only, and a SUM merges its operands' maps in one pass: an
+N-term sum costs O(N).  Both run with NumPy floating-point warnings off: a
 non-finite value is left for the caller to reject.
 
 ``V.blocks`` partitions the axes so that V is a constant plus one function of
-each block's axes: the top-level terms of the sum (the operands of its
-outermost +, - and unary -) are found, and axes that appear in one term are
-joined; an axis no term uses is a block of its own.  ``x1^2 + x2^2`` has
-blocks ((0,), (1,)), ``(x1 + x2)^2`` and ``2*(x1^2 + x2^2)`` have ((0, 1),).
+each block's axes.  One pass over the list keeps, for each value on the
+stack, the separate terms it is a sum of: SUM and NEG keep their operands'
+terms, and so do ``c*S``, ``S*c`` and ``S/c`` for a folded constant c; any
+other instruction joins the axes of its operands into one term.  Axes that
+share a term form a block, and an axis no term uses is a block of its own.
+``x1^2 + x2^2`` and ``2*(x1^2 + x2^2)`` have blocks ((0,), (1,)), while
+``(x1 + x2)^2``, ``x1*(x1 + x2)`` and ``2/(x1^2 + x2^2)`` have ((0, 1),).
+
+Evaluation and the blocks pass do not recurse, and the compile walks a chain
+of + and - in a loop, so the length of a sum is limited only by Python's own
+parser: about 2990 terms at the top of the stack on Python 3.11.7.  The
+compile recurses into other nesting (products, powers, unary minus, exp),
+which the interpreter's recursion limit bounds at about 990 levels.  Input
+too deep for either is a ValidationError, "expression nests too deeply to
+parse".
 """
 
 from __future__ import annotations
@@ -46,6 +68,16 @@ __all__ = ["parse_potential"]
 # integer exponents up to this magnitude are expanded into multiplications
 MAX_INT_POWER = 16
 
+CONST, VAR, SUM, MUL, DIV, POW, NEG, EXP, IPOW, CPOW = (
+    "const", "var", "sum", "mul", "div", "pow", "neg", "exp", "ipow", "cpow"
+)
+# operands taken from the stack; a SUM takes one per sign in its arg
+_ARITY = {CONST: 0, VAR: 0, NEG: 1, EXP: 1, IPOW: 1, CPOW: 1, MUL: 2, DIV: 2, POW: 2}
+
+
+def _arity(op: str, arg) -> int:
+    return len(arg) if op is SUM else _ARITY[op]
+
 
 def _ipow(a, n: int):
     """a**n for an integer n != 0, by repeated squaring."""
@@ -61,7 +93,49 @@ def _ipow(a, n: int):
         a = a * a
 
 
-def _linear(*terms):
+# the value of each instruction but CONST, VAR and SUM; an arg is the last argument
+_FUNCTIONS = {MUL: operator.mul, DIV: operator.truediv, POW: np.power, NEG: operator.neg,
+              EXP: np.exp, IPOW: _ipow, CPOW: np.power}
+
+
+def _apply(op: str, arg, args):
+    """The value of an instruction other than CONST or VAR on its operands' values."""
+    if op is SUM:
+        out = args[0]
+        for minus, a in zip(arg[1:], args[1:]):
+            out = out - a if minus else out + a
+        return out
+    return _FUNCTIONS[op](*args) if arg is None else _FUNCTIONS[op](*args, arg)
+
+
+def _chain(op: str, arg, out, vals, grads):
+    """(coefficient, operand gradient) pairs that sum to out's gradient."""
+    if op is SUM:
+        return [(-1.0 if minus else None, g) for minus, g in zip(arg, grads)]
+    a, ga = vals[0], grads[0]
+    if op is NEG:
+        return [(-1.0, ga)]
+    if op is EXP:
+        return [(out, ga)]
+    if op is IPOW:
+        return [(None if arg == 1 else arg * _ipow(a, arg - 1), ga)]
+    if op is CPOW:
+        return [(arg * np.power(a, arg - 1.0), ga)]
+    b, gb = vals[1], grads[1]
+    if op is MUL:
+        return [(b, ga), (a, gb)]
+    if op is DIV:
+        # (a/b)' = (a' - (a/b) b') / b
+        inv = np.divide(1.0, b)
+        return [(inv, ga), (-out * inv, gb)] if gb else [(inv, ga)]
+    # a^b with a non-constant exponent: (a^b)' = a^b (b' ln a + b a'/a)
+    terms = [(out * b / a, ga)] if ga else []
+    if gb:
+        terms.append((out * np.log(a), gb))
+    return terms
+
+
+def _linear(terms):
     """Sparse sum of coef * grad over (coef, grad) pairs; coef None means 1."""
     out = {}
     for coef, grad in terms:
@@ -72,153 +146,45 @@ def _linear(*terms):
     return out
 
 
-class _Const:
-    def __init__(self, c):
-        self.c = float(c)
-
-    def value(self, cols):
-        return self.c
-
-    def forward(self, cols):
-        return self.c, {}
-
-
-class _Var:
-    def __init__(self, axis: int):
-        self.axis = axis
-
-    def value(self, cols):
-        return cols[self.axis]
-
-    def forward(self, cols):
-        return cols[self.axis], {self.axis: 1.0}
+def _values(program, cols):
+    """The value of program at the coordinates cols."""
+    stack = []
+    for op, arg in program:
+        if op is VAR:
+            stack.append(cols[arg])
+        elif op is CONST:
+            stack.append(arg)
+        else:
+            k = len(stack) - _arity(op, arg)
+            stack[k:] = [_apply(op, arg, stack[k:])]
+    return stack[0]
 
 
-class _Op:
-    """Interior node: apply() gives the value, chain() the sparse gradient."""
-
-    def __init__(self, *args):
-        self.args = args
-
-    def value(self, cols):
-        return self.apply(*[a.value(cols) for a in self.args])
-
-    def forward(self, cols):
-        pairs = [a.forward(cols) for a in self.args]
-        vals = [v for v, _ in pairs]
-        out = self.apply(*vals)
-        return out, self.chain(out, vals, [g for _, g in pairs])
-
-
-class _Add(_Op):
-    apply = staticmethod(operator.add)
-
-    def chain(self, out, vals, grads):
-        return _linear((None, grads[0]), (None, grads[1]))
+def _forward(program, cols):
+    """(value, {axis: partial derivative}) of program at the coordinates cols."""
+    stack = []
+    for op, arg in program:
+        if op is VAR:
+            stack.append((cols[arg], {arg: 1.0}))
+        elif op is CONST:
+            stack.append((arg, {}))
+        else:
+            k = len(stack) - _arity(op, arg)
+            vals, grads = zip(*stack[k:])
+            out = _apply(op, arg, vals)
+            stack[k:] = [(out, _linear(_chain(op, arg, out, vals, grads)))]
+    return stack[0]
 
 
-class _Sub(_Op):
-    apply = staticmethod(operator.sub)
-
-    def chain(self, out, vals, grads):
-        return _linear((None, grads[0]), (-1.0, grads[1]))
-
-
-class _Mul(_Op):
-    apply = staticmethod(operator.mul)
-
-    def chain(self, out, vals, grads):
-        return _linear((vals[1], grads[0]), (vals[0], grads[1]))
-
-
-class _Div(_Op):
-    apply = staticmethod(operator.truediv)
-
-    def chain(self, out, vals, grads):
-        # (a/b)' = (a' - (a/b) b') / b
-        inv = np.divide(1.0, vals[1])
-        terms = [(inv, grads[0])]
-        if grads[1]:
-            terms.append((-out * inv, grads[1]))
-        return _linear(*terms)
-
-
-class _Neg(_Op):
-    apply = staticmethod(operator.neg)
-
-    def chain(self, out, vals, grads):
-        return _linear((-1.0, grads[0]))
-
-
-class _Exp(_Op):
-    apply = staticmethod(np.exp)
-
-    def chain(self, out, vals, grads):
-        return _linear((out, grads[0]))
-
-
-class _IntPow(_Op):
-    """a^n for an integer constant n != 0."""
-
-    def __init__(self, base, n: int):
-        self.args = (base,)
-        self.n = n
-
-    def apply(self, a):
-        return _ipow(a, self.n)
-
-    def chain(self, out, vals, grads):
-        coef = None if self.n == 1 else self.n * _ipow(vals[0], self.n - 1)
-        return _linear((coef, grads[0]))
-
-
-class _ConstPow(_Op):
-    """a^c for a constant c that is not a small integer."""
-
-    def __init__(self, base, c: float):
-        self.args = (base,)
-        self.c = c
-
-    def apply(self, a):
-        return np.power(a, self.c)
-
-    def chain(self, out, vals, grads):
-        return _linear((self.c * np.power(vals[0], self.c - 1.0), grads[0]))
-
-
-class _Pow(_Op):
-    """a^b with a non-constant exponent: (a^b)' = a^b (b' ln a + b a'/a)."""
-
-    apply = staticmethod(np.power)
-
-    def chain(self, out, vals, grads):
-        (a, b), (ga, gb) = vals, grads
-        terms = []
-        if ga:
-            terms.append((out * b / a, ga))
-        if gb:
-            terms.append((out * np.log(a), gb))
-        return _linear(*terms)
-
-
-def _node(cls, *args):
-    """cls(*args), folded to a constant when none of its arguments uses x."""
-    node = cls(*args)
-    if all(isinstance(a, _Const) for a in node.args):
-        with np.errstate(all="ignore"):
-            return _Const(node.apply(*[np.float64(a.c) for a in node.args]))
-    return node
-
-
-def _power(base, expo):
-    if not isinstance(expo, _Const):
-        return _node(_Pow, base, expo)
-    c = expo.c
-    if c == 0.0:  # x^0 is 1 for every float x, nan and inf included
-        return _Const(1.0)
-    if c.is_integer() and abs(c) <= MAX_INT_POWER:
-        return _node(_IntPow, base, int(c))
-    return _node(_ConstPow, base, c)
+def _fold(program: list, op: str, arg) -> bool:
+    """Replace op's operands by one CONST if they are all constants."""
+    k = len(program) - _arity(op, arg)
+    if any(o is not CONST for o, _ in program[k:]):
+        return False
+    with np.errstate(all="ignore"):
+        value = _apply(op, arg, [np.float64(c) for _, c in program[k:]])
+    program[k:] = [(CONST, float(value))]
+    return True
 
 
 # the grammar's alphabet; this keeps out comments, '@', ',', quotes and the like
@@ -226,41 +192,80 @@ _ALPHABET = re.compile(r"[0-9A-Za-z_.+\-*/^()\s]*")
 _LITERAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 # the grammar allows leading zeros in integers (007); Python does not
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
-_BINARY = {ast.Add: _Add, ast.Sub: _Sub, ast.Mult: _Mul, ast.Div: _Div, ast.Pow: _Pow}
+_BINARY = {ast.Mult: MUL, ast.Div: DIV, ast.Pow: POW}
 
 
-def _tree(node, source: str, dimension: int):
-    """The node tree of a Python syntax tree that stays inside the grammar."""
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        op = _BINARY[type(node.op)]
-        left, right = _tree(node.left, source, dimension), _tree(node.right, source, dimension)
-        return _power(left, right) if op is _Pow else _node(op, left, right)
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return _node(_Neg, _tree(node.operand, source, dimension))
-    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exp":
-        if len(node.args) == 1 and not node.keywords:
-            return _node(_Exp, _tree(node.args[0], source, dimension))
-    elif isinstance(node, ast.Name):
+def _leaf(node, source: str, dimension: int):
+    """The CONST or VAR instruction of a name or a number of the grammar."""
+    if isinstance(node, ast.Name):
         if node.id == "pi":
-            return _Const(math.pi)
+            return CONST, math.pi
         m = re.fullmatch(r"x(\d+)", node.id)
         if m is None:
             raise ValidationError(f"unknown name {node.id!r}")
         if not (1 <= int(m.group(1)) <= dimension):
             raise ValidationError(f"variable {node.id} out of range for dimension {dimension}")
-        return _Var(int(m.group(1)) - 1)
+        return VAR, int(m.group(1)) - 1
     # the source is one ASCII line, so the offsets index it directly
     segment = source[node.col_offset : node.end_col_offset]
     if isinstance(node, ast.Constant) and _LITERAL.fullmatch(segment):
-        return _Const(float(segment))
+        return CONST, float(segment)
     raise ValidationError(f"unsupported expression {segment.replace('**', '^')!r}")
 
 
-def _blocks(root, dimension: int) -> tuple[tuple[int, ...], ...]:
-    """The axes of root's top-level terms joined into disjoint blocks.
+def _compile(node, source: str, dimension: int, program: list) -> None:
+    """Append the instructions of a Python syntax tree that stays inside the grammar.
 
-    Both walks use an explicit stack, so a long sum cannot exhaust the
-    recursion limit.  Blocks are ordered by their first axis.
+    A constant operand is always one CONST instruction, so the operands of
+    the next instruction are all constants exactly when the instructions on
+    top of the program are.
+    """
+    terms = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        terms.append((isinstance(node.op, ast.Sub), node.right))
+        node = node.left
+    if terms:  # a chain of + and -, walked in a loop
+        _compile(node, source, dimension, program)
+        signs = [False]
+        for minus, term in reversed(terms):
+            _compile(term, source, dimension, program)
+            signs.append(minus)
+            if len(signs) == 2 and _fold(program, SUM, signs):  # a constant prefix
+                signs = [False]
+        if len(signs) > 1:
+            program.append((SUM, tuple(signs)))
+        return
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, arg, operands = _BINARY[type(node.op)], None, (node.left, node.right)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        op, arg, operands = NEG, None, (node.operand,)
+    elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exp" and (
+        len(node.args) == 1 and not node.keywords
+    ):
+        op, arg, operands = EXP, None, node.args
+    else:
+        program.append(_leaf(node, source, dimension))
+        return
+    start = len(program)
+    for operand in operands:
+        _compile(operand, source, dimension, program)
+    if op is POW and program[-1][0] is CONST:
+        arg = program.pop()[1]
+        if arg == 0.0:  # x^0 is 1 for every float x, nan and inf included
+            program[start:] = [(CONST, 1.0)]
+            return
+        small = arg.is_integer() and abs(arg) <= MAX_INT_POWER
+        op, arg = (IPOW, int(arg)) if small else (CPOW, arg)
+    if not _fold(program, op, arg):
+        program.append((op, arg))
+
+
+def _blocks(program, dimension: int) -> tuple[tuple[int, ...], ...]:
+    """The axes of the program's separate terms joined into disjoint blocks.
+
+    Each stack entry lists one axis of each separate term of its value
+    (none for a constant); the axes of a term are joined as it is formed.
+    Blocks are ordered by their first axis.
     """
     parent = list(range(dimension))
 
@@ -270,22 +275,18 @@ def _blocks(root, dimension: int) -> tuple[tuple[int, ...], ...]:
             a = parent[a]
         return a
 
-    terms, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (_Add, _Sub, _Neg)):
-            stack.extend(node.args)
-        else:
-            terms.append(node)
-    for term in terms:
-        axes, stack = [], [term]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Var):
-                axes.append(node.axis)
-            stack.extend(getattr(node, "args", ()))
-        for axis in axes[1:]:
-            parent[find(axis)] = find(axes[0])
+    stack = []
+    for op, arg in program:
+        k = len(stack) - _arity(op, arg)
+        operands = stack[k:]
+        terms = [arg] if op is VAR else [t for operand in operands for t in operand]
+        constant = [not operand for operand in operands]
+        # a sum, a negation and a constant factor or divisor keep their terms apart
+        if not (op in (SUM, NEG) or (op is MUL and any(constant)) or (op is DIV and constant[1])):
+            for t in terms[1:]:
+                parent[find(t)] = find(terms[0])
+            terms = terms[:1]
+        stack[k:] = [terms]
     groups = {}
     for axis in range(dimension):
         groups.setdefault(find(axis), []).append(axis)
@@ -300,28 +301,24 @@ class _CompiledPotential:
     described in the module docstring.  Hashable by identity.
     """
 
-    def __init__(self, root, dimension: int):
-        self._root = root
+    def __init__(self, program, dimension: int):
+        self._program = program
         self.dimension = dimension
-        self.blocks = _blocks(root, dimension)
+        self.blocks = _blocks(program, dimension)
 
-    def _run(self, x, method: str):
-        """x's batch shape and root.<method>(columns of x), NumPy warnings off."""
+    def _run(self, x, walk):
+        """x's batch shape and walk(program, columns of x), NumPy warnings off."""
         x = np.asarray(x, dtype=float)
-        try:
-            with np.errstate(all="ignore"):
-                out = getattr(self._root, method)([x[..., k] for k in range(self.dimension)])
-        except RecursionError as exc:  # a tree too deep for the stack its caller left
-            raise ValidationError("expression nests too deeply to evaluate") from exc
-        return x.shape[:-1], out
+        with np.errstate(all="ignore"):
+            return x.shape[:-1], walk(self._program, [x[..., k] for k in range(self.dimension)])
 
     def __call__(self, x):
-        shape, v = self._run(x, "value")
+        shape, v = self._run(x, _values)
         v = np.asarray(v, dtype=float)
         return v if v.shape == shape else np.full(shape, v)
 
     def gradient(self, x):
-        shape, (_, partials) = self._run(x, "forward")
+        shape, (_, partials) = self._run(x, _forward)
         out = np.zeros(shape + (self.dimension,))
         for axis, d in partials.items():
             out[..., axis] = d
@@ -337,17 +334,16 @@ def parse_potential(text: str, dimension: int):
     if "**" in text:
         raise ValidationError("unexpected '**'; powers are written '^'")
     source = _LEADING_ZEROS.sub("", re.sub(r"\s+", " ", text).strip().replace("^", "**"))
+    program = []
     try:
         with warnings.catch_warnings():
             # Python only warns of some forms outside the grammar, as '1and x1'
             warnings.simplefilter("error")
             body = ast.parse(source, mode="eval").body
-        fn = _CompiledPotential(_tree(body, source, dimension), dimension)
+        _compile(body, source, dimension, program)
     except SyntaxError as exc:
         raise ValidationError(f"invalid expression: {exc.msg}") from exc
     except (RecursionError, MemoryError) as exc:
         # Python's parser reports input too deep for its own stack as MemoryError
         raise ValidationError("expression nests too deeply to parse") from exc
-    fn(np.zeros((1, dimension)))  # the origin probe: a tree too deep to evaluate fails here
-    return fn
-
+    return _CompiledPotential(program, dimension)

@@ -13,15 +13,16 @@ Fubini.  With U_j the potential on block j and every other axis at 0,
 so a separable potential costs N grids of one axis, in any dimension, and
 only the largest block counts against MAX_TENSOR_DIMENSION.  The built-in
 harmonic potential declares one block per axis, a parsed potential joins the
-axes of its top-level terms, and an opaque callable is one block.  Each block
-finds its own box: the face probes of all blocks' searches are batched into
-a few calls of the potential, then each block of several axes probes its
-corners.  The grids of every block and of both orders are packed into
-batches of at most CHUNK_POINTS nodes, so V and its gradient are called once
-per batch and evaluated once per node, and all moments come from the same
-Boltzmann factor.  Each block's moments are checked on their own against a reduced-order rule, and a moment that is not finite is
-rejected.  Z0 is carried as its logarithm.  The gradient is exact for the
-built-in harmonic potential and for potentials parsed by
+axes of each of its separate terms (see qcthermo.expressions), and an opaque
+callable is one block.  Each block finds its own box: the face probes of all
+blocks' searches are batched into a few calls of the potential, then each
+block of several axes probes its corners.  The grids of every block and of
+both orders are packed into batches of at most CHUNK_POINTS nodes, so V and
+its gradient are called once per batch and evaluated once per node, and all
+moments come from the same Boltzmann factor.  Each block's moments are
+checked on their own against a reduced-order rule, and a moment that is not
+finite is rejected.  Z0 is carried as its logarithm.  The gradient is exact
+for the built-in harmonic potential and for potentials parsed by
 :func:`qcthermo.expressions.parse_potential`; only an opaque callable without
 a gradient falls back to central differences.  The quartet predictions follow
 
@@ -367,12 +368,6 @@ def _grid_batches(grids, n: int):
                 w[rows] = wk if k == 0 else w[rows] * wk
             pieces.append((members, rows, axes))
         yield x.T, w, pieces
-
-
-def _grid_slabs(bounds, order: int, axes: tuple[int, ...], n: int):
-    """One block's grid (see _grid_batches), as (x, w) slabs."""
-    for x, w, _ in _grid_batches([(bounds, order, axes)], n):
-        yield x, w
 
 
 # columns of a block's moments (see _boltzmann_moments)

@@ -118,6 +118,29 @@ def test_separable_potential_in_50_dimensions(capsys):
     assert predicted["Zr"] == pytest.approx(math.exp(log_zc) * (1 - h * h * ratio), rel=1e-12)
 
 
+def test_constant_factor_over_a_sum_is_separable(capsys):
+    # 2*(x1^2 + ... + x5^2) is one block per axis, the harmonic well at omega = 2
+    from qcthermo.semiclassical import harmonic_potential, kw_expansion
+
+    text = "2*(x1^2+x2^2+x3^2+x4^2+x5^2)"
+    code, out = run_cli(["kw", "--potential", text, "--dim", "5", "--T", "1", "--h", "0.1"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    want = kw_expansion(harmonic_potential(1.0, [2.0] * 5), PhysicalParams(T=1.0, h=0.1, m=1.0))
+    assert payload["z2_over_z0"] == pytest.approx(want.z2_over_z0, rel=1e-12)
+    assert payload["z2_over_z0"] == pytest.approx(5 * 4 / 24, rel=1e-12)
+    for key in ("Fr", "Er", "Sr"):
+        assert payload["predicted"][key] == pytest.approx(getattr(want, key), rel=1e-12)
+
+
+def test_long_sum_potential_exits_0(capsys):
+    # 600 terms of 0.001*x1^2: omega^2 = 1.2, and z2/z0 = omega^2/24 at T = m = 1
+    text = " + ".join(["0.001*x1^2"] * 600)
+    code, out = run_cli(["kw", "--potential", text, "--dim", "1", "--T", "1", "--h", "0.1"], capsys)
+    assert code == 0
+    assert json.loads(out)["z2_over_z0"] == pytest.approx(0.05, rel=1e-10)
+
+
 def test_mean_potential_of_zero_exits_0(capsys):
     # <V> = 0 exactly; its quadrature check is scaled by int b*|V|
     code, out = run_cli(

@@ -20,7 +20,7 @@ from qcthermo.oscillator import osc_classical, osc_regularized
 from qcthermo.semiclassical import (
     PotentialField,
     _auto_bounds,
-    _grid_slabs,
+    _grid_batches,
     _origin,
     harmonic_potential,
     kw_expansion,
@@ -384,7 +384,7 @@ def test_slabs_stay_small_in_many_dimensions():
     # more coordinates than those of a 4-D grid, and together cover the grid
     n, cap = 10**4, semiclassical.CHUNK_POINTS * semiclassical.MAX_TENSOR_DIMENSION
     nodes = weight = 0.0
-    for x, w in _grid_slabs([(-2.0, 3.0)], 64, (7,), n):
+    for x, w, _ in _grid_batches([([(-2.0, 3.0)], 64, (7,))], n):
         assert x.shape == (len(w), n) and x.size <= cap
         assert not x[:, :7].any() and not x[:, 8:].any()
         nodes += len(w)
