@@ -68,15 +68,15 @@ __all__ = ["parse_potential"]
 # integer exponents up to this magnitude are expanded into multiplications
 MAX_INT_POWER = 16
 
-CONST, VAR, SUM, MUL, DIV, POW, NEG, EXP, IPOW, CPOW = (
+_CONST, _VAR, _SUM, _MUL, _DIV, _POW, _NEG, _EXP, _IPOW, _CPOW = (
     "const", "var", "sum", "mul", "div", "pow", "neg", "exp", "ipow", "cpow"
 )
 # operands taken from the stack; a SUM takes one per sign in its arg
-_ARITY = {CONST: 0, VAR: 0, NEG: 1, EXP: 1, IPOW: 1, CPOW: 1, MUL: 2, DIV: 2, POW: 2}
+_ARITY = {_CONST: 0, _VAR: 0, _NEG: 1, _EXP: 1, _IPOW: 1, _CPOW: 1, _MUL: 2, _DIV: 2, _POW: 2}
 
 
 def _arity(op: str, arg) -> int:
-    return len(arg) if op is SUM else _ARITY[op]
+    return len(arg) if op is _SUM else _ARITY[op]
 
 
 def _ipow(a, n: int):
@@ -94,13 +94,13 @@ def _ipow(a, n: int):
 
 
 # the value of each instruction but CONST, VAR and SUM; an arg is the last argument
-_FUNCTIONS = {MUL: operator.mul, DIV: operator.truediv, POW: np.power, NEG: operator.neg,
-              EXP: np.exp, IPOW: _ipow, CPOW: np.power}
+_FUNCTIONS = {_MUL: operator.mul, _DIV: operator.truediv, _POW: np.power, _NEG: operator.neg,
+              _EXP: np.exp, _IPOW: _ipow, _CPOW: np.power}
 
 
 def _apply(op: str, arg, args):
     """The value of an instruction other than CONST or VAR on its operands' values."""
-    if op is SUM:
+    if op is _SUM:
         out = args[0]
         for minus, a in zip(arg[1:], args[1:]):
             out = out - a if minus else out + a
@@ -110,21 +110,21 @@ def _apply(op: str, arg, args):
 
 def _chain(op: str, arg, out, vals, grads):
     """(coefficient, operand gradient) pairs that sum to out's gradient."""
-    if op is SUM:
+    if op is _SUM:
         return [(-1.0 if minus else None, g) for minus, g in zip(arg, grads)]
     a, ga = vals[0], grads[0]
-    if op is NEG:
+    if op is _NEG:
         return [(-1.0, ga)]
-    if op is EXP:
+    if op is _EXP:
         return [(out, ga)]
-    if op is IPOW:
+    if op is _IPOW:
         return [(None if arg == 1 else arg * _ipow(a, arg - 1), ga)]
-    if op is CPOW:
+    if op is _CPOW:
         return [(arg * np.power(a, arg - 1.0), ga)]
     b, gb = vals[1], grads[1]
-    if op is MUL:
+    if op is _MUL:
         return [(b, ga), (a, gb)]
-    if op is DIV:
+    if op is _DIV:
         # (a/b)' = (a' - (a/b) b') / b
         inv = np.divide(1.0, b)
         return [(inv, ga), (-out * inv, gb)] if gb else [(inv, ga)]
@@ -150,9 +150,9 @@ def _values(program, cols):
     """The value of program at the coordinates cols."""
     stack = []
     for op, arg in program:
-        if op is VAR:
+        if op is _VAR:
             stack.append(cols[arg])
-        elif op is CONST:
+        elif op is _CONST:
             stack.append(arg)
         else:
             k = len(stack) - _arity(op, arg)
@@ -164,9 +164,9 @@ def _forward(program, cols):
     """(value, {axis: partial derivative}) of program at the coordinates cols."""
     stack = []
     for op, arg in program:
-        if op is VAR:
+        if op is _VAR:
             stack.append((cols[arg], {arg: 1.0}))
-        elif op is CONST:
+        elif op is _CONST:
             stack.append((arg, {}))
         else:
             k = len(stack) - _arity(op, arg)
@@ -177,13 +177,17 @@ def _forward(program, cols):
 
 
 def _fold(program: list, op: str, arg) -> bool:
-    """Replace op's operands by one CONST if they are all constants."""
+    """Replace op's operands, on top of program, by one CONST if all are constants.
+
+    A constant operand is always one CONST instruction, so the operands are
+    all constants exactly when the instructions on top of program are.
+    """
     k = len(program) - _arity(op, arg)
-    if any(o is not CONST for o, _ in program[k:]):
+    if any(o is not _CONST for o, _ in program[k:]):
         return False
     with np.errstate(all="ignore"):
         value = _apply(op, arg, [np.float64(c) for _, c in program[k:]])
-    program[k:] = [(CONST, float(value))]
+    program[k:] = [(_CONST, float(value))]
     return True
 
 
@@ -192,34 +196,29 @@ _ALPHABET = re.compile(r"[0-9A-Za-z_.+\-*/^()\s]*")
 _LITERAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 # the grammar allows leading zeros in integers (007); Python does not
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
-_BINARY = {ast.Mult: MUL, ast.Div: DIV, ast.Pow: POW}
+_BINARY = {ast.Mult: _MUL, ast.Div: _DIV, ast.Pow: _POW}
 
 
 def _leaf(node, source: str, dimension: int):
     """The CONST or VAR instruction of a name or a number of the grammar."""
     if isinstance(node, ast.Name):
         if node.id == "pi":
-            return CONST, math.pi
+            return _CONST, math.pi
         m = re.fullmatch(r"x(\d+)", node.id)
         if m is None:
             raise ValidationError(f"unknown name {node.id!r}")
         if not (1 <= int(m.group(1)) <= dimension):
             raise ValidationError(f"variable {node.id} out of range for dimension {dimension}")
-        return VAR, int(m.group(1)) - 1
+        return _VAR, int(m.group(1)) - 1
     # the source is one ASCII line, so the offsets index it directly
     segment = source[node.col_offset : node.end_col_offset]
     if isinstance(node, ast.Constant) and _LITERAL.fullmatch(segment):
-        return CONST, float(segment)
+        return _CONST, float(segment)
     raise ValidationError(f"unsupported expression {segment.replace('**', '^')!r}")
 
 
 def _compile(node, source: str, dimension: int, program: list) -> None:
-    """Append the instructions of a Python syntax tree that stays inside the grammar.
-
-    A constant operand is always one CONST instruction, so the operands of
-    the next instruction are all constants exactly when the instructions on
-    top of the program are.
-    """
+    """Append the instructions of a Python syntax tree that stays inside the grammar."""
     terms = []
     while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
         terms.append((isinstance(node.op, ast.Sub), node.right))
@@ -230,32 +229,32 @@ def _compile(node, source: str, dimension: int, program: list) -> None:
         for minus, term in reversed(terms):
             _compile(term, source, dimension, program)
             signs.append(minus)
-            if len(signs) == 2 and _fold(program, SUM, signs):  # a constant prefix
+            if len(signs) == 2 and _fold(program, _SUM, signs):  # a constant prefix
                 signs = [False]
         if len(signs) > 1:
-            program.append((SUM, tuple(signs)))
+            program.append((_SUM, tuple(signs)))
         return
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         op, arg, operands = _BINARY[type(node.op)], None, (node.left, node.right)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        op, arg, operands = NEG, None, (node.operand,)
+        op, arg, operands = _NEG, None, (node.operand,)
     elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exp" and (
         len(node.args) == 1 and not node.keywords
     ):
-        op, arg, operands = EXP, None, node.args
+        op, arg, operands = _EXP, None, node.args
     else:
         program.append(_leaf(node, source, dimension))
         return
     start = len(program)
     for operand in operands:
         _compile(operand, source, dimension, program)
-    if op is POW and program[-1][0] is CONST:
+    if op is _POW and program[-1][0] is _CONST:
         arg = program.pop()[1]
         if arg == 0.0:  # x^0 is 1 for every float x, nan and inf included
-            program[start:] = [(CONST, 1.0)]
+            program[start:] = [(_CONST, 1.0)]
             return
         small = arg.is_integer() and abs(arg) <= MAX_INT_POWER
-        op, arg = (IPOW, int(arg)) if small else (CPOW, arg)
+        op, arg = (_IPOW, int(arg)) if small else (_CPOW, arg)
     if not _fold(program, op, arg):
         program.append((op, arg))
 
@@ -279,10 +278,10 @@ def _blocks(program, dimension: int) -> tuple[tuple[int, ...], ...]:
     for op, arg in program:
         k = len(stack) - _arity(op, arg)
         operands = stack[k:]
-        terms = [arg] if op is VAR else [t for operand in operands for t in operand]
-        constant = [not operand for operand in operands]
+        terms = [arg] if op is _VAR else [t for operand in operands for t in operand]
+        const = [not operand for operand in operands]
         # a sum, a negation and a constant factor or divisor keep their terms apart
-        if not (op in (SUM, NEG) or (op is MUL and any(constant)) or (op is DIV and constant[1])):
+        if not (op in (_SUM, _NEG) or (op is _MUL and any(const)) or (op is _DIV and const[1])):
             for t in terms[1:]:
                 parent[find(t)] = find(terms[0])
             terms = terms[:1]

@@ -201,105 +201,105 @@ def test_singular_gradient_is_inf_without_warning():
 REGULAR = [(0.0, 0.0), (0.7, -1.3), (-1.9, 2.4)]
 SPECIAL = [(0.0, 0.0), (math.nan, math.inf), (math.inf, -0.5)]
 PINNED_BITS = [
-    ('x1 + 1/0', REGULAR, [
-        'inf 0x1.0000000000000p+0 0x0.0p+0',
-        'inf 0x1.0000000000000p+0 0x0.0p+0',
-        'inf 0x1.0000000000000p+0 0x0.0p+0',
+    ("x1 + 1/0", REGULAR, [
+        "inf 0x1.0000000000000p+0 0x0.0p+0",
+        "inf 0x1.0000000000000p+0 0x0.0p+0",
+        "inf 0x1.0000000000000p+0 0x0.0p+0",
     ]),
-    ('x2 - (-8)^(1/3)', REGULAR, [
-        'nan 0x0.0p+0 0x1.0000000000000p+0',
-        'nan 0x0.0p+0 0x1.0000000000000p+0',
-        'nan 0x0.0p+0 0x1.0000000000000p+0',
+    ("x2 - (-8)^(1/3)", REGULAR, [
+        "nan 0x0.0p+0 0x1.0000000000000p+0",
+        "nan 0x0.0p+0 0x1.0000000000000p+0",
+        "nan 0x0.0p+0 0x1.0000000000000p+0",
     ]),
-    ('x1^0 - 2*x2^0 + x1*x2^0', SPECIAL, [
-        '-0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0',
-        'nan 0x1.0000000000000p+0 0x0.0p+0',
-        'inf 0x1.0000000000000p+0 0x0.0p+0',
+    ("x1^0 - 2*x2^0 + x1*x2^0", SPECIAL, [
+        "-0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0",
+        "nan 0x1.0000000000000p+0 0x0.0p+0",
+        "inf 0x1.0000000000000p+0 0x0.0p+0",
     ]),
-    ('x1^-3 + 3*x2^-2', REGULAR, [
-        'inf -inf -inf',
-        '0x1.2c32c99ab768cp+2 -0x1.8fd559e1eeba4p+3 0x1.5d914db87485bp+1',
-        '0x1.800a59d97521ep-2 -0x1.d77385f2f9e58p-3 -0x1.bc71c71c71c72p-2',
+    ("x1^-3 + 3*x2^-2", REGULAR, [
+        "inf -inf -inf",
+        "0x1.2c32c99ab768cp+2 -0x1.8fd559e1eeba4p+3 0x1.5d914db87485bp+1",
+        "0x1.800a59d97521ep-2 -0x1.d77385f2f9e58p-3 -0x1.bc71c71c71c72p-2",
     ]),
-    ('x1^17 - x2^40', REGULAR, [
-        '0x0.0p+0 0x0.0p+0 -0x0.0p+0',
-        '-0x1.1a2db99742969p+15 0x1.ced0a95d195f3p-5 0x1.0f535afb8d303p+20',
-        '-0x1.6f71615ed3fbep+50 0x1.dedb99cbd0f4ap+18 -0x1.7ec0c56d3a669p+54',
+    ("x1^17 - x2^40", REGULAR, [
+        "0x0.0p+0 0x0.0p+0 -0x0.0p+0",
+        "-0x1.1a2db99742969p+15 0x1.ced0a95d195f3p-5 0x1.0f535afb8d303p+20",
+        "-0x1.6f71615ed3fbep+50 0x1.dedb99cbd0f4ap+18 -0x1.7ec0c56d3a669p+54",
     ]),
-    ('x1^16 + x2^2.5', REGULAR, [
-        '0x0.0p+0 0x0.0p+0 0x0.0p+0',
-        'nan 0x1.3722dd6bc39c7p-4 nan',
-        '0x1.c2d4424370e19p+14 -0x1.da6904283d2efp+17 0x1.2971f372f95b6p+3',
+    ("x1^16 + x2^2.5", REGULAR, [
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "nan 0x1.3722dd6bc39c7p-4 nan",
+        "0x1.c2d4424370e19p+14 -0x1.da6904283d2efp+17 0x1.2971f372f95b6p+3",
     ]),
-    ('(1 + x1^2)^x2', REGULAR, [
-        '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0',
-        '0x1.30e113fb1658ep-1 -0x1.74671d8f79cb1p-1 0x1.e6506f1d84e3dp-3',
-        '0x1.394efb4d00b9bp+5 -0x1.35e90ec9ab32fp+6 0x1.dece8b2e40a2bp+5',
+    ("(1 + x1^2)^x2", REGULAR, [
+        "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.30e113fb1658ep-1 -0x1.74671d8f79cb1p-1 0x1.e6506f1d84e3dp-3",
+        "0x1.394efb4d00b9bp+5 -0x1.35e90ec9ab32fp+6 0x1.dece8b2e40a2bp+5",
     ]),
-    ('2^x1 * x2', REGULAR, [
-        '0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0',
-        '-0x1.0e514e11fb61bp+1 -0x1.76bd60fc5da3dp+0 0x1.9fdf8bcce533dp+0',
-        '0x1.493fb1dc607abp-1 0x1.c86f8e540c3e1p-2 0x1.125fbee250664p-2',
+    ("2^x1 * x2", REGULAR, [
+        "0x0.0p+0 0x0.0p+0 0x1.0000000000000p+0",
+        "-0x1.0e514e11fb61bp+1 -0x1.76bd60fc5da3dp+0 0x1.9fdf8bcce533dp+0",
+        "0x1.493fb1dc607abp-1 0x1.c86f8e540c3e1p-2 0x1.125fbee250664p-2",
     ]),
-    ('007*x1 - pi*x2', REGULAR, [
-        '0x0.0p+0 0x1.c000000000000p+2 -0x1.921fb54442d18p+1',
-        '0x1.1f7d814fc8ea8p+3 0x1.c000000000000p+2 -0x1.921fb54442d18p+1',
-        '-0x1.4d6fe9947a720p+4 0x1.c000000000000p+2 -0x1.921fb54442d18p+1',
+    ("007*x1 - pi*x2", REGULAR, [
+        "0x0.0p+0 0x1.c000000000000p+2 -0x1.921fb54442d18p+1",
+        "0x1.1f7d814fc8ea8p+3 0x1.c000000000000p+2 -0x1.921fb54442d18p+1",
+        "-0x1.4d6fe9947a720p+4 0x1.c000000000000p+2 -0x1.921fb54442d18p+1",
     ]),
-    ('exp(-x1^2/2) * exp(x2)', REGULAR, [
-        '0x1.0000000000000p+0 -0x0.0p+0 0x1.0000000000000p+0',
-        '0x1.b4dcdab602041p-3 -0x1.31cdcc4c349c7p-3 0x1.b4dcdab602041p-3',
-        '0x1.d022cbc73d66bp+0 0x1.b8eddb307a54cp+1 0x1.d022cbc73d66bp+0',
+    ("exp(-x1^2/2) * exp(x2)", REGULAR, [
+        "0x1.0000000000000p+0 -0x0.0p+0 0x1.0000000000000p+0",
+        "0x1.b4dcdab602041p-3 -0x1.31cdcc4c349c7p-3 0x1.b4dcdab602041p-3",
+        "0x1.d022cbc73d66bp+0 0x1.b8eddb307a54cp+1 0x1.d022cbc73d66bp+0",
     ]),
-    ('3*2^-1 - pi/4 + exp(1)', REGULAR, [
-        '0x1.b768bb6034c23p+1 0x0.0p+0 0x0.0p+0',
-        '0x1.b768bb6034c23p+1 0x0.0p+0 0x0.0p+0',
-        '0x1.b768bb6034c23p+1 0x0.0p+0 0x0.0p+0',
+    ("3*2^-1 - pi/4 + exp(1)", REGULAR, [
+        "0x1.b768bb6034c23p+1 0x0.0p+0 0x0.0p+0",
+        "0x1.b768bb6034c23p+1 0x0.0p+0 0x0.0p+0",
+        "0x1.b768bb6034c23p+1 0x0.0p+0 0x0.0p+0",
     ]),
-    ('1 + 2 + x1 + 3 - x2', REGULAR, [
-        '0x1.8000000000000p+2 0x1.0000000000000p+0 -0x1.0000000000000p+0',
-        '0x1.0000000000000p+3 0x1.0000000000000p+0 -0x1.0000000000000p+0',
-        '0x1.b333333333332p+0 0x1.0000000000000p+0 -0x1.0000000000000p+0',
+    ("1 + 2 + x1 + 3 - x2", REGULAR, [
+        "0x1.8000000000000p+2 0x1.0000000000000p+0 -0x1.0000000000000p+0",
+        "0x1.0000000000000p+3 0x1.0000000000000p+0 -0x1.0000000000000p+0",
+        "0x1.b333333333332p+0 0x1.0000000000000p+0 -0x1.0000000000000p+0",
     ]),
-    ('x1*x2/(1 + x2^2)', REGULAR, [
-        '0x0.0p+0 0x0.0p+0 0x0.0p+0',
-        '-0x1.5a68af1b99381p-2 -0x1.eedeb102dae26p-2 -0x1.11670bc703490p-4',
-        '-0x1.595f6e94731fdp-1 0x1.6b8ce030792efp-2 0x1.9551b341a7ed6p-3',
+    ("x1*x2/(1 + x2^2)", REGULAR, [
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "-0x1.5a68af1b99381p-2 -0x1.eedeb102dae26p-2 -0x1.11670bc703490p-4",
+        "-0x1.595f6e94731fdp-1 0x1.6b8ce030792efp-2 0x1.9551b341a7ed6p-3",
     ]),
-    ('-(x1^2 - -(x2^4 - x1*x2))', REGULAR, [
-        '-0x0.0p+0 -0x0.0p+0 -0x0.0p+0',
-        '-0x1.1063f141205bdp+2 -0x1.599999999999ap+1 0x1.2f9db22d0e561p+3',
-        '-0x1.4ac7e28240b78p+5 0x1.8ccccccccccccp+2 -0x1.c9916872b020cp+5',
+    ("-(x1^2 - -(x2^4 - x1*x2))", REGULAR, [
+        "-0x0.0p+0 -0x0.0p+0 -0x0.0p+0",
+        "-0x1.1063f141205bdp+2 -0x1.599999999999ap+1 0x1.2f9db22d0e561p+3",
+        "-0x1.4ac7e28240b78p+5 0x1.8ccccccccccccp+2 -0x1.c9916872b020cp+5",
     ]),
-    ('2*(x1^2 + x2^2)/3', REGULAR, [
-        '0x0.0p+0 0x0.0p+0 0x0.0p+0',
-        '0x1.740da740da741p+0 0x1.dddddddddddddp-1 -0x1.bbbbbbbbbbbbcp+0',
-        '0x1.8fc962fc962fcp+2 -0x1.4444444444444p+1 0x1.9999999999999p+1',
+    ("2*(x1^2 + x2^2)/3", REGULAR, [
+        "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.740da740da741p+0 0x1.dddddddddddddp-1 -0x1.bbbbbbbbbbbbcp+0",
+        "0x1.8fc962fc962fcp+2 -0x1.4444444444444p+1 0x1.9999999999999p+1",
     ]),
-    ('x1^0.5 + x2^1', REGULAR, [
-        '0x0.0p+0 inf 0x1.0000000000000p+0',
-        '-0x1.da75cb43dcd44p-2 0x1.31fa808c55b43p-1 0x1.0000000000000p+0',
-        'nan nan 0x1.0000000000000p+0',
+    ("x1^0.5 + x2^1", REGULAR, [
+        "0x0.0p+0 inf 0x1.0000000000000p+0",
+        "-0x1.da75cb43dcd44p-2 0x1.31fa808c55b43p-1 0x1.0000000000000p+0",
+        "nan nan 0x1.0000000000000p+0",
     ]),
-    ('(x1 - x2)^3 / (x1 + 2)', REGULAR, [
-        '0x0.0p+0 0x0.0p+0 -0x0.0p+0',
-        '0x1.7b425ed097b42p+1 0x1.ac6c28bc39976p+1 -0x1.1c71c71c71c72p+2',
-        '-0x1.8d88f5c28f5bcp+9 0x1.09cb33333332bp+13 -0x1.1559999999995p+9',
+    ("(x1 - x2)^3 / (x1 + 2)", REGULAR, [
+        "0x0.0p+0 0x0.0p+0 -0x0.0p+0",
+        "0x1.7b425ed097b42p+1 0x1.ac6c28bc39976p+1 -0x1.1c71c71c71c72p+2",
+        "-0x1.8d88f5c28f5bcp+9 0x1.09cb33333332bp+13 -0x1.1559999999995p+9",
     ]),
-    ('1e3*x1^2 + .5*x2 + 2.', REGULAR, [
-        '0x1.0000000000000p+1 0x0.0p+0 0x1.0000000000000p-1',
-        '0x1.eb59999999999p+8 0x1.5e00000000000p+10 0x1.0000000000000p-1',
-        '0x1.c3a6666666666p+11 -0x1.db00000000000p+11 0x1.0000000000000p-1',
+    ("1e3*x1^2 + .5*x2 + 2.", REGULAR, [
+        "0x1.0000000000000p+1 0x0.0p+0 0x1.0000000000000p-1",
+        "0x1.eb59999999999p+8 0x1.5e00000000000p+10 0x1.0000000000000p-1",
+        "0x1.c3a6666666666p+11 -0x1.db00000000000p+11 0x1.0000000000000p-1",
     ]),
-    ('exp(x1)^x2 - x1/0', REGULAR, [
-        'nan -inf 0x0.0p+0',
-        '-inf -inf 0x1.208784629a2f3p-2',
-        'inf -inf -0x1.45ae017aeb1eep-6',
+    ("exp(x1)^x2 - x1/0", REGULAR, [
+        "nan -inf 0x0.0p+0",
+        "-inf -inf 0x1.208784629a2f3p-2",
+        "inf -inf -0x1.45ae017aeb1eep-6",
     ]),
-    ('-x1*-x2 - -1 + 0.1*x1^4', REGULAR, [
-        '0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0',
-        '0x1.d2fc2656abde9p-4 -0x1.29ad42c3c9eedp+0 0x1.6666666666666p-1',
-        '-0x1.20de7ea5f84cap+1 -0x1.5fd8adab9f558p-2 -0x1.e666666666666p+0',
+    ("-x1*-x2 - -1 + 0.1*x1^4", REGULAR, [
+        "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0",
+        "0x1.d2fc2656abde9p-4 -0x1.29ad42c3c9eedp+0 0x1.6666666666666p-1",
+        "-0x1.20de7ea5f84cap+1 -0x1.5fd8adab9f558p-2 -0x1.e666666666666p+0",
     ]),
 ]
 
