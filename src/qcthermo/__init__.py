@@ -5,6 +5,9 @@ its regularized quantum counterpart for rectangular boxes and harmonic
 oscillators, provides the quasi-classical asymptotics and sweep drivers, a
 variational free-energy minimizer, a second-order semiclassical expansion
 for smooth potentials, and recovery of box edges from sampled ratios.
+
+The top-level namespace is every module's ``__all__``: each public name is
+declared once, in its home module.
 """
 
 from __future__ import annotations
@@ -14,66 +17,11 @@ __version__ = "0.1.0"
 import importlib.util
 import sys
 
-from .core import (
-    BoxGeometry,
-    ComparisonReport,
-    ConvergenceError,
-    IntegrationError,
-    InversionError,
-    OscillatorSpec,
-    PhysicalParams,
-    ReducedParams,
-    ThermoQuartet,
-    ValidationError,
-    parse_number,
-    reduce_oscillator,
-    reduce_rho,
-    reduce_well,
-    sign_with_zero_band,
-)
-from .oscillator import (
-    BernoulliSeries,
-    MonotonicityCertificate,
-    bernoulli_even,
-    bernoulli_series,
-    f_ratio,
-    g_ratio,
-    monotonicity_certificates,
-    osc_classical,
-    osc_regularized,
-    series_eval,
-)
-from .sweeps import (
-    FitResult,
-    SweepPlan,
-    SweepResult,
-    SweepRow,
-    comparison_report,
-    fit_leading_order,
-    run_sweep,
-)
-from .theta import (
-    CROSSOVER_MU,
-    SlopeWitnesses,
-    ThetaValue,
-    energy_sum,
-    small_mu_slope_witnesses,
-    theta,
-    theta_direct,
-    theta_poisson,
-)
-from .well import (
-    EntropyAsymptote,
-    GeometricCoefficients,
-    geometric_coefficients,
-    hear_the_drum,
-    kac_expansion_ratio,
-    kac_mean_energy_ratio,
-    well_classical,
-    well_energy_ratio,
-    well_entropy_asymptotic,
-    well_regularized,
-)
+from .core import *
+from .oscillator import *
+from .sweeps import *
+from .theta import *
+from .well import *
 
 # The modules that import numpy, and the public names of each.  Each is put
 # in sys.modules unexecuted and runs on its first attribute access, so `eval`
@@ -122,36 +70,10 @@ def __dir__():
     return sorted({*globals(), *_LAZY_NAMES})
 
 
+# read through sys.modules: the package attribute `theta` is the function
 __all__ = [
     "__version__",
-    # core
-    "ValidationError", "ConvergenceError", "InversionError", "IntegrationError",
-    "PhysicalParams", "BoxGeometry", "OscillatorSpec", "ReducedParams",
-    "ThermoQuartet", "ComparisonReport",
-    "reduce_well", "reduce_oscillator", "reduce_rho", "sign_with_zero_band",
-    # theta
-    "ThetaValue", "CROSSOVER_MU", "theta", "theta_direct", "theta_poisson",
-    "energy_sum", "SlopeWitnesses", "small_mu_slope_witnesses",
-    # well
-    "well_classical", "well_regularized", "well_energy_ratio",
-    "EntropyAsymptote", "well_entropy_asymptotic",
-    "GeometricCoefficients", "geometric_coefficients",
-    "kac_expansion_ratio", "kac_mean_energy_ratio", "hear_the_drum",
-    # oscillator
-    "osc_classical", "osc_regularized", "f_ratio", "g_ratio",
-    "bernoulli_even", "BernoulliSeries", "bernoulli_series", "series_eval",
-    "MonotonicityCertificate", "monotonicity_certificates",
-    # gibbs
-    "LevelSet", "SimplexPoint", "oscillator_level_set", "well_level_set",
-    "gibbs_closed_form", "free_energy_functional", "MinimizeResult",
-    "minimize_free_energy", "hessian_positivity_check",
-    "PhaseSpaceCheck", "classical_phase_space_check",
-    # semiclassical
-    "PotentialField", "harmonic_potential", "z0_integral", "z2_integral",
-    "KWPrediction", "kw_expansion",
-    # sweeps
-    "SweepPlan", "SweepRow", "FitResult", "SweepResult",
-    "comparison_report", "run_sweep", "fit_leading_order",
-    # expressions (parse_number lives in core)
-    "parse_potential", "parse_number",
+    *(name for module in ("core", "oscillator", "sweeps", "theta", "well")
+      for name in sys.modules[f"{__name__}.{module}"].__all__),
+    *_LAZY_NAMES,
 ]

@@ -293,6 +293,8 @@ def cmd_kw(args) -> None:
     from .expressions import parse_potential
     from .semiclassical import PotentialField, harmonic_potential, kw_expansion
 
+    if args.potential and args.omega:
+        raise ValidationError("kw takes --potential or --omega, not both")
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
     if args.potential:
         dim = args.dim

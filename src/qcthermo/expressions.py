@@ -42,13 +42,13 @@ share a term form a block, and an axis no term uses is a block of its own.
 ``x1^2 + x2^2`` and ``2*(x1^2 + x2^2)`` have blocks ((0,), (1,)), while
 ``(x1 + x2)^2``, ``x1*(x1 + x2)`` and ``2/(x1^2 + x2^2)`` have ((0, 1),).
 
-Evaluation and the blocks pass do not recurse, and the compile walks a chain
-of + and - in a loop, so the length of a sum is limited only by Python's own
-parser: about 2990 terms at the top of the stack on Python 3.11.7.  The
-compile recurses into other nesting (products, powers, unary minus, exp),
-which the interpreter's recursion limit bounds at about 990 levels.  Input
-too deep for either is a ValidationError, "expression nests too deeply to
-parse".
+Evaluation and the blocks pass do not recurse, and the compile walks the
+left spine of a chain of + and - or of * and / in a loop, so the length of a
+sum or a product is limited only by Python's own parser: about 2990 terms at
+the top of the stack on Python 3.11.7.  The compile recurses into other
+nesting (powers, unary minus, exp, a parenthesized right operand), which the
+interpreter's recursion limit bounds at about 990 levels.  Input too deep for
+either is a ValidationError, "expression nests too deeply to parse".
 """
 
 from __future__ import annotations
@@ -196,7 +196,6 @@ _ALPHABET = re.compile(r"[0-9A-Za-z_.+\-*/^()\s]*")
 _LITERAL = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 # the grammar allows leading zeros in integers (007); Python does not
 _LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")
-_BINARY = {ast.Mult: _MUL, ast.Div: _DIV, ast.Pow: _POW}
 
 
 def _leaf(node, source: str, dimension: int):
@@ -217,25 +216,41 @@ def _leaf(node, source: str, dimension: int):
     raise ValidationError(f"unsupported expression {segment.replace('**', '^')!r}")
 
 
+def _left_spine(node, ops):
+    """The leftmost operand of a left-deep chain of the binary ops, and the
+    (op, right operand) links in source order; no links if node is not one."""
+    links = []
+    while isinstance(node, ast.BinOp) and isinstance(node.op, ops):
+        links.append((node.op, node.right))
+        node = node.left
+    return node, links[::-1]
+
+
 def _compile(node, source: str, dimension: int, program: list) -> None:
     """Append the instructions of a Python syntax tree that stays inside the grammar."""
-    terms = []
-    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-        terms.append((isinstance(node.op, ast.Sub), node.right))
-        node = node.left
+    first, terms = _left_spine(node, (ast.Add, ast.Sub))
     if terms:  # a chain of + and -, walked in a loop
-        _compile(node, source, dimension, program)
+        _compile(first, source, dimension, program)
         signs = [False]
-        for minus, term in reversed(terms):
+        for op, term in terms:
             _compile(term, source, dimension, program)
-            signs.append(minus)
+            signs.append(isinstance(op, ast.Sub))
             if len(signs) == 2 and _fold(program, _SUM, signs):  # a constant prefix
                 signs = [False]
         if len(signs) > 1:
             program.append((_SUM, tuple(signs)))
         return
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        op, arg, operands = _BINARY[type(node.op)], None, (node.left, node.right)
+    first, factors = _left_spine(node, (ast.Mult, ast.Div))
+    if factors:  # a chain of * and /, walked in a loop
+        _compile(first, source, dimension, program)
+        for op, factor in factors:
+            _compile(factor, source, dimension, program)
+            op = _MUL if isinstance(op, ast.Mult) else _DIV
+            if not _fold(program, op, None):
+                program.append((op, None))
+        return
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        op, arg, operands = _POW, None, (node.left, node.right)
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         op, arg, operands = _NEG, None, (node.operand,)
     elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exp" and (

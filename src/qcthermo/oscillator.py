@@ -35,7 +35,6 @@ __all__ = [
     "series_eval",
     "MonotonicityCertificate",
     "monotonicity_certificates",
-    "LOG_SPACE_TAU",
 ]
 
 # Above this sinh overflows; ratios are evaluated through logarithms.
@@ -77,9 +76,6 @@ def _log_tau_over_sinh(tau: float) -> float:
 def _tau_over_tanh(tau: float) -> float:
     if tau == 0.0:
         return 1.0
-    if tau > 20.0:
-        # tanh saturates to 1 well inside double precision here
-        return tau
     return tau / math.tanh(tau)
 
 

@@ -51,8 +51,6 @@ __all__ = [
     "z2_integral",
     "KWPrediction",
     "kw_expansion",
-    "MAX_TENSOR_DIMENSION",
-    "EXPANSION_VALIDITY",
 ]
 
 MAX_TENSOR_DIMENSION = 4

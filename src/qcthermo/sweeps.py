@@ -35,9 +35,6 @@ from .oscillator import osc_classical, osc_regularized
 from .well import well_classical, well_regularized
 
 __all__ = [
-    "WELL_DIRECTIONS",
-    "OSCILLATOR_DIRECTIONS",
-    "RESIDUAL_NAMES",
     "SweepPlan",
     "SweepRow",
     "FitResult",
@@ -49,7 +46,10 @@ __all__ = [
 
 WELL_DIRECTIONS = ("h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf")
 OSCILLATOR_DIRECTIONS = ("h_to_0", "T_to_inf", "omega_to_0", "N_to_inf")
-MAX_N = 10**6  # N_to_inf builds N copies of the base axes; 10x the largest N tested
+# N_to_inf builds N copies of the base axes, 10x the largest N tested.  The cap
+# also bounds accuracy: a row's Z_ratio, dF and dS come from log Z_r - log Z_c,
+# two logs of size ~N, so they carry about 1e-16*N relative rounding, 1e-10 here.
+MAX_N = 10**6
 # every residual a report of each system may carry, sorted; a residual whose
 # asymptote is undefined at a point is left out of that point's report
 RESIDUAL_NAMES = {

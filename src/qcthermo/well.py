@@ -39,7 +39,6 @@ __all__ = [
     "kac_expansion_ratio",
     "kac_mean_energy_ratio",
     "hear_the_drum",
-    "ASYMPTOTIC_EPS_LIMIT",
 ]
 
 # e^{-4*pi/eps^2} < 1e-60 for eps <= 0.3: the neglected tail of the

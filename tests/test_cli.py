@@ -178,6 +178,7 @@ def test_validation_exit_code(capsys):
         ["gibbs", "--levels", "0,1,2", "--T", "1", "--random-points", "0"],
         ["kw", "--potential", "x1^2/2", "--dim", "1", "--T", "1", "--h", "0.1", "--scale", "0"],
         ["kw", "--potential", "x1^2/2", "--dim", "1", "--T", "1", "--h", "0.1", "--scale", "-1"],
+        ["kw", "--potential", "x1^2", "--dim", "1", "--omega", "1", "--T", "1", "--h", "0.1"],
         # five coupled axes are beyond the tensor quadrature
         ["kw", "--potential", "(x1+x2+x3+x4+x5)^2 + x1^2 + x2^2 + x3^2 + x4^2 + x5^2",
          "--dim", "5", "--T", "1", "--h", "0.1"],

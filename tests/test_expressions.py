@@ -111,16 +111,21 @@ def test_deep_trees_raise_validation_error():
 
 
 def test_long_sum_evaluates_deep_in_the_stack():
-    # evaluation runs the instruction list in a loop, however deep its caller
-    f = parse_potential(" + ".join(["x1^2"] * 900), 1)
-    x = np.full((1, 1), 1.5)
+    # evaluation runs the instruction list in a loop, however deep its caller;
+    # the compile walks a chain of + and - or of * and / in a loop too
+    for text, at, value, slope in (
+        (" + ".join(["x1^2"] * 900), 1.5, 900 * 1.5**2, 1800 * 1.5),
+        ("*".join(["x1"] * 2000), 1.0, 1.0, 2000.0),
+    ):
+        f = parse_potential(text, 1)
+        x = np.full((1, 1), at)
 
-    def deep(depth, fn):
-        return fn(x) if depth == 0 else deep(depth - 1, fn)
+        def deep(depth, fn):
+            return fn(x) if depth == 0 else deep(depth - 1, fn)
 
-    room = sys.getrecursionlimit() - 150
-    assert deep(room, f)[0] == 900 * 1.5**2
-    assert deep(room, f.gradient)[0, 0] == 1800 * 1.5
+        room = sys.getrecursionlimit() - 150
+        assert deep(room, f)[0] == value
+        assert deep(room, f.gradient)[0, 0] == slope
 
 
 def test_constant_expression_broadcasts():

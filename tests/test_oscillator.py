@@ -144,6 +144,9 @@ def test_f_ratio_values():
 def test_g_ratio_is_mean():
     assert g_ratio([1.0]) == pytest.approx(COTH_1, rel=1e-14)
     assert g_ratio([1.0, 0.0]) == pytest.approx((COTH_1 + 1.0) / 2.0, rel=1e-14)
+    # tanh(tau) is exactly 1.0 from tau ~ 19.06 on, so tau/tanh(tau) is tau bit for bit
+    for tau in (20.5, 700.0, 1e300):
+        assert g_ratio([tau]) == tau
 
 
 def test_ratios_match_quartets():
