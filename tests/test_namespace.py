@@ -2,11 +2,12 @@
 
 import importlib
 import inspect
+import pkgutil
 
 import qcthermo
 
-EAGER = ("core", "oscillator", "sweeps", "theta", "well")
-MODULES = EAGER + tuple(qcthermo._LAZY)
+# every module but the command-line front end
+MODULES = [m.name for m in pkgutil.iter_modules(qcthermo.__path__) if m.name != "cli"]
 
 
 def module_all(name):
