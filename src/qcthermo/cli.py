@@ -41,24 +41,54 @@ def _number_list(text: str) -> list[float]:
     return [parse_number(part) for part in text.split(",") if part.strip()]
 
 
-def _finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ConvergenceError(f"non-finite value in output field {name!r}")
-    return x
+class _NonFinite(Exception):
+    """A non-finite float in the output.  path collects the keys and indices
+    that lead to it, innermost first, as the walk unwinds."""
+
+    def __init__(self):
+        self.path = []
 
 
-def _sanitize(obj, path="$"):
+def _sanitize(obj):
+    """obj with every numpy scalar a Python number.  A non-finite float raises
+    ConvergenceError naming its field, as '$.rows[2].F'; only the first such
+    field in walk order is named, and no path is built for the others."""
+    try:
+        return _plain(obj)
+    except _NonFinite as exc:
+        name = "$" + "".join(reversed(exc.path))
+        raise ConvergenceError(f"non-finite value in output field {name!r}") from None
+
+
+def _plain(obj):
+    if type(obj) is float:
+        if math.isfinite(obj):
+            return obj
+        raise _NonFinite
     if isinstance(obj, dict):
-        return {k: _sanitize(v, f"{path}.{k}") for k, v in obj.items()}
+        out = {}
+        for key, value in obj.items():
+            try:
+                out[key] = _plain(value)
+            except _NonFinite as exc:
+                exc.path.append(f".{key}")
+                raise
+        return out
     if isinstance(obj, (list, tuple)):
-        return [_sanitize(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+        out = []
+        for i, value in enumerate(obj):
+            try:
+                out.append(_plain(value))
+            except _NonFinite as exc:
+                exc.path.append(f"[{i}]")
+                raise
+        return out
     # numpy scalars exist only once a subcommand has loaded numpy
     np = sys.modules.get("numpy")
     if isinstance(obj, bool) or np is not None and isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
-        return _finite(obj, path)
+        return _plain(float(obj))
     if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
         return int(obj)
     return obj

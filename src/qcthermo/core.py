@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from functools import cached_property
 
 __all__ = [
     "ValidationError",
@@ -54,21 +52,66 @@ class IntegrationError(RuntimeError):
     """Quadrature could not reach the requested accuracy or diverged."""
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+# Sets a field of a record; a record's own __setattr__ refuses every
+# assignment once it is built.
+_set_field = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A record lists its fields, in order, in __match_args__ and keeps them in
+    __slots__; its __init__ validates the arguments and sets each field once
+    through _set_field.  Equality, hash and repr are those of a frozen
+    dataclass over the same fields, and assignment or deletion raises
+    AttributeError.  Importing dataclasses would cost a process that only
+    evaluates a few closed forms a good share of its start-up time.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its __init__, since
+        # restoring slots one by one would assign to them
+        return self.__class__, self._astuple()
+
+
+class PhysicalParams(_Record):
     """Temperature, Planck constant and particle mass."""
 
-    T: float
-    h: float
-    m: float
+    __slots__ = __match_args__ = ("T", "h", "m")
 
-    def __post_init__(self):
-        if not (self.T > 0):
-            raise ValidationError(f"temperature must be positive, got T={self.T}")
-        if not (self.m > 0):
-            raise ValidationError(f"mass must be positive, got m={self.m}")
-        if not (self.h >= 0):
-            raise ValidationError(f"Planck constant must be >= 0, got h={self.h}")
+    def __init__(self, T: float, h: float, m: float):
+        if not (T > 0):
+            raise ValidationError(f"temperature must be positive, got T={T}")
+        if not (m > 0):
+            raise ValidationError(f"mass must be positive, got m={m}")
+        if not (h >= 0):
+            raise ValidationError(f"Planck constant must be >= 0, got h={h}")
+        _set_field(self, "T", T)
+        _set_field(self, "h", h)
+        _set_field(self, "m", m)
 
     @property
     def beta(self) -> float:
@@ -83,11 +126,15 @@ def _distinct(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
     return tuple(counts.items())
 
 
-@dataclass(frozen=True)
-class BoxGeometry:
-    """Rectangular box 0 <= x_k <= a_k."""
+class BoxGeometry(_Record):
+    """Rectangular box 0 <= x_k <= a_k.
 
-    edges: tuple[float, ...]
+    distinct_edges lists the (edge, multiplicity) pairs in first-seen order;
+    it is derived from edges, so it is not a field.
+    """
+
+    __slots__ = ("edges", "distinct_edges")
+    __match_args__ = ("edges",)
 
     def __init__(self, edges):
         edges = tuple(float(a) for a in edges)
@@ -95,23 +142,23 @@ class BoxGeometry:
             raise ValidationError("box needs at least one edge")
         if any(not (a > 0) for a in edges):
             raise ValidationError(f"edges must be positive, got {edges}")
-        object.__setattr__(self, "edges", edges)
+        _set_field(self, "edges", edges)
+        _set_field(self, "distinct_edges", _distinct(edges))
 
     @property
     def dimension(self) -> int:
         return len(self.edges)
 
-    @cached_property
-    def distinct_edges(self) -> tuple[tuple[float, int], ...]:
-        """(edge, multiplicity) pairs in first-seen order."""
-        return _distinct(self.edges)
 
+class OscillatorSpec(_Record):
+    """Harmonic oscillator with angular frequencies omega_k > 0.
 
-@dataclass(frozen=True)
-class OscillatorSpec:
-    """Harmonic oscillator with angular frequencies omega_k > 0."""
+    distinct_frequencies lists the (frequency, multiplicity) pairs in
+    first-seen order; it is derived from frequencies, so it is not a field.
+    """
 
-    frequencies: tuple[float, ...]
+    __slots__ = ("frequencies", "distinct_frequencies")
+    __match_args__ = ("frequencies",)
 
     def __init__(self, frequencies):
         frequencies = tuple(float(w) for w in frequencies)
@@ -119,20 +166,15 @@ class OscillatorSpec:
             raise ValidationError("oscillator needs at least one frequency")
         if any(not (w > 0) for w in frequencies):
             raise ValidationError(f"frequencies must be positive, got {frequencies}")
-        object.__setattr__(self, "frequencies", frequencies)
+        _set_field(self, "frequencies", frequencies)
+        _set_field(self, "distinct_frequencies", _distinct(frequencies))
 
     @property
     def dimension(self) -> int:
         return len(self.frequencies)
 
-    @cached_property
-    def distinct_frequencies(self) -> tuple[tuple[float, int], ...]:
-        """(frequency, multiplicity) pairs in first-seen order."""
-        return _distinct(self.frequencies)
 
-
-@dataclass(frozen=True)
-class ReducedParams:
+class ReducedParams(_Record):
     """Dimensionless controls.
 
     For a box: mu_k = h*sqrt(2*pi/(m*a_k^2*T)) with lambda_k = 4/(pi*mu_k^2)
@@ -143,62 +185,95 @@ class ReducedParams:
     matching aggregates are None.
     """
 
-    mu: tuple[float, ...] = ()
-    tau: tuple[float, ...] = ()
-    rho: float = 0.0
-    lambda_theta: tuple[float, ...] = ()
-    eps: float | None = None
-    nu: float | None = None
-    delta: float | None = None
-    kappa: float | None = None
+    __slots__ = __match_args__ = (
+        "mu", "tau", "rho", "lambda_theta", "eps", "nu", "delta", "kappa"
+    )
+
+    def __init__(
+        self,
+        mu: tuple[float, ...] = (),
+        tau: tuple[float, ...] = (),
+        rho: float = 0.0,
+        lambda_theta: tuple[float, ...] = (),
+        eps: float | None = None,
+        nu: float | None = None,
+        delta: float | None = None,
+        kappa: float | None = None,
+    ):
+        _set_field(self, "mu", mu)
+        _set_field(self, "tau", tau)
+        _set_field(self, "rho", rho)
+        _set_field(self, "lambda_theta", lambda_theta)
+        _set_field(self, "eps", eps)
+        _set_field(self, "nu", nu)
+        _set_field(self, "delta", delta)
+        _set_field(self, "kappa", kappa)
 
 
-@dataclass(frozen=True)
-class ThermoQuartet:
+class ThermoQuartet(_Record):
     """Statistical sum, free energy, mean energy and entropy of one flavor.
 
-    log_Z is primary and Z is derived from it (see _z_from_log).  Where
-    e^log_Z underflows, deep in the quantum regime, Z is the smallest
+    flavor is classical, quantum or regularized.  log_Z is primary and Z is
+    derived from it (see _z_from_log); a NaN log_Z is taken as log(Z).
+    Where e^log_Z underflows, deep in the quantum regime, Z is the smallest
     positive float, 5e-324; where it overflows, at large N or huge edges, Z
     is inf.  Either way log_Z carries the value, so free energies and ratios
     stay exact; only a printed Z of inf is an error (the CLI exits 3).
     """
 
-    Z: float
-    F: float
-    E: float
-    S: float
-    flavor: str  # classical | quantum | regularized
-    T: float
-    log_Z: float = field(default=math.nan)
+    __slots__ = __match_args__ = ("Z", "F", "E", "S", "flavor", "T", "log_Z")
 
-    def __post_init__(self):
-        if not (self.Z > 0):
-            raise ValidationError(f"statistical sum must be positive, got {self.Z}")
-        if math.isnan(self.log_Z):
-            object.__setattr__(self, "log_Z", math.log(self.Z))
-        if self.flavor not in ("classical", "quantum", "regularized"):
-            raise ValidationError(f"unknown flavor {self.flavor!r}")
-        scale = max(abs(self.E), abs(self.T * self.S), abs(self.F), 1e-300)
-        if abs(self.F - (self.E - self.T * self.S)) > QUARTET_IDENTITY_RTOL * scale:
+    def __init__(
+        self, Z: float, F: float, E: float, S: float, flavor: str, T: float,
+        log_Z: float = math.nan,
+    ):
+        if not (Z > 0):
+            raise ValidationError(f"statistical sum must be positive, got {Z}")
+        if math.isnan(log_Z):
+            log_Z = math.log(Z)
+        if flavor not in ("classical", "quantum", "regularized"):
+            raise ValidationError(f"unknown flavor {flavor!r}")
+        scale = max(abs(E), abs(T * S), abs(F), 1e-300)
+        if abs(F - (E - T * S)) > QUARTET_IDENTITY_RTOL * scale:
             raise ValidationError(
                 "free energy identity F = E - T*S violated: "
-                f"F={self.F}, E={self.E}, T*S={self.T * self.S}"
+                f"F={F}, E={E}, T*S={T * S}"
             )
+        _set_field(self, "Z", Z)
+        _set_field(self, "F", F)
+        _set_field(self, "E", E)
+        _set_field(self, "S", S)
+        _set_field(self, "flavor", flavor)
+        _set_field(self, "T", T)
+        _set_field(self, "log_Z", log_Z)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(_Record):
     """Regularized-vs-classical comparison at one parameter point, with the
     two quartets it compares."""
 
-    point: ReducedParams
-    ratios: dict[str, float]
-    diffs: dict[str, float]
-    signs: dict[str, int]
-    asymptotic_residuals: dict[str, float]
-    classical: ThermoQuartet
-    regularized: ThermoQuartet
+    __slots__ = __match_args__ = (
+        "point", "ratios", "diffs", "signs", "asymptotic_residuals", "classical",
+        "regularized",
+    )
+
+    def __init__(
+        self,
+        point: ReducedParams,
+        ratios: dict[str, float],
+        diffs: dict[str, float],
+        signs: dict[str, int],
+        asymptotic_residuals: dict[str, float],
+        classical: ThermoQuartet,
+        regularized: ThermoQuartet,
+    ):
+        _set_field(self, "point", point)
+        _set_field(self, "ratios", ratios)
+        _set_field(self, "diffs", diffs)
+        _set_field(self, "signs", signs)
+        _set_field(self, "asymptotic_residuals", asymptotic_residuals)
+        _set_field(self, "classical", classical)
+        _set_field(self, "regularized", regularized)
 
 
 def _z_from_log(log_z: float) -> float:

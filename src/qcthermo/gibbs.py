@@ -12,7 +12,6 @@ against the closed forms of the box and the oscillator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,8 @@ from .core import (
     OscillatorSpec,
     PhysicalParams,
     ValidationError,
+    _Record,
+    _set_field,
 )
 
 __all__ = [
@@ -45,12 +46,10 @@ TAIL_BOUND_REL = 1e-12
 STEP_REL = 1e-3
 
 
-@dataclass(frozen=True)
-class LevelSet:
+class LevelSet(_Record):
     """Finite increasing truncation of an energy spectrum."""
 
-    energies: tuple[float, ...]
-    truncation_tail_bound: float = 0.0
+    __slots__ = __match_args__ = ("energies", "truncation_tail_bound")
 
     def __init__(self, energies, truncation_tail_bound: float = 0.0):
         energies = tuple(float(e) for e in energies)
@@ -58,13 +57,12 @@ class LevelSet:
             raise ValidationError("need at least two levels")
         if any(b < a for a, b in zip(energies, energies[1:])):
             raise ValidationError("energies must be non-decreasing")
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "truncation_tail_bound", float(truncation_tail_bound))
+        _set_field(self, "energies", energies)
+        _set_field(self, "truncation_tail_bound", float(truncation_tail_bound))
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    probabilities: tuple[float, ...]
+class SimplexPoint(_Record):
+    __slots__ = __match_args__ = ("probabilities",)
 
     def __init__(self, probabilities):
         probabilities = tuple(float(p) for p in probabilities)
@@ -73,7 +71,7 @@ class SimplexPoint:
         total = math.fsum(probabilities)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities must sum to 1, got {total}")
-        object.__setattr__(self, "probabilities", probabilities)
+        _set_field(self, "probabilities", probabilities)
 
 
 def oscillator_level_set(params: PhysicalParams, omega: float) -> LevelSet:
@@ -109,7 +107,11 @@ def gibbs_closed_form(levels: LevelSet, T: float) -> SimplexPoint:
     if T <= 0:
         raise ValidationError("T must be positive")
     logits = np.array([-e / T for e in levels.energies])
-    logits -= logits.max()
+    # once every E/T overflows, every logit is -inf and the shift gives NaN;
+    # the CLI reports that as a non-finite output, and a warning would only
+    # repeat it on stderr
+    with np.errstate(invalid="ignore"):
+        logits -= logits.max()
     w = np.exp(logits)
     return SimplexPoint(tuple(w / w.sum()))
 
@@ -125,11 +127,13 @@ def free_energy_functional(levels: LevelSet, T: float, point: SimplexPoint) -> f
     return float(_free_energy(np.array(levels.energies), T, np.array(point.probabilities)))
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
-    point: SimplexPoint
-    F_min: float
-    iterations: int
+class MinimizeResult(_Record):
+    __slots__ = __match_args__ = ("point", "F_min", "iterations")
+
+    def __init__(self, point: SimplexPoint, F_min: float, iterations: int):
+        _set_field(self, "point", point)
+        _set_field(self, "F_min", F_min)
+        _set_field(self, "iterations", iterations)
 
 
 def minimize_free_energy(levels: LevelSet, T: float, tol: float) -> MinimizeResult:
@@ -194,14 +198,21 @@ def hessian_positivity_check(levels: LevelSet, T: float, point: SimplexPoint) ->
     return separable and bool(np.all(curvature > 0))
 
 
-@dataclass(frozen=True)
-class PhaseSpaceCheck:
-    z_quadrature: float
-    z_exact: float
-    e_quadrature: float
-    e_exact: float
-    variational_ok: bool
-    resolution: int
+class PhaseSpaceCheck(_Record):
+    __slots__ = __match_args__ = (
+        "z_quadrature", "z_exact", "e_quadrature", "e_exact", "variational_ok", "resolution"
+    )
+
+    def __init__(
+        self, z_quadrature: float, z_exact: float, e_quadrature: float, e_exact: float,
+        variational_ok: bool, resolution: int,
+    ):
+        _set_field(self, "z_quadrature", z_quadrature)
+        _set_field(self, "z_exact", z_exact)
+        _set_field(self, "e_quadrature", e_quadrature)
+        _set_field(self, "e_exact", e_exact)
+        _set_field(self, "variational_ok", variational_ok)
+        _set_field(self, "resolution", resolution)
 
 
 def classical_phase_space_check(

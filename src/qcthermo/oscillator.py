@@ -11,8 +11,6 @@ its multiplicity.  The regularized entropy is summed per axis, never formed as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 from .core import (
@@ -21,6 +19,8 @@ from .core import (
     ThermoQuartet,
     ValidationError,
     _frequency_tau,
+    _Record,
+    _set_field,
     _z_from_log,
 )
 
@@ -131,6 +131,8 @@ def g_ratio(taus) -> float:
 
 def bernoulli_even(k: int) -> Fraction:
     """B_{2k} as an exact Fraction via the binomial recurrence."""
+    from fractions import Fraction
+
     if k < 0:
         raise ValidationError("k must be >= 0")
     b: list[Fraction] = [Fraction(1)]  # B_0
@@ -144,16 +146,19 @@ def bernoulli_even(k: int) -> Fraction:
     return b[k]
 
 
-@dataclass(frozen=True)
-class BernoulliSeries:
+class BernoulliSeries(_Record):
     """Even-power series of a ratio function, radius of convergence pi.
 
-    coefficients[j] multiplies tau^(2j); coefficients[0] = 1.
+    kind is f_sinh or g_tanh; coefficients[j] multiplies tau^(2j);
+    coefficients[0] = 1.
     """
 
-    kind: str  # f_sinh | g_tanh
-    coefficients: tuple[float, ...]
-    radius: float = math.pi
+    __slots__ = __match_args__ = ("kind", "coefficients", "radius")
+
+    def __init__(self, kind: str, coefficients: tuple[float, ...], radius: float = math.pi):
+        _set_field(self, "kind", kind)
+        _set_field(self, "coefficients", coefficients)
+        _set_field(self, "radius", radius)
 
 
 def bernoulli_series(kind: str, order: int) -> BernoulliSeries:
@@ -162,6 +167,8 @@ def bernoulli_series(kind: str, order: int) -> BernoulliSeries:
     f coefficients: 2*(1 - 2^(2n-1)) * B_{2n} / (2n)!
     g coefficients: 2^(2n) * B_{2n} / (2n)!
     """
+    from fractions import Fraction
+
     if kind not in ("f_sinh", "g_tanh"):
         raise ValidationError(f"unknown series kind {kind!r}")
     if order < 1:
@@ -191,14 +198,23 @@ def series_eval(series: BernoulliSeries, tau: float) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class MonotonicityCertificate:
-    """Closed-form derivatives of the three tau-dependent quantities."""
+class MonotonicityCertificate(_Record):
+    """Closed-form derivatives of the three tau-dependent quantities.
 
-    z_ratio_slope: float  # d/dtau tau/sinh(tau), negative
-    e_ratio_slope: float  # d/dtau tau/tanh(tau), positive
-    entropy_slope: float  # d/dtau S_r, positive
-    signs: tuple[int, int, int]
+    z_ratio_slope is d/dtau tau/sinh(tau), negative; e_ratio_slope is
+    d/dtau tau/tanh(tau), positive; entropy_slope is d/dtau S_r, positive.
+    """
+
+    __slots__ = __match_args__ = ("z_ratio_slope", "e_ratio_slope", "entropy_slope", "signs")
+
+    def __init__(
+        self, z_ratio_slope: float, e_ratio_slope: float, entropy_slope: float,
+        signs: tuple[int, int, int],
+    ):
+        _set_field(self, "z_ratio_slope", z_ratio_slope)
+        _set_field(self, "e_ratio_slope", e_ratio_slope)
+        _set_field(self, "entropy_slope", entropy_slope)
+        _set_field(self, "signs", signs)
 
 
 def monotonicity_certificates(tau: float) -> MonotonicityCertificate:

@@ -15,7 +15,6 @@ least squares in plain Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .core import (
     BoxGeometry,
@@ -27,6 +26,8 @@ from .core import (
     PhysicalParams,
     ReducedParams,
     ValidationError,
+    _Record,
+    _set_field,
     reduce_oscillator,
     reduce_well,
     sign_with_zero_band,
@@ -58,25 +59,30 @@ RESIDUAL_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    system: str  # well | oscillator
-    direction: str
-    grid: tuple[float, ...]
-    base_params: PhysicalParams
-    base_geometry: BoxGeometry | None = None
-    base_spec: OscillatorSpec | None = None
+class SweepPlan(_Record):
+    """One knob swept along a grid; system is well or oscillator."""
 
-    def __post_init__(self):
-        if self.system not in ("well", "oscillator"):
-            raise ValidationError(f"unknown system {self.system!r}")
-        allowed = WELL_DIRECTIONS if self.system == "well" else OSCILLATOR_DIRECTIONS
-        if self.direction not in allowed:
+    __slots__ = __match_args__ = (
+        "system", "direction", "grid", "base_params", "base_geometry", "base_spec"
+    )
+
+    def __init__(
+        self,
+        system: str,
+        direction: str,
+        grid: tuple[float, ...],
+        base_params: PhysicalParams,
+        base_geometry: BoxGeometry | None = None,
+        base_spec: OscillatorSpec | None = None,
+    ):
+        if system not in ("well", "oscillator"):
+            raise ValidationError(f"unknown system {system!r}")
+        allowed = WELL_DIRECTIONS if system == "well" else OSCILLATOR_DIRECTIONS
+        if direction not in allowed:
             raise ValidationError(
-                f"direction {self.direction!r} not valid for {self.system}; "
-                f"choose from {allowed}"
+                f"direction {direction!r} not valid for {system}; choose from {allowed}"
             )
-        grid = tuple(float(g) for g in self.grid)
+        grid = tuple(float(g) for g in grid)
         if len(grid) < 6:
             raise ValidationError("grid needs at least 6 points")
         if not all(math.isfinite(g) for g in grid):
@@ -84,33 +90,56 @@ class SweepPlan:
         steps = [b - a for a, b in zip(grid, grid[1:])]
         if not (all(s > 0 for s in steps) or all(s < 0 for s in steps)):
             raise ValidationError("grid must be strictly monotone")
-        object.__setattr__(self, "grid", grid)
-        if self.system == "well" and self.base_geometry is None:
+        if system == "well" and base_geometry is None:
             raise ValidationError("well sweep needs base_geometry")
-        if self.system == "oscillator" and self.base_spec is None:
+        if system == "oscillator" and base_spec is None:
             raise ValidationError("oscillator sweep needs base_spec")
+        _set_field(self, "system", system)
+        _set_field(self, "direction", direction)
+        _set_field(self, "grid", grid)
+        _set_field(self, "base_params", base_params)
+        _set_field(self, "base_geometry", base_geometry)
+        _set_field(self, "base_spec", base_spec)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    swept_value: float
-    report: ComparisonReport | None
-    error: str | None = None
+class SweepRow(_Record):
+    """A swept value with its report, or with the error that replaced it."""
+
+    __slots__ = __match_args__ = ("swept_value", "report", "error")
+
+    def __init__(
+        self, swept_value: float, report: ComparisonReport | None, error: str | None = None
+    ):
+        _set_field(self, "swept_value", swept_value)
+        _set_field(self, "report", report)
+        _set_field(self, "error", error)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    coefficient: float
-    slope: float
-    residual_norm: float
-    sign: int
+class FitResult(_Record):
+    __slots__ = __match_args__ = ("coefficient", "slope", "residual_norm", "sign")
+
+    def __init__(self, coefficient: float, slope: float, residual_norm: float, sign: int):
+        _set_field(self, "coefficient", coefficient)
+        _set_field(self, "slope", slope)
+        _set_field(self, "residual_norm", residual_norm)
+        _set_field(self, "sign", sign)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    plan: SweepPlan
-    rows: tuple[SweepRow, ...]
-    fitted_rates: dict[str, FitResult] = field(default_factory=dict)
+class SweepResult(_Record):
+    """The rows of a plan and the rates fitted to them; fitted_rates
+    defaults to a new empty dict."""
+
+    __slots__ = __match_args__ = ("plan", "rows", "fitted_rates")
+
+    def __init__(
+        self,
+        plan: SweepPlan,
+        rows: tuple[SweepRow, ...],
+        fitted_rates: dict[str, FitResult] | None = None,
+    ):
+        _set_field(self, "plan", plan)
+        _set_field(self, "rows", rows)
+        _set_field(self, "fitted_rates", {} if fitted_rates is None else fitted_rates)
 
 
 def _well_residuals(reduced: ReducedParams, z_ratio, e_ratio) -> dict[str, float]:

@@ -25,9 +25,8 @@ subtracts the two large, nearly equal terms log Z_q and the mean energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ConvergenceError, ValidationError
+from .core import ConvergenceError, ValidationError, _Record, _set_field
 
 __all__ = [
     "ThetaValue",
@@ -47,24 +46,33 @@ MAX_TERMS = 10**6
 DEFAULT_TOL = 1e-16
 
 
-@dataclass(frozen=True)
-class ThetaValue:
+class ThetaValue(_Record):
     """Z_q(mu) and how it was summed.
 
-    truncation_bound bounds the omitted tail of value.  log_value is
-    log Z_q, finite where value underflows to 0; mean_energy is the per-axis
-    mean energy over T, lam * dZ_q/dlam / Z_q; entropy is the per-axis
-    entropy log_value + mean_energy, which the direct side forms without
-    cancelling the two (both grow like (pi/4) mu^2 deep in the quantum regime).
+    representation_used is direct or poisson.  truncation_bound bounds the
+    omitted tail of value.  log_value is log Z_q, finite where value
+    underflows to 0; mean_energy is the per-axis mean energy over T,
+    lam * dZ_q/dlam / Z_q; entropy is the per-axis entropy log_value +
+    mean_energy, which the direct side forms without cancelling the two (both
+    grow like (pi/4) mu^2 deep in the quantum regime).
     """
 
-    value: float
-    representation_used: str  # direct | poisson
-    terms_used: int
-    truncation_bound: float
-    log_value: float
-    mean_energy: float
-    entropy: float
+    __slots__ = __match_args__ = (
+        "value", "representation_used", "terms_used", "truncation_bound", "log_value",
+        "mean_energy", "entropy",
+    )
+
+    def __init__(
+        self, value: float, representation_used: str, terms_used: int,
+        truncation_bound: float, log_value: float, mean_energy: float, entropy: float,
+    ):
+        _set_field(self, "value", value)
+        _set_field(self, "representation_used", representation_used)
+        _set_field(self, "terms_used", terms_used)
+        _set_field(self, "truncation_bound", truncation_bound)
+        _set_field(self, "log_value", log_value)
+        _set_field(self, "mean_energy", mean_energy)
+        _set_field(self, "entropy", entropy)
 
     def __float__(self) -> float:
         return self.value
@@ -158,8 +166,7 @@ def energy_sum(mu: float, tol: float = DEFAULT_TOL) -> float:
     return t.value * t.mean_energy
 
 
-@dataclass(frozen=True)
-class SlopeWitnesses:
+class SlopeWitnesses(_Record):
     """Numerical witnesses of the small-mu monotonicity bound.
 
     slope_bound is the upper bound on d/dmu of the statistical-sum ratio at
@@ -167,9 +174,12 @@ class SlopeWitnesses:
     integrand_at_one justifies replacing the lattice sum by an integral.
     """
 
-    slope_bound: float
-    integral_to_one: float
-    integrand_at_one: float
+    __slots__ = __match_args__ = ("slope_bound", "integral_to_one", "integrand_at_one")
+
+    def __init__(self, slope_bound: float, integral_to_one: float, integrand_at_one: float):
+        _set_field(self, "slope_bound", slope_bound)
+        _set_field(self, "integral_to_one", integral_to_one)
+        _set_field(self, "integrand_at_one", integrand_at_one)
 
 
 def small_mu_slope_witnesses() -> SlopeWitnesses:

@@ -13,7 +13,6 @@ formed as (E - F)/T, which cancels deep in the quantum regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     BoxGeometry,
@@ -22,6 +21,8 @@ from .core import (
     ThermoQuartet,
     ValidationError,
     _edge_mu,
+    _Record,
+    _set_field,
     _z_from_log,
     reduce_rho,
     reduce_well,
@@ -105,10 +106,12 @@ def well_energy_ratio(mu: float) -> float:
     return 2.0 * theta(mu).mean_energy
 
 
-@dataclass(frozen=True)
-class EntropyAsymptote:
-    value: float
-    within_validity: bool
+class EntropyAsymptote(_Record):
+    __slots__ = __match_args__ = ("value", "within_validity")
+
+    def __init__(self, value: float, within_validity: bool):
+        _set_field(self, "value", value)
+        _set_field(self, "within_validity", within_validity)
 
 
 def well_entropy_asymptotic(params: PhysicalParams, geom: BoxGeometry) -> EntropyAsymptote:
@@ -122,8 +125,7 @@ def well_entropy_asymptotic(params: PhysicalParams, geom: BoxGeometry) -> Entrop
     return EntropyAsymptote(value, reduced.eps <= ASYMPTOTIC_EPS_LIMIT)
 
 
-@dataclass(frozen=True)
-class GeometricCoefficients:
+class GeometricCoefficients(_Record):
     """Elementary symmetric sums of the edges and box face measures.
 
     U[k] is the k-th elementary symmetric sum of the edges (U[0] = 1,
@@ -132,8 +134,11 @@ class GeometricCoefficients:
     V[0] = 2^N vertices.
     """
 
-    U: tuple[float, ...]
-    V: tuple[float, ...]
+    __slots__ = __match_args__ = ("U", "V")
+
+    def __init__(self, U: tuple[float, ...], V: tuple[float, ...]):
+        _set_field(self, "U", U)
+        _set_field(self, "V", V)
 
 
 def geometric_coefficients(geom: BoxGeometry) -> GeometricCoefficients:

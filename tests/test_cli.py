@@ -321,35 +321,50 @@ def cli_bytes(args, env_extra=None):
     return proc.returncode, proc.stdout
 
 
-NO_NUMPY_CHILD = """
+# runs cli.run on each argv in one child and asserts after each step that no
+# module of the given list has been imported
+LEAN_CHILD = """
 import json, sys
 
+forbidden, argvs = json.loads(sys.argv[1])
+
 def check(step):
-    assert "numpy" not in sys.modules, f"numpy imported by {step}"
+    loaded = sorted(set(forbidden) & set(sys.modules))
+    assert not loaded, f"{loaded} imported by {step}"
 
 import qcthermo
 check("import qcthermo")
 import qcthermo.cli
 check("import qcthermo.cli")
-for argv in json.loads(sys.argv[1]):
+for argv in argvs:
     assert qcthermo.cli.run(argv) == 0, argv
     check(argv)
 """
 
 
+def run_lean_child(forbidden, argvs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_CHILD, json.dumps([forbidden, argvs])],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_eval_and_sweep_never_import_numpy(tmp_path):
+    # nor the dataclasses machinery (inspect comes with it) or fractions
     argvs = [
         EVAL_ARGS,
         ["eval", "--system", "oscillator", "--omega", "1,2", "--T", "1", "--h", "0.5"],
         SWEEP_ARGS + ["--format", "csv", "--out", str(tmp_path / "sweep.csv")],
     ]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_CHILD, json.dumps(argvs)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_lean_child(["numpy", "dataclasses", "inspect", "fractions"], argvs)
     assert (tmp_path / "sweep.csv").read_text().startswith("swept_value,")
+
+
+def test_gibbs_never_imports_dataclasses(tmp_path):
+    run_lean_child(["dataclasses"], [GIBBS_ARGS + ["--out", str(tmp_path / "gibbs.json")]])
+    assert json.loads((tmp_path / "gibbs.json").read_text())["command"] == "gibbs"
 
 
 def test_numpy_warnings_stay_off_stderr():
@@ -362,6 +377,9 @@ def test_numpy_warnings_stay_off_stderr():
         # rho^2 underflows in hear_the_drum's design matrix
         (["hear-drum", "--edges", "1e-200,1e-200", "--T", "1"],
          "rho powers are beyond float range; edges too large or too small"),
+        # every logit -E/T is -inf, and shifting them by their max gives NaN
+        (["gibbs", "--levels", "1.9e93,8.3e248,1.3e275", "--T", "2.5e-225"],
+         "non-finite value in output field '$.F_closed_form'"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "qcthermo.cli", *args],
