@@ -41,6 +41,16 @@ other instruction joins the axes of its operands into one term.  Axes that
 share a term form a block, and an axis no term uses is a block of its own.
 ``x1^2 + x2^2`` and ``2*(x1^2 + x2^2)`` have blocks ((0,), (1,)), while
 ``(x1 + x2)^2``, ``x1*(x1 + x2)`` and ``2/(x1^2 + x2^2)`` have ((0, 1),).
+The same pass writes V = c + sum_j W_j: ``V.constant`` is c, the value with
+every term left out, and ``V.block_keys[j]`` is W_j's own program, the terms
+of block j summed in order, each with the negations and constant factors
+and divisors applied to it, and the variables renumbered to the block's
+columns.  ``V(y, j)`` and ``V.gradient(y, j)`` run it on y of shape
+(..., len(blocks[j])).  In a sum of terms without a constant, W_j gives the
+bits V gives with every axis off the block at 0, since adding 0 is exact;
+a constant factor over a sum of several terms of one block, or a sum nested
+after a term of its block, is distributed or regrouped, exact up to
+rounding.  Blocks with equal programs are equal functions.
 
 Evaluation and the blocks pass do not recurse, and the compile walks the
 left spine of a chain of + and - or of * and / in a loop, so the length of a
@@ -54,6 +64,7 @@ either is a ValidationError, "expression nests too deeply to parse".
 from __future__ import annotations
 
 import ast
+import itertools
 import math
 import operator
 import re
@@ -274,12 +285,19 @@ def _compile(node, source: str, dimension: int, program: list) -> None:
         program.append((op, arg))
 
 
-def _blocks(program, dimension: int) -> tuple[tuple[int, ...], ...]:
-    """The axes of the program's separate terms joined into disjoint blocks.
+def _blocks(program, dimension: int):
+    """(blocks, block_keys, constant): V = constant + sum_j W_j(x_{blocks[j]}).
 
-    Each stack entry lists one axis of each separate term of its value
-    (none for a constant); the axes of a term are joined as it is formed.
-    Blocks are ordered by their first axis.
+    Each stack entry keeps the separate terms of its value and its constant
+    part (None if it has none).  A term is one of its axes, the slice of the
+    program that forms it and the instructions applied to it since: a
+    negation, and a constant factor or divisor, as S*c or S/c (c*S is S*c bit
+    for bit).  A sum keeps its operands' terms, negating those it subtracts
+    (a - b is a + (-b) bit for bit).  Any other instruction makes one term of
+    its operands' slice and joins their axes.  Blocks are the joined axes,
+    ordered by their first axis; W_j sums block j's terms in order, with the
+    variables renumbered to the block's columns, and is 0 if it has none.
+    block_keys[j] is W_j's program as a tuple.
     """
     parent = list(range(dimension))
 
@@ -290,50 +308,81 @@ def _blocks(program, dimension: int) -> tuple[tuple[int, ...], ...]:
         return a
 
     stack = []
-    for op, arg in program:
-        k = len(stack) - _arity(op, arg)
-        operands = stack[k:]
-        terms = [arg] if op is _VAR else [t for operand in operands for t in operand]
-        const = [not operand for operand in operands]
-        # a sum, a negation and a constant factor or divisor keep their terms apart
-        if not (op in (_SUM, _NEG) or (op is _MUL and any(const)) or (op is _DIV and const[1])):
-            for t in terms[1:]:
-                parent[find(t)] = find(terms[0])
-            terms = terms[:1]
-        stack[k:] = [terms]
-    groups = {}
+    with np.errstate(all="ignore"):
+        for at, (op, arg) in enumerate(program):
+            k = len(stack) - _arity(op, arg)
+            operands = stack[k:]
+            start = operands[0][0] if operands else at
+            parts = [ts for _, ts, _ in operands]
+            terms = [t for ts in parts for t in ts]
+            consts = [c for _, _, c in operands]
+            if op is _CONST:
+                const = np.float64(arg)
+            elif op is _VAR or not (op in (_SUM, _NEG) or (op is _MUL and not all(parts))
+                                    or (op is _DIV and not parts[1])):
+                axis = arg if op is _VAR else terms[0][0]
+                for t in terms:
+                    parent[find(t[0])] = find(axis)
+                terms, const = [(axis, slice(start, at + 1), [])], None
+            elif op is _SUM or op is _NEG:
+                signs = arg if op is _SUM else (True,)
+                for minus, ts in zip(signs, parts):
+                    for t in ts if minus else ():
+                        t[2].append((_NEG, None))
+                signed = [-c if minus else c for minus, c in zip(signs, consts) if c is not None]
+                const = sum(signed) if signed else None
+            else:  # a constant factor or divisor
+                c = consts[0] if parts[1] else consts[1]
+                for t in terms:
+                    t[2].extend([(_CONST, float(c)), (op, None)])
+                const = None if None in consts else _apply(op, None, consts)
+            stack[k:] = [(start, terms, const)]
+    _, terms, const = stack[0]
+    groups, sums = {}, {}  # root: its axes, and its terms' programs
     for axis in range(dimension):
-        groups.setdefault(find(axis), []).append(axis)
-    return tuple(tuple(group) for group in groups.values())
+        groups.setdefault(axis if parent[axis] == axis else find(axis), []).append(axis)
+    local = {a: i for root in {find(t[0]) for t in terms} for i, a in enumerate(groups[root])}
+    for axis, span, applied in terms:
+        code = [(_VAR, local[a]) if o is _VAR else (o, a) for o, a in program[span]]
+        sums.setdefault(find(axis), []).append(code + applied)
+    keys = tuple(
+        tuple(itertools.chain(*codes, [(_SUM, (False,) * len(codes))] if len(codes) > 1 else []))
+        if codes else ((_CONST, 0.0),) for codes in map(sums.get, groups))
+    return tuple(map(tuple, groups.values())), keys, 0.0 if const is None else float(const)
 
 
 class _CompiledPotential:
     """V(x) of a parsed expression, with its exact gradient.
 
     Calling it on x of shape (..., N) returns V of shape (...);
-    gradient(x) returns shape (..., N).  blocks partitions the axes as
-    described in the module docstring.  Hashable by identity.
+    gradient(x) returns shape (..., N).  Given a block index j, both run
+    block j's own program W_j on x of shape (..., len(blocks[j])), the
+    block's columns.  blocks, block_keys and constant are described in the
+    module docstring.  Hashable by identity.
     """
 
     def __init__(self, program, dimension: int):
         self._program = program
         self.dimension = dimension
-        self.blocks = _blocks(program, dimension)
+        self.blocks, self.block_keys, self.constant = _blocks(program, dimension)
 
-    def _run(self, x, walk):
-        """x's batch shape and walk(program, columns of x), NumPy warnings off."""
+    def _run(self, x, walk, block):
+        """(columns, x's batch shape, walk(program, columns of x)), NumPy warnings off."""
+        whole = block is None
+        program = self._program if whole else self.block_keys[block]
+        n = self.dimension if whole else len(self.blocks[block])
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
-            return x.shape[:-1], walk(self._program, [x[..., k] for k in range(self.dimension)])
+            return n, x.shape[:-1], walk(program, [x[..., k] for k in range(n)])
 
-    def __call__(self, x):
-        shape, v = self._run(x, _values)
+    def __call__(self, x, block=None):
+        _, shape, v = self._run(x, _values, block)
         v = np.asarray(v, dtype=float)
         return v if v.shape == shape else np.full(shape, v)
 
-    def gradient(self, x):
-        shape, (_, partials) = self._run(x, _forward)
-        out = np.zeros(shape + (self.dimension,))
+    def gradient(self, x, block=None):
+        n, shape, (_, partials) = self._run(x, _forward, block)
+        out = np.zeros(shape + (n,))
         for axis, d in partials.items():
             out[..., axis] = d
         return out

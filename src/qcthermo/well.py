@@ -179,8 +179,9 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
 
     samples are (rho, ratio) pairs with ratio ~ prod_k (1 - rho/a_k).  A
     degree-n_edges polynomial with constant term 1 is fitted by least
-    squares in the monomial basis (columns scaled by rho powers); its roots
-    in rho are the edges.
+    squares in the monomial basis of rho/r0 (columns scaled to unit norm),
+    with r0 the power of two at the smallest |rho|, so the powers stay in
+    float range at any scale of the edges; its roots times r0 are the edges.
     """
     import numpy as np
 
@@ -198,10 +199,12 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
     if not (np.all(np.isfinite(rhos)) and np.all(np.isfinite(ys))):
         raise InversionError("ratio samples are not finite")
 
-    # Design matrix for rho^1..rho^N; columns scaled to unit norm to keep
-    # the tiny Vandermonde system well conditioned.
+    # Design matrix for (rho/r0)^1..(rho/r0)^N; dividing by a power of two is
+    # exact, and unit-norm columns keep the tiny Vandermonde system well
+    # conditioned.
+    r0 = math.ldexp(1.0, math.frexp(float(np.abs(rhos).min()))[1])
     with np.errstate(all="ignore"):
-        powers = np.vander(rhos, n_edges + 1, increasing=True)[:, 1:]
+        powers = np.vander(rhos / r0, n_edges + 1, increasing=True)[:, 1:]
         scale = np.linalg.norm(powers, axis=0)
     if not (np.all(np.isfinite(powers)) and np.all((scale > 0) & np.isfinite(scale))):
         raise InversionError(
@@ -210,7 +213,7 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
     coeffs, *_ = np.linalg.lstsq(powers / scale, ys, rcond=None)
     coeffs /= scale
 
-    # Roots of 1 + c_1 rho + ... + c_N rho^N are the edges.
+    # Roots of 1 + c_1 s + ... + c_N s^N, s = rho/r0, are the edges over r0.
     poly = np.concatenate(([1.0], coeffs))[::-1]
     roots = np.roots(poly)
     if len(roots) != n_edges:
@@ -222,7 +225,7 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
         raise InversionError(
             "complex edge estimates; rho samples too large or too noisy"
         )
-    edges = np.sort(roots.real)
+    edges = np.sort(roots.real) * r0
     if np.any(edges <= 0):
         raise InversionError("non-positive edge estimates")
     return tuple(float(a) for a in edges)

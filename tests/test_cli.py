@@ -161,6 +161,18 @@ def test_kw_z_beyond_float_range_exits_3(capsys):
     assert err == "error: non-finite value in output field '$.predicted.Zr'\n"
 
 
+def test_hear_drum_recovers_edges_at_any_scale(capsys):
+    # rho is fitted in units of a power of two near the smallest sample, so
+    # the design matrix stays in float range.  Two equal edges are a double
+    # root, which turns the samples' rounding (their log Z is about 460 at
+    # 1e100) into an error of about 4e-6
+    for edges, rel in (("1e100,1e100", 1e-5), ("1e-200,1e-200", 1e-9), ("1e100,2e100", 1e-9)):
+        code, out = run_cli(["hear-drum", "--edges", edges, "--T", "1"], capsys)
+        assert code == 0, edges
+        want = [float(a) for a in edges.split(",")]
+        assert json.loads(out)["recovered_edges"] == pytest.approx(want, rel=rel)
+
+
 def test_non_finite_field_path_names_list_items():
     with pytest.raises(ConvergenceError) as exc:
         cli._sanitize({"levels": [0.0, 1.0], "probabilities": [0.5, float("nan")]})
@@ -204,10 +216,8 @@ def test_computation_exit_code(capsys):
         ["eval", "--system", "well", "--edges", "1e300", "--T", "1", "--h", "1"],
         # the double well's Boltzmann factor is beyond float range
         ["kw", "--potential", "x1^4 - 100*x1^2", "--dim", "1", "--T", "0.01", "--h", "0.1"],
-        # rho^3 is beyond float range in hear_the_drum's design matrix
+        # the samples' rounding at this scale makes a triple root complex
         ["hear-drum", "--edges", "1e150,1e150,1e150", "--T", "1"],
-        # the norm of the rho^2 column is, too
-        ["hear-drum", "--edges", "1e100,1e100", "--T", "1"],
     ):
         code = run(args)
         err = capsys.readouterr().err
@@ -373,10 +383,12 @@ def test_numpy_warnings_stay_off_stderr():
         # nan at the origin
         (kw + ["x1^2 + (x1-1)^0.5"], "potential not finite at the origin"),
         # exp(-V/T) overflows on the quadrature nodes
-        (kw + ["x1^2 - 1000"], "quadrature not finite: inf vs inf at reduced order"),
-        # rho^2 underflows in hear_the_drum's design matrix
-        (["hear-drum", "--edges", "1e-200,1e-200", "--T", "1"],
-         "rho powers are beyond float range; edges too large or too small"),
+        (kw + ["x1^2 - 1000*exp(-x1^2)"], "quadrature not finite: inf vs inf at reduced order"),
+        # a constant is split off the blocks: F, E and S are finite and Z0 = e^1000 sqrt(pi)
+        (kw + ["x1^2 - 1000"], "non-finite value in output field '$.predicted.Zr'"),
+        # the samples' rounding at this scale makes a triple root complex
+        (["hear-drum", "--edges", "1e150,1e150,1e150", "--T", "1"],
+         "complex edge estimates; rho samples too large or too noisy"),
         # every logit -E/T is -inf, and shifting them by their max gives NaN
         (["gibbs", "--levels", "1.9e93,8.3e248,1.3e275", "--T", "2.5e-225"],
          "non-finite value in output field '$.F_closed_form'"),

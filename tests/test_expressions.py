@@ -411,7 +411,7 @@ def test_gradient_matches_central_differences(data, n):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), n=st.integers(1, 4))
 def test_blocks_separate_the_potential(data, n):
-    # V(x) = sum_j V(x on block j, 0 elsewhere) - (N_b - 1) V(0)
+    # V(x) = c + sum_j W_j(x on block j's own columns)
     terms = []
     for _ in range(data.draw(st.integers(1, 4), label="terms")):
         if data.draw(st.booleans(), label="one axis"):
@@ -426,11 +426,50 @@ def test_blocks_separate_the_potential(data, n):
     text = wrap.format(text)
     f = parse_potential(text, n)
     x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="x"))
-    on_block = np.zeros((len(f.blocks), n))
-    for row, block in zip(on_block, f.blocks):
-        row[list(block)] = x[list(block)]
-    pieces, v0, want = f(on_block), f(np.zeros((1, n)))[0], f(x[None, :])[0]
-    assume(np.all(np.isfinite(pieces)) and np.isfinite(v0) and np.isfinite(want))
-    got = math.fsum(pieces) - (len(f.blocks) - 1) * v0
-    scale = abs(want) + np.abs(pieces).sum() + len(f.blocks) * abs(v0)
+    pieces = [f(x[list(block)][None, :], j)[0] for j, block in enumerate(f.blocks)]
+    want = f(x[None, :])[0]
+    assume(np.all(np.isfinite(pieces)) and np.isfinite(f.constant) and np.isfinite(want))
+    got = math.fsum(pieces) + f.constant
+    scale = abs(want) + np.abs(pieces).sum() + abs(f.constant)
     assert abs(got - want) <= 1e-13 * scale, text
+    # each block's gradient is V's on the block's axes
+    for j, block in enumerate(f.blocks):
+        np.testing.assert_allclose(
+            f.gradient(x[list(block)][None, :], j)[0], f.gradient(x[None, :])[0, list(block)],
+            rtol=1e-13, atol=1e-13 * (1.0 + np.abs(f.gradient(x[None, :])).max()), err_msg=text,
+        )
+
+
+def _vanishing_terms(n):
+    """Terms over x1..xn that are 0 where their variables are, some of them
+    joining two axes, under a constant factor or divisor or none."""
+    axis = st.integers(1, n).map(lambda k: f"x{k}")
+    atom = st.one_of(
+        st.tuples(axis, st.integers(1, 4)).map(lambda t: f"{t[0]}^{t[1]}"),
+        st.tuples(axis, axis).map(lambda t: f"{t[0]}*{t[1]}"),
+        st.tuples(axis, axis).map(lambda t: f"({t[0]} - {t[1]})^2"),
+        axis.map(lambda a: f"{a}*exp({a})"),
+    )
+    return st.tuples(atom, st.sampled_from(["{}", "0.3*{}", "{}*1.7", "{}/3", "-{}"])).map(
+        lambda t: t[1].format(t[0])
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_block_programs_keep_the_bits_of_a_sum(data, n):
+    # in a sum of terms without a constant, W_j on block j's own columns gives
+    # the bits V gives with every other axis at 0, value and gradient
+    terms = data.draw(st.lists(_vanishing_terms(n), min_size=1, max_size=6), label="terms")
+    signs = data.draw(st.lists(st.sampled_from("+-"), min_size=len(terms), max_size=len(terms)))
+    text = " ".join(f"{s} {t}" for s, t in zip(signs, terms)).removeprefix("+")
+    f = parse_potential(text, n)
+    assert f.constant == 0.0
+    x = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=3 * n, max_size=3 * n), label="x")
+    x = np.array(x).reshape(3, n)
+    for j, block in enumerate(f.blocks):
+        padded = np.zeros_like(x)
+        padded[:, list(block)] = x[:, list(block)]
+        assert f(x[:, list(block)], j).tolist() == f(padded).tolist(), text
+        got = f.gradient(x[:, list(block)], j)
+        assert got.tolist() == f.gradient(padded)[:, list(block)].tolist(), text

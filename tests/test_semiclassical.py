@@ -19,9 +19,8 @@ from qcthermo.expressions import parse_potential
 from qcthermo.oscillator import osc_classical, osc_regularized
 from qcthermo.semiclassical import (
     PotentialField,
-    _auto_bounds,
+    _boxes,
     _grid_batches,
-    _origin,
     harmonic_potential,
     kw_expansion,
     z0_integral,
@@ -59,7 +58,8 @@ def test_z2_nonnegative():
 
 def test_fd_gradient_agrees_with_analytic():
     analytic = harmonic_potential(1.0, [1.0, 3.0])
-    fd = PotentialField(dimension=2, value=analytic.value, scale=analytic.scale)
+    # an opaque value: the harmonic one carries its gradient, which would be adopted
+    fd = PotentialField(dimension=2, value=lambda x: analytic.value(x), scale=analytic.scale)
     x = np.array([[0.3, -0.7], [1.0, 0.2]])
     assert np.allclose(fd.gradient_or_fd()(x), analytic.gradient(x), atol=1e-7)
 
@@ -171,8 +171,8 @@ def test_explicit_bounds_respected():
 
 
 def test_explicit_bounds_split_into_blocks():
-    # each block takes its own axes' bounds, and V(0) = 3 still offsets the
-    # blocks: Z0 = pi/sqrt(2) e^-3 and <V> = 1/2 + 1/2 + 3 at T = 1
+    # each block takes its own axes' bounds, and the constant 3 is split off
+    # the blocks: Z0 = pi/sqrt(2) e^-3 and <V> = 1/2 + 1/2 + 3 at T = 1
     pot = PotentialField(
         dimension=2,
         value=parse_potential("x1^2 + 2*x2^2 + 3", 2),
@@ -191,27 +191,35 @@ def test_scale_must_be_finite_and_positive():
 
 
 def _counted(fn, counts, key, points=True):
-    """fn, counting the points it is called on, or its calls."""
-    def wrapped(x):
+    """fn, counting the points it is called on, or its calls; it passes its
+    arguments on and sets __wrapped__, as the benchmark's tracer does."""
+    def wrapped(x, *args, **kwargs):
         counts[key] += int(np.prod(np.shape(x)[:-1])) if points else 1
-        return fn(x)
+        return fn(x, *args, **kwargs)
 
+    wrapped.__wrapped__ = fn
     return wrapped
 
 
 def _counted_parsed(text, n, counts, points=True):
     """A parsed potential whose value and carried gradient are both counted."""
-    parsed = parse_potential(text, n)
-    value = _counted(parsed, counts, "value", points)
-    value.gradient = _counted(parsed.gradient, counts, "gradient", points)
-    value.blocks = parsed.blocks
-    return PotentialField(dimension=n, value=value)
+    pot = PotentialField(dimension=n, value=parse_potential(text, n))
+    return dataclasses.replace(
+        pot,
+        value=_counted(pot.value, counts, "value", points),
+        gradient=_counted(pot.gradient, counts, "gradient", points),
+    )
+
+
+def _probe(pot, T):
+    """Each distinct block's box, as kw_expansion searches it."""
+    return _boxes(pot._split()[1], T, pot.scale)
 
 
 def test_one_potential_evaluation_per_node():
     base = harmonic_potential(1.0, [1.0, 2.0])
     opaque_counts = {"value": 0, "gradient": 0}
-    # an opaque callable declares no blocks, so both axes share one grid
+    # a wrapper without blocks is opaque, so both axes share one grid
     opaque = dataclasses.replace(
         base,
         value=_counted(base.value, opaque_counts, "value"),
@@ -231,19 +239,46 @@ def test_one_potential_evaluation_per_node():
         (coupled, coupled_counts, 64**2 + 48**2),
         (split, split_counts, 2 * (64 + 48)),
     ):
-        _auto_bounds(pot, 1.0, pot.blocks, _origin(pot, 1.0))
+        _probe(pot, 1.0)
         probes = counts["value"]
         counts["value"] = 0
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
         assert counts == {"value": probes + grid, "gradient": grid}
-    # the potential is called per batch of points, not per point: V(0), the
-    # face search's rounds and the grid of every block at once; one-axis
-    # blocks whose faces were finite probe no corners
-    calls = {"value": 0, "gradient": 0}
-    three = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4 + x3^2 + 0.05*x3^4", 3, calls, False)
-    assert three.blocks == ((0,), (1,), (2,))
-    kw_expansion(three, PhysicalParams(T=1.0, h=0.1, m=1.0))
-    assert calls["value"] <= 6 and calls["gradient"] <= 2
+    # each distinct block is called per batch of points, not per point: its
+    # origin, its face search's rounds and both its grids at once; one-axis
+    # blocks whose faces were finite probe no corners, and equal blocks are
+    # integrated once
+    for text, distinct in (
+        ("x1^2/2 + 2*x2^2 + 0.1*x1^4 + x3^2 + 0.05*x3^4", 3),
+        ("x1^2 + x2^2 + x3^2", 1),
+    ):
+        calls = {"value": 0, "gradient": 0}
+        three = _counted_parsed(text, 3, calls, False)
+        assert three.blocks == ((0,), (1,), (2,))
+        kw_expansion(three, PhysicalParams(T=1.0, h=0.1, m=1.0))
+        assert calls["value"] <= 4 * distinct and calls["gradient"] == distinct
+
+
+def test_tracer_wrappers_keep_the_result():
+    # the benchmark's tracer puts forwarding, point-counting wrappers that set
+    # __wrapped__ in place of value and then of gradient_or_fd(), through
+    # dataclasses.replace: the blocks must survive, the result must not
+    # change, and every evaluation must go through the wrappers
+    params = PhysicalParams(T=0.9, h=0.2, m=1.1)
+    for pot in (
+        harmonic_potential(1.1, [0.7, 1.3, 0.7]),
+        PotentialField(3, parse_potential("0.7*x1^2 + 0.1*x1^4 + 1.2*x2^2 + x3^2", 3)),
+        PotentialField(3, parse_potential("0.7*x1^2 + 0.1*x1^4 + 1.2*x2^2 + x3^2 - 2.5", 3)),
+        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1), scale=0.5),
+    ):
+        counts = {"value": 0, "gradient": 0}
+        traced = dataclasses.replace(pot, value=_counted(pot.value, counts, "value"))
+        traced = dataclasses.replace(
+            traced, gradient=_counted(traced.gradient_or_fd(), counts, "gradient")
+        )
+        assert [part[:2] for part in traced._split()[1]] == [part[:2] for part in pot._split()[1]]
+        assert kw_expansion(traced, params) == kw_expansion(pot, params)
+        assert counts["value"] > 0 and counts["gradient"] > 0
 
 
 def test_parsed_gradient_adopted_and_kept_by_replace():
@@ -380,34 +415,38 @@ def test_quadrature_memory_stays_per_slab():
 
 
 def test_slabs_stay_small_in_many_dimensions():
-    # a one-axis block of a potential in 10^4 dimensions: the slabs hold no
-    # more coordinates than those of a 4-D grid, and together cover the grid
-    n, cap = 10**4, semiclassical.CHUNK_POINTS * semiclassical.MAX_TENSOR_DIMENSION
-    nodes = weight = 0.0
-    for x, w, _ in _grid_batches([([(-2.0, 3.0)], 64, (7,))], n):
-        assert x.shape == (len(w), n) and x.size <= cap
-        assert not x[:, :7].any() and not x[:, 8:].any()
-        nodes += len(w)
-        weight += w.sum()
-    assert nodes == 64 and weight == pytest.approx(5.0, rel=1e-14)
+    # a block's grids lie on its own columns, whatever the potential's
+    # dimension: a one-axis box's 64 + 48 nodes form one batch, and a 3-axis
+    # box's grids are cut into slabs of CHUNK_POINTS nodes that cover them
+    for box, volume in (([(-2.0, 3.0)], 5.0), ([(-2.0, 3.0), (-1.0, 1.0), (0.0, 0.5)], 5.0)):
+        d, nodes, weight = len(box), 0, 0.0
+        for y, w, pieces in _grid_batches(box):
+            assert y.shape == (len(w), d) and len(w) <= semiclassical.CHUNK_POINTS
+            assert sum(piece.stop - piece.start for _, piece in pieces) == len(w)
+            assert np.all((y >= [lo for lo, _ in box]) & (y <= [hi for _, hi in box]))
+            nodes += len(w)
+            weight += w.sum()
+        assert nodes == 64**d + 48**d and weight == pytest.approx(2 * volume, rel=1e-13)
 
 
-def _sequential_box(potential, T, axes, v0):
-    """One block's box by the per-axis search with one potential call per
-    probe, as _auto_bounds found it before its probes were batched."""
-    n = potential.dimension
+def _sequential_box(value, d, scale, T):
+    """A block's box by the per-axis search with one call of its W per
+    probe, as _boxes finds it with its probes batched."""
     cutoff = math.log(1e-16)
+    w0 = float(value(np.zeros((1, d)))[0])
+    if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
+        raise IntegrationError("potential not finite at the origin")
 
     def face_exponent(axis, half):
-        x = np.zeros(n)
-        x[axis] = half
-        lo = -(float(potential.value(x)) - v0) / T
-        x[axis] = -half
-        return max(lo, -(float(potential.value(x)) - v0) / T)
+        y = np.zeros((1, d))
+        y[0, axis] = half
+        lo = -(float(value(y)[0]) - w0) / T
+        y[0, axis] = -half
+        return max(lo, -(float(value(y)[0]) - w0) / T)
 
     halves = []
-    for k in axes:
-        half = potential.scale
+    for k in range(d):
+        half = scale
         prev = math.inf
         for _ in range(200):
             val = face_exponent(k, half)
@@ -425,11 +464,9 @@ def _sequential_box(potential, T, axes, v0):
             half *= 0.85
         halves.append(half)
 
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=len(axes))))
-    corners = np.zeros((len(signs), n))
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
     for _ in range(60):
-        corners[:, axes] = signs * halves
-        if float((-(potential.value(corners) - v0) / T).max()) < cutoff:
+        if float((-(value(signs * halves) - w0) / T).max()) < cutoff:
             break
         halves = [1.3 * h for h in halves]
     else:
@@ -472,15 +509,15 @@ _SEARCHED = [
 
 @pytest.mark.parametrize("pot, T", _SEARCHED)
 def test_batched_bounds_match_the_sequential_search(pot, T):
-    v0 = _origin(pot, T)
+    parts = pot._split()[1]
     try:
-        expected = [_sequential_box(pot, T, axes, v0) for axes in pot.blocks]
+        expected = [_sequential_box(value, len(axes), pot.scale, T) for axes, _, value, _ in parts]
     except IntegrationError as err:
         with pytest.raises(IntegrationError) as got:
-            _auto_bounds(pot, T, pot.blocks, v0)
+            _boxes(parts, T, pot.scale)
         assert str(got.value) == str(err)
     else:
-        assert _auto_bounds(pot, T, pot.blocks, v0) == expected
+        assert _boxes(parts, T, pot.scale) == expected
 
 
 def test_bounds_fail_where_the_window_cannot_shrink():
@@ -494,29 +531,31 @@ def test_bounds_fail_where_the_window_cannot_shrink():
 def test_probes_and_batches_stay_small_in_many_dimensions():
     n, cap = 300, semiclassical.CHUNK_POINTS * semiclassical.MAX_TENSOR_DIMENSION
     pot = harmonic_potential(1.0, [0.5 + k / n for k in range(n)])
-    sizes = []
+    shapes = []
 
     def recorded(fn):
-        def wrapped(x):
-            sizes.append(np.size(x))
-            return fn(x)
+        def wrapped(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return fn(x, *args, **kwargs)
 
+        wrapped.__wrapped__ = fn
         return wrapped
 
     pot = dataclasses.replace(pot, value=recorded(pot.value), gradient=recorded(pot.gradient))
     pred = kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
     assert pred.z2_over_z0 == pytest.approx(sum((0.5 + k / n) ** 2 for k in range(n)) / 24.0, rel=1e-12)
-    assert max(sizes) <= cap
+    # every call holds one block's own column only
+    assert {shape[-1] for shape in shapes} == {1}
+    assert max(math.prod(shape) for shape in shapes) <= cap
 
 
-def _slab_by_slab(potential, T, gradient, boxes):
-    """Each block's moments from its own slabs, one pass per order and one
-    potential call per slab, as _boltzmann_moments summed them before the
-    grids of all blocks were batched."""
-    n = potential.dimension
-    step = max(1, min(semiclassical.CHUNK_POINTS, semiclassical.CHUNK_POINTS * 4 // n))
+def _slab_by_slab(parts, T, with_gradient, boxes):
+    """Each distinct block's moments from its own slabs, one pass per order
+    and one call of its W per slab, as _boltzmann_moments summed them before
+    both grids of a block were batched."""
+    step = semiclassical.CHUNK_POINTS
     out = []
-    for axes, bounds in zip(potential.blocks, boxes):
+    for (axes, count, value, gradient), bounds in zip(parts, boxes):
         moments = np.zeros((2, 4))
         for row, order in enumerate((64, 48)):
             nodes, weights = np.polynomial.legendre.leggauss(order)
@@ -531,20 +570,15 @@ def _slab_by_slab(potential, T, gradient, boxes):
                 index = np.unravel_index(
                     np.arange(start, min(start + step, total)), (order,) * len(axes)
                 )
-                x = np.zeros((n, len(index[0])))
-                for k, coord, i in zip(axes, coords, index):
-                    x[k] = coord[i]
+                y = np.stack([coord[i] for coord, i in zip(coords, index)], axis=-1)
                 w = np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
-                x = x.T
-                v = potential.value(x)
+                v = value(y)
                 b = np.exp(-v / T) * w
                 bv = b * v
-                g2 = 0.0
-                if gradient is not None:
-                    g2 = np.sum(b * np.sum(gradient(x)[..., list(axes)] ** 2, axis=-1))
+                g2 = np.sum(b * np.sum(gradient(y) ** 2, axis=-1)) if with_gradient else 0.0
                 partials.append((np.sum(b), np.sum(bv), np.sum(np.abs(bv)), g2))
             moments[row] = [math.fsum(column) for column in zip(*partials)]
-        out.append(moments)
+        out.append((count, moments))
     return out
 
 
@@ -562,15 +596,63 @@ def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
         # an opaque callable with central differences, and explicit bounds
         PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 0.1 * x[..., 0] ** 4),
         PotentialField(2, parse_potential("x1^2 + 2*x2^2 + 3", 2), bounds=((-7.0, 7.0), (-5.0, 5.0))),
+        # equal blocks, and an opaque callable declared separable: it is one block
+        harmonic_potential(1.0, [0.7, 1.9, 0.7, 0.7]),
+        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 1.0, blocks=((1,), (0,))),
     ]
     for pot in potentials:
-        v0 = _origin(pot, 0.8)
+        c, parts = pot._split()
         if pot.bounds is None:
-            boxes = _auto_bounds(pot, 0.8, pot.blocks, v0)
+            boxes = _boxes(parts, 0.8, pot.scale)
         else:
-            boxes = [[pot.bounds[k] for k in axes] for axes in pot.blocks]
-        for gradient in (None, pot.gradient_or_fd()):
-            offset, got = semiclassical._boltzmann_moments(pot, 0.8, gradient)
-            assert offset == (len(pot.blocks) - 1) * v0
-            for moments, expected in zip(got, _slab_by_slab(pot, 0.8, gradient, boxes), strict=True):
-                assert np.array_equal(moments, expected)
+            boxes = [[pot.bounds[k] for k in axes] for axes, *_ in parts]
+        for with_gradient in (False, True):
+            got = semiclassical._boltzmann_moments(pot, parts, 0.8, with_gradient)
+            expected = _slab_by_slab(parts, 0.8, with_gradient, boxes)
+            assert len(got) == len(expected)
+            for (count, moments), (want_count, want) in zip(got, expected):
+                assert count == want_count and np.array_equal(moments, want)
+
+
+def test_blocks_give_the_bits_of_the_potential_on_their_axes():
+    # W_j on its own columns equals V with every other axis at 0, bit for
+    # bit, where V has no constant and its other blocks vanish at 0; the
+    # gradient does wherever the blocks separate V
+    rng = np.random.default_rng(5)
+    for pot in (
+        harmonic_potential(1.3, [0.6, 1.7, 1.1, 0.6]),
+        PotentialField(3, parse_potential("0.7*x1^2 + 0.1*x1^4 - 0.03*x2^4*x3^2 + x3^2", 3)),
+        PotentialField(4, parse_potential("-(x1^2 - 2*(x2^4 + x3^2)/3) + x4^2 - x1*x3", 4)),
+    ):
+        c, parts = pot._split()
+        assert c == 0.0
+        n = pot.dimension
+        for axes, count, value, gradient in parts:
+            y = rng.uniform(-2.0, 2.0, (50, len(axes)))
+            x = np.zeros((50, n))
+            x[:, list(axes)] = y
+            assert np.array_equal(value(y), pot.value(x))
+            assert np.array_equal(gradient(y), pot.gradient(x)[:, list(axes)])
+
+
+def test_cost_is_flat_in_the_number_of_equal_blocks():
+    # N equal blocks are one integral: the points evaluated do not depend on N
+    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
+
+    def points(pot):
+        counts = {"value": 0, "gradient": 0}
+        counted = dataclasses.replace(
+            pot,
+            value=_counted(pot.value, counts, "value"),
+            gradient=_counted(pot.gradient, counts, "gradient"),
+        )
+        return kw_expansion(counted, params), counts
+
+    (small, few), (large, many) = (points(harmonic_potential(1.0, [1.0] * n)) for n in (10, 10**4))
+    assert few == many
+    assert large.z2_over_z0 == pytest.approx(10**4 / 24.0, rel=1e-12)
+    assert small.z2_over_z0 == pytest.approx(10 / 24.0, rel=1e-12)
+    for n in (10, 1000):
+        text = " + ".join(f"x{k}^2" for k in range(1, n + 1))
+        pred, counts = points(PotentialField(dimension=n, value=parse_potential(text, n)))
+        assert counts == few and pred.z2_over_z0 == pytest.approx(n * 2.0 / 24.0, rel=1e-12)

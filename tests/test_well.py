@@ -201,10 +201,13 @@ def test_kac_energy_ratio_leading_term():
 
 
 def test_hear_the_drum_exact_samples():
-    geom = BoxGeometry([1.0, 2.0, 3.0])
-    samples = [(0.01 * i, kac_expansion_ratio(geom, 0.01 * i)) for i in range(1, 8)]
-    recovered = hear_the_drum(samples, 3)
-    assert np.allclose(recovered, (1.0, 2.0, 3.0), rtol=1e-8)
+    # the fit is in rho over a power of two, so it holds at any scale
+    for scale in (1.0, 1e100):
+        geom = BoxGeometry([scale, 2.0 * scale, 3.0 * scale])
+        rhos = [0.01 * i * scale for i in range(1, 8)]
+        samples = [(rho, kac_expansion_ratio(geom, rho)) for rho in rhos]
+        recovered = hear_the_drum(samples, 3)
+        assert np.allclose(np.array(recovered) / scale, (1.0, 2.0, 3.0), rtol=1e-8)
 
 
 def test_hear_the_drum_quantum_round_trip():
@@ -236,13 +239,13 @@ def test_hear_the_drum_rejects_garbage():
         hear_the_drum(samples, 2)
 
 
-@pytest.mark.parametrize("rho, n_edges", [
-    (1e148, 3),   # rho^3 overflows
-    (1e98, 2),    # rho^2 does not, but the norm of its column does
-    (1e-200, 2),  # rho^2 underflows to 0: the column cannot be scaled
-])
+@pytest.mark.parametrize("rho, n_edges", [(1e148, 3), (1e98, 2), (1e-200, 2)])
 def test_hear_the_drum_rejects_design_beyond_float_range(rho, n_edges):
-    samples = [(rho * i, 1.0 - 0.01 * i) for i in range(1, 6)]
+    # rho is fitted in units of a power of two near the smallest sample, so
+    # at any scale only samples spread so widely that (max/min)^n_edges is
+    # beyond float range are rejected
+    spread = 10.0 ** (320 / n_edges)
+    samples = [(rho * spread ** (i / 4), 1.0 - 0.01 * i) for i in range(5)]
     with pytest.raises(InversionError):
         hear_the_drum(samples, n_edges)
 
