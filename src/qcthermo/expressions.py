@@ -368,9 +368,8 @@ class _CompiledPotential:
 
     def _run(self, x, walk, block):
         """(columns, x's batch shape, walk(program, columns of x)), NumPy warnings off."""
-        whole = block is None
-        program = self._program if whole else self.block_keys[block]
-        n = self.dimension if whole else len(self.blocks[block])
+        program = self._program if block is None else self.block_keys[block]
+        n = self.dimension if block is None else len(self.blocks[block])
         x = np.asarray(x, dtype=float)
         with np.errstate(all="ignore"):
             return n, x.shape[:-1], walk(program, [x[..., k] for k in range(n)])

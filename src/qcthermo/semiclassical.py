@@ -424,6 +424,8 @@ def _stable(moments: np.ndarray, k: int, scale: int | None = None) -> float:
 def _integrals(potential: PotentialField, T: float, with_gradient: bool):
     """(c, sum_j k_j log z_j, the blocks' (k, moments)), each z_j checked."""
     c, parts = potential._split()
+    if not math.isfinite(c):
+        raise IntegrationError("potential not finite at the origin")
     blocks = _boltzmann_moments(potential, parts, T, with_gradient)
     return c, math.fsum(k * math.log(_stable(moments, INT_B)) for k, moments in blocks), blocks
 

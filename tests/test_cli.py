@@ -161,6 +161,15 @@ def test_kw_z_beyond_float_range_exits_3(capsys):
     assert err == "error: non-finite value in output field '$.predicted.Zr'\n"
 
 
+def test_unused_axes_of_a_huge_dimension_exit_3(capsys):
+    # x2..x300000 are blocks of their own with W = 0, all equal: one
+    # integral, which does not decay
+    code = run(["kw", "--potential", "x1^2", "--dim", "300000", "--T", "1", "--h", "0.1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "error: Boltzmann factor does not decay; potential looks non-integrable\n"
+
+
 def test_hear_drum_recovers_edges_at_any_scale(capsys):
     # rho is fitted in units of a power of two near the smallest sample, so
     # the design matrix stays in float range.  Two equal edges are a double

@@ -211,11 +211,6 @@ def _counted_parsed(text, n, counts, points=True):
     )
 
 
-def _probe(pot, T):
-    """Each distinct block's box, as kw_expansion searches it."""
-    return _boxes(pot._split()[1], T, pot.scale)
-
-
 def test_one_potential_evaluation_per_node():
     base = harmonic_potential(1.0, [1.0, 2.0])
     opaque_counts = {"value": 0, "gradient": 0}
@@ -239,7 +234,7 @@ def test_one_potential_evaluation_per_node():
         (coupled, coupled_counts, 64**2 + 48**2),
         (split, split_counts, 2 * (64 + 48)),
     ):
-        _probe(pot, 1.0)
+        _boxes(pot._split()[1], 1.0, pot.scale)
         probes = counts["value"]
         counts["value"] = 0
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
@@ -322,6 +317,10 @@ def test_non_finite_moments_rejected():
         z0_integral(pot, 1.0)
     with pytest.raises(IntegrationError, match="quadrature not finite"):
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
+    # a constant that is not finite: V is nowhere finite
+    for text in ("x1^2 + 1/0", "x1^2 + 0*(1/0)"):
+        with pytest.raises(IntegrationError, match="potential not finite at the origin"):
+            kw_expansion(PotentialField(1, parse_potential(text, 1)), PhysicalParams(T=1.0, h=0.1, m=1.0))
 
 
 @settings(max_examples=20, deadline=None)
