@@ -244,7 +244,8 @@ def _boxes(parts, T: float, scale: float) -> list[tuple[tuple[float, float], ...
             # W(0), then the faces of each pending axis
             y = np.zeros((1 + faces.shape[1] * len(pending), len(axes)))
             rows = faces[len(exponents) : len(exponents) + len(pending)]
-            y[1:].reshape(len(pending), -1, len(axes))[np.arange(len(pending)), :, pending] = rows
+            for i, k in enumerate(pending):
+                y[1:].reshape(len(pending), -1, len(axes))[i, :, k] = rows[i]
             v = value(y)
             origins[j] = w0 = float(v[0])
             if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
@@ -305,14 +306,19 @@ def _boxes(parts, T: float, scale: float) -> list[tuple[tuple[float, float], ...
     return boxes
 
 
-def _axes(order: int, d: int, start: int, stop: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis, the nodes and weights of the C-order nodes start..stop of
-    the order^d Gauss-Legendre grid on [-1, 1]^d (leading axis slowest)."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return [(nodes[i], weights[i]) for i in np.unravel_index(np.arange(start, stop), (order,) * d)]
+def _axes(d: int, batch: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the nodes and weights of a batch's pieces (row, start, stop),
+    each the C-order nodes start..stop of the ORDERS[row]^d Gauss-Legendre
+    grid on [-1, 1]^d (leading axis slowest), one after another."""
+    pieces = []
+    for row, start, stop in batch:
+        nodes, weights = np.polynomial.legendre.leggauss(ORDERS[row])
+        index = np.unravel_index(np.arange(start, stop), (ORDERS[row],) * d)
+        pieces.append([(nodes[i], weights[i]) for i in index])
+    return [tuple(map(np.concatenate, zip(*axis))) for axis in zip(*pieces)]
 
 
-# the grids that fit one batch are kept; slabs of larger ones are not
+# the batches that hold whole grids are kept; slabs of larger grids are not
 _batch_axes = functools.lru_cache(maxsize=None)(_axes)
 
 
@@ -328,27 +334,24 @@ def _grid_batches(box):
     """
     d, step = len(box), CHUNK_POINTS
     sizes = [order**d for order in ORDERS]
-    if (total := sum(sizes)) <= step:
-        plan = [[(0, 0, sizes[0], slice(0, sizes[0])), (1, 0, sizes[1], slice(sizes[0], total))]]
+    if sum(sizes) <= step:
+        plan = [((0, 0, sizes[0]), (1, 0, sizes[1]))]
     else:
         plan = [
-            [(row, a, min(a + step, n), slice(0, min(step, n - a)))]
-            for row, n in enumerate(sizes)
-            for a in range(0, n, step)
+            ((row, a, min(a + step, n)),) for row, n in enumerate(sizes) for a in range(0, n, step)
         ]
     lo, hi = np.array(box, dtype=float).T
     mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
     for batch in plan:
+        ends = list(itertools.accumulate(stop - start for _, start, stop in batch))
         # axis-major storage keeps each coordinate y[..., k] contiguous, which
         # makes the evaluators' per-axis arithmetic several times faster
-        y, w = np.empty((d, batch[-1][3].stop)), np.empty(batch[-1][3].stop)
-        for row, start, stop, piece in batch:
-            axes = (_batch_axes if len(plan) == 1 else _axes)(ORDERS[row], d, start, stop)
-            for k, (nodes, weights) in enumerate(axes):
-                y[k, piece] = mid[k] + rad[k] * nodes
-                wk = rad[k] * weights
-                w[piece] = wk if k == 0 else w[piece] * wk
-        yield y.T, w, [(row, piece) for row, _, _, piece in batch]
+        y = np.empty((d, ends[-1]))
+        for k, (nodes, weights) in enumerate((_batch_axes if len(plan) == 1 else _axes)(d, batch)):
+            y[k] = mid[k] + rad[k] * nodes
+            wk = rad[k] * weights
+            w = wk if k == 0 else w * wk
+        yield y.T, w, [(row, slice(end - (b - a), end)) for (row, a, b), end in zip(batch, ends)]
 
 
 # columns of a block's moments (see _boltzmann_moments)
@@ -486,7 +489,6 @@ def kw_expansion(potential: PotentialField, params: PhysicalParams) -> KWPredict
     Z_c = (2 pi m T)^(N/2) Z0, E_c = N T/2 + <V>.
     """
     T, m, h = params.T, params.m, params.h
-    n = potential.dimension
     c, log_z, blocks = _integrals(potential, T, True)
     ratio = _grad2_mean(blocks, m, T)
     v_mean = math.fsum(
@@ -494,18 +496,15 @@ def kw_expansion(potential: PotentialField, params: PhysicalParams) -> KWPredict
     ) + c
 
     # 2 pi m T is a positive float wherever 24 m T^3 is (_grad2_mean)
-    log_prefactor = 0.5 * n * math.log(2.0 * math.pi * m * T)
+    log_prefactor = 0.5 * potential.dimension * math.log(2.0 * math.pi * m * T)
     # c enters F in energy units, so a large c/T does not overflow it
     f_c = c - T * (log_prefactor + log_z)
-    e_c = 0.5 * n * T + v_mean
+    e_c = 0.5 * potential.dimension * T + v_mean
     s_c = (e_c - f_c) / T
 
     param = h * h * ratio
-    zr = _exp(log_prefactor + log_z - c / T) * (1.0 - param)
-    fr = f_c + h * h * T * ratio
-    er = e_c + 2.0 * h * h * T * ratio
-    sr = s_c + h * h * ratio
     return KWPrediction(
-        Zr=zr, Fr=fr, Er=er, Sr=sr, z2_over_z0=ratio, expansion_parameter=param,
-        within_validity=param < EXPANSION_VALIDITY,
+        Zr=_exp(log_prefactor + log_z - c / T) * (1.0 - param), Fr=f_c + h * h * T * ratio,
+        Er=e_c + 2.0 * h * h * T * ratio, Sr=s_c + h * h * ratio, z2_over_z0=ratio,
+        expansion_parameter=param, within_validity=param < EXPANSION_VALIDITY,
     )
