@@ -48,7 +48,7 @@ coeffs = [0.5 + 0.05 * k for k in range(1, n + 1)]
 text = " + ".join(f"{c:g}*x{k}^2" for k, c in enumerate(coeffs, 1))
 separable = PotentialField(dimension=n, value=parse_potential(text, n))
 pred_s = kw_expansion(separable, params)
-print(f"\nseparable V = sum c_k x_k^2 in {n} dimensions: {len(separable.blocks)} blocks")
+print(f"\nseparable V = sum c_k x_k^2 in {n} dimensions: {len(separable.value.blocks)} blocks")
 print(f"quadrature Z2/Z0 = {pred_s.z2_over_z0:.12f}")
 print(f"closed form      = {sum(coeffs) / 12:.12f}  (sum c_k / (12 m T^2))")
 

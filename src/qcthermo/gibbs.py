@@ -150,16 +150,19 @@ def minimize_free_energy(levels: LevelSet, T: float, tol: float) -> MinimizeResu
     e = np.array(levels.energies)
     eta = T / (e.max() - e.min() + T)
     p = np.full(len(e), 1.0 / len(e))
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        grad = e + T * (1.0 + np.log(p))
-        q = p * np.exp(-eta * (grad - grad.min()) / T)
-        q /= q.sum()
-        if np.max(np.abs(q - p)) < tol:
+    # an underflowed P_n makes log(p) -inf and the iterate nan, which never
+    # meets the stop test and ends in ConvergenceError; numpy need not warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iteration in range(1, MAX_ITERATIONS + 1):
+            grad = e + T * (1.0 + np.log(p))
+            q = p * np.exp(-eta * (grad - grad.min()) / T)
+            q /= q.sum()
+            if np.max(np.abs(q - p)) < tol:
+                p = q
+                break
             p = q
-            break
-        p = q
-    else:
-        raise ConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
+        else:
+            raise ConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
     point = SimplexPoint(tuple(p / p.sum()))
     return MinimizeResult(point, free_energy_functional(levels, T, point), iteration)
 

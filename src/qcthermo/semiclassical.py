@@ -17,9 +17,9 @@ has one block per axis, equal where the frequencies are; a parsed potential
 joins the axes of each of its separate terms, and its blocks are equal where
 their own programs are (see qcthermo.expressions).  An opaque callable is
 one block of all N axes (see PotentialField._split).  Each distinct block
-finds its own box from its own origin: every round probes the faces of all
-blocks, with one call per block, then each block probes its corners.  Both
-orders of its grid are packed into batches of at most CHUNK_POINTS nodes, so
+finds its own box from its own origin, one block after another: every round
+probes the faces of its pending axes with one call, then it probes its
+corners.  Both orders of its grid are packed into batches of at most CHUNK_POINTS nodes, so
 W_j and its gradient are called once per batch and evaluated once per node,
 and all moments come from the same Boltzmann factor.  Each block's moments
 are checked on their own against a reduced-order rule, and a moment that is
@@ -84,18 +84,10 @@ class PotentialField:
     first half-width tried by the automatic bounds and, for an opaque value
     with no gradient, the unit of the finite-difference step.
 
-    blocks partitions the axes 0..N-1 into disjoint tuples such that V is a
-    constant plus one term per block, each depending on that block's axes
-    only.  When None it is adopted from value.blocks, as gradient is, and
-    otherwise all axes form one block.  The quadrature integrates each block
-    on its own grid where value evaluates each block on its own columns, as
-    parsed expressions and harmonic_potential do: beside blocks it has a
-    constant c and block_keys, and value(y, j) and gradient(y, j) give W_j
-    and its gradient on y of shape (..., len(blocks[j])), where V = c +
-    sum_j W_j and blocks with equal keys are equal functions.  A wrapper that
-    passes its arguments on and sets __wrapped__ keeps this.  Any other
-    value, or one whose blocks or gradient were replaced, is integrated as
-    one block of all N axes.
+    The quadrature integrates each block of V on its own grid where value
+    evaluates its blocks on their own columns, as parsed expressions and
+    harmonic_potential do (see _split).  Any other value is integrated as one
+    block of all N axes.
     """
 
     dimension: int
@@ -103,22 +95,14 @@ class PotentialField:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     bounds: tuple[tuple[float, float], ...] | None = None
     scale: float = 1.0
-    blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
-        # adopted values are set on the instance, so dataclasses.replace
-        # carries them over
+        # the adopted gradient is set on the instance, so dataclasses.replace
+        # carries it over
         if self.gradient is None:
             object.__setattr__(self, "gradient", getattr(self.value, "gradient", None))
-        if self.blocks is None:
-            blocks = getattr(self.value, "blocks", None) or (tuple(range(self.dimension)),)
-            object.__setattr__(self, "blocks", blocks)
-        if sorted(itertools.chain(*self.blocks)) != list(range(self.dimension)):
-            raise ValidationError(
-                f"blocks {self.blocks} do not partition the axes 0..{self.dimension - 1}"
-            )
 
     def gradient_or_fd(self) -> Callable[[np.ndarray], np.ndarray]:
         """The exact gradient, or central differences for an opaque value."""
@@ -141,24 +125,28 @@ class PotentialField:
         """(c, [(axes, k, W, grad W)]) with V = c + sum of k W over the distinct blocks.
 
         W and grad W take arrays of shape (points, len(axes)), the block's own
-        columns.  A value that evaluates its blocks on their own columns (see
-        above), with its own gradient, is called through self.value and
-        self.gradient with the block's index, and blocks with equal keys are
-        integrated once, unless bounds are explicit.  Any other value is one
-        block of all N axes, called on N-vectors.
+        columns.  The blocks are read from the value itself, seen through
+        wrappers that pass their arguments on and set __wrapped__: its blocks
+        partition the axes so that V = constant + sum_j W_j(x_{blocks[j]}),
+        blocks with equal block_keys are equal functions, and value(y, j) and
+        gradient(y, j) give W_j and its gradient on y of shape (...,
+        len(blocks[j])).  Such a value, with its own gradient, is called
+        through self.value and self.gradient with the block's index, and
+        blocks with equal keys are integrated once, unless bounds are
+        explicit; blocks that cover another number of axes than dimension are
+        a ValidationError.  Any other value, or one whose gradient was
+        replaced, is one block of all N axes, called on N-vectors.
         """
         inner, grad = inspect.unwrap(self.value), self.gradient_or_fd()
-        if not (
-            hasattr(inner, "block_keys")
-            and inner.blocks == self.blocks
-            and inspect.unwrap(grad) == inner.gradient
-        ):
+        if not (hasattr(inner, "block_keys") and inspect.unwrap(grad) == inner.gradient):
             return 0.0, [(tuple(range(self.dimension)), 1, self.value, grad)]
+        if sum(map(len, inner.blocks)) != self.dimension:
+            raise ValidationError(f"potential of {self.dimension} axes has blocks {inner.blocks}")
         groups = {}
         for j, key in enumerate(inner.block_keys):
             groups.setdefault(j if self.bounds else key, []).append(j)
         return inner.constant, [
-            (self.blocks[js[0]], len(js), functools.partial(self.value, block=js[0]),
+            (inner.blocks[js[0]], len(js), functools.partial(self.value, block=js[0]),
              functools.partial(grad, block=js[0]))
             for js in groups.values()
         ]
@@ -171,8 +159,8 @@ def harmonic_potential(m: float, omegas) -> PotentialField:
     blocks.
     """
     omegas = [float(w) for w in omegas]
-    if not all(w > 0 for w in omegas) or m <= 0:
-        raise ValidationError("need m > 0 and omega_k > 0")
+    if not (omegas and all(w > 0 for w in omegas)) or m <= 0:
+        raise ValidationError("need m > 0 and at least one omega_k, all > 0")
     # Python floats, so a square beyond float range is inf without a warning
     squares = np.array([w * w for w in omegas])
 
@@ -203,56 +191,49 @@ def _signs(d: int) -> np.ndarray:
 _RUNGS = 8
 
 
-def _boxes(parts, T: float, scale: float) -> list[tuple[tuple[float, float], ...]]:
-    """A symmetric box for each distinct block (axes, k, W, grad W) of parts,
-    with exp(-W/T) < 1e-16 * exp(-W(0)/T) outside.
+def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ...]:
+    """A symmetric box for a block W of d axes, with exp(-W/T) < 1e-16 *
+    exp(-W(0)/T) outside; value takes arrays of shape (points, d).
 
     Boltzmann factors are compared through their exponents relative to the
-    block's origin, -(W - W(0))/T against log(1e-16), so no probe overflows
-    however deep the potential dips.  A half-width doubles from scale until
-    the exponents at both faces, +half and -half with every other axis at 0,
-    are below the cutoff, then shrinks by 0.85 while they stay below, so the
+    origin, -(W - W(0))/T against log(1e-16), so no probe overflows however
+    deep the potential dips.  A half-width doubles from scale until the
+    exponents at both faces, +half and -half with every other axis at 0, are
+    below the cutoff, then shrinks by 0.85 while they stay below, so the
     quadrature window stays as tight as the decay allows (wide windows waste
     Gauss-Legendre nodes).  Each round probes the next _RUNGS rungs of every
-    pending axis of every block, with one call of each block's W that also
-    takes W(0), and reads them in order; rungs past a turn or an end are
-    ignored.  Then each block's corners are probed.  Boxes and errors are
-    those of searching block by block and axis by axis: the first error in
-    that order is raised.  W(0) is checked before any: the quadrature sums
-    exp(-W/T) unshifted, so it must not underflow to 0 there (one that
-    overflows fails the quadrature's finiteness check).
+    pending axis, with one call of W that also takes W(0), and reads them in
+    order; rungs past a turn or an end are ignored.  Then the corners are
+    probed.  The box and the error are those of searching axis by axis: the
+    error of the first failing axis is raised.  W(0) is checked before any:
+    the quadrature sums exp(-W/T) unshifted, so it must not underflow to 0
+    there (one that overflows fails the quadrature's finiteness check).
     """
     rise, cutoff = math.log(0.999999), math.log(1e-16)
-    # per pending (block, axis): the next rung, its factor (2.0 doubling, 0.85
+    # per pending axis: the next rung, its factor (2.0 doubling, 0.85
     # shrinking), the last face exponent (doubling) or the half-width accepted
     # so far (shrinking), the rungs doubled, and whether the accepted
-    # half-width's -half face was not nan (its +half face is not); the keys
-    # stay in block order
-    keys = [(j, k) for j, (axes, *_) in enumerate(parts) for k in range(len(axes))]
-    state = dict.fromkeys(keys, (scale, 2.0, math.inf, 0, False))
-    halves, clean, origins = {}, set(), {}
+    # half-width's -half face was not nan (its +half face is not)
+    state = dict.fromkeys(range(d), (scale, 2.0, math.inf, 0, False))
+    halves, clean = {}, False
     while state:
-        keys = list(state)
+        pending = list(state)
         # each axis's rungs: its next rung times its factor again and again,
         # multiplied in order as repeated products are
-        ladders = [state[key][:1] + state[key][1:2] * (_RUNGS - 1) for key in keys]
+        ladders = [state[k][:1] + state[k][1:2] * (_RUNGS - 1) for k in pending]
         rungs = np.multiply.accumulate(ladders, axis=1)
-        faces, exponents = (rungs[:, :, None] * _signs(1)[:, 0]).reshape(len(keys), -1), []
-        for j, group in itertools.groupby(keys, key=lambda key: key[0]):
-            axes, _, value, _ = parts[j]
-            pending = [k for _, k in group]
-            # W(0), then the faces of each pending axis
-            y = np.zeros((1 + faces.shape[1] * len(pending), len(axes)))
-            rows = faces[len(exponents) : len(exponents) + len(pending)]
-            for i, k in enumerate(pending):
-                y[1:].reshape(len(pending), -1, len(axes))[i, :, k] = rows[i]
-            v = value(y)
-            origins[j] = w0 = float(v[0])
-            if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
-                raise IntegrationError("potential not finite at the origin")
-            exponents += (-(v[1:] - w0) / T).reshape(len(pending), -1, 2).tolist()
-        for key, ladder, pairs in zip(keys, rungs.tolist(), exponents):
-            _, factor, last, doubled, seen = state.pop(key)
+        # W(0), then the faces +rung and -rung of each pending axis
+        y = np.zeros((1 + 2 * rungs.size, d))
+        faces = y[1:].reshape(len(pending), -1, d)
+        for i, k in enumerate(pending):
+            faces[i, :, k] = (rungs[i, :, None] * _signs(1)[:, 0]).ravel()
+        v = value(y)
+        w0 = float(v[0])
+        if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
+            raise IntegrationError("potential not finite at the origin")
+        exponents = (-(v[1:] - w0) / T).reshape(len(pending), -1, 2).tolist()
+        for k, ladder, pairs in zip(pending, rungs.tolist(), exponents):
+            _, factor, last, doubled, seen = state.pop(k)
             end = None
             for rung, (lo, hi) in zip(ladder, pairs):
                 # Python's max, so a nan at the -half face alone is passed over
@@ -277,33 +258,29 @@ def _boxes(parts, T: float, scale: float) -> list[tuple[tuple[float, float], ...
                         break
                     last, seen = rung, hi == hi
                 else:
-                    end = last
-                    if seen:
-                        clean.add(key)
+                    end, clean = last, seen
                     break
             if end is None:
-                state[key] = (factor * rung, factor, last, doubled, seen)
+                state[k] = (factor * rung, factor, last, doubled, seen)
             else:
-                halves[key] = end
-    boxes = []
-    for j, (axes, _, value, _) in enumerate(parts):
-        box = [halves[j, k] for k in range(len(axes))]
-        for h in box:
-            if isinstance(h, Exception):
-                raise h
-        # corners may decay slower than face centers for non-separable
-        # potentials, along any diagonal: all 2^d are probed (d <=
-        # MAX_TENSOR_DIMENSION).  A one-axis block's corners are its faces,
-        # which have been probed: they pass if neither was nan
-        if not (len(axes) == 1 and (j, 0) in clean):
-            for _ in range(60):
-                if float((-(value(_signs(len(axes)) * box) - origins[j]) / T).max()) < cutoff:
-                    break
-                box = [1.3 * h for h in box]
-            else:
-                raise IntegrationError("could not bound the integration domain")
-        boxes.append(tuple((-h, h) for h in box))
-    return boxes
+                halves[k] = end
+    box = [halves[k] for k in range(d)]
+    for h in box:
+        if isinstance(h, Exception):
+            raise h
+    # corners may decay slower than face centers for non-separable
+    # potentials, along any diagonal: all 2^d are probed (d <=
+    # MAX_TENSOR_DIMENSION).  A one-axis block's corners are its faces, which
+    # have been probed: they pass if neither was nan (clean, set as its
+    # search ended)
+    if d > 1 or not clean:
+        for _ in range(60):
+            if float((-(value(_signs(d) * box) - w0) / T).max()) < cutoff:
+                break
+            box = [1.3 * h for h in box]
+        else:
+            raise IntegrationError("could not bound the integration domain")
+    return tuple((-h, h) for h in box)
 
 
 def _axes(d: int, batch: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -380,7 +357,7 @@ def _boltzmann_moments(
     # every box is found before any grid is integrated, so a block that does
     # not decay is rejected early
     if potential.bounds is None:
-        boxes = _boxes(parts, T, potential.scale)
+        boxes = [_box(value, len(axes), T, potential.scale) for axes, _, value, _ in parts]
     else:
         boxes = [[potential.bounds[k] for k in axes] for axes, *_ in parts]
     out = []

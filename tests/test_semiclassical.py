@@ -19,7 +19,7 @@ from qcthermo.expressions import parse_potential
 from qcthermo.oscillator import osc_classical, osc_regularized
 from qcthermo.semiclassical import (
     PotentialField,
-    _boxes,
+    _box,
     _grid_batches,
     harmonic_potential,
     kw_expansion,
@@ -178,7 +178,7 @@ def test_explicit_bounds_split_into_blocks():
         value=parse_potential("x1^2 + 2*x2^2 + 3", 2),
         bounds=((-7.0, 7.0), (-5.0, 5.0)),
     )
-    assert pot.blocks == ((0,), (1,))
+    assert [part[:2] for part in pot._split()[1]] == [((0,), 1), ((1,), 1)]
     assert z0_integral(pot, 1.0) == pytest.approx(math.pi / math.sqrt(2.0) / math.e**3, rel=1e-13)
     pred = kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
     assert pred.Er - 0.02 * pred.z2_over_z0 == pytest.approx(1.0 + 4.0, rel=1e-13)
@@ -201,6 +201,11 @@ def _counted(fn, counts, key, points=True):
     return wrapped
 
 
+def _opaque(pot):
+    """pot with a value that hides its blocks: one block of all its axes."""
+    return dataclasses.replace(pot, value=lambda x: pot.value(x))
+
+
 def _counted_parsed(text, n, counts, points=True):
     """A parsed potential whose value and carried gradient are both counted."""
     pot = PotentialField(dimension=n, value=parse_potential(text, n))
@@ -214,12 +219,11 @@ def _counted_parsed(text, n, counts, points=True):
 def test_one_potential_evaluation_per_node():
     base = harmonic_potential(1.0, [1.0, 2.0])
     opaque_counts = {"value": 0, "gradient": 0}
-    # a wrapper without blocks is opaque, so both axes share one grid
+    # a wrapper that hides the blocks is opaque, so both axes share one grid
     opaque = dataclasses.replace(
         base,
-        value=_counted(base.value, opaque_counts, "value"),
+        value=_counted(lambda x: base.value(x), opaque_counts, "value"),
         gradient=_counted(base.gradient, opaque_counts, "gradient"),
-        blocks=None,
     )
     # a parsed potential's gradient is its own, exact one: no finite
     # differences, so no value calls beyond one per node and the bounds probes
@@ -228,13 +232,16 @@ def test_one_potential_evaluation_per_node():
     # a separable one integrates each axis on its own grid
     split_counts = {"value": 0, "gradient": 0}
     split = _counted_parsed("x1^2/2 + 2*x2^2 + 0.1*x1^4", 2, split_counts)
-    assert (opaque.blocks, coupled.blocks, split.blocks) == (((0, 1),),) * 2 + (((0,), (1,)),)
+    assert [[axes for axes, *_ in pot._split()[1]] for pot in (opaque, coupled, split)] == [
+        [(0, 1)], [(0, 1)], [(0,), (1,)]
+    ]
     for pot, counts, grid in (
         (opaque, opaque_counts, 64**2 + 48**2),
         (coupled, coupled_counts, 64**2 + 48**2),
         (split, split_counts, 2 * (64 + 48)),
     ):
-        _boxes(pot._split()[1], 1.0, pot.scale)
+        for axes, _, value, _ in pot._split()[1]:
+            _box(value, len(axes), 1.0, pot.scale)
         probes = counts["value"]
         counts["value"] = 0
         kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
@@ -249,7 +256,7 @@ def test_one_potential_evaluation_per_node():
     ):
         calls = {"value": 0, "gradient": 0}
         three = _counted_parsed(text, 3, calls, False)
-        assert three.blocks == ((0,), (1,), (2,))
+        assert three.value.__wrapped__.blocks == ((0,), (1,), (2,))
         kw_expansion(three, PhysicalParams(T=1.0, h=0.1, m=1.0))
         assert calls["value"] <= 4 * distinct and calls["gradient"] == distinct
 
@@ -285,17 +292,24 @@ def test_parsed_gradient_adopted_and_kept_by_replace():
     assert PotentialField(dimension=1, value=value, gradient=explicit).gradient is explicit
 
 
-def test_blocks_adopted_kept_and_checked():
+def test_blocks_read_from_the_value_through_wrappers():
     value = parse_potential("x1^2 + x2^2 + x3^4 + x2*x3", 3)
     pot = PotentialField(dimension=3, value=value)
-    assert pot.blocks == value.blocks == ((0,), (1, 2))
-    wrapped = dataclasses.replace(pot, value=lambda x: value(x))
-    assert wrapped.blocks == ((0,), (1, 2))
-    assert PotentialField(dimension=3, value=lambda x: value(x)).blocks == ((0, 1, 2),)
-    assert harmonic_potential(1.0, [1.0, 2.0]).blocks == ((0,), (1,))
-    for blocks in (((0,), (1,)), ((0, 1), (1, 2)), ((0, 1, 2, 3),), ((0,), (1,), (3,))):
-        with pytest.raises(ValidationError, match="do not partition"):
-            PotentialField(dimension=3, value=value, blocks=blocks)
+
+    def split_axes(pot):
+        return [axes for axes, *_ in pot._split()[1]]
+
+    assert split_axes(pot) == list(value.blocks) == [(0,), (1, 2)]
+    counted = dataclasses.replace(pot, value=_counted(value, {"value": 0}, "value"))
+    assert split_axes(counted) == [(0,), (1, 2)]
+    # a value that hides its blocks, or a replaced gradient, is one block
+    assert split_axes(_opaque(pot)) == [(0, 1, 2)]
+    assert split_axes(dataclasses.replace(pot, gradient=lambda x: value.gradient(x))) == [(0, 1, 2)]
+    assert split_axes(harmonic_potential(1.0, [1.0, 2.0])) == [(0,), (1,)]
+    # a value of another dimension leaves axes out, or names axes that are not there
+    for n in (2, 4):
+        with pytest.raises(ValidationError, match=f"potential of {n} axes has blocks"):
+            kw_expansion(PotentialField(n, value), PhysicalParams(T=1.0, h=0.1, m=1.0))
 
 
 def test_parsed_quartic_z2_closed_form():
@@ -346,7 +360,7 @@ def test_split_quadrature_matches_one_tensor_grid(coeffs, offset, T, h, m):
     # a zero coupling term joins every axis into one block
     coupling = "*".join(f"x{k}" for k in range(1, n + 1))
     tensor = PotentialField(dimension=n, value=parse_potential(f"{text} + 0*{coupling}", n))
-    assert len(split.blocks) == n and len(tensor.blocks) == 1
+    assert len(split.value.blocks) == n and len(tensor.value.blocks) == 1
     params = PhysicalParams(T=T, h=h, m=m)
     got, want = kw_expansion(split, params), kw_expansion(tensor, params)
     scale = abs(want.Fr) + abs(want.Er) + T * abs(want.Sr)
@@ -400,7 +414,7 @@ def test_results_independent_of_slab_size(monkeypatch):
 def test_quadrature_memory_stays_per_slab():
     split = harmonic_potential(1.0, [0.7, 1.1, 1.9])
     # as one block the three axes share one 3-D grid, streamed in slabs
-    for pot in (split, dataclasses.replace(split, blocks=((0, 1, 2),))):
+    for pot in (split, _opaque(split)):
         params = PhysicalParams(T=1.0, h=0.1, m=1.0)
         kw_expansion(pot, params)
         tracemalloc.start()
@@ -430,7 +444,7 @@ def test_slabs_stay_small_in_many_dimensions():
 
 def _sequential_box(value, d, scale, T):
     """A block's box by the per-axis search with one call of its W per
-    probe, as _boxes finds it with its probes batched."""
+    probe, as _box finds it with its probes batched."""
     cutoff = math.log(1e-16)
     w0 = float(value(np.zeros((1, d)))[0])
     if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
@@ -503,20 +517,36 @@ _SEARCHED = [
     (PotentialField(3, parse_potential("-x1^2 + x2^2 + x3^2 - 2*x2*x3", 3)), 1.0),
     (PotentialField(1, parse_potential("x1^2", 1), scale=1e-3), 1.0),
     (PotentialField(1, parse_potential("x1^2", 1), scale=1e3), 1.0),
+    # a block that does not decay before one not finite at its origin, in
+    # either order of the terms
+    (PotentialField(2, parse_potential("-x1^2 + 1/x2", 2)), 1.0),
+    (PotentialField(2, parse_potential("1/x2 - x1^2", 2)), 1.0),
+    # in one block, one axis does not decay and the other never falls below
+    # the cutoff, in either order: the first axis's error is raised
+    (PotentialField(2, parse_potential("-x1^2 - exp(-x2^2) + 0*x1*x2", 2)), 1.0),
+    (PotentialField(2, parse_potential("-exp(-x1^2) - x2^2 + 0*x1*x2", 2)), 1.0),
 ]
 
 
 @pytest.mark.parametrize("pot, T", _SEARCHED)
 def test_batched_bounds_match_the_sequential_search(pot, T):
     parts = pot._split()[1]
-    try:
-        expected = [_sequential_box(value, len(axes), pot.scale, T) for axes, _, value, _ in parts]
-    except IntegrationError as err:
+    errors = []
+    for axes, _, value, _ in parts:
+        try:
+            expected = _sequential_box(value, len(axes), pot.scale, T)
+        except IntegrationError as err:
+            errors.append(str(err))
+            with pytest.raises(IntegrationError) as got:
+                _box(value, len(axes), T, pot.scale)
+            assert str(got.value) == str(err)
+        else:
+            assert _box(value, len(axes), T, pot.scale) == expected
+    # the quadrature searches block by block and raises the first error
+    if errors:
         with pytest.raises(IntegrationError) as got:
-            _boxes(parts, T, pot.scale)
-        assert str(got.value) == str(err)
-    else:
-        assert _boxes(parts, T, pot.scale) == expected
+            semiclassical._boltzmann_moments(pot, parts, T)
+        assert str(got.value) == errors[0]
 
 
 def test_bounds_fail_where_the_window_cannot_shrink():
@@ -591,18 +621,18 @@ def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
         PotentialField(3, parse_potential("x1^2 + x2^2 + x3^4 + x2*x3 + 0.5", 3)),
         PotentialField(5, parse_potential("x1^2 + x2^2 + x1*x2 + x3^2 + x4^2 + x5^4 + 0.3*(x3*x4*x5)^2", 5)),
         # a grid larger than CHUNK_POINTS = 1000 is streamed in slabs
-        dataclasses.replace(harmonic_potential(1.0, [0.7, 1.9]), blocks=((0, 1),)),
+        _opaque(harmonic_potential(1.0, [0.7, 1.9])),
         # an opaque callable with central differences, and explicit bounds
         PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 0.1 * x[..., 0] ** 4),
         PotentialField(2, parse_potential("x1^2 + 2*x2^2 + 3", 2), bounds=((-7.0, 7.0), (-5.0, 5.0))),
-        # equal blocks, and an opaque callable declared separable: it is one block
+        # equal blocks, and an opaque callable of a separable potential: it is one block
         harmonic_potential(1.0, [0.7, 1.9, 0.7, 0.7]),
-        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 1.0, blocks=((1,), (0,))),
+        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 1.0),
     ]
     for pot in potentials:
         c, parts = pot._split()
         if pot.bounds is None:
-            boxes = _boxes(parts, 0.8, pot.scale)
+            boxes = [_box(value, len(axes), 0.8, pot.scale) for axes, _, value, _ in parts]
         else:
             boxes = [[pot.bounds[k] for k in axes] for axes, *_ in parts]
         for with_gradient in (False, True):
