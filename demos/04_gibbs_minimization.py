@@ -1,8 +1,11 @@
 """Free energy minimization over the probability simplex.
 
 F(P) = sum P_n E_n + T sum P_n log P_n is minimized by the Gibbs
-distribution.  An exponentiated-gradient iteration converges to the same
-point as the closed form, and the minimum equals -T log Z.
+distribution.  A mirror-descent iteration in log space, log P <- (log P -
+eps)/2 normalized by log-sum-exp with eps = (E - E_min)/T, converges to the
+same point as the closed form, halving the error of log P in every step; it
+stops once the Frank-Wolfe gap, an upper bound on (F - F_min)/T, is at most
+tol.  The minimum equals -T log Z.
 """
 
 import math

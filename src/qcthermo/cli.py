@@ -419,7 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gibbs", help="variational free-energy minimization")
     p.add_argument("--levels", required=True, help="comma-separated energies")
     p.add_argument("--T", type=parse_number, required=True)
-    p.add_argument("--tol", type=parse_number, default=1e-10)
+    p.add_argument("--tol", type=parse_number, default=1e-10,
+                   help="stop once the minimizer's Frank-Wolfe gap, an upper bound "
+                        "on (F - F*)/T, is at most this")
     p.add_argument("--random-points", type=int, default=100)
     _add_common(p)
     p.set_defaults(func=cmd_gibbs)

@@ -367,10 +367,13 @@ class _CompiledPotential:
         self.blocks, self.block_keys, self.constant = _blocks(program, dimension)
 
     def _run(self, x, walk, block):
-        """(columns, x's batch shape, walk(program, columns of x)), NumPy warnings off."""
+        """(columns, x's batch shape, walk(program, columns of x)), NumPy warnings off.
+        x's last axis must hold exactly the columns the program reads."""
         program = self._program if block is None else self.block_keys[block]
         n = self.dimension if block is None else len(self.blocks[block])
         x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (n,):
+            raise ValidationError(f"expected x of shape (..., {n}), got {x.shape}")
         with np.errstate(all="ignore"):
             return n, x.shape[:-1], walk(program, [x[..., k] for k in range(n)])
 

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 MAX_ITERATIONS = 10**5
+# the minimizer's fixed step in log space; any value in (0, 1) converges, and
+# 1/2 halves the error of log P in every step
+ETA = 0.5
 TAIL_BOUND_REL = 1e-12
 # step of the per-level difference quotients, relative to each P_n
 STEP_REL = 1e-3
@@ -102,17 +105,20 @@ def well_level_set(params: PhysicalParams, a: float) -> LevelSet:
     return LevelSet(levels, truncation_tail_bound=tail)
 
 
-def gibbs_closed_form(levels: LevelSet, T: float) -> SimplexPoint:
-    """P_n = exp(-E_n/T)/Z, evaluated in log space."""
+def _shifted(levels: LevelSet, T: float):
+    """(E_min, eps) with eps_n = (E_n - E_min)/T, the levels in units of T above
+    the lowest one.  An eps_n beyond float range is inf, whose level has P_n = 0."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    logits = np.array([-e / T for e in levels.energies])
-    # once every E/T overflows, every logit is -inf and the shift gives NaN;
-    # the CLI reports that as a non-finite output, and a warning would only
-    # repeat it on stderr
-    with np.errstate(invalid="ignore"):
-        logits -= logits.max()
-    w = np.exp(logits)
+    e = np.array(levels.energies)
+    with np.errstate(over="ignore"):
+        return e[0], (e - e[0]) / T
+
+
+def gibbs_closed_form(levels: LevelSet, T: float) -> SimplexPoint:
+    """P_n = exp(-eps_n)/sum exp(-eps), eps_n = (E_n - E_min)/T; the lowest
+    logit is 0, so 1 <= Z <= n for any levels and T."""
+    w = np.exp(-_shifted(levels, T)[1])
     return SimplexPoint(tuple(w / w.sum()))
 
 
@@ -137,34 +143,42 @@ class MinimizeResult(_Record):
 
 
 def minimize_free_energy(levels: LevelSet, T: float, tol: float) -> MinimizeResult:
-    """Exponentiated-gradient descent of F over the simplex.
+    """Mirror descent of F/T over the simplex, in log space.
 
-    Multiplicative update P <- P * exp(-eta * grad F) followed by
-    renormalization, with eta = T/(max E - min E + T); stops when the
-    sup-norm change drops below tol.
+    With eps_n = (E_n - E_min)/T, each step is the entropic mirror step
+    log P <- (1 - ETA) log P - ETA eps, normalized by log-sum-exp (Beck &
+    Teboulle 2003), from the uniform start.  It is carried in the
+    coordinates r = eps + log P - log P_0, the gradient of F/T measured from
+    the lowest level's, where it reads r <- (1 - ETA) r: every step shrinks
+    the error of log P by the factor 1 - ETA, whatever the span of the
+    levels, and rounds nothing.  P is exp(r - eps) over its sum, whose
+    largest term is the lowest level's 1.  A level whose eps_n is beyond float
+    range gets P_n = 0 and drops out, as does one whose P_n underflows.
+
+    The iteration stops once the Frank-Wolfe gap sum P g - min g, with
+    g = eps + log P over the levels with P_n > 0, is at most tol.  F/T is
+    convex, so that gap bounds (F - F_min)/T from above without the closed
+    form (Jaggi 2013).  Here it is sum P r, since r >= 0 = r_0.  F_min is
+    formed in units of T, as sum P g = sum P r + log P_0, and E_min added
+    back.
     """
-    if T <= 0:
-        raise ValidationError("T must be positive")
     if tol <= 0:
         raise ValidationError("tol must be positive")
-    e = np.array(levels.energies)
-    eta = T / (e.max() - e.min() + T)
-    p = np.full(len(e), 1.0 / len(e))
-    # an underflowed P_n makes log(p) -inf and the iterate nan, which never
-    # meets the stop test and ends in ConvergenceError; numpy need not warn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for iteration in range(1, MAX_ITERATIONS + 1):
-            grad = e + T * (1.0 + np.log(p))
-            q = p * np.exp(-eta * (grad - grad.min()) / T)
-            q /= q.sum()
-            if np.max(np.abs(q - p)) < tol:
-                p = q
-                break
-            p = q
-        else:
-            raise ConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
-    point = SimplexPoint(tuple(p / p.sum()))
-    return MinimizeResult(point, free_energy_functional(levels, T, point), iteration)
+    e_min, eps = _shifted(levels, T)
+    # the levels are sorted, so those beyond float range come last
+    eps_finite = eps[eps < np.inf]
+    r = eps_finite.copy()
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        r *= 1.0 - ETA
+        w = np.exp(r - eps_finite)
+        z = w.sum()
+        gap = float(w @ r) / z
+        if gap <= tol:
+            break
+    else:
+        raise ConvergenceError(f"no convergence after {MAX_ITERATIONS} iterations")
+    p = tuple(w / z) + (0.0,) * (len(eps) - len(eps_finite))
+    return MinimizeResult(SimplexPoint(p), e_min + T * (gap - math.log(z)), iteration)
 
 
 def _level_quotients(energies: np.ndarray, T: float, p: np.ndarray):

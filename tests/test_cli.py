@@ -400,9 +400,6 @@ def test_numpy_warnings_stay_off_stderr():
         # the samples' rounding at this scale makes a triple root complex
         (["hear-drum", "--edges", "1e150,1e150,1e150", "--T", "1"],
          "complex edge estimates; rho samples too large or too noisy"),
-        # every logit -E/T is -inf, and shifting them by their max gives NaN
-        (["gibbs", "--levels", "1.9e93,8.3e248,1.3e275", "--T", "2.5e-225"],
-         "non-finite value in output field '$.F_closed_form'"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "qcthermo.cli", *args],
@@ -497,9 +494,17 @@ def test_range_reproducers():
     for value in ("1/0", "pi/0", "1e999"):
         assert check_contract(["eval", "--system", "well", "--edges", "1",
                                "--T", value, "--h", "1"]) == (2, None)
-    # an underflowed P_n makes the minimizer's iterate nan: no convergence,
-    # with no numpy warning
-    assert check_contract(["gibbs", "--levels=-1e293,0,1e297", "--T", "1"]) == (3, None)
+    # levels far above the lowest on the scale of T drop out: (E_n - E_min)/T
+    # is 1e293, or beyond float range, or 5e299; F_min = E_min within T * tol
+    for levels, T, f_min in (
+        ("-1e293,0,1e297", 1.0, -1e293),
+        ("1.9e93,8.3e248,1.3e275", 2.5e-225, 1.9e93),
+        ("0,5e299,1e300", 1.0, 0.0),
+    ):
+        code, payload = check_contract(["gibbs", f"--levels={levels}", "--T", repr(T)])
+        assert code == 0
+        assert abs(payload["F_min"] - f_min) <= 1e-10 * T
+        assert payload["probabilities"] == payload["closed_form_probabilities"] == [1.0, 0.0, 0.0]
     # 24 m T^3 underflows to 0
     assert check_contract(["kw", "--omega", "1", "--T", "1e-200", "--h", "1e-200",
                            "--m", "1e-200"]) == (3, None)
@@ -606,7 +611,16 @@ def kw_argv(draw):
     return ["kw"] + field + draw(physics())
 
 
-@given(argv=st.one_of(eval_argv(), sweep_argv(), drum_argv(), kw_argv()))
+@st.composite
+def gibbs_argv(draw):
+    # the levels are joined to their flag, as a leading minus would read as a flag
+    level = st.one_of(st.just("0"), st.tuples(st.sampled_from(["", "-"]), number()).map("".join))
+    levels = ",".join(draw(st.lists(level, min_size=2, max_size=6)))
+    return ["gibbs", f"--levels={levels}", "--T", draw(number()),
+            "--random-points", str(draw(st.integers(1, 5)))]
+
+
+@given(argv=st.one_of(eval_argv(), sweep_argv(), drum_argv(), kw_argv(), gibbs_argv()))
 @settings(max_examples=200, deadline=None)
 def test_extreme_inputs_keep_the_exit_contract(argv):
     check_contract(argv + ["--format", "json"])

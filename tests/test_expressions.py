@@ -69,6 +69,18 @@ def test_vectorized_shape():
     assert f(x).shape == (3, 4)
 
 
+def test_wrong_column_count_is_a_validation_error():
+    # the whole potential takes its dimension's columns, block j its block's
+    f = parse_potential("x1^2 + x2*x3", 3)
+    assert f.blocks == ((0,), (1, 2))
+    for call, x in ((f, np.zeros((4, 2))), (f, np.zeros((4, 4))), (f, np.zeros(())),
+                    (f.gradient, np.zeros(2)), (lambda y: f(y, block=1), np.zeros((4, 3))),
+                    (lambda y: f.gradient(y, block=0), np.zeros((4, 2)))):
+        with pytest.raises(ValidationError, match=r"expected x of shape \(\.\.\., \d\)"):
+            call(x)
+    assert f(np.ones((4, 2)), block=1).shape == (4,)
+
+
 def test_variable_out_of_range():
     with pytest.raises(ValidationError):
         parse_potential("x3", 2)

@@ -2,6 +2,7 @@ import math
 import time
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,57 @@ def test_minimizer_extreme_temperatures():
         assert np.allclose(
             result.point.probabilities, closed.probabilities, atol=1e-8
         )
+
+
+@given(
+    log_n=st.floats(min_value=math.log10(2.0), max_value=4.0),
+    log_span=st.floats(min_value=-3.0, max_value=300.0),
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_minimum_matches_mpmath_across_spans(log_n, log_span, data, seed):
+    # up to 10^4 levels, as a ladder or at random, spanning 1e-3 T to 1e300 T
+    # above a level E_min of either sign
+    n = round(10.0**log_n)
+    T = 10.0 ** data.draw(st.floats(min_value=-290.0, max_value=290.0 - log_span))
+    span = T * 10.0**log_span
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans()):
+        frac = np.linspace(0.0, 1.0, n)
+    else:
+        frac = np.sort(np.concatenate([[0.0, 1.0], rng.random(n - 2)]))
+    offset = data.draw(st.sampled_from([0.0, 1.0, -1.0])) * span * 10.0 ** rng.uniform(-3, 3)
+    levels = LevelSet(offset + span * frac)
+    result = minimize_free_energy(levels, T, tol=1e-16)
+    with mp.workdps(40):
+        e_min = mp.mpf(levels.energies[0])
+        z = mp.fsum(mp.exp(-(mp.mpf(e) - e_min) / T) for e in levels.energies)
+        want = e_min - T * mp.log(z)
+        assert abs(result.F_min - want) <= 1e-15 * (abs(want) + T)
+
+
+@pytest.mark.parametrize("energies", [
+    (0.0, 35.0),  # P_1 is far above its Gibbs value at the stop, so F - F* is near T * gap
+    tuple(np.linspace(0.0, 42.0, 3700)),
+    (-3.0, -1.0, 0.5, 7.0, 40.0),
+])
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_tol_bounds_the_excess_free_energy(energies, tol):
+    # the stop is the Frank-Wolfe gap, so 0 <= (F_min - F*)/T <= tol
+    T = 1.3
+    levels = LevelSet(energies)
+    result = minimize_free_energy(levels, T, tol)
+    with mp.workdps(40):
+        excess = (result.F_min + T * mp.log(mp.fsum(mp.exp(-mp.mpf(e) / T) for e in energies))) / T
+    assert -1e-15 * (1 + abs(result.F_min) / T) <= excess <= tol
+
+
+@pytest.mark.parametrize("span", [10.0, 42.0, 1e3, 1e6, 1e300])
+def test_iterations_do_not_grow_with_the_span(span):
+    # each step halves the error of log P, so the count is set by tol, not by the span
+    levels = LevelSet(np.linspace(0.0, span, 3700))
+    assert minimize_free_energy(levels, 1.0, tol=1e-10).iterations <= 50
 
 
 def test_minimizer_validation():
