@@ -110,9 +110,9 @@ def _shifted(levels: LevelSet, T: float):
     the lowest one.  An eps_n beyond float range is inf, whose level has P_n = 0."""
     if T <= 0:
         raise ValidationError("T must be positive")
-    e = np.array(levels.energies)
+    e_min = levels.energies[0]
     with np.errstate(over="ignore"):
-        return e[0], (e - e[0]) / T
+        return e_min, (np.array(levels.energies) - e_min) / T
 
 
 def gibbs_closed_form(levels: LevelSet, T: float) -> SimplexPoint:
@@ -171,7 +171,7 @@ def minimize_free_energy(levels: LevelSet, T: float, tol: float) -> MinimizeResu
     for iteration in range(1, MAX_ITERATIONS + 1):
         r *= 1.0 - ETA
         w = np.exp(r - eps_finite)
-        z = w.sum()
+        z = float(w.sum())
         gap = float(w @ r) / z
         if gap <= tol:
             break

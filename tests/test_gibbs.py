@@ -70,6 +70,7 @@ def test_closed_form_shift_invariance():
 def test_minimizer_matches_closed_form():
     levels = LevelSet([0.0, 1.0, 2.0])
     result = minimize_free_energy(levels, 1.0, tol=1e-12)
+    assert type(result.F_min) is float
     assert np.allclose(result.point.probabilities, P_012, atol=1e-9)
     assert result.F_min == pytest.approx(-math.log(Z_012), abs=1e-10)
 
