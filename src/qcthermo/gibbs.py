@@ -58,6 +58,9 @@ class LevelSet(_Record):
         energies = tuple(float(e) for e in energies)
         if len(energies) < 2:
             raise ValidationError("need at least two levels")
+        # a nan would pass the order check, since comparisons with nan are false
+        if not all(map(math.isfinite, energies)):
+            raise ValidationError("energies must be finite")
         if any(b < a for a, b in zip(energies, energies[1:])):
             raise ValidationError("energies must be non-decreasing")
         _set_field(self, "energies", energies)

@@ -18,12 +18,16 @@ joins the axes of each of its separate terms, and its blocks are equal where
 their own programs are (see qcthermo.expressions).  An opaque callable is
 one block of all N axes (see PotentialField._split).  Each distinct block
 finds its own box from its own origin, one block after another: every round
-probes the faces of its pending axes with one call, then it probes its
-corners.  Both orders of its grid are packed into batches of at most CHUNK_POINTS nodes, so
-W_j and its gradient are called once per batch and evaluated once per node,
-and all moments come from the same Boltzmann factor.  Each block's moments
-are checked on their own against a reduced-order rule, and a moment that is
-not finite is rejected.  Z0 is carried as its logarithm.  The gradient is
+probes the faces of its pending axes with one call and decides on Python
+floats, then it probes its corners.  The grids of both orders of the
+distinct blocks of one dimension are packed whole into shared batches of at
+most CHUNK_POINTS nodes, and a block whose grids are larger is cut into
+slabs of its own.  W_j and its gradient are called once per batch, on their
+block's rows, and evaluated once per node; the Boltzmann factor, the moment
+rows and the sums of the grid pieces are formed once per batch, bit for bit
+as block by block, and all moments come from the same factor.  Each block's
+moments are checked on their own against a reduced-order rule, and a moment
+that is not finite is rejected.  Z0 is carried as its logarithm.  The gradient is
 exact for the built-in harmonic potential and for potentials parsed by
 :func:`qcthermo.expressions.parse_potential`; only an opaque callable without
 a gradient falls back to central differences.  The quartet predictions follow
@@ -78,8 +82,9 @@ class PotentialField:
     gradient returns shape (..., N).  When gradient is None it is adopted
     from value.gradient if value has one, as a parsed expression does, so
     PotentialField(dimension=n, value=parse_potential(text, n)) has an exact
-    gradient.  bounds, when given, is a sequence of per-axis (lo, hi) pairs;
-    otherwise bounds are grown automatically until the Boltzmann factor is
+    gradient.  bounds, when given, is a sequence of one (lo, hi) pair per
+    axis with finite lo < hi, kept as a tuple of float pairs; otherwise
+    bounds are grown automatically until the Boltzmann factor is
     negligible on the boundary.  scale is the potential's length scale: the
     first half-width tried by the automatic bounds and, for an opaque value
     with no gradient, the unit of the finite-difference step.
@@ -99,6 +104,19 @@ class PotentialField:
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
+        if self.bounds is not None:
+            try:
+                bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+                valid = len(bounds) == self.dimension and all(
+                    -math.inf < lo < hi < math.inf for lo, hi in bounds
+                )
+            except (TypeError, ValueError):
+                valid = False
+            if not valid:
+                raise ValidationError(
+                    f"bounds must be {self.dimension} pairs of finite lo < hi, got {self.bounds!r}"
+                )
+            object.__setattr__(self, "bounds", bounds)
         # the adopted gradient is set on the instance, so dataclasses.replace
         # carries it over
         if self.gradient is None:
@@ -178,14 +196,6 @@ def harmonic_potential(m: float, omegas) -> PotentialField:
     return PotentialField(dimension=len(omegas), value=value, scale=1.0 / min(omegas))
 
 
-@functools.lru_cache(maxsize=None)
-def _signs(d: int) -> np.ndarray:
-    """The 2^d sign patterns of a box's corners, (+, ..., +) first; read-only."""
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
-    signs.flags.writeable = False
-    return signs
-
-
 # rungs of each ladder probed per round of the automatic bounds: enough for
 # the usual few doublings, and then the few shrinks, to take one round each
 _RUNGS = 8
@@ -202,12 +212,15 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
     below the cutoff, then shrinks by 0.85 while they stay below, so the
     quadrature window stays as tight as the decay allows (wide windows waste
     Gauss-Legendre nodes).  Each round probes the next _RUNGS rungs of every
-    pending axis, with one call of W that also takes W(0), and reads them in
-    order; rungs past a turn or an end are ignored.  Then the corners are
-    probed.  The box and the error are those of searching axis by axis: the
-    error of the first failing axis is raised.  W(0) is checked before any:
-    the quadrature sums exp(-W/T) unshifted, so it must not underflow to 0
-    there (one that overflows fails the quadrature's finiteness check).
+    pending axis with one call of W on one array, which also takes W(0), and
+    reads the values back with one tolist(): the rungs, the exponents and
+    every decision are Python floats, formed by the IEEE operations of a
+    search axis by axis, in its order.  Rungs past a turn or an end are
+    ignored.  Then the corners are probed.  The box and the error are those
+    of searching axis by axis: the error of the first failing axis is
+    raised.  W(0) is checked before any: the quadrature sums exp(-W/T)
+    unshifted, so it must not underflow to 0 there (one that overflows fails
+    the quadrature's finiteness check).
     """
     rise, cutoff = math.log(0.999999), math.log(1e-16)
     # per pending axis: the next rung, its factor (2.0 doubling, 0.85
@@ -217,25 +230,28 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
     state = dict.fromkeys(range(d), (scale, 2.0, math.inf, 0, False))
     halves, clean = {}, False
     while state:
-        pending = list(state)
-        # each axis's rungs: its next rung times its factor again and again,
-        # multiplied in order as repeated products are
-        ladders = [state[k][:1] + state[k][1:2] * (_RUNGS - 1) for k in pending]
-        rungs = np.multiply.accumulate(ladders, axis=1)
-        # W(0), then the faces +rung and -rung of each pending axis
-        y = np.zeros((1 + 2 * rungs.size, d))
-        faces = y[1:].reshape(len(pending), -1, d)
-        for i, k in enumerate(pending):
-            faces[i, :, k] = (rungs[i, :, None] * _signs(1)[:, 0]).ravel()
-        v = value(y)
-        w0 = float(v[0])
+        # each pending axis's rungs: its next rung times its factor again and
+        # again.  The probes are W(0), then the faces +rung and -rung of each
+        # rung of each pending axis
+        ladders, probes = [], np.zeros((1 + 2 * _RUNGS * len(state), d))
+        for i, (k, (rung, factor, *_)) in enumerate(state.items()):
+            ladder = [rung]
+            for _ in range(_RUNGS - 1):
+                rung *= factor
+                ladder.append(rung)
+            ladders.append(ladder)
+            faces = slice(1 + 2 * _RUNGS * i, 1 + 2 * _RUNGS * (i + 1))
+            probes[faces, k] = [x for r in ladder for x in (r, -r)]
+        v = value(probes).tolist()
+        w0 = v[0]
         if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
             raise IntegrationError("potential not finite at the origin")
-        exponents = (-(v[1:] - w0) / T).reshape(len(pending), -1, 2).tolist()
-        for k, ladder, pairs in zip(pending, rungs.tolist(), exponents):
+        for i, (k, ladder) in enumerate(zip(list(state), ladders)):
             _, factor, last, doubled, seen = state.pop(k)
-            end = None
-            for rung, (lo, hi) in zip(ladder, pairs):
+            end, row = None, 1 + 2 * _RUNGS * i
+            for rung in ladder:
+                lo, hi = -(v[row] - w0) / T, -(v[row + 1] - w0) / T
+                row += 2
                 # Python's max, so a nan at the -half face alone is passed over
                 val = max(lo, hi)
                 if factor == 2.0:
@@ -270,12 +286,13 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
             raise h
     # corners may decay slower than face centers for non-separable
     # potentials, along any diagonal: all 2^d are probed (d <=
-    # MAX_TENSOR_DIMENSION).  A one-axis block's corners are its faces, which
-    # have been probed: they pass if neither was nan (clean, set as its
-    # search ended)
+    # MAX_TENSOR_DIMENSION), (+h, ..., +h) first.  A one-axis block's corners
+    # are its faces, which have been probed: they pass if neither was nan
+    # (clean, set as its search ended)
     if d > 1 or not clean:
         for _ in range(60):
-            if float((-(value(_signs(d) * box) - w0) / T).max()) < cutoff:
+            corners = np.array(list(itertools.product(*((h, -h) for h in box))))
+            if all(-(x - w0) / T < cutoff for x in value(corners).tolist()):
                 break
             box = [1.3 * h for h in box]
         else:
@@ -283,52 +300,70 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
     return tuple((-h, h) for h in box)
 
 
-def _axes(d: int, batch: tuple) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis, the nodes and weights of a batch's pieces (row, start, stop),
-    each the C-order nodes start..stop of the ORDERS[row]^d Gauss-Legendre
-    grid on [-1, 1]^d (leading axis slowest), one after another."""
-    pieces = []
-    for row, start, stop in batch:
-        nodes, weights = np.polynomial.legendre.leggauss(ORDERS[row])
-        index = np.unravel_index(np.arange(start, stop), (ORDERS[row],) * d)
-        pieces.append([(nodes[i], weights[i]) for i in index])
-    return [tuple(map(np.concatenate, zip(*axis))) for axis in zip(*pieces)]
+def _axes(d: int, pieces: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, each of shape (d, 1, nodes), of the pieces (row,
+    start, stop), each the C-order nodes start..stop of the ORDERS[row]^d
+    Gauss-Legendre grid on [-1, 1]^d (leading axis slowest), one after
+    another."""
+    nodes, weights = [], []
+    for row, start, stop in pieces:
+        x, wx = np.polynomial.legendre.leggauss(ORDERS[row])
+        index = np.array(np.unravel_index(np.arange(start, stop), (ORDERS[row],) * d))[:, None]
+        nodes.append(x[index])
+        weights.append(wx[index])
+    return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
 
 
-# the batches that hold whole grids are kept; slabs of larger grids are not
-_batch_axes = functools.lru_cache(maxsize=None)(_axes)
+# the grids of whole blocks are kept; slabs of larger grids are not
+_block_axes = functools.lru_cache(maxsize=None)(_axes)
 
 
-def _grid_batches(box):
-    """The nodes of the ORDERS tensor Gauss-Legendre grids over box, in batches.
+def _mapped(boxes, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """The unit nodes and weights, of shape (d, 1, n), mapped onto each box
+    in turn: y of shape (d, len(boxes) * n) and w of shape (len(boxes) * n,)."""
+    # each box's midpoints and half-widths, formed on Python floats, of shape
+    # (d, boxes, 1)
+    frames = [[(0.5 * (hi + lo), 0.5 * (hi - lo)) for lo, hi in box] for box in boxes]
+    mid, rad = np.array(frames).T[..., None]
+    # axis-major storage keeps each coordinate y[..., k] contiguous, which
+    # makes the evaluators' per-axis arithmetic several times faster
+    y = (mid + rad * nodes).reshape(len(nodes), -1)
+    for k, wk in enumerate(rad * weights):
+        w = wk if k == 0 else w * wk
+    return y, w.reshape(-1)
 
-    box is one (lo, hi) pair per axis.  Both grids form one batch if together
-    they have at most CHUNK_POINTS nodes; otherwise each grid is cut into
-    slabs of that many nodes, each a batch of its own.  Yields (y, w,
-    pieces): y of shape (batch, d), product weights w of shape (batch,), and
-    the grid pieces in the batch as (row, slice of the batch), row i for
-    ORDERS[i].
+
+def _grid_batches(boxes):
+    """The nodes of the ORDERS tensor Gauss-Legendre grids over boxes, in batches.
+
+    Each box is one (lo, hi) pair per axis.  The boxes of one dimension whose
+    two grids together have at most CHUNK_POINTS nodes are packed, whole and
+    in order, into shared batches of at most that many nodes; each grid of a
+    larger box is cut into slabs of that many nodes, each a batch of its
+    own.  Yields (y, w, blocks, pieces): y of shape (batch, d), product
+    weights w of shape (batch,), the indices of the batch's boxes, which own
+    equal runs of its nodes one after another, and the grid pieces of each
+    run as (row, slice of the run), row i for ORDERS[i].
     """
-    d, step = len(box), CHUNK_POINTS
-    sizes = [order**d for order in ORDERS]
-    if sum(sizes) <= step:
-        plan = [((0, 0, sizes[0]), (1, 0, sizes[1]))]
-    else:
-        plan = [
-            ((row, a, min(a + step, n)),) for row, n in enumerate(sizes) for a in range(0, n, step)
-        ]
-    lo, hi = np.array(box, dtype=float).T
-    mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    for batch in plan:
-        ends = list(itertools.accumulate(stop - start for _, start, stop in batch))
-        # axis-major storage keeps each coordinate y[..., k] contiguous, which
-        # makes the evaluators' per-axis arithmetic several times faster
-        y = np.empty((d, ends[-1]))
-        for k, (nodes, weights) in enumerate((_batch_axes if len(plan) == 1 else _axes)(d, batch)):
-            y[k] = mid[k] + rad[k] * nodes
-            wk = rad[k] * weights
-            w = wk if k == 0 else w * wk
-        yield y.T, w, [(row, slice(end - (b - a), end)) for (row, a, b), end in zip(batch, ends)]
+    step, dimensions = CHUNK_POINTS, {}
+    for j, box in enumerate(boxes):
+        dimensions.setdefault(len(box), []).append(j)
+    for d, members in dimensions.items():
+        sizes = [order**d for order in ORDERS]
+        whole = sum(sizes) <= step
+        if whole:
+            per, grids = step // sum(sizes), tuple((row, 0, n) for row, n in enumerate(sizes))
+            plan = [(members[a : a + per], grids) for a in range(0, len(members), per)]
+        else:
+            plan = [
+                ([j], ((row, a, min(a + step, n)),))
+                for j in members for row, n in enumerate(sizes) for a in range(0, n, step)
+            ]
+        for blocks, grids in plan:
+            y, w = _mapped([boxes[j] for j in blocks], *(_block_axes if whole else _axes)(d, grids))
+            ends = list(itertools.accumulate(stop - start for _, start, stop in grids))
+            pieces = [(row, slice(end - (b - a), end)) for (row, a, b), end in zip(grids, ends)]
+            yield y.T, w, blocks, pieces
 
 
 # columns of a block's moments (see _boltzmann_moments)
@@ -344,10 +379,14 @@ def _boltzmann_moments(
     the columns INT_B, INT_BV, INT_B_ABS_V and INT_B_GRAD2: int b, int b*W,
     int b*|W| and int b*|grad W|^2 (0 without with_gradient).  Row 0 holds
     them at QUADRATURE_ORDER, row 1 at CHECK_ORDER (see _stable).  Every
-    block's box is found first; then W and its gradient are evaluated once
-    per batch of the block's grids (_grid_batches), and memory stays
-    O(CHUNK_POINTS).  A grid piece's four moments are row sums of one
-    (4, piece) array, and a grid's pieces are added with math.fsum.
+    block's box is found first.  Then the grids of all blocks go through
+    shared batches (_grid_batches), and memory stays O(CHUNK_POINTS): each W
+    and its gradient are called once per batch, on their own block's rows,
+    while b, the four moment rows and the sums of every grid piece in the
+    batch are formed once for the whole batch, with the same IEEE operations
+    on each node as a pass block by block.  A piece's four moments are row
+    sums of one (4, piece) array, and a grid's pieces are added with
+    math.fsum.
     """
     largest = max(len(axes) for axes, *_ in parts)
     if largest > MAX_TENSOR_DIMENSION:
@@ -360,26 +399,37 @@ def _boltzmann_moments(
         boxes = [_box(value, len(axes), T, potential.scale) for axes, _, value, _ in parts]
     else:
         boxes = [[potential.bounds[k] for k in axes] for axes, *_ in parts]
-    out = []
-    for (_, count, value, gradient), box in zip(parts, boxes):
-        partials = ([], [])
-        for y, w, pieces in _grid_batches(box):
-            v = value(y)
-            terms = np.empty((4, len(w)))
-            terms[INT_B] = np.exp(-v / T) * w
-            np.multiply(terms[INT_B], v, out=terms[INT_BV])
-            np.abs(terms[INT_BV], out=terms[INT_B_ABS_V])
+    partials = [([], []) for _ in parts]
+    for y, w, blocks, pieces in _grid_batches(boxes):
+        run = len(w) // len(blocks)
+        terms = np.empty((4, len(w)))
+        b, bv, bg2 = terms[INT_B], terms[INT_BV], terms[INT_B_GRAD2]
+        # W and |grad W|^2 go to the rows of the moments they enter, each
+        # block's to its own run
+        for i, j in enumerate(blocks):
+            _, _, value, gradient = parts[j]
+            rows = slice(i * run, (i + 1) * run)
+            bv[rows] = value(y[rows])
             if with_gradient:
-                # |grad W|^2 summed over the block's axes in order, as sum
-                # does below 8 terms
-                np.multiply(terms[INT_B], (gradient(y) ** 2).sum(axis=-1), out=terms[INT_B_GRAD2])
-            else:
-                terms[INT_B_GRAD2] = 0.0
-            for row, piece in pieces:
-                partials[row].append(terms[:, piece].sum(axis=-1).tolist())
-        # fsum keeps the number of slabs out of the rounding error
-        out.append((count, np.array([[math.fsum(c) for c in zip(*slabs)] for slabs in partials])))
-    return out
+                # summed over the block's axes in order, as sum does below 8
+                # terms
+                bg2[rows] = (gradient(y[rows]) ** 2).sum(axis=-1)
+        np.multiply(np.exp(-bv / T), w, out=b)
+        bv *= b
+        np.abs(bv, out=terms[INT_B_ABS_V])
+        if with_gradient:
+            bg2 *= b
+        else:
+            bg2.fill(0.0)
+        by_run = terms.reshape(4, len(blocks), run)
+        for row, piece in pieces:
+            for j, sums in zip(blocks, by_run[:, :, piece].sum(axis=-1).T.tolist()):
+                partials[j][row].append(sums)
+    # fsum keeps the number of slabs out of the rounding error
+    moments = np.array(
+        [[[math.fsum(c) for c in zip(*slabs)] for slabs in rows] for rows in partials]
+    )
+    return [(count, block) for (_, count, _, _), block in zip(parts, moments)]
 
 
 def _stable(moments: np.ndarray, k: int, scale: int | None = None) -> float:

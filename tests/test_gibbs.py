@@ -36,6 +36,15 @@ def test_level_set_validation():
     assert LevelSet([1.0, 1.0, 2.0]).energies == (1.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_level_set_rejects_non_finite_energies(bad):
+    # a nan passes the order check (its comparisons are false) and used to
+    # minimize to P = (1, 0); -inf first made the shift raise ZeroDivisionError
+    for energies in ([0.0, bad], [bad, 0.0], [0.0, bad, 1.0]):
+        with pytest.raises(ValidationError, match="energies must be finite"):
+            LevelSet(energies)
+
+
 def test_simplex_validation():
     with pytest.raises(ValidationError):
         SimplexPoint([0.5, 0.6])

@@ -184,6 +184,30 @@ def test_explicit_bounds_split_into_blocks():
     assert pred.Er - 0.02 * pred.z2_over_z0 == pytest.approx(1.0 + 4.0, rel=1e-13)
 
 
+@pytest.mark.parametrize("bounds", [
+    ((-1.0, 1.0),),  # one pair for two axes
+    ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),  # three
+    ((5.0, -5.0), (-1.0, 1.0)),
+    ((0.0, 0.0), (-1.0, 1.0)),
+    ((-math.inf, math.inf), (-1.0, 1.0)),
+    ((-1.0, 1.0), (-1.0, math.nan)),
+    ((-1.0, 1.0, 2.0), (-1.0, 1.0)),
+    ((-1.0, "a"), (-1.0, 1.0)),
+    (1.0, 2.0),
+])
+def test_bounds_must_be_one_finite_interval_per_axis(bounds):
+    value = parse_potential("x1^2 + x2^2", 2)
+    with pytest.raises(ValidationError, match="bounds must be 2 pairs of finite lo < hi"):
+        PotentialField(dimension=2, value=value, bounds=bounds)
+
+
+def test_bounds_are_kept_as_float_pairs():
+    pot = PotentialField(dimension=2, value=parse_potential("x1^2 + x2^2", 2), bounds=[[-7, 7], (-8, 7)])
+    assert pot.bounds == ((-7.0, 7.0), (-8.0, 7.0))
+    assert all(type(x) is float for pair in pot.bounds for x in pair)
+    assert z0_integral(pot, 1.0) == pytest.approx(math.pi, rel=1e-13)
+
+
 def test_scale_must_be_finite_and_positive():
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
@@ -433,13 +457,38 @@ def test_slabs_stay_small_in_many_dimensions():
     # box's grids are cut into slabs of CHUNK_POINTS nodes that cover them
     for box, volume in (([(-2.0, 3.0)], 5.0), ([(-2.0, 3.0), (-1.0, 1.0), (0.0, 0.5)], 5.0)):
         d, nodes, weight = len(box), 0, 0.0
-        for y, w, pieces in _grid_batches(box):
+        for y, w, blocks, pieces in _grid_batches([box]):
             assert y.shape == (len(w), d) and len(w) <= semiclassical.CHUNK_POINTS
-            assert sum(piece.stop - piece.start for _, piece in pieces) == len(w)
+            assert blocks == [0] and sum(piece.stop - piece.start for _, piece in pieces) == len(w)
             assert np.all((y >= [lo for lo, _ in box]) & (y <= [hi for _, hi in box]))
             nodes += len(w)
             weight += w.sum()
         assert nodes == 64**d + 48**d and weight == pytest.approx(2 * volume, rel=1e-13)
+
+
+def test_grids_of_one_dimension_share_batches():
+    # 150 one-axis boxes fill three shared batches (73 boxes of 64 + 48 nodes
+    # each, then 4), each two-axis box (64^2 + 48^2 nodes) takes a batch of
+    # its own and a three-axis box is cut into 32 + 14 slabs.  Each box's
+    # nodes and weights are those of its own grids, bit for bit
+    boxes = [[(-1.0 - k / 150, 2.0 + k / 7)] for k in range(150)]
+    boxes[70:70] = [[(-1.0, 1.3), (0.1, 2.0)], [(-1.0, 1.0), (-3.0, 2.0), (0.0, 0.5)]]
+    boxes.append([(-1.7, 2.0), (0.0, 2.9)])
+    batches, grids = {}, [[] for _ in boxes]
+    for y, w, blocks, pieces in _grid_batches(boxes):
+        d = len(boxes[blocks[0]])
+        assert {len(boxes[j]) for j in blocks} == {d} and blocks == sorted(blocks)
+        assert y.shape == (len(w), d) and len(w) <= semiclassical.CHUNK_POINTS
+        batches[d] = batches.get(d, 0) + 1
+        run = len(w) // len(blocks)
+        assert run * len(blocks) == len(w) and pieces[-1][1].stop == run
+        for i, j in enumerate(blocks):
+            grids[j].append((y[i * run : (i + 1) * run], w[i * run : (i + 1) * run]))
+    assert batches == {1: 3, 2: 2, 3: 32 + 14}
+    for box, runs in zip(boxes, grids):
+        want = [_reference_grid(box, order) for order in (64, 48)]
+        for got, expected in zip(zip(*runs), zip(*want)):
+            assert np.array_equal(np.concatenate(got), np.concatenate(expected))
 
 
 def _sequential_box(value, d, scale, T):
@@ -578,29 +627,34 @@ def test_probes_and_batches_stay_small_in_many_dimensions():
     assert max(math.prod(shape) for shape in shapes) <= cap
 
 
+def _reference_grid(box, order, start=0, stop=None):
+    """Nodes y of shape (n, d) and product weights w of the C-order nodes
+    start..stop of the order^d Gauss-Legendre grid over box, built axis by
+    axis."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    coords, wts = [], []
+    for lo, hi in box:
+        mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        coords.append(mid + rad * nodes)
+        wts.append(rad * weights)
+    index = np.unravel_index(np.arange(start, stop or order ** len(box)), (order,) * len(box))
+    y = np.stack([coord[i] for coord, i in zip(coords, index)], axis=-1)
+    return y, np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
+
+
 def _slab_by_slab(parts, T, with_gradient, boxes):
     """Each distinct block's moments from its own slabs, one pass per order
     and one call of its W per slab, as _boltzmann_moments summed them before
-    both grids of a block were batched."""
+    the grids of a block, and then of several blocks, were batched."""
     step = semiclassical.CHUNK_POINTS
     out = []
     for (axes, count, value, gradient), bounds in zip(parts, boxes):
         moments = np.zeros((2, 4))
         for row, order in enumerate((64, 48)):
-            nodes, weights = np.polynomial.legendre.leggauss(order)
-            coords, wts = [], []
-            for lo, hi in bounds:
-                mid, rad = 0.5 * (hi + lo), 0.5 * (hi - lo)
-                coords.append(mid + rad * nodes)
-                wts.append(rad * weights)
             partials = []
             total = order ** len(axes)
             for start in range(0, total, step):
-                index = np.unravel_index(
-                    np.arange(start, min(start + step, total)), (order,) * len(axes)
-                )
-                y = np.stack([coord[i] for coord, i in zip(coords, index)], axis=-1)
-                w = np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
+                y, w = _reference_grid(bounds, order, start, min(start + step, total))
                 v = value(y)
                 b = np.exp(-v / T) * w
                 bv = b * v
@@ -611,24 +665,7 @@ def _slab_by_slab(parts, T, with_gradient, boxes):
     return out
 
 
-@pytest.mark.parametrize("chunk", [semiclassical.CHUNK_POINTS, 1000])
-def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
-    monkeypatch.setattr(semiclassical, "CHUNK_POINTS", chunk)
-    potentials = [
-        harmonic_potential(1.3, [0.6, 1.7, 1.1]),
-        harmonic_potential(1.0, [0.5 + k / 40 for k in range(40)]),
-        PotentialField(3, parse_potential("0.7*x1^2 + 0.1*x1^4 + 1.2*x2^2 + 0.03*x2^4 + x3^2", 3)),
-        PotentialField(3, parse_potential("x1^2 + x2^2 + x3^4 + x2*x3 + 0.5", 3)),
-        PotentialField(5, parse_potential("x1^2 + x2^2 + x1*x2 + x3^2 + x4^2 + x5^4 + 0.3*(x3*x4*x5)^2", 5)),
-        # a grid larger than CHUNK_POINTS = 1000 is streamed in slabs
-        _opaque(harmonic_potential(1.0, [0.7, 1.9])),
-        # an opaque callable with central differences, and explicit bounds
-        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 0.1 * x[..., 0] ** 4),
-        PotentialField(2, parse_potential("x1^2 + 2*x2^2 + 3", 2), bounds=((-7.0, 7.0), (-5.0, 5.0))),
-        # equal blocks, and an opaque callable of a separable potential: it is one block
-        harmonic_potential(1.0, [0.7, 1.9, 0.7, 0.7]),
-        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 1.0),
-    ]
+def _assert_moments_match_the_slab_by_slab_pass(potentials):
     for pot in potentials:
         c, parts = pot._split()
         if pot.bounds is None:
@@ -641,6 +678,48 @@ def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
             assert len(got) == len(expected)
             for (count, moments), (want_count, want) in zip(got, expected):
                 assert count == want_count and np.array_equal(moments, want)
+
+
+# 200 distinct one-axis blocks span three shared batches of the default size
+_MANY = harmonic_potential(0.9, [0.5 + k / 200 for k in range(200)])
+# blocks of 1, 2, 1 and 1 axes: each dimension packs batches of its own
+_MIXED = PotentialField(5, parse_potential("x1^2 + (x2 + x3)^2 + x3^2 + x4^4 + 2*x5^2", 5))
+
+
+@pytest.mark.parametrize("chunk", [semiclassical.CHUNK_POINTS, 1000])
+def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
+    monkeypatch.setattr(semiclassical, "CHUNK_POINTS", chunk)
+    _assert_moments_match_the_slab_by_slab_pass([
+        harmonic_potential(1.3, [0.6, 1.7, 1.1]),
+        harmonic_potential(1.0, [0.5 + k / 40 for k in range(40)]),
+        _MANY,
+        _MIXED,
+        PotentialField(3, parse_potential("0.7*x1^2 + 0.1*x1^4 + 1.2*x2^2 + 0.03*x2^4 + x3^2", 3)),
+        PotentialField(3, parse_potential("x1^2 + x2^2 + x3^4 + x2*x3 + 0.5", 3)),
+        PotentialField(5, parse_potential("x1^2 + x2^2 + x1*x2 + x3^2 + x4^2 + x5^4 + 0.3*(x3*x4*x5)^2", 5)),
+        # a grid larger than CHUNK_POINTS = 1000 is streamed in slabs
+        _opaque(harmonic_potential(1.0, [0.7, 1.9])),
+        # an opaque callable with central differences, and explicit bounds
+        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 0.1 * x[..., 0] ** 4),
+        PotentialField(2, parse_potential("x1^2 + 2*x2^2 + 3", 2), bounds=((-7.0, 7.0), (-5.0, 5.0))),
+        PotentialField(2, parse_potential("x1^2 + 2*x2^2", 2), bounds=((-6.3, 7.1), (-5.0, 4.7))),
+        # equal blocks, and an opaque callable of a separable potential: it is one block
+        harmonic_potential(1.0, [0.7, 1.9, 0.7, 0.7]),
+        PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 1.0),
+    ])
+
+
+# at 250 nodes a one-axis block's grids (64 + 48) share batches two at a
+# time; at 100 they share none, and each of its grids is one slab
+@pytest.mark.parametrize("chunk", [250, 100])
+def test_small_shared_batches_match_the_slab_by_slab_pass(monkeypatch, chunk):
+    monkeypatch.setattr(semiclassical, "CHUNK_POINTS", chunk)
+    _assert_moments_match_the_slab_by_slab_pass([
+        _MANY,
+        _MIXED,
+        harmonic_potential(1.0, [0.7, 1.9, 0.7, 0.7, 1.2]),
+        PotentialField(1, lambda x: np.asarray(x)[..., 0] ** 2 + 0.1 * np.asarray(x)[..., 0] ** 4),
+    ])
 
 
 def test_blocks_give_the_bits_of_the_potential_on_their_axes():
