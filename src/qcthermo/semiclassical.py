@@ -44,6 +44,7 @@ import functools
 import inspect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -235,10 +236,7 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
         # rung of each pending axis
         ladders, probes = [], np.zeros((1 + 2 * _RUNGS * len(state), d))
         for i, (k, (rung, factor, *_)) in enumerate(state.items()):
-            ladder = [rung]
-            for _ in range(_RUNGS - 1):
-                rung *= factor
-                ladder.append(rung)
+            ladder = list(itertools.accumulate([factor] * (_RUNGS - 1), operator.mul, initial=rung))
             ladders.append(ladder)
             faces = slice(1 + 2 * _RUNGS * i, 1 + 2 * _RUNGS * (i + 1))
             probes[faces, k] = [x for r in ladder for x in (r, -r)]
@@ -384,9 +382,9 @@ def _boltzmann_moments(
     and its gradient are called once per batch, on their own block's rows,
     while b, the four moment rows and the sums of every grid piece in the
     batch are formed once for the whole batch, with the same IEEE operations
-    on each node as a pass block by block.  A piece's four moments are row
-    sums of one (4, piece) array, and a grid's pieces are added with
-    math.fsum.
+    on each node as a pass block by block.  A piece's four moments are its
+    row sums in one (4, blocks, run) view of the batch, and a grid's pieces
+    are added with math.fsum.
     """
     largest = max(len(axes) for axes, *_ in parts)
     if largest > MAX_TENSOR_DIMENSION:
@@ -409,11 +407,12 @@ def _boltzmann_moments(
         for i, j in enumerate(blocks):
             _, _, value, gradient = parts[j]
             rows = slice(i * run, (i + 1) * run)
-            bv[rows] = value(y[rows])
+            x = y[rows]
+            bv[rows] = value(x)
             if with_gradient:
                 # summed over the block's axes in order, as sum does below 8
                 # terms
-                bg2[rows] = (gradient(y[rows]) ** 2).sum(axis=-1)
+                bg2[rows] = (gradient(x) ** 2).sum(axis=-1)
         np.multiply(np.exp(-bv / T), w, out=b)
         bv *= b
         np.abs(bv, out=terms[INT_B_ABS_V])
