@@ -30,7 +30,7 @@ from .core import (
 )
 from .oscillator import osc_regularized
 from .sweeps import RESIDUAL_NAMES, SweepPlan, comparison_report, run_sweep
-from .well import hear_the_drum, well_classical, well_regularized
+from .well import _box_excess, hear_the_drum
 
 __all__ = ["main", "run"]
 
@@ -244,13 +244,11 @@ def cmd_hear_drum(args) -> None:
     T, m = args.T, args.m
     count = max(args.samples, n + 2)
     rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
-    # the classical statistical sum does not depend on h
-    log_zc = well_classical(PhysicalParams(T=T, h=0.0, m=m), geom).log_Z
     samples = []
     for i in range(count):
         rho = min(geom.edges) * 0.01 * (i + 1)
         params = PhysicalParams(T=T, h=rho / rho_unit, m=m)
-        samples.append((rho, math.exp(well_regularized(params, geom).log_Z - log_zc)))
+        samples.append((rho, math.exp(_box_excess(params, geom)[0])))
     recovered = hear_the_drum(samples, n)
     true_sorted = sorted(geom.edges)
     round_trip = max(

@@ -287,6 +287,25 @@ def _z_from_log(log_z: float) -> float:
         return math.inf
 
 
+def _excess_sum(axes) -> tuple[float, float, float]:
+    """Sum of k * (dlog z, dE/T, dS) over the (excess, k) pairs of the distinct
+    axes, each excess an axis's regularized less classical values."""
+    dz = de = ds = 0.0
+    for (z, e, s), k in axes:
+        dz += k * z
+        de += k * e
+        ds += k * s
+    return dz, de, ds
+
+
+def _regularized(classical: ThermoQuartet, excess: tuple[float, float, float]) -> ThermoQuartet:
+    """The regularized quartet as the classical one plus the summed excess."""
+    dz, de, ds = excess
+    T, log_z = classical.T, classical.log_Z + dz
+    return ThermoQuartet(Z=_z_from_log(log_z), F=-T * log_z, E=classical.E + T * de,
+                         S=classical.S + ds, flavor="regularized", T=T, log_Z=log_z)
+
+
 def sign_with_zero_band(d: float, reference: float = 0.0) -> int:
     """Sign of a difference, with |d| <= ZERO_BAND*(1+|reference|) as zero."""
     if abs(d) <= ZERO_BAND * (1.0 + abs(reference)):

@@ -3,9 +3,13 @@
 Closed forms for the classical and regularized quartets, the even-power
 series of the ratio functions built from exact Bernoulli numbers, and the
 closed-form derivative certificates behind the monotonicity statements.
-The quartet builders loop over the distinct frequencies and weight each by
-its multiplicity.  The regularized entropy is summed per axis, never formed as
-(E - F)/T, which cancels deep in the quantum regime.
+
+One kernel, _axis_excess(tau), gives an axis's regularized less classical
+log z, E/T and S without subtracting the two flavours, so the excess keeps
+its relative accuracy as tau -> 0 and the entropy never cancels deep in the
+quantum regime.  The regularized quartet is the classical one plus the
+excess of each distinct frequency weighted by its multiplicity, and the
+comparison report and the ratio functions read the same kernel.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from .core import (
     PhysicalParams,
     ThermoQuartet,
     ValidationError,
+    _excess_sum,
     _frequency_tau,
     _Record,
+    _regularized,
     _set_field,
     _z_from_log,
 )
@@ -36,9 +42,6 @@ __all__ = [
     "MonotonicityCertificate",
     "monotonicity_certificates",
 ]
-
-# Above this sinh overflows; ratios are evaluated through logarithms.
-LOG_SPACE_TAU = 700.0
 
 SERIES_RADIUS_MARGIN = 0.9 * math.pi
 
@@ -63,52 +66,50 @@ def _log_classical_axis(T: float, omega: float) -> float:
     return math.log(2.0 * math.pi) + math.log(T) - math.log(omega)
 
 
-def _log_tau_over_sinh(tau: float) -> float:
-    # log(tau/sinh(tau)); log(sinh t) = t - log 2 + log1p(-e^{-2t}) avoids
-    # overflow for large tau.  tau = 0 (h*omega underflowed) is the limit 0.
-    if tau == 0.0:
-        return 0.0
-    if tau > LOG_SPACE_TAU:
-        return math.log(tau) - (tau - math.log(2.0) + math.log1p(-math.exp(-2.0 * tau)))
-    return math.log(tau / math.sinh(tau))
+# Taylor coefficients in t^2 of r = (sinh t - t)/t and c = (t cosh t - sinh t)/t,
+# 1/(2n+1)! and 2n/(2n+1)! for n = 9 down to 1: at t = 1 the first omitted
+# terms are below 1e-18 of r and of c.
+_EXCESS_SERIES = tuple((1.0 / factorial(m), (m - 1.0) / factorial(m)) for m in range(19, 2, -2))
 
 
-def _tau_over_tanh(tau: float) -> float:
-    if tau == 0.0:
-        return 1.0
-    return tau / math.tanh(tau)
+def _axis_excess(tau: float) -> tuple[float, float, float]:
+    """One axis's regularized less classical (dlog z, dE/T, dS) at tau = h*omega/(2T).
 
-
-def _entropy_over_classical_axis(tau: float) -> float:
-    """One axis's entropy less log(2*pi*T/omega): log(tau/sinh tau) + tau/tanh tau.
-
-    From tau = 1 on, the two terms' large parts -tau and +tau are cancelled
-    analytically, so deep in the quantum regime nothing cancels in floats.
-    tau = 0 is the limit 1.
+    dlog z = log(tau/sinh tau), dE/T = tau coth tau - 1 and dS = dlog z + dE/T.
+    Below tau = 1 they are -log1p(r) and c/(1 + r), with r = (sinh tau - tau)/tau
+    and c = (tau cosh tau - sinh tau)/tau summed from their series, so nothing
+    cancels as tau -> 0 (tau = 0 gives zeros).  From tau = 1 on they come from
+    q = e^{-2 tau}, with the entropy's large parts -tau and +tau cancelled
+    analytically.
     """
     if tau < 1.0:
-        return _log_tau_over_sinh(tau) + _tau_over_tanh(tau)
+        t2 = tau * tau
+        r = c = 0.0
+        for a, b in _EXCESS_SERIES:
+            r = r * t2 + a
+            c = c * t2 + b
+        r *= t2
+        dz = -math.log1p(r)
+        de = c * t2 / (1.0 + r)
+        return dz, de, dz + de
     q = math.exp(-2.0 * tau)
-    return math.log(2.0) + math.log(tau) - math.log1p(-q) + 2.0 * tau * q / (1.0 - q)
+    log_lead = math.log(2.0) + math.log(tau) - math.log1p(-q)  # log(2 tau/(1 - q))
+    tail = 2.0 * tau * q / (1.0 - q)  # tau coth tau - tau
+    return log_lead - tau, tau - 1.0 + tail, log_lead - 1.0 + tail
+
+
+def _osc_excess(params: PhysicalParams, spec: OscillatorSpec) -> tuple[float, float, float]:
+    """Sum over the distinct frequencies of multiplicity times _axis_excess."""
+    if params.h == 0:
+        raise ValidationError("quantum sums need h > 0")
+    return _excess_sum(
+        [(_axis_excess(_frequency_tau(params, w)), k) for w, k in spec.distinct_frequencies]
+    )
 
 
 def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet:
     """Regularized quartet Z_r = prod 2*pi*T*tau_k/(omega_k*sinh(tau_k))."""
-    if params.h == 0:
-        raise ValidationError("quantum sums need h > 0")
-    T = params.T
-    axes = [(w, _frequency_tau(params, w), k) for w, k in spec.distinct_frequencies]
-    log_zr = sum(
-        k * (_log_classical_axis(T, w) + _log_tau_over_sinh(tau))
-        for w, tau, k in axes
-    )
-    e = T * sum(k * _tau_over_tanh(tau) for _, tau, k in axes)
-    s = sum(
-        k * (_log_classical_axis(T, w) + _entropy_over_classical_axis(tau)) for w, tau, k in axes
-    )
-    return ThermoQuartet(
-        Z=_z_from_log(log_zr), F=-T * log_zr, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
-    )
+    return _regularized(osc_classical(params, spec), _osc_excess(params, spec))
 
 
 def f_ratio(taus) -> float:
@@ -116,7 +117,7 @@ def f_ratio(taus) -> float:
     taus = tuple(float(t) for t in taus)
     if any(t < 0 for t in taus):
         raise ValidationError("tau must be >= 0")
-    return math.exp(sum(_log_tau_over_sinh(t) for t in taus if t > 0))
+    return math.exp(sum(_axis_excess(t)[0] for t in taus))
 
 
 def g_ratio(taus) -> float:
@@ -126,7 +127,7 @@ def g_ratio(taus) -> float:
         raise ValidationError("need at least one tau")
     if any(t < 0 for t in taus):
         raise ValidationError("tau must be >= 0")
-    return sum(_tau_over_tanh(t) if t > 0 else 1.0 for t in taus) / len(taus)
+    return 1.0 + sum(_axis_excess(t)[1] for t in taus) / len(taus)
 
 
 def bernoulli_even(k: int) -> Fraction:

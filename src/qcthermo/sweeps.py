@@ -6,10 +6,13 @@ collects regularized-vs-classical comparison reports per point, and fits
 the leading-order rate of the deviation of each ratio from 1.
 
 A row costs one lattice sum per distinct edge or frequency: N -> inf repeats
-the base axes N times, and the quartet builders weight each distinct axis by
-its count.  Only log Z enters a row, so rows stay finite at any N even where
-Z itself is beyond float range.  The rate fit is a closed-form two-parameter
-least squares in plain Python.
+the base axes N times, and each distinct axis's excess, its regularized less
+classical log z, E/T and S, is weighted by its count.  A row's differences
+and ratios are formed from those sums, never as the difference of two
+quartets, so they keep their relative accuracy in the quasi-classical limits
+and at any N, and stay finite even where Z itself is beyond float range.  The
+rate fit is a closed-form two-parameter least squares in plain Python, on
+expm1(-dF/T) and dE/E_c.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from .core import (
     ReducedParams,
     ValidationError,
     _Record,
+    _regularized,
     _set_field,
     reduce_oscillator,
     reduce_well,
     sign_with_zero_band,
 )
-from .oscillator import osc_classical, osc_regularized
-from .well import well_classical, well_regularized
+from .oscillator import _osc_excess, osc_classical
+from .well import _box_excess, well_classical
 
 __all__ = [
     "SweepPlan",
@@ -47,9 +51,10 @@ __all__ = [
 
 WELL_DIRECTIONS = ("h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf")
 OSCILLATOR_DIRECTIONS = ("h_to_0", "T_to_inf", "omega_to_0", "N_to_inf")
-# N_to_inf builds N copies of the base axes, 10x the largest N tested.  The cap
-# also bounds accuracy: a row's Z_ratio, dF and dS come from log Z_r - log Z_c,
-# two logs of size ~N, so they carry about 1e-16*N relative rounding, 1e-10 here.
+# N_to_inf builds N copies of the base axes, and the cap bounds only the cost of
+# that O(N) geometry (the BoxGeometry or OscillatorSpec, reduce_well and the
+# residuals).  A row's differences are summed per distinct axis, so their
+# accuracy does not depend on N.
 MAX_N = 10**6
 # every residual a report of each system may carry, sorted; a residual whose
 # asymptote is undefined at a point is left out of that point's report
@@ -164,27 +169,30 @@ def _osc_residuals(reduced: ReducedParams, z_ratio, e_ratio) -> dict[str, float]
 def comparison_report(
     params: PhysicalParams, system: BoxGeometry | OscillatorSpec
 ) -> ComparisonReport:
-    """Classical-vs-regularized comparison at one parameter point."""
+    """Classical-vs-regularized comparison at one parameter point.
+
+    The differences and ratios come from the summed per-axis excess (dlog z,
+    dE/T, dS), never from the difference of the two quartets: dF = -T sum
+    dlog z, dE = T sum dE/T, dS = sum dS, Z_ratio = exp(-dF/T) and E_ratio =
+    1 + dE/E_c.
+    """
     if isinstance(system, BoxGeometry):
         classical = well_classical(params, system)
-        regularized = well_regularized(params, system)
+        excess = _box_excess(params, system)
         reduced = reduce_well(params, system)
         residuals = _well_residuals
     elif isinstance(system, OscillatorSpec):
         classical = osc_classical(params, system)
-        regularized = osc_regularized(params, system)
+        excess = _osc_excess(params, system)
         reduced = reduce_oscillator(params, system)
         residuals = _osc_residuals
     else:
         raise ValidationError(f"unsupported system {type(system).__name__}")
 
-    z_ratio = math.exp(regularized.log_Z - classical.log_Z)
-    e_ratio = regularized.E / classical.E
-    diffs = {
-        "dF": regularized.F - classical.F,
-        "dE": regularized.E - classical.E,
-        "dS": regularized.S - classical.S,
-    }
+    dz, de, ds = excess
+    diffs = {"dF": -params.T * dz, "dE": params.T * de, "dS": ds}
+    z_ratio = math.exp(dz)
+    e_ratio = 1.0 + diffs["dE"] / classical.E
     signs = {
         "sgn_dF": sign_with_zero_band(diffs["dF"], classical.F),
         "sgn_dE": sign_with_zero_band(diffs["dE"], classical.E),
@@ -197,7 +205,7 @@ def comparison_report(
         signs=signs,
         asymptotic_residuals=residuals(reduced, z_ratio, e_ratio),
         classical=classical,
-        regularized=regularized,
+        regularized=_regularized(classical, excess),
     )
 
 
@@ -252,9 +260,10 @@ def run_sweep(plan: SweepPlan) -> SweepResult:
 
     fits = {}
     good = [(r.swept_value, r.report) for r in rows if r.report is not None]
-    for key in ("Z_ratio", "E_ratio"):
-        xs = [v for v, _ in good]
-        ys = [rep.ratios[key] - 1.0 for _, rep in good]
+    xs = [v for v, _ in good]
+    # each ratio's deviation from 1, taken from the differences it is made of
+    for key, ys in (("Z_ratio", [math.expm1(-r.diffs["dF"] / r.classical.T) for _, r in good]),
+                    ("E_ratio", [r.diffs["dE"] / r.classical.E for _, r in good])):
         try:
             fits[key] = fit_leading_order(xs, ys)
         except ValidationError:

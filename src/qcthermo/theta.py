@@ -20,6 +20,11 @@ in log space: it stays finite however deep in the quantum regime mu lies,
 where Z_q itself underflows to 0.  The loop also sums the (n^2 - 1)-weighted
 moment on its own, so the direct-side entropy log(s0) + d (s2 - s0)/s0 never
 subtracts the two large, nearly equal terms log Z_q and the mean energy.
+
+Each value also carries the axis's excess over the classical box axis,
+log(mu Z_q), E/T - 1/2 and their sum: the box's regularized quartet and the
+comparison report add it to the classical values, and on the Poisson side it
+is formed without cancellation as mu -> 0.
 """
 
 from __future__ import annotations
@@ -54,17 +59,22 @@ class ThetaValue(_Record):
     underflows to 0; mean_energy is the per-axis mean energy over T,
     lam * dZ_q/dlam / Z_q; entropy is the per-axis entropy log_value +
     mean_energy, which the direct side forms without cancelling the two (both
-    grow like (pi/4) mu^2 deep in the quantum regime).
+    grow like (pi/4) mu^2 deep in the quantum regime).  excess is the axis's
+    regularized less classical (dlog z, dE/T, dS): log(mu Z_q),
+    mean_energy - 1/2 and their sum, formed on the Poisson side without
+    subtracting the two flavours, so they keep their relative accuracy as
+    mu -> 0.
     """
 
     __slots__ = __match_args__ = (
         "value", "representation_used", "terms_used", "truncation_bound", "log_value",
-        "mean_energy", "entropy",
+        "mean_energy", "entropy", "excess",
     )
 
     def __init__(
         self, value: float, representation_used: str, terms_used: int,
         truncation_bound: float, log_value: float, mean_energy: float, entropy: float,
+        excess: tuple[float, float, float],
     ):
         _set_field(self, "value", value)
         _set_field(self, "representation_used", representation_used)
@@ -73,6 +83,7 @@ class ThetaValue(_Record):
         _set_field(self, "log_value", log_value)
         _set_field(self, "mean_energy", mean_energy)
         _set_field(self, "entropy", entropy)
+        _set_field(self, "excess", excess)
 
     def __float__(self) -> float:
         return self.value
@@ -125,10 +136,11 @@ def theta_direct(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     decay = (math.pi / 4.0) * mu * mu  # = 1/lam
     s0, s2, s2_minus_s0, terms, bound = _gaussian_moments(decay, tol)
     lead = math.exp(-decay)
-    log_s0 = math.log(s0)
+    log_s0, log_mu = math.log(s0), math.log(mu)
+    mean_energy, entropy = decay * s2 / s0, log_s0 + decay * s2_minus_s0 / s0
     return ThetaValue(
-        lead * s0, "direct", terms, lead * bound, -decay + log_s0, decay * s2 / s0,
-        log_s0 + decay * s2_minus_s0 / s0,
+        lead * s0, "direct", terms, lead * bound, -decay + log_s0, mean_energy, entropy,
+        (log_mu - decay + log_s0, mean_energy - 0.5, log_mu + entropy - 0.5),
     )
 
 
@@ -136,20 +148,25 @@ def theta_poisson(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     """Poisson-transformed sum -1/2 + 1/mu + (2/mu) sum exp(-(n pi)^2 lam).
 
     With W0 = mu * Z_q and W1 = 1 + 2 sum (1 - 2 (n pi)^2 lam) e^{-(n pi)^2 lam},
-    the mean energy is W1 / (2 W0).
+    the mean energy over T is W1 / (2 W0).  The excess is formed from
+    W0 - 1 = -mu/2 + 2 sum e^{-(n pi)^2 lam} and
+    W1 - W0 = mu/2 - 4 sum (n pi)^2 lam e^{-(n pi)^2 lam}, each summed on its
+    own, so it never subtracts two values near 1; the mean energy is 1/2 plus
+    its excess.
     """
     _check(mu, tol)
     decay = 4.0 * math.pi / mu / mu  # = pi^2 lam
     s0, s2, _, terms, bound = _gaussian_moments(decay, tol)
     lead = math.exp(-decay)
     value = -0.5 + 1.0 / mu + (2.0 / mu) * lead * s0
+    w0_minus_1 = 2.0 * lead * s0 - 0.5 * mu
     # lead is 0 once decay overflows, where decay * lead would be nan
-    w1 = 1.0 + 2.0 * lead * (s0 - 2.0 * decay * s2) if lead else 1.0
+    w1_minus_w0 = 0.5 * mu - (4.0 * decay * lead * s2 if lead else 0.0)
+    dz, de = math.log1p(w0_minus_1), w1_minus_w0 / (2.0 + 2.0 * w0_minus_1)
     log_value = math.log(value)
-    mean_energy = w1 / (2.0 * mu * value)
     return ThetaValue(
-        value, "poisson", terms, (2.0 / mu) * lead * bound, log_value, mean_energy,
-        log_value + mean_energy,
+        value, "poisson", terms, (2.0 / mu) * lead * bound, log_value, 0.5 + de,
+        log_value + 0.5 + de, (dz, de, dz + de),
     )
 
 

@@ -4,10 +4,12 @@ Classical closed forms, regularized quantum values built from the lattice
 sums in :mod:`qcthermo.theta`, the small-parameter geometric expansion of the
 statistical-sum ratio, and recovery of the edges from sampled ratios.
 
-The quartet builders loop over the box's distinct edges and weight each by
-its multiplicity, so a box of N copies of a few edges costs one lattice sum
-per distinct edge, not N.  The regularized entropy is summed per axis, never
-formed as (E - F)/T, which cancels deep in the quantum regime.
+The regularized quartet is the classical one plus the excess of each
+distinct edge, weighted by its multiplicity: theta returns an axis's
+regularized less classical log z, E/T and S, formed without subtracting the
+two flavours.  So a box of N copies of a few edges costs one lattice sum per
+distinct edge, not N; the excess keeps its relative accuracy as mu -> 0; and
+the entropy never cancels deep in the quantum regime.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from .core import (
     ThermoQuartet,
     ValidationError,
     _edge_mu,
+    _excess_sum,
     _Record,
+    _regularized,
     _set_field,
     _z_from_log,
     reduce_rho,
@@ -71,31 +75,17 @@ def _log_edge_root(a: float, root: float, params: PhysicalParams) -> float:
     )
 
 
-def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
-    """Regularized quantum quartet (2*pi*h)^N * prod_k Z_q(mu_k).
-
-    S = N log(2*pi*h) + sum_k S_q(mu_k) from the per-axis entropies.
-    """
+def _box_excess(params: PhysicalParams, geom: BoxGeometry) -> tuple[float, float, float]:
+    """Sum over the distinct edges of multiplicity times theta's excess."""
     if params.h == 0:
         raise ValidationError("quantum sums need h > 0")
     rho = reduce_rho(params)
-    T = params.T
-    log_zq = 0.0
-    e = 0.0
-    s_q = 0.0
-    for a, k in geom.distinct_edges:
-        axis = theta(_edge_mu(rho, a))
-        log_zq += k * axis.log_value
-        e += k * (T * axis.mean_energy)
-        s_q += k * axis.entropy
-    n = geom.dimension
-    log_2pi_h = math.log(2.0 * math.pi * params.h)
-    log_zr = n * log_2pi_h + log_zq
-    f = -T * log_zr
-    s = n * log_2pi_h + s_q
-    return ThermoQuartet(
-        Z=_z_from_log(log_zr), F=f, E=e, S=s, flavor="regularized", T=T, log_Z=log_zr
-    )
+    return _excess_sum([(theta(_edge_mu(rho, a)).excess, k) for a, k in geom.distinct_edges])
+
+
+def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
+    """Regularized quantum quartet (2*pi*h)^N * prod_k Z_q(mu_k)."""
+    return _regularized(well_classical(params, geom), _box_excess(params, geom))
 
 
 def well_energy_ratio(mu: float) -> float:

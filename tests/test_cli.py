@@ -173,9 +173,10 @@ def test_unused_axes_of_a_huge_dimension_exit_3(capsys):
 def test_hear_drum_recovers_edges_at_any_scale(capsys):
     # rho is fitted in units of a power of two near the smallest sample, so
     # the design matrix stays in float range.  Two equal edges are a double
-    # root, which turns the samples' rounding (their log Z is about 460 at
-    # 1e100) into an error of about 4e-6
-    for edges, rel in (("1e100,1e100", 1e-5), ("1e-200,1e-200", 1e-9), ("1e100,2e100", 1e-9)):
+    # root, which turns the samples' rounding into an error of about its square
+    # root; each sample is exp of the summed per-axis excess log(mu Z_q), not a
+    # difference of two log Z of about 460 at 1e100, so it stays near 2e-14
+    for edges, rel in (("1e100,1e100", 1e-12), ("1e-200,1e-200", 1e-9), ("1e100,2e100", 1e-9)):
         code, out = run_cli(["hear-drum", "--edges", edges, "--T", "1"], capsys)
         assert code == 0, edges
         want = [float(a) for a in edges.split(",")]

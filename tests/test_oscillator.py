@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from qcthermo.core import OscillatorSpec, PhysicalParams, ValidationError
 from qcthermo.oscillator import (
-    _entropy_over_classical_axis,
-    _log_tau_over_sinh,
-    _tau_over_tanh,
+    _axis_excess,
     bernoulli_even,
     bernoulli_series,
     f_ratio,
@@ -50,23 +48,24 @@ def test_regularized_closed_form():
 def per_axis_quartets(params, omegas):
     """(log_Z, E, S, F) of the classical and regularized quartets, summed one
     axis at a time in frequency order: the reference the grouped builders meet.
-    The regularized S is the sum of the per-axis entropies.  Also returns the
-    summed magnitude of every term, the scale of the rounding of either
-    summation order."""
+    The regularized quartet is the classical one plus the summed per-axis
+    excess (dlog z, dE/T, dS) of the kernel.  Also returns the summed magnitude
+    of every term, the scale of the rounding of either summation order."""
     T, n = params.T, len(omegas)
-    log_zc = log_zr = sum_e = s_r = 0.0
+    log_zc = dz = de = ds = 0.0
     magnitude = float(n)
     for w in omegas:
-        tau = params.h * w / (2.0 * T)
-        log_zc += math.log(2.0 * math.pi * T / w)
-        log_zr += math.log(2.0 * math.pi * T / w) + _log_tau_over_sinh(tau)
-        sum_e += _tau_over_tanh(tau)
-        s_r += math.log(2.0 * math.pi * T / w) + _entropy_over_classical_axis(tau)
-        magnitude += (abs(math.log(2.0 * math.pi * T / w)) + abs(_log_tau_over_sinh(tau))
-                      + _tau_over_tanh(tau))
+        log_axis = math.log(2.0 * math.pi * T / w)
+        z, e, s = _axis_excess(params.h * w / (2.0 * T))
+        log_zc += log_axis
+        dz += z
+        de += e
+        ds += s
+        magnitude += abs(log_axis) + abs(z) + abs(e) + abs(s)
     e_c, s_c = n * T, n + log_zc
-    e_r, f_r = T * sum_e, -T * log_zr
-    return ((log_zc, e_c, s_c, e_c - T * s_c), (log_zr, e_r, s_r, f_r), magnitude)
+    log_zr = log_zc + dz
+    return ((log_zc, e_c, s_c, e_c - T * s_c),
+            (log_zr, e_c + T * de, s_c + ds, -T * log_zr), magnitude)
 
 
 def quartet_tuple(q):
@@ -132,13 +131,25 @@ def test_regularized_entropy_matches_mpmath(tau):
         t = mpmath.mpf(tau)
         want = mpmath.log(2 * mpmath.pi) + mpmath.log(t / mpmath.sinh(t)) + t / mpmath.tanh(t)
     q = osc_regularized(params_for_tau(tau), OscillatorSpec([1.0]))
-    assert q.S == pytest.approx(float(want), rel=1e-13)
+    assert q.S == pytest.approx(float(want), rel=1e-15)
 
 
 def test_f_ratio_values():
     assert f_ratio([1.0]) == pytest.approx(INV_SINH_1, rel=1e-14)
     assert f_ratio([1.0, 1.0]) == pytest.approx(INV_SINH_1**2, rel=1e-13)
     assert f_ratio([0.0]) == 1.0
+
+
+@pytest.mark.parametrize("tau", [1e-300, 1.7e-20, 3.3e-12, 4.4e-11, 1.7e-9, 1e-8, 1.3e-7, 7.1e-7, 1e-6])
+def test_ratio_deviations_correctly_rounded_at_small_tau(tau):
+    # near 1 the ratios carry their deviations 1 - f ~ tau^2/6 and g - 1 ~ tau^2/3
+    # only to the spacing of floats at 1; each must be within half of it
+    with mpmath.workdps(50):
+        t = mpmath.mpf(tau)
+        one_minus_f = 1 - t / mpmath.sinh(t)
+        g_minus_1 = t / mpmath.tanh(t) - 1
+    assert abs((1.0 - f_ratio([tau])) - one_minus_f) <= 2.0**-54
+    assert abs((g_ratio([tau]) - 1.0) - g_minus_1) <= 2.0**-53
 
 
 def test_g_ratio_is_mean():

@@ -48,7 +48,7 @@ FIELDS = [
                             regularized=QUARTET), False),
     (ThetaValue, dict(value=0.5, representation_used="poisson", terms_used=2,
                       truncation_bound=1e-48, log_value=-LOG2, mean_energy=1.0,
-                      entropy=1.0 - LOG2), True),
+                      entropy=1.0 - LOG2, excess=(-0.125, 0.5, 0.375)), True),
     (SlopeWitnesses, dict(slope_bound=-0.5, integral_to_one=0.1, integrand_at_one=0.01),
      True),
     (EntropyAsymptote, dict(value=1.0, within_validity=True), True),

@@ -17,6 +17,7 @@ from qcthermo.core import (
     ValidationError,
 )
 from qcthermo.sweeps import (
+    MAX_N,
     OSCILLATOR_DIRECTIONS,
     WELL_DIRECTIONS,
     SweepPlan,
@@ -186,10 +187,11 @@ def box_n_row(T, h, m, base, n):
                 "dE": e_r - e_c, "dS": d_log_z + (e_r - e_c) / T}
 
 
-@pytest.mark.parametrize("n", [10**3, 10**5])
+@pytest.mark.parametrize("n", [10**3, 10**5, MAX_N])
 def test_box_n_to_inf_rows_match_mpmath(n):
     # log Z is ~1e3 n here, far beyond float range for e^log_Z; the row is not.
-    # Its differences of two such logs carry their rounding, ~1e-16 n relative.
+    # Its differences are summed per distinct axis, so their rounding does not
+    # grow with n.
     T, h, m, base = 1.0, 0.3, 1.0, (1.0, 2.0)
     plan = make_plan(direction="N_to_inf", grid=tuple(n / 2.0**k for k in range(6)),
                      base_params=PhysicalParams(T=T, h=h, m=m),
@@ -200,7 +202,71 @@ def test_box_n_to_inf_rows_match_mpmath(n):
     want = box_n_row(T, h, m, base, n)
     got = dict(row.report.ratios, **row.report.diffs)
     for key, value in want.items():
-        assert got[key] == pytest.approx(float(value), rel=1e-14 * n), key
+        assert got[key] == pytest.approx(float(value), rel=1e-14), key
+
+
+def box_axis_excess(mu):
+    """(dlog z, dE/T) of one box axis at 50 digits: log(mu Z_q) and E/T - 1/2,
+    from the Poisson form W0 = mu Z_q = 1 - mu/2 + 2 sum e^{-d n^2}, d = 4 pi/mu^2,
+    below mu = 1 and from the direct sum above it."""
+    mu = mp.mpf(mu)
+
+    def sums(d, shift):
+        s0 = s2 = mp.mpf(0)
+        n = 1
+        while True:
+            term = mp.exp(-d * (n * n - shift))
+            s0, s2 = s0 + term, s2 + n * n * term
+            if n * n * term < mp.mpf(10) ** -60 * s2:
+                return s0, s2
+            n += 1
+
+    if mu < 1:
+        d = 4 * mp.pi / mu**2
+        s0, s2 = sums(d, 0)
+        w0 = 1 - mu / 2 + 2 * s0
+        return mp.log(w0), (mu / 2 - 4 * d * s2) / (2 * w0)
+    d = mp.pi / 4 * mu**2
+    s0, s2 = sums(d, 1)
+    return mp.log(mu) - d + mp.log(s0), d * s2 / s0 - mp.mpf(1) / 2
+
+
+def osc_axis_excess(tau):
+    t = mp.mpf(tau)
+    return mp.log(t / mp.sinh(t)), t * mp.coth(t) - 1
+
+
+@pytest.mark.parametrize("system", ["well", "oscillator"])
+@pytest.mark.parametrize("x", [1e-12, 1e-9, 2.5e-11, 2.5e-7, 5e-8, 1e-5, 1e-3, 0.1, 0.9, 1.0,
+                               1.2, 10.0, 100.0, 1e3])
+@pytest.mark.parametrize("axes", [((1.0, 1),), ((1.0, 3), (3.0, 1), (1.0 / 7.0, 5))])
+def test_report_differences_match_mpmath(system, x, axes):
+    # the paper's quasi-classical limits are mu, tau -> 0, where the differences
+    # are far smaller than either quartet: each must keep its relative accuracy.
+    # axes are (factor, multiplicity): mu or tau = factor * x on that many axes
+    with mp.workdps(50):
+        if system == "well":
+            # T = h = m = 1, so rho = sqrt(pi/2) and an edge a has mu = 2 rho/a
+            rho = math.sqrt(math.pi / 2.0)
+            geom = BoxGeometry([2.0 * rho / (f * x) for f, k in axes for _ in range(k)])
+            rep = comparison_report(PhysicalParams(T=1.0, h=1.0, m=1.0), geom)
+            terms = [(box_axis_excess(2 * mp.mpf(rho) / a), k) for a, k in geom.distinct_edges]
+        else:
+            # T = 1, h = 2, so tau = omega
+            spec = OscillatorSpec([f * x for f, k in axes for _ in range(k)])
+            rep = comparison_report(PhysicalParams(T=1.0, h=2.0, m=1.0), spec)
+            terms = [(osc_axis_excess(w), k) for w, k in spec.distinct_frequencies]
+        dz = mp.fsum(k * z for (z, _), k in terms)
+        de = mp.fsum(k * e for (_, e), k in terms)
+        want = {"Z_ratio - 1": mp.expm1(dz), "dF": -dz, "dE": de, "dS": dz + de}
+        # dS of mixed axes is a sum of terms of either sign, so its rounding is
+        # relative to their summed magnitude
+        scale = {key: abs(value) for key, value in want.items()}
+        scale["dS"] = mp.fsum(k * abs(z + e) for (z, e), k in terms)
+    got = {"Z_ratio - 1": math.expm1(-rep.diffs["dF"]), **rep.diffs}
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-14 * scale[key], key
+    assert rep.ratios["Z_ratio"] == pytest.approx(float(mp.exp(dz)), rel=2.3e-16)
 
 
 @given(system=st.sampled_from(["well", "oscillator"]),
