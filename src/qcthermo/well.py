@@ -14,7 +14,10 @@ the entropy never cancels deep in the quantum regime.
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+import sys
 
 from .core import (
     BoxGeometry,
@@ -169,12 +172,15 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
 
     samples are (rho, ratio) pairs with ratio ~ prod_k (1 - rho/a_k).  A
     degree-n_edges polynomial with constant term 1 is fitted by least
-    squares in the monomial basis of rho/r0 (columns scaled to unit norm),
-    with r0 the power of two at the smallest |rho|, so the powers stay in
-    float range at any scale of the edges; its roots times r0 are the edges.
+    squares in the monomial basis of s = rho/r0, with r0 the power of two at
+    the smallest |rho|, so the powers stay in float range at any scale of the
+    edges.  The fit is a Householder QR of the design with math.fsum inner
+    products, followed by one step of iterative refinement: the residual
+    b - Ax is formed with fsum, solved with the same QR and the correction
+    added.  The roots of the fitted polynomial, found by Aberth-Ehrlich
+    iteration, times r0 are the edges.  Plain Python throughout: the system
+    has a dozen rows and at most ten columns at the CLI's defaults.
     """
-    import numpy as np
-
     samples = [(float(r), float(v)) for r, v in samples]
     if n_edges < 1:
         raise ValidationError("n_edges must be >= 1")
@@ -182,40 +188,133 @@ def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:
         raise ValidationError(
             f"need at least {n_edges + 1} samples to recover {n_edges} edges"
         )
-    rhos = np.array([r for r, _ in samples])
-    ys = np.array([v for _, v in samples]) - 1.0
-    if len(set(rhos.tolist())) != len(rhos):
+    rhos = [r for r, _ in samples]
+    ys = [v - 1.0 for _, v in samples]
+    if len(set(rhos)) != len(rhos):
         raise ValidationError("sample rho values must be distinct")
-    if not (np.all(np.isfinite(rhos)) and np.all(np.isfinite(ys))):
+    if not all(map(math.isfinite, rhos + ys)):
         raise InversionError("ratio samples are not finite")
 
-    # Design matrix for (rho/r0)^1..(rho/r0)^N; dividing by a power of two is
-    # exact, and unit-norm columns keep the tiny Vandermonde system well
-    # conditioned.
-    r0 = math.ldexp(1.0, math.frexp(float(np.abs(rhos).min()))[1])
-    with np.errstate(all="ignore"):
-        powers = np.vander(rhos / r0, n_edges + 1, increasing=True)[:, 1:]
-        scale = np.linalg.norm(powers, axis=0)
-    if not (np.all(np.isfinite(powers)) and np.all((scale > 0) & np.isfinite(scale))):
+    # Columns (rho/r0)^1..(rho/r0)^N by repeated multiplication, each divided
+    # by a power of two near its largest entry: both divisions are exact.
+    r0 = math.ldexp(1.0, math.frexp(min(map(abs, rhos)))[1])
+    powers = [[r / r0 for r in rhos]]
+    for _ in range(n_edges - 1):
+        powers.append([p * s for p, s in zip(powers[-1], powers[0])])
+    peaks = [max(map(abs, column)) for column in powers]
+    if not all(0.0 < peak < math.inf for peak in peaks):
         raise InversionError(
             "rho powers are beyond float range; edges too large or too small"
         )
-    coeffs, *_ = np.linalg.lstsq(powers / scale, ys, rcond=None)
-    coeffs /= scale
+    scales = [math.ldexp(1.0, math.frexp(peak)[1]) for peak in peaks]
+    design = [[p / scale for p in column] for column, scale in zip(powers, scales)]
+    solve = _least_squares(design)
+    x = solve(ys)
+    residual = [
+        math.fsum([y, *(-column[i] * xk for column, xk in zip(design, x))])
+        for i, y in enumerate(ys)
+    ]
+    coeffs = [(xk + dk) / scale for xk, dk, scale in zip(x, solve(residual), scales)]
 
     # Roots of 1 + c_1 s + ... + c_N s^N, s = rho/r0, are the edges over r0.
-    poly = np.concatenate(([1.0], coeffs))[::-1]
-    roots = np.roots(poly)
-    if len(roots) != n_edges:
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    if len(coeffs) != n_edges:
         raise InversionError(
-            f"recovered {len(roots)} of {n_edges} edges; the fitted polynomial lost its degree"
+            f"recovered {len(coeffs)} of {n_edges} edges; the fitted polynomial lost its degree"
         )
-    imag_tol = 1e-5 * (1.0 + np.abs(roots))
-    if np.any(np.abs(roots.imag) > imag_tol):
+    roots = _aberth_roots([1.0, *coeffs])
+    if not all(abs(z.imag) <= 1e-5 * (1.0 + abs(z)) for z in roots):
         raise InversionError(
             "complex edge estimates; rho samples too large or too noisy"
         )
-    edges = np.sort(roots.real) * r0
-    if np.any(edges <= 0):
+    edges = sorted(z.real * r0 for z in roots)
+    if any(a <= 0 for a in edges):
         raise InversionError("non-positive edge estimates")
-    return tuple(float(a) for a in edges)
+    return tuple(edges)
+
+
+def _least_squares(columns):
+    """solve(b): the least-squares solution of A x = b, A given by its columns.
+
+    A is factored once by Householder QR, every inner product a math.fsum.
+    As in numpy's lstsq, a pivot of R at most eps * max(m, n) times the
+    largest one marks a dependent column, whose unknown is set to 0.
+    """
+    m, n = len(columns[0]), len(columns)
+    r = [list(column) for column in columns]  # R on and above the diagonal
+    reflectors = []
+    for k, column in enumerate(r):
+        v = column[k:]
+        norm = math.sqrt(math.fsum(t * t for t in v))
+        alpha = -math.copysign(norm, v[0])
+        v[0] -= alpha
+        half_vv = norm * (norm + abs(column[k]))  # |v|^2 / 2
+        column[k] = alpha
+        reflectors.append((k, v, half_vv))
+        _reflect(v, half_vv, r[k + 1:], k)
+    cutoff = sys.float_info.epsilon * max(m, n) * max(abs(r[k][k]) for k in range(n))
+
+    def solve(b):
+        b = [list(b)]
+        for k, v, half_vv in reflectors:
+            _reflect(v, half_vv, b, k)
+        qb = b[0]
+        x = [0.0] * n
+        for k in reversed(range(n)):
+            if abs(r[k][k]) > cutoff:
+                tail = math.fsum([qb[k], *(-r[j][k] * x[j] for j in range(k + 1, n))])
+                x[k] = tail / r[k][k]
+        return x
+
+    return solve
+
+
+def _reflect(v, half_vv, columns, k):
+    """Apply I - v v^T / half_vv to rows k: of each column, in place."""
+    if not half_vv:
+        return
+    for column in columns:
+        f = math.fsum(map(operator.mul, v, column[k:])) / half_vv
+        column[k:] = [c - f * t for c, t in zip(column[k:], v)]
+
+
+# Sweeps of Aberth-Ehrlich iteration before the iterates are returned as they
+# stand; simple roots converge cubically within about ten.
+ABERTH_SWEEPS = 100
+
+
+def _aberth_roots(coeffs) -> list[complex]:
+    """All roots of sum_k coeffs[k] z^k, coeffs[0] and coeffs[-1] nonzero.
+
+    Aberth-Ehrlich iteration (Aberth 1973, Math. Comp. 27:339) in complex
+    arithmetic, with Horner evaluation of p and p'.  The iterates start on a
+    circle about 0 whose radius is the geometric mean of the roots' moduli,
+    |c_0 / c_d|^(1/d), and are updated one at a time.  An iterate takes its
+    last step once |p(z)| is within Horner's rounding bound, where the
+    coefficients no longer tell it from a root; after ABERTH_SWEEPS sweeps the
+    last iterates are returned as they stand.
+    """
+    d = len(coeffs) - 1
+    radius = math.exp((math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / d)
+    # off the real axis, so that complex roots of a real polynomial are reached
+    zs = [cmath.rect(radius, (2.0 * math.pi * k + 0.4) / d) for k in range(d)]
+    descending = coeffs[::-1]
+    moduli = [abs(c) for c in descending]
+    done = [False] * d
+    for _ in range(ABERTH_SWEEPS):
+        for i, z in enumerate(zs):
+            if done[i]:
+                continue
+            p, dp, bound, az = 0j, 0j, 0.0, abs(z)
+            for c, mc in zip(descending, moduli):
+                dp = dp * z + p
+                p = p * z + c
+                bound = bound * az + mc
+            denom = dp - p * sum(1.0 / (z - w) for w in zs if w != z)
+            if denom:
+                zs[i] = z - p / denom
+            done[i] = abs(p) <= 4.0 * d * sys.float_info.epsilon * bound
+        if all(done):
+            break
+    return zs

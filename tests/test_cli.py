@@ -384,6 +384,16 @@ def test_eval_and_sweep_never_import_numpy(tmp_path):
     assert (tmp_path / "sweep.csv").read_text().startswith("swept_value,")
 
 
+def test_hear_drum_never_imports_numpy(tmp_path):
+    # the fit and its roots are plain Python
+    argvs = [
+        DRUM_ARGS + ["--format", "json"],
+        DRUM_ARGS + ["--format", "csv", "--out", str(tmp_path / "drum.csv")],
+    ]
+    run_lean_child(["numpy", "dataclasses", "inspect", "fractions"], argvs)
+    assert (tmp_path / "drum.csv").read_text().startswith("recovered_edge,")
+
+
 def test_gibbs_never_imports_dataclasses(tmp_path):
     run_lean_child(["dataclasses"], [GIBBS_ARGS + ["--out", str(tmp_path / "gibbs.json")]])
     assert json.loads((tmp_path / "gibbs.json").read_text())["command"] == "gibbs"

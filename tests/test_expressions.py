@@ -431,18 +431,40 @@ def test_blocks_separate_the_potential(data, n):
             term = data.draw(_grammar_expressions(1), label="term").replace("x1", f"x{axis}")
         else:
             term = data.draw(_grammar_expressions(n), label="term")
-        terms.append(f"({term})")
+        terms.append(term)
     signs = data.draw(st.lists(st.sampled_from("+-"), min_size=len(terms), max_size=len(terms)))
-    text = " ".join(f"{s} {t}" for s, t in zip(signs, terms)).removeprefix("+")
     wrap = data.draw(st.sampled_from(["{}", "2.5*({})", "({})*-0.5", "({})/3", "-pi*({})/2"]))
-    text = wrap.format(text)
+    x = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="x")
+    assume(_check_blocks(terms, signs, wrap, n, x))
+
+
+@pytest.mark.parametrize("terms, signs, wrap, x", [
+    # the terms, about 2/3 each, cancel inside the one block of x1
+    (["-((1 + (x1)^2)^1.0)", "-((1 + (x1)^2)^1.0)", "-(-(exp((x1)/4)))", "-(exp((x1)/4))"],
+     "+++-", "({})/3", [2.0**-9]),
+    # two constant terms of e^54 cancel in the folded constant
+    (["-((1 + (x1)^2)^((x1)/4))", "exp(((2 + ((0.5) + (1.5))^2)^3)/4)",
+      "exp(((2 + ((0.5) + (1.5))^2)^3)/4)"], "++-", "{}", [0.0]),
+])
+def test_blocks_separate_cancelling_terms(terms, signs, wrap, x):
+    assert _check_blocks(terms, signs, wrap, len(x), x)
+
+
+def _check_blocks(terms, signs, wrap, n, x):
+    """Check V against its blocks at x; False, having checked nothing, where V,
+    a block or the constant is not finite there."""
+    text = wrap.format(" ".join(f"{s} ({t})" for s, t in zip(signs, terms)).removeprefix("+"))
     f = parse_potential(text, n)
-    x = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="x"))
+    x = np.array(x)
     pieces = [f(x[list(block)][None, :], j)[0] for j, block in enumerate(f.blocks)]
     want = f(x[None, :])[0]
-    assume(np.all(np.isfinite(pieces)) and np.isfinite(f.constant) and np.isfinite(want))
+    if not (np.all(np.isfinite(pieces)) and np.isfinite(f.constant) and np.isfinite(want)):
+        return False
     got = math.fsum(pieces) + f.constant
-    scale = abs(want) + np.abs(pieces).sum() + abs(f.constant)
+    # a sum rounds on the scale of its terms, and terms may cancel inside one
+    # block or inside the folded constant: each top-level term counts
+    term_sizes = [abs(parse_potential(wrap.format(t), n)(x[None, :])[0]) for t in terms]
+    scale = abs(want) + np.abs(pieces).sum() + abs(f.constant) + math.fsum(term_sizes)
     assert abs(got - want) <= 1e-13 * scale, text
     # each block's gradient is V's on the block's axes
     for j, block in enumerate(f.blocks):
@@ -450,6 +472,7 @@ def test_blocks_separate_the_potential(data, n):
             f.gradient(x[list(block)][None, :], j)[0], f.gradient(x[None, :])[0, list(block)],
             rtol=1e-13, atol=1e-13 * (1.0 + np.abs(f.gradient(x[None, :])).max()), err_msg=text,
         )
+    return True
 
 
 def _vanishing_terms(n):

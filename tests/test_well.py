@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -16,6 +18,8 @@ from qcthermo.core import (
 )
 from qcthermo.theta import theta
 from qcthermo.well import (
+    _aberth_roots,
+    _box_excess,
     geometric_coefficients,
     hear_the_drum,
     kac_expansion_ratio,
@@ -258,6 +262,103 @@ def test_hear_the_drum_never_returns_fewer_edges():
     # a flat ratio fits the zero polynomial, which has no roots at all
     with pytest.raises(InversionError, match="recovered 0 of 2 edges"):
         hear_the_drum([(0.1 * i, 1.0) for i in range(1, 6)], 2)
+
+
+def _numpy_hear_the_drum(samples, n_edges):
+    """The numpy fit hear_the_drum made before it went plain Python: lstsq on
+    unit-norm columns of np.vander, then np.roots; the oracle of the test below."""
+    rhos = np.array([r for r, _ in samples])
+    ys = np.array([v for _, v in samples]) - 1.0
+    r0 = math.ldexp(1.0, math.frexp(float(np.abs(rhos).min()))[1])
+    powers = np.vander(rhos / r0, n_edges + 1, increasing=True)[:, 1:]
+    scale = np.linalg.norm(powers, axis=0)
+    coeffs, *_ = np.linalg.lstsq(powers / scale, ys, rcond=None)
+    roots = np.roots(np.concatenate(([1.0], coeffs / scale))[::-1])
+    if len(roots) != n_edges or np.any(np.abs(roots.imag) > 1e-5 * (1.0 + np.abs(roots))):
+        raise InversionError("no edges")
+    edges = np.sort(roots.real) * r0
+    if np.any(edges <= 0):
+        raise InversionError("no edges")
+    return tuple(float(a) for a in edges)
+
+
+def _drum_samples(edges, T, m, count=8):
+    """(rho, ratio) samples as cmd_hear_drum takes them, at its default --samples."""
+    geom = BoxGeometry(edges)
+    rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
+    samples = []
+    for i in range(max(count, geom.dimension + 2)):
+        rho = min(geom.edges) * 0.01 * (i + 1)
+        params = PhysicalParams(T=T, h=rho / rho_unit, m=m)
+        samples.append((rho, math.exp(_box_excess(params, geom)[0])))
+    return samples
+
+
+def test_hear_the_drum_is_as_accurate_as_numpy():
+    # random boxes of 1-10 edges; from about 6 edges on most fits turn complex
+    # at the default --samples, for either fit
+    rng = random.Random(7)
+    fails = {"plain": 0, "numpy": 0}
+    log_errors = {"plain": [], "numpy": []}
+    for _ in range(1000):
+        edges = [rng.uniform(0.5, 3.0) for _ in range(rng.randint(1, 10))]
+        samples = _drum_samples(edges, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        errors = {}
+        for name, fit in (("plain", hear_the_drum), ("numpy", _numpy_hear_the_drum)):
+            try:
+                recovered = fit(samples, len(edges))
+            except InversionError:
+                fails[name] += 1
+                continue
+            errors[name] = max(abs(r - t) / t for r, t in zip(recovered, sorted(edges)))
+        if len(errors) == 2:
+            for name, error in errors.items():
+                # an exact recovery counts as one unit roundoff, not as log 0
+                log_errors[name].append(math.log(max(error, 2.0**-53)))
+    assert fails["plain"] <= fails["numpy"]
+    assert sum(log_errors["plain"]) <= sum(log_errors["numpy"])
+
+
+def _scaled_poly(roots, scale=1.0):
+    """Ascending coefficients of scale * prod (z - root)."""
+    coeffs = [complex(scale)]
+    for root in roots:
+        coeffs = [a - root * b for a, b in zip([0j, *coeffs], [*coeffs, 0j])]
+    return [c.real if c.imag == 0 else c for c in coeffs]
+
+
+@pytest.mark.parametrize("roots, scale, rel", [
+    ((1.0, 2.0, 3.0), 1.0, 1e-14),
+    ((0.5, 7.0, 11.0, 13.0, 40.0), 1.0, 1e-13),
+    ((1j, -1j, 2.0), 1.0, 1e-14),
+    # the same roots whatever the scale of the coefficients
+    ((1.0, 2.0, 3.0), 1e-200, 1e-14),
+    ((1.0, 2.0, 3.0), 1e100, 1e-14),
+    # roots at 1e-200 and 1e100, the coefficients balanced to stay in range
+    ((1e-200, 2e-200), 1e200, 1e-14),
+    ((1e100, 3e100), 1e-100, 1e-14),
+    # a double root is found to about the square root of the unit roundoff
+    ((2.0, 2.0, 5.0), 1.0, 1e-7),
+])
+def test_aberth_roots_of_known_polynomials(roots, scale, rel):
+    got = sorted(_aberth_roots(_scaled_poly(roots, scale)), key=lambda z: (z.real, z.imag))
+    want = sorted(roots, key=lambda z: (complex(z).real, complex(z).imag))
+    for z, w in zip(got, want):
+        assert abs(z - w) <= rel * abs(w), (got, roots)
+
+
+def test_aberth_keeps_a_split_triple_root_complex():
+    # (z - a)^3 = delta a^3 at a = 1e150, the coefficients scaled by 1e-225 to
+    # stay in float range: the triple root splits into a triangle of radius
+    # delta^(1/3) a, and two of its corners lie off the real axis by far more
+    # than hear_the_drum's 1e-5 relative tolerance, as for noisy samples
+    a, delta = 1e150, 1e-12
+    coeffs = [-(1.0 + delta) * 1e225, 3e75, -3e-75, 1e-225]
+    got = _aberth_roots(coeffs)
+    want = [a * (1.0 + delta ** (1 / 3) * cmath.exp(2j * math.pi * k / 3)) for k in range(3)]
+    for w in want:
+        assert min(abs(z - w) for z in got) <= 1e-3 * delta ** (1 / 3) * a
+    assert sum(abs(z.imag) > 1e-5 * (1.0 + abs(z)) for z in got) == 2
 
 
 def test_monotone_in_mu():
