@@ -14,7 +14,6 @@ the entropy never cancels deep in the quantum regime.
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 import sys
@@ -256,10 +255,9 @@ def _least_squares(columns):
     cutoff = sys.float_info.epsilon * max(m, n) * max(abs(r[k][k]) for k in range(n))
 
     def solve(b):
-        b = [list(b)]
+        qb = list(b)
         for k, v, half_vv in reflectors:
-            _reflect(v, half_vv, b, k)
-        qb = b[0]
+            _reflect(v, half_vv, [qb], k)
         x = [0.0] * n
         for k in reversed(range(n)):
             if abs(r[k][k]) > cutoff:
@@ -298,7 +296,8 @@ def _aberth_roots(coeffs) -> list[complex]:
     d = len(coeffs) - 1
     radius = math.exp((math.log(abs(coeffs[0])) - math.log(abs(coeffs[-1]))) / d)
     # off the real axis, so that complex roots of a real polynomial are reached
-    zs = [cmath.rect(radius, (2.0 * math.pi * k + 0.4) / d) for k in range(d)]
+    angles = [(2.0 * math.pi * k + 0.4) / d for k in range(d)]
+    zs = [complex(radius * math.cos(t), radius * math.sin(t)) for t in angles]
     descending = coeffs[::-1]
     moduli = [abs(c) for c in descending]
     done = [False] * d
