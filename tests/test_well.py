@@ -265,8 +265,8 @@ def test_hear_the_drum_never_returns_fewer_edges():
 
 
 def _numpy_hear_the_drum(samples, n_edges):
-    """The numpy fit hear_the_drum made before it went plain Python: lstsq on
-    unit-norm columns of np.vander, then np.roots; the oracle of the test below."""
+    """hear_the_drum's fit done by numpy, the oracle of the test below: lstsq
+    on unit-norm columns of np.vander, then np.roots."""
     rhos = np.array([r for r, _ in samples])
     ys = np.array([v for _, v in samples]) - 1.0
     r0 = math.ldexp(1.0, math.frexp(float(np.abs(rhos).min()))[1])
