@@ -33,8 +33,7 @@ _LAZY = {
     "gibbs": (
         "LevelSet", "MinimizeResult", "PhaseSpaceCheck", "SimplexPoint",
         "classical_phase_space_check", "free_energy_functional", "gibbs_closed_form",
-        "hessian_positivity_check", "minimize_free_energy", "oscillator_level_set",
-        "well_level_set",
+        "hessian_positivity_check", "minimize_free_energy",
     ),
     "semiclassical": (
         "KWPrediction", "PotentialField", "harmonic_potential", "kw_expansion",

@@ -41,61 +41,36 @@ def _number_list(text: str) -> list[float]:
     return [parse_number(part) for part in text.split(",") if part.strip()]
 
 
-class _NonFinite(Exception):
-    """A non-finite float in the output.  path collects the keys and indices
-    that lead to it, innermost first, as the walk unwinds."""
-
-    def __init__(self):
-        self.path = []
-
-
-def _sanitize(obj):
-    """obj with every numpy scalar a Python number.  A non-finite float raises
-    ConvergenceError naming its field, as '$.rows[2].F'; only the first such
-    field in walk order is named, and no path is built for the others."""
-    try:
-        return _plain(obj)
-    except _NonFinite as exc:
-        name = "$" + "".join(reversed(exc.path))
-        raise ConvergenceError(f"non-finite value in output field {name!r}") from None
+def _sanitize(obj) -> None:
+    """Raise ConvergenceError naming the first non-finite float in obj, in walk
+    order, as '$.rows[2].F'."""
+    path = _non_finite_path(obj)
+    if path is not None:
+        raise ConvergenceError(f"non-finite value in output field {'$' + path!r}")
 
 
-def _plain(obj):
-    if type(obj) is float:
-        if math.isfinite(obj):
-            return obj
-        raise _NonFinite
+def _non_finite_path(obj):
+    """The path below obj of its first non-finite float ('' for obj itself), or
+    None when every float in it is finite.  The walk copies nothing, and a path
+    is built only as a non-finite float's walk unwinds."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else ""
     if isinstance(obj, dict):
-        out = {}
         for key, value in obj.items():
-            try:
-                out[key] = _plain(value)
-            except _NonFinite as exc:
-                exc.path.append(f".{key}")
-                raise
-        return out
-    if isinstance(obj, (list, tuple)):
-        out = []
+            path = _non_finite_path(value)
+            if path is not None:
+                return f".{key}{path}"
+    elif isinstance(obj, (list, tuple)):
         for i, value in enumerate(obj):
-            try:
-                out.append(_plain(value))
-            except _NonFinite as exc:
-                exc.path.append(f"[{i}]")
-                raise
-        return out
-    # numpy scalars exist only once a subcommand has loaded numpy
-    np = sys.modules.get("numpy")
-    if isinstance(obj, bool) or np is not None and isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
-        return _plain(float(obj))
-    if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
-        return int(obj)
-    return obj
+            path = _non_finite_path(value)
+            if path is not None:
+                return f"[{i}]{path}"
+    return None
 
 
 def _emit(payload: dict, csv_rows, args) -> None:
-    payload = _sanitize(payload)
+    # every CSV cell is also a payload value, so this check covers the rows
+    _sanitize(payload)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
@@ -104,9 +79,7 @@ def _emit(payload: dict, csv_rows, args) -> None:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [format(v, ".17g") if isinstance(v, float) else v for v in _sanitize(row)]
-            )
+            writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -241,6 +214,8 @@ def cmd_hear_drum(args) -> None:
     n = geom.dimension
     if n > MAX_DRUM_EDGES:
         raise ValidationError(f"at most {MAX_DRUM_EDGES} edges supported, got {n}")
+    if args.samples < 1:
+        raise ValidationError("--samples must be >= 1")
     T, m = args.T, args.m
     count = max(args.samples, n + 2)
     rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
@@ -369,7 +344,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=["json", "csv"],
                         default=os.environ.get("QCTHERMO_FORMAT", "json"))
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_physics(parser, need_h=True):
@@ -422,6 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "on (F - F*)/T, is at most this")
     p.add_argument("--random-points", type=int, default=100)
     _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gibbs)
 
     p = sub.add_parser("kw", help="semiclassical h^2 expansion")

@@ -113,11 +113,6 @@ class PhysicalParams(_Record):
         _set_field(self, "h", h)
         _set_field(self, "m", m)
 
-    @property
-    def beta(self) -> float:
-        """Inverse temperature 1/T."""
-        return 1.0 / self.T
-
 
 def _distinct(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
     counts: dict[float, int] = {}

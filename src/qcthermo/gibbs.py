@@ -29,8 +29,6 @@ from .core import (
 __all__ = [
     "LevelSet",
     "SimplexPoint",
-    "oscillator_level_set",
-    "well_level_set",
     "gibbs_closed_form",
     "free_energy_functional",
     "MinimizeResult",
@@ -44,17 +42,18 @@ MAX_ITERATIONS = 10**5
 # the minimizer's fixed step in log space; any value in (0, 1) converges, and
 # 1/2 halves the error of log P in every step
 ETA = 0.5
-TAIL_BOUND_REL = 1e-12
 # step of the per-level difference quotients, relative to each P_n
 STEP_REL = 1e-3
+# points per axis of the phase-space grid; the check compares it with half as many
+GRID_RESOLUTION = 256
 
 
 class LevelSet(_Record):
     """Finite increasing truncation of an energy spectrum."""
 
-    __slots__ = __match_args__ = ("energies", "truncation_tail_bound")
+    __slots__ = __match_args__ = ("energies",)
 
-    def __init__(self, energies, truncation_tail_bound: float = 0.0):
+    def __init__(self, energies):
         energies = tuple(float(e) for e in energies)
         if len(energies) < 2:
             raise ValidationError("need at least two levels")
@@ -64,7 +63,6 @@ class LevelSet(_Record):
         if any(b < a for a, b in zip(energies, energies[1:])):
             raise ValidationError("energies must be non-decreasing")
         _set_field(self, "energies", energies)
-        _set_field(self, "truncation_tail_bound", float(truncation_tail_bound))
 
 
 class SimplexPoint(_Record):
@@ -78,34 +76,6 @@ class SimplexPoint(_Record):
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities must sum to 1, got {total}")
         _set_field(self, "probabilities", probabilities)
-
-
-def oscillator_level_set(params: PhysicalParams, omega: float) -> LevelSet:
-    """Truncated 1-D oscillator spectrum h*omega*(n - 1/2).
-
-    The cutoff M is chosen so the geometric tail is below TAIL_BOUND_REL of
-    the retained sum.
-    """
-    if params.h <= 0 or omega <= 0:
-        raise ValidationError("need h > 0 and omega > 0")
-    step = params.h * omega / params.T
-    # tail/Z = e^{-M*step}/(1-e^{-step}) / Z; solve crudely, then verify
-    m = max(2, int(math.ceil(-math.log(TAIL_BOUND_REL * (1 - math.exp(-step)) ** 2) / step)) + 1)
-    levels = [params.h * omega * (n - 0.5) for n in range(1, m + 1)]
-    tail = math.exp(-(m + 0.5) * step) / (1.0 - math.exp(-step))
-    return LevelSet(levels, truncation_tail_bound=tail)
-
-
-def well_level_set(params: PhysicalParams, a: float) -> LevelSet:
-    """Truncated 1-D box spectrum h^2 pi^2 n^2 / (2 m a^2)."""
-    if params.h <= 0 or a <= 0:
-        raise ValidationError("need h > 0 and a > 0")
-    c = params.h**2 * math.pi**2 / (2.0 * params.m * a * a * params.T)
-    m = max(2, int(math.ceil(math.sqrt(-math.log(TAIL_BOUND_REL) / c))) + 2)
-    levels = [c * params.T * n * n for n in range(1, m + 1)]
-    # integral comparison: sum_{n>M} e^{-c n^2} < int_M^inf e^{-c x^2} dx
-    tail = 0.5 * math.sqrt(math.pi / c) * math.erfc(m * math.sqrt(c))
-    return LevelSet(levels, truncation_tail_bound=tail)
 
 
 def _shifted(levels: LevelSet, T: float):
@@ -238,7 +208,6 @@ class PhaseSpaceCheck(_Record):
 def classical_phase_space_check(
     params: PhysicalParams,
     system: BoxGeometry | OscillatorSpec,
-    grid_resolution: int = 256,
 ) -> PhaseSpaceCheck:
     """Trapezoidal phase-space quadrature against the closed forms.
 
@@ -247,8 +216,6 @@ def classical_phase_space_check(
     first-order (equal slopes) and second-order (positive curvature)
     conditions from each cell's own term.
     """
-    if grid_resolution < 64:
-        raise ValidationError("grid_resolution must be >= 64 per axis")
     T, m = params.T, params.m
     p_max = 12.0 * math.sqrt(m * T)
 
@@ -286,16 +253,16 @@ def classical_phase_space_check(
         cl = np.outer(wt, wt) * (qg[1] - qg[0]) * (pg[1] - pg[0])
         return ham, cl
 
-    ham, cell = grids(grid_resolution)
+    ham, cell = grids(GRID_RESOLUTION)
     boltz = np.exp(-ham / T)
     z_quad = float(np.sum(boltz * cell))
 
     # Richardson-style stability: compare against half the resolution
-    ham2, cell2 = grids(grid_resolution // 2)
+    ham2, cell2 = grids(GRID_RESOLUTION // 2)
     z_quad2 = float(np.sum(np.exp(-ham2 / T) * cell2))
     if abs(z_quad - z_quad2) > 1e-5 * abs(z_quad):
         raise IntegrationError(
-            f"quadrature unstable at resolution {grid_resolution}: "
+            f"quadrature unstable at resolution {GRID_RESOLUTION}: "
             f"{z_quad} vs {z_quad2}"
         )
     e_quad = float(np.sum(ham * boltz * cell)) / z_quad
@@ -320,5 +287,5 @@ def classical_phase_space_check(
         e_quadrature=e_quad,
         e_exact=e_exact,
         variational_ok=variational_ok,
-        resolution=grid_resolution,
+        resolution=GRID_RESOLUTION,
     )

@@ -85,9 +85,6 @@ class ThetaValue(_Record):
         _set_field(self, "entropy", entropy)
         _set_field(self, "excess", excess)
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _gaussian_moments(decay: float, tol: float = DEFAULT_TOL):
     """s0 = sum_{n>=1} e^{-decay(n^2-1)} and s2 = sum_{n>=1} n^2 e^{-decay(n^2-1)}.
@@ -119,22 +116,20 @@ def _gaussian_moments(decay: float, tol: float = DEFAULT_TOL):
     raise ConvergenceError(f"Gaussian sum did not converge in {MAX_TERMS} terms")
 
 
-def _check(mu: float, tol: float) -> None:
+def _check(mu: float) -> None:
     if not (mu > 0):
         raise ValidationError(f"mu must be positive, got {mu}")
-    if not (tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol}")
 
 
-def theta_direct(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
+def theta_direct(mu: float) -> ThetaValue:
     """Direct sum sum_{n>=1} exp(-(pi/4) n^2 mu^2), with log Z_q in log space."""
-    _check(mu, tol)
+    _check(mu)
     if mu < 1e-4:
         raise ConvergenceError(
             f"mu={mu} too small for the direct representation; use theta_poisson"
         )
     decay = (math.pi / 4.0) * mu * mu  # = 1/lam
-    s0, s2, s2_minus_s0, terms, bound = _gaussian_moments(decay, tol)
+    s0, s2, s2_minus_s0, terms, bound = _gaussian_moments(decay)
     lead = math.exp(-decay)
     log_s0, log_mu = math.log(s0), math.log(mu)
     mean_energy, entropy = decay * s2 / s0, log_s0 + decay * s2_minus_s0 / s0
@@ -144,7 +139,7 @@ def theta_direct(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     )
 
 
-def theta_poisson(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
+def theta_poisson(mu: float) -> ThetaValue:
     """Poisson-transformed sum -1/2 + 1/mu + (2/mu) sum exp(-(n pi)^2 lam).
 
     With W0 = mu * Z_q and W1 = 1 + 2 sum (1 - 2 (n pi)^2 lam) e^{-(n pi)^2 lam},
@@ -154,9 +149,9 @@ def theta_poisson(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     own, so it never subtracts two values near 1; the mean energy is 1/2 plus
     its excess.
     """
-    _check(mu, tol)
+    _check(mu)
     decay = 4.0 * math.pi / mu / mu  # = pi^2 lam
-    s0, s2, _, terms, bound = _gaussian_moments(decay, tol)
+    s0, s2, _, terms, bound = _gaussian_moments(decay)
     lead = math.exp(-decay)
     value = -0.5 + 1.0 / mu + (2.0 / mu) * lead * s0
     w0_minus_1 = 2.0 * lead * s0 - 0.5 * mu
@@ -170,16 +165,16 @@ def theta_poisson(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
     )
 
 
-def theta(mu: float, tol: float = DEFAULT_TOL) -> ThetaValue:
+def theta(mu: float) -> ThetaValue:
     """Z_q(mu) from the representation with the faster-decaying series."""
     if mu >= CROSSOVER_MU:
-        return theta_direct(mu, tol)
-    return theta_poisson(mu, tol)
+        return theta_direct(mu)
+    return theta_poisson(mu)
 
 
-def energy_sum(mu: float, tol: float = DEFAULT_TOL) -> float:
+def energy_sum(mu: float) -> float:
     """Energy-weighted lattice sum lam * dZ_q/dlam = Z_q * mean_energy."""
-    t = theta(mu, tol)
+    t = theta(mu)
     return t.value * t.mean_energy
 
 

@@ -38,7 +38,6 @@ from .theta import theta
 __all__ = [
     "well_classical",
     "well_regularized",
-    "well_energy_ratio",
     "EntropyAsymptote",
     "well_entropy_asymptotic",
     "GeometricCoefficients",
@@ -82,20 +81,15 @@ def _box_excess(params: PhysicalParams, geom: BoxGeometry) -> tuple[float, float
     if params.h == 0:
         raise ValidationError("quantum sums need h > 0")
     rho = reduce_rho(params)
-    return _excess_sum([(theta(_edge_mu(rho, a)).excess, k) for a, k in geom.distinct_edges])
+    mus = ((_edge_mu(rho, a), k) for a, k in geom.distinct_edges)
+    # an edge whose mu underflows to 0 sits at its classical limit, where the
+    # excess is 0, as the oscillator's is at tau = 0
+    return _excess_sum([(theta(mu).excess, k) for mu, k in mus if mu != 0.0])
 
 
 def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
     """Regularized quantum quartet (2*pi*h)^N * prod_k Z_q(mu_k)."""
     return _regularized(well_classical(params, geom), _box_excess(params, geom))
-
-
-def well_energy_ratio(mu: float) -> float:
-    """Mean-energy ratio (regularized over classical) for one box axis.
-
-    Equals W1/W0 in the transformed representation; always > 1.
-    """
-    return 2.0 * theta(mu).mean_energy
 
 
 class EntropyAsymptote(_Record):

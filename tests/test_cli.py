@@ -193,6 +193,49 @@ def test_non_finite_field_path_names_list_items():
         cli._sanitize([0.0, math.inf])
 
 
+def _leaves(obj):
+    if isinstance(obj, (dict, list, tuple)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("args", [
+    EVAL_ARGS,
+    ["eval", "--system", "oscillator", "--omega", "1,2", "--T", "1", "--h", "0.5"],
+    SWEEP_ARGS,
+    DRUM_ARGS,
+    GIBBS_ARGS,
+    KW_ARGS,
+    ["kw", "--potential", "x1^2/2", "--dim", "1", "--T", "1", "--h", "0.1"],
+    ["kw", "--potential", "x1^2 + x2^2 + x1*x2", "--dim", "2", "--T", "1", "--h", "0.1"],
+])
+def test_output_holds_only_plain_python_values(args, monkeypatch, capsys):
+    # _emit checks the payload alone for non-finite floats and walks only
+    # dicts, lists and tuples: so every leaf is a plain Python value, never a
+    # numpy scalar, and every float of a CSV row is one of the payload's
+    emitted = []
+    emit = cli._emit
+
+    def spy(payload, csv_rows, parsed):
+        emitted.append((payload, csv_rows))
+        emit(payload, csv_rows, parsed)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for fmt in ("json", "csv"):
+        assert run(args + ["--format", fmt]) == 0
+    capsys.readouterr()
+    assert len(emitted) == 2
+    plain = {float, int, bool, str, type(None)}
+    for payload, (header, rows) in emitted:
+        values = list(_leaves(payload))
+        assert {type(v) for v in values} <= plain
+        assert {type(v) for v in _leaves(rows)} <= plain
+        floats = {v for v in values if type(v) is float}
+        assert {v for v in _leaves(rows) if type(v) is float} <= floats
+
+
 def test_validation_exit_code(capsys):
     for args in (
         ["eval", "--system", "well", "--T", "1", "--h", "0.1"],
@@ -211,6 +254,8 @@ def test_validation_exit_code(capsys):
         ["eval", "--system", "oscillator", "--omega", "1,pi/0", "--T", "1", "--h", "1"],
         ["eval", "--system", "well", "--edges", "1e999", "--T", "1", "--h", "1"],
         ["gibbs", "--levels", "0,1e999", "--T", "1"],
+        DRUM_ARGS + ["--samples", "0"],
+        DRUM_ARGS + ["--samples", "-5"],
     ):
         code = run(args)
         err = capsys.readouterr().err
@@ -253,6 +298,26 @@ def test_underflowing_statistical_sums_are_computed(args, capsys):
     tiny = [q for q in (payload["classical"], payload["regularized"]) if q["Z"] == 5e-324]
     assert tiny and all(q["log_Z"] < -700 for q in tiny)
     assert all(q["F"] == pytest.approx(-1.0 * q["log_Z"], rel=1e-15) for q in tiny)  # T = 1
+
+
+def test_edges_whose_mu_underflows_are_classical(capsys):
+    # mu = 2 rho / a underflows to 0: the edge's excess is its classical limit, 0
+    code = run(["eval", "--system", "well", "--edges", "1e300", "--T", "1", "--h", "1e-30"])
+    err = capsys.readouterr().err
+    assert code == 3
+    # lam = 4/(pi mu^2) is inf, and the output cannot print it
+    assert err == "error: non-finite value in output field '$.reduced.lambda_theta[0]'\n"
+    code, out = run_cli(["sweep", "--system", "well", "--direction", "a_to_inf", "--edges", "1",
+                         "--start", "1e280", "--factor", "10", "--points", "8", "--T", "1",
+                         "--h", "1e-40"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    rows = payload["rows"]
+    assert all("error" not in row for row in rows)
+    # mu is 2.5e-320 at a = 1e280 and 0 from a = 1e285 on
+    assert [row["diffs"]["dF"] for row in rows[5:]] == [-0.0] * 3
+    assert all(row["ratios"] == {"Z_ratio": 1.0, "E_ratio": 1.0} for row in rows[5:])
 
 
 N_TO_INF_ARGS = [
@@ -326,9 +391,15 @@ def test_sweep_csv_keeps_residual_columns_across_mu_2(capsys):
 
 
 def test_argparse_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        run(["eval", "--system", "banana", "--T", "1", "--h", "1"])
-    assert exc.value.code == 2
+    for args in (
+        ["eval", "--system", "banana", "--T", "1", "--h", "1"],
+        # only gibbs draws random points, so only gibbs takes --seed
+        EVAL_ARGS + ["--seed", "0"],
+        DRUM_ARGS + ["--seed", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2, args
 
 
 def cli_bytes(args, env_extra=None):

@@ -72,10 +72,6 @@ def test_rho_where_2mT_leaves_float_range():
     assert reduce_rho(huge) == pytest.approx(math.sqrt(math.pi / 2.0) * 1e-200, rel=1e-15)
 
 
-def test_beta_is_inverse_temperature():
-    assert PhysicalParams(T=4.0, h=0.0, m=1.0).beta == 0.25
-
-
 @given(T=positive, h=positive, m=positive, a=positive)
 @settings(max_examples=100, deadline=None)
 def test_reduction_identities(T, h, m, a):

@@ -18,8 +18,6 @@ from qcthermo.gibbs import (
     gibbs_closed_form,
     hessian_positivity_check,
     minimize_free_energy,
-    oscillator_level_set,
-    well_level_set,
 )
 
 # Frozen against mpmath for levels (0, 1, 2) at T = 1
@@ -204,8 +202,10 @@ def test_hessian_positivity():
 
 
 @pytest.mark.parametrize("levels", [
-    oscillator_level_set(PhysicalParams(T=1.0, h=0.5, m=1.0), 1.0),  # 60 levels
-    well_level_set(PhysicalParams(T=1.0, h=0.3, m=1.0), 1.0),  # 10 levels
+    # h*omega*(n - 1/2) at h = 0.5, omega = 1, 60 levels
+    LevelSet([0.5 * (n - 0.5) for n in range(1, 61)]),
+    # h^2 pi^2 n^2 / (2 m a^2) at h = 0.3, m = a = 1, 10 levels
+    LevelSet([0.3**2 * math.pi**2 / 2.0 * n * n for n in range(1, 11)]),
 ], ids=["oscillator", "well"])
 def test_hessian_check_holds_far_above_the_ground(levels):
     # the top levels sit 30 T (oscillator) and 44 T (well) above the ground
@@ -287,24 +287,6 @@ def test_phase_space_certificate_across_temperatures(T):
         assert classical_phase_space_check(params, system).variational_ok
 
 
-def test_oscillator_level_set_tail_bound():
-    params = PhysicalParams(T=1.0, h=0.5, m=1.0)
-    levels = oscillator_level_set(params, 1.0)
-    z = sum(math.exp(-e) for e in levels.energies)
-    assert levels.truncation_tail_bound <= 1e-11 * z
-    # partial sums converge to the closed form h*omega/2 / sinh scaling
-    tau = 0.25
-    exact = math.exp(-tau) / (1.0 - math.exp(-2.0 * tau))
-    assert z == pytest.approx(exact, rel=1e-11)
-
-
-def test_well_level_set_tail_bound():
-    params = PhysicalParams(T=1.0, h=0.3, m=1.0)
-    levels = well_level_set(params, 1.0)
-    z = sum(math.exp(-e) for e in levels.energies)
-    assert levels.truncation_tail_bound <= 1e-11 * z
-
-
 def test_phase_space_check_oscillator():
     params = PhysicalParams(T=1.0, h=0.0, m=1.0)
     check = classical_phase_space_check(params, OscillatorSpec([1.0]))
@@ -325,5 +307,3 @@ def test_phase_space_check_validation():
     params = PhysicalParams(T=1.0, h=0.0, m=1.0)
     with pytest.raises(ValidationError):
         classical_phase_space_check(params, OscillatorSpec([1.0, 2.0]))
-    with pytest.raises(ValidationError):
-        classical_phase_space_check(params, OscillatorSpec([1.0]), grid_resolution=8)

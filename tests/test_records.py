@@ -62,7 +62,7 @@ FIELDS = [
     (SweepRow, dict(swept_value=1.0, report=None, error="ValidationError: x"), True),
     (FitResult, dict(coefficient=1.0, slope=2.0, residual_norm=0.0, sign=1), True),
     (SweepResult, dict(plan=PLAN, rows=(), fitted_rates={"Z_ratio": None}), False),
-    (LevelSet, dict(energies=(0.0, 1.0), truncation_tail_bound=0.0), True),
+    (LevelSet, dict(energies=(0.0, 1.0)), True),
     (SimplexPoint, dict(probabilities=(0.25, 0.75)), True),
     (MinimizeResult, dict(point=POINT, F_min=-0.5, iterations=3), True),
     (PhaseSpaceCheck, dict(z_quadrature=1.0, z_exact=1.0, e_quadrature=0.5, e_exact=0.5,
@@ -128,7 +128,7 @@ def test_literal_reprs():
         "m=1.0), base_geometry=None, base_spec=OscillatorSpec(frequencies=(1.0,))), "
         "rows=(), fitted_rates={})"
     )
-    assert repr(LevelSet([0, 1])) == "LevelSet(energies=(0.0, 1.0), truncation_tail_bound=0.0)"
+    assert repr(LevelSet([0, 1])) == "LevelSet(energies=(0.0, 1.0))"
 
 
 def test_defaults():
@@ -136,7 +136,6 @@ def test_defaults():
     assert ReducedParams() == ReducedParams((), (), 0.0, (), None, None, None, None)
     assert BernoulliSeries("g_tanh", (1.0,)).radius == math.pi
     assert SweepRow(1.0, None).error is None
-    assert LevelSet([0, 1]).truncation_tail_bound == 0.0
     first, second = SweepResult(PLAN, ()), SweepResult(PLAN, ())
     assert first.fitted_rates == {} and first.fitted_rates is not second.fitted_rates
 

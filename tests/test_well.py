@@ -25,7 +25,6 @@ from qcthermo.well import (
     kac_expansion_ratio,
     kac_mean_energy_ratio,
     well_classical,
-    well_energy_ratio,
     well_entropy_asymptotic,
     well_regularized,
 )
@@ -150,15 +149,16 @@ def test_regularized_entropy_matches_mpmath(h):
 def test_energy_ratio_continuity_at_crossover():
     from qcthermo.theta import CROSSOVER_MU
 
-    lo = well_energy_ratio(CROSSOVER_MU * (1 - 1e-9))
-    hi = well_energy_ratio(CROSSOVER_MU * (1 + 1e-9))
+    # the mean-energy ratio, regularized over classical, of one box axis
+    lo = 2 * theta(CROSSOVER_MU * (1 - 1e-9)).mean_energy
+    hi = 2 * theta(CROSSOVER_MU * (1 + 1e-9)).mean_energy
     assert lo == pytest.approx(hi, rel=1e-7)
 
 
 @given(mu=st.floats(min_value=0.05, max_value=5.0))
 @settings(max_examples=100, deadline=None)
 def test_energy_ratio_above_one(mu):
-    assert well_energy_ratio(mu) > 1.0
+    assert 2 * theta(mu).mean_energy > 1.0
 
 
 def test_entropy_asymptote():
@@ -370,7 +370,7 @@ def test_monotone_in_mu():
         ratio = math.exp(
             well_regularized(params, geom).log_Z - well_classical(params, geom).log_Z
         )
-        e_ratio = well_energy_ratio(mu)
+        e_ratio = 2 * theta(mu).mean_energy
         if prev_z is not None:
             assert ratio < prev_z
             assert e_ratio > prev_e
