@@ -7,7 +7,9 @@ variational free-energy minimizer, a second-order semiclassical expansion
 for smooth potentials, and recovery of box edges from sampled ratios.
 
 The top-level namespace is every module's ``__all__``: each public name is
-declared once, in its home module.
+declared once, in its home module.  ``import qcthermo`` runs none of the
+modules: each runs on first use, so a ``qcthermo`` process compiles and runs
+only the modules its subcommand calls.
 """
 
 from __future__ import annotations
@@ -17,17 +19,9 @@ __version__ = "0.1.0"
 import importlib.util
 import sys
 
-from .core import *
-from .oscillator import *
-from .sweeps import *
-from .theta import *
-from .well import *
-
-# The modules that import numpy, and the public names of each.  Each is put
-# in sys.modules unexecuted and runs on its first attribute access, so `eval`
-# and `sweep` never import numpy.  Being in sys.modules from the start, they
-# are found by code that looks a module up there, as the benchmark's tracer
-# does.  The names are listed here because reading __all__ would load them.
+# The modules that import numpy, and the public names of each.  The names are
+# listed here because reading __all__ would load numpy; those of the other
+# modules are read from their own __all__ (see __getattr__).
 _LAZY = {
     "expressions": ("parse_potential",),
     "gibbs": (
@@ -54,6 +48,13 @@ def _lazy_module(name: str):
     return module
 
 
+# Being in sys.modules from the start, every module is found by code that looks
+# it up there, as the benchmark's tracer does.
+core = _lazy_module("core")
+oscillator = _lazy_module("oscillator")
+sweeps = _lazy_module("sweeps")
+_lazy_module("theta")  # the package attribute `theta` is the function
+well = _lazy_module("well")
 expressions = _lazy_module("expressions")
 gibbs = _lazy_module("gibbs")
 semiclassical = _lazy_module("semiclassical")
@@ -62,17 +63,21 @@ semiclassical = _lazy_module("semiclassical")
 def __getattr__(name: str):
     if name in _LAZY_NAMES:
         return getattr(globals()[_LAZY_NAMES[name]], name)
+    namespace = globals()
+    if "__all__" not in namespace:
+        # The first other lookup runs the numpy-free modules, which is cheap,
+        # and binds their public names in the order of their own __all__.
+        names = ["__version__"]
+        for home in ("core", "oscillator", "sweeps", "theta", "well"):
+            module = sys.modules[f"{__name__}.{home}"]
+            namespace.update((key, getattr(module, key)) for key in module.__all__)
+            names += module.__all__
+        namespace["__all__"] = [*names, *_LAZY_NAMES]
+        if name in namespace:
+            return namespace[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY_NAMES})
-
-
-# read through sys.modules: the package attribute `theta` is the function
-__all__ = [
-    "__version__",
-    *(name for module in ("core", "oscillator", "sweeps", "theta", "well")
-      for name in sys.modules[f"{__name__}.{module}"].__all__),
-    *_LAZY_NAMES,
-]
+    # __all__ is read as an attribute first, so that it binds the names
+    return sorted({*sys.modules[__name__].__all__, *globals()})

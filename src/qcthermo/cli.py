@@ -4,14 +4,13 @@ Subcommands: eval, sweep, hear-drum, gibbs, kw.  Output is JSON (schema in
 docs/output.schema.json) or CSV with the documented stable headers; byte
 identical across repeated invocations for a fixed seed.  Exit codes: 0
 success, 2 validation error, 3 convergence/inversion/integration failure.
+Each handler imports the modules it runs, so that a process compiles and runs
+only what its subcommand calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
@@ -28,13 +27,16 @@ from .core import (
     parse_number,
     reduce_rho,
 )
-from .oscillator import osc_regularized
-from .sweeps import RESIDUAL_NAMES, SweepPlan, comparison_report, run_sweep
-from .well import _box_excess, hear_the_drum
 
 __all__ = ["main", "run"]
 
 MAX_DRUM_EDGES = 10
+# hear-drum samples rho = 0.01 * min(edge) * i for i = 1..count, so the last
+# sample sits at mu = 2 rho / a = 0.02 * count on the shortest edge.  The fit
+# models the box's excess as a polynomial in rho, which holds while the
+# neglected Poisson term 2 exp(-4 pi / mu^2) stays below 2^-53: mu < 0.579,
+# so count <= 28.
+MAX_DRUM_SAMPLES = 28
 
 
 def _number_list(text: str) -> list[float]:
@@ -72,8 +74,13 @@ def _emit(payload: dict, csv_rows, args) -> None:
     # every CSV cell is also a payload value, so this check covers the rows
     _sanitize(payload)
     if args.format == "json":
+        import json
+
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         header, rows = csv_rows
         writer = csv.writer(buf, lineterminator="\n")
@@ -112,6 +119,8 @@ def _build_system(args):
 
 
 def cmd_eval(args) -> None:
+    from .sweeps import comparison_report
+
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
     system = _build_system(args)
     report = comparison_report(params, system)
@@ -145,6 +154,8 @@ def cmd_eval(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    from .sweeps import RESIDUAL_NAMES, SweepPlan, run_sweep
+
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
     system = _build_system(args)
     if args.points < 1:
@@ -209,6 +220,8 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_hear_drum(args) -> None:
+    from .well import _box_excess, hear_the_drum
+
     edges = _number_list(args.edges)
     geom = BoxGeometry(edges)
     n = geom.dimension
@@ -216,6 +229,8 @@ def cmd_hear_drum(args) -> None:
         raise ValidationError(f"at most {MAX_DRUM_EDGES} edges supported, got {n}")
     if args.samples < 1:
         raise ValidationError("--samples must be >= 1")
+    if args.samples > MAX_DRUM_SAMPLES:
+        raise ValidationError(f"--samples must be <= {MAX_DRUM_SAMPLES}")
     T, m = args.T, args.m
     count = max(args.samples, n + 2)
     rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
@@ -293,18 +308,25 @@ def cmd_gibbs(args) -> None:
 
 
 def cmd_kw(args) -> None:
-    from .expressions import parse_potential
     from .semiclassical import PotentialField, harmonic_potential, kw_expansion
 
     if args.potential and args.omega:
         raise ValidationError("kw takes --potential or --omega, not both")
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
     if args.potential:
-        dim = args.dim
+        from .expressions import parse_potential
+
+        dim = 1 if args.dim is None else args.dim
+        scale = 1.0 if args.scale is None else args.scale
         value = parse_potential(args.potential, dim)
-        potential = PotentialField(dimension=dim, value=value, scale=args.scale)
+        potential = PotentialField(dimension=dim, value=value, scale=scale)
         exact = None
     elif args.omega:
+        # the frequency list sets the dimension, and the scale is 1
+        if args.dim is not None or args.scale is not None:
+            raise ValidationError("kw takes --dim and --scale only with --potential")
+        from .oscillator import osc_regularized
+
         omegas = _number_list(args.omega)
         potential = harmonic_potential(args.m, omegas)
         exact = (
@@ -402,8 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kw", help="semiclassical h^2 expansion")
     p.add_argument("--omega", default=None)
     p.add_argument("--potential", default=None, help="expression in x1..xN")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--scale", type=parse_number, default=1.0)
+    # unset, they are 1 with --potential and rejected with --omega
+    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--scale", type=parse_number, default=None)
     _add_physics(p)
     _add_common(p)
     p.set_defaults(func=cmd_kw)

@@ -256,11 +256,21 @@ def test_validation_exit_code(capsys):
         ["gibbs", "--levels", "0,1e999", "--T", "1"],
         DRUM_ARGS + ["--samples", "0"],
         DRUM_ARGS + ["--samples", "-5"],
+        # beyond the cap the last samples leave the fit's small-rho regime
+        DRUM_ARGS + ["--samples", "29"],
+        DRUM_ARGS + ["--samples", "10000"],
+        # the frequency list sets the dimension and the scale
+        ["kw", "--omega", "1,2", "--dim", "3", "--T", "1", "--h", "0.1"],
+        ["kw", "--omega", "1,2", "--dim", "2", "--T", "1", "--h", "0.1"],
+        ["kw", "--omega", "1", "--scale", "2", "--T", "1", "--h", "0.1"],
+        ["kw", "--omega", "1", "--scale", "1", "--T", "1", "--h", "0.1"],
     ):
         code = run(args)
         err = capsys.readouterr().err
         assert code == 2, args
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert run(DRUM_ARGS + ["--samples", "28"]) == 0
+    assert json.loads(capsys.readouterr().out)["round_trip_error"] < 1e-11
 
 
 def test_computation_exit_code(capsys):
@@ -415,30 +425,37 @@ def cli_bytes(args, env_extra=None):
 
 
 # runs cli.run on each argv in one child and asserts after each step that no
-# module of the given list has been imported
+# module of the given list has been imported, and at the end that the argvs ran
+# exactly the given qcthermo modules.  A module that `import qcthermo` put in
+# sys.modules is of a ModuleType subclass until its first use runs it.
 LEAN_CHILD = """
-import json, sys
+import json, sys, types
 
-forbidden, argvs = json.loads(sys.argv[1])
+forbidden, argvs, ran = json.loads(sys.argv[1])
 
-def check(step):
+def check(step, expected=None):
     loaded = sorted(set(forbidden) & set(sys.modules))
     assert not loaded, f"{loaded} imported by {step}"
+    if expected is not None:
+        executed = sorted(name.removeprefix("qcthermo.") for name, module in sys.modules.items()
+                          if name.startswith("qcthermo.") and type(module) is types.ModuleType)
+        assert executed == expected, f"{step} ran {executed}, not {expected}"
 
 import qcthermo
-check("import qcthermo")
+check("import qcthermo", [])
 import qcthermo.cli
-check("import qcthermo.cli")
+check("import qcthermo.cli", ["cli", "core"])
 for argv in argvs:
     assert qcthermo.cli.run(argv) == 0, argv
     check(argv)
+check(argvs, ran)
 """
 
 
-def run_lean_child(forbidden, argvs):
+def run_lean_child(forbidden, argvs, ran):
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", LEAN_CHILD, json.dumps([forbidden, argvs])],
+        [sys.executable, "-c", LEAN_CHILD, json.dumps([forbidden, argvs, sorted(ran)])],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
@@ -451,7 +468,8 @@ def test_eval_and_sweep_never_import_numpy(tmp_path):
         ["eval", "--system", "oscillator", "--omega", "1,2", "--T", "1", "--h", "0.5"],
         SWEEP_ARGS + ["--format", "csv", "--out", str(tmp_path / "sweep.csv")],
     ]
-    run_lean_child(["numpy", "dataclasses", "inspect", "fractions"], argvs)
+    run_lean_child(["numpy", "dataclasses", "inspect", "fractions"], argvs,
+                   ["cli", "core", "oscillator", "sweeps", "theta", "well"])
     assert (tmp_path / "sweep.csv").read_text().startswith("swept_value,")
 
 
@@ -461,13 +479,27 @@ def test_hear_drum_never_imports_numpy(tmp_path):
         DRUM_ARGS + ["--format", "json"],
         DRUM_ARGS + ["--format", "csv", "--out", str(tmp_path / "drum.csv")],
     ]
-    run_lean_child(["numpy", "dataclasses", "inspect", "fractions"], argvs)
+    run_lean_child(["numpy", "dataclasses", "inspect", "fractions"], argvs,
+                   ["cli", "core", "theta", "well"])
     assert (tmp_path / "drum.csv").read_text().startswith("recovered_edge,")
 
 
 def test_gibbs_never_imports_dataclasses(tmp_path):
-    run_lean_child(["dataclasses"], [GIBBS_ARGS + ["--out", str(tmp_path / "gibbs.json")]])
+    # nor csv, as its output is JSON
+    run_lean_child(["dataclasses", "csv"], [GIBBS_ARGS + ["--out", str(tmp_path / "gibbs.json")]],
+                   ["cli", "core", "gibbs"])
     assert json.loads((tmp_path / "gibbs.json").read_text())["command"] == "gibbs"
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (KW_ARGS, ["cli", "core", "oscillator", "semiclassical"]),
+    (["kw", "--potential", "x1^2/2", "--T", "1", "--h", "0.1"],
+     ["cli", "core", "expressions", "semiclassical"]),
+])
+def test_kw_runs_only_the_modules_of_its_input(argv, ran, tmp_path):
+    out = tmp_path / "kw.json"
+    run_lean_child(["csv"], [argv + ["--format", "json", "--out", str(out)]], ran)
+    assert json.loads(out.read_text())["command"] == "kw"
 
 
 def test_numpy_warnings_stay_off_stderr():
