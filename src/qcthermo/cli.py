@@ -88,11 +88,16 @@ def _emit(payload: dict, csv_rows, args) -> None:
         for row in rows:
             writer.writerow([format(v, ".17g") if isinstance(v, float) else v for v in row])
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        where = repr(args.out) if args.out else "stdout"
+        raise ValidationError(f"cannot write {where}: {exc.strerror}")
 
 
 def _quartet_dict(q) -> dict:

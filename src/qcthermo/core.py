@@ -57,18 +57,51 @@ class IntegrationError(RuntimeError):
 _set_field = object.__setattr__
 
 
+class _FieldSetter:
+    """A record's field setter, built on first use.
+
+    The setter takes one parameter per name in the class's __match_args__,
+    in order, defaulted from its _defaults, as the __init__ of a frozen
+    dataclass over those fields does.  It sets each field in straight-line
+    code, compiled by one exec per class as dataclasses compiles its
+    __init__: a loop over the names would make a record 60 to 90 % dearer
+    to build.  The first lookup through a class compiles the setter and
+    stores it on that class under this attribute's name, so a process
+    compiles only the setters of the records it builds or inspects.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, record, cls):
+        names, defaults = cls.__match_args__, cls._defaults
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
+        body = "".join(f"\n    _set_field(self, {n!r}, {n})" for n in names)
+        namespace = {"_set_field": _set_field, "_defaults": defaults}
+        exec(f"def {self.name}(self{params}):{body}", namespace)
+        setter = namespace[self.name]
+        setter.__qualname__ = f"{cls.__qualname__}.{self.name}"
+        setattr(cls, self.name, setter)
+        return setter if record is None else setter.__get__(record, cls)
+
+
 class _Record:
     """Base of the package's immutable records.
 
-    A record lists its fields, in order, in __match_args__ and keeps them in
-    __slots__; its __init__ validates the arguments and sets each field once
-    through _set_field.  Equality, hash and repr are those of a frozen
+    A record lists its fields once, in order, in __slots__ = __match_args__,
+    and any defaults in _defaults.  A record that checks nothing is built by
+    its field setter alone, which is its __init__; one that checks or
+    converts its input defines __init__ and hands the checked values to
+    self._init_fields.  Equality, hash and repr are those of a frozen
     dataclass over the same fields, and assignment or deletion raises
     AttributeError.  Importing dataclasses would cost a process that only
     evaluates a few closed forms a good share of its start-up time.
     """
 
     __slots__ = ()
+    _defaults = {}
+    __init__ = _FieldSetter()
+    _init_fields = _FieldSetter()
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -109,9 +142,7 @@ class PhysicalParams(_Record):
             raise ValidationError(f"mass must be positive, got m={m}")
         if not (h >= 0):
             raise ValidationError(f"Planck constant must be >= 0, got h={h}")
-        _set_field(self, "T", T)
-        _set_field(self, "h", h)
-        _set_field(self, "m", m)
+        self._init_fields(T, h, m)
 
 
 def _distinct(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
@@ -137,7 +168,7 @@ class BoxGeometry(_Record):
             raise ValidationError("box needs at least one edge")
         if any(not (a > 0) for a in edges):
             raise ValidationError(f"edges must be positive, got {edges}")
-        _set_field(self, "edges", edges)
+        self._init_fields(edges)
         _set_field(self, "distinct_edges", _distinct(edges))
 
     @property
@@ -161,7 +192,7 @@ class OscillatorSpec(_Record):
             raise ValidationError("oscillator needs at least one frequency")
         if any(not (w > 0) for w in frequencies):
             raise ValidationError(f"frequencies must be positive, got {frequencies}")
-        _set_field(self, "frequencies", frequencies)
+        self._init_fields(frequencies)
         _set_field(self, "distinct_frequencies", _distinct(frequencies))
 
     @property
@@ -183,26 +214,9 @@ class ReducedParams(_Record):
     __slots__ = __match_args__ = (
         "mu", "tau", "rho", "lambda_theta", "eps", "nu", "delta", "kappa"
     )
-
-    def __init__(
-        self,
-        mu: tuple[float, ...] = (),
-        tau: tuple[float, ...] = (),
-        rho: float = 0.0,
-        lambda_theta: tuple[float, ...] = (),
-        eps: float | None = None,
-        nu: float | None = None,
-        delta: float | None = None,
-        kappa: float | None = None,
-    ):
-        _set_field(self, "mu", mu)
-        _set_field(self, "tau", tau)
-        _set_field(self, "rho", rho)
-        _set_field(self, "lambda_theta", lambda_theta)
-        _set_field(self, "eps", eps)
-        _set_field(self, "nu", nu)
-        _set_field(self, "delta", delta)
-        _set_field(self, "kappa", kappa)
+    _defaults = dict(
+        mu=(), tau=(), rho=0.0, lambda_theta=(), eps=None, nu=None, delta=None, kappa=None
+    )
 
 
 class ThermoQuartet(_Record):
@@ -234,13 +248,7 @@ class ThermoQuartet(_Record):
                 "free energy identity F = E - T*S violated: "
                 f"F={F}, E={E}, T*S={T * S}"
             )
-        _set_field(self, "Z", Z)
-        _set_field(self, "F", F)
-        _set_field(self, "E", E)
-        _set_field(self, "S", S)
-        _set_field(self, "flavor", flavor)
-        _set_field(self, "T", T)
-        _set_field(self, "log_Z", log_Z)
+        self._init_fields(Z, F, E, S, flavor, T, log_Z)
 
 
 class ComparisonReport(_Record):
@@ -251,24 +259,6 @@ class ComparisonReport(_Record):
         "point", "ratios", "diffs", "signs", "asymptotic_residuals", "classical",
         "regularized",
     )
-
-    def __init__(
-        self,
-        point: ReducedParams,
-        ratios: dict[str, float],
-        diffs: dict[str, float],
-        signs: dict[str, int],
-        asymptotic_residuals: dict[str, float],
-        classical: ThermoQuartet,
-        regularized: ThermoQuartet,
-    ):
-        _set_field(self, "point", point)
-        _set_field(self, "ratios", ratios)
-        _set_field(self, "diffs", diffs)
-        _set_field(self, "signs", signs)
-        _set_field(self, "asymptotic_residuals", asymptotic_residuals)
-        _set_field(self, "classical", classical)
-        _set_field(self, "regularized", regularized)
 
 
 def _z_from_log(log_z: float) -> float:

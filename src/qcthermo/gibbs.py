@@ -23,7 +23,6 @@ from .core import (
     PhysicalParams,
     ValidationError,
     _Record,
-    _set_field,
 )
 
 __all__ = [
@@ -62,7 +61,7 @@ class LevelSet(_Record):
             raise ValidationError("energies must be finite")
         if any(b < a for a, b in zip(energies, energies[1:])):
             raise ValidationError("energies must be non-decreasing")
-        _set_field(self, "energies", energies)
+        self._init_fields(energies)
 
 
 class SimplexPoint(_Record):
@@ -75,7 +74,7 @@ class SimplexPoint(_Record):
         total = math.fsum(probabilities)
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probabilities must sum to 1, got {total}")
-        _set_field(self, "probabilities", probabilities)
+        self._init_fields(probabilities)
 
 
 def _shifted(levels: LevelSet, T: float):
@@ -108,11 +107,6 @@ def free_energy_functional(levels: LevelSet, T: float, point: SimplexPoint) -> f
 
 class MinimizeResult(_Record):
     __slots__ = __match_args__ = ("point", "F_min", "iterations")
-
-    def __init__(self, point: SimplexPoint, F_min: float, iterations: int):
-        _set_field(self, "point", point)
-        _set_field(self, "F_min", F_min)
-        _set_field(self, "iterations", iterations)
 
 
 def minimize_free_energy(levels: LevelSet, T: float, tol: float) -> MinimizeResult:
@@ -192,17 +186,6 @@ class PhaseSpaceCheck(_Record):
     __slots__ = __match_args__ = (
         "z_quadrature", "z_exact", "e_quadrature", "e_exact", "variational_ok", "resolution"
     )
-
-    def __init__(
-        self, z_quadrature: float, z_exact: float, e_quadrature: float, e_exact: float,
-        variational_ok: bool, resolution: int,
-    ):
-        _set_field(self, "z_quadrature", z_quadrature)
-        _set_field(self, "z_exact", z_exact)
-        _set_field(self, "e_quadrature", e_quadrature)
-        _set_field(self, "e_exact", e_exact)
-        _set_field(self, "variational_ok", variational_ok)
-        _set_field(self, "resolution", resolution)
 
 
 def classical_phase_space_check(

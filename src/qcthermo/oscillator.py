@@ -26,7 +26,6 @@ from .core import (
     _frequency_tau,
     _Record,
     _regularized,
-    _set_field,
     _z_from_log,
 )
 
@@ -155,11 +154,7 @@ class BernoulliSeries(_Record):
     """
 
     __slots__ = __match_args__ = ("kind", "coefficients", "radius")
-
-    def __init__(self, kind: str, coefficients: tuple[float, ...], radius: float = math.pi):
-        _set_field(self, "kind", kind)
-        _set_field(self, "coefficients", coefficients)
-        _set_field(self, "radius", radius)
+    _defaults = {"radius": math.pi}
 
 
 def bernoulli_series(kind: str, order: int) -> BernoulliSeries:
@@ -207,15 +202,6 @@ class MonotonicityCertificate(_Record):
     """
 
     __slots__ = __match_args__ = ("z_ratio_slope", "e_ratio_slope", "entropy_slope", "signs")
-
-    def __init__(
-        self, z_ratio_slope: float, e_ratio_slope: float, entropy_slope: float,
-        signs: tuple[int, int, int],
-    ):
-        _set_field(self, "z_ratio_slope", z_ratio_slope)
-        _set_field(self, "e_ratio_slope", e_ratio_slope)
-        _set_field(self, "entropy_slope", entropy_slope)
-        _set_field(self, "signs", signs)
 
 
 def monotonicity_certificates(tau: float) -> MonotonicityCertificate:

@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import IntegrationError, PhysicalParams, ValidationError
+from .core import IntegrationError, PhysicalParams, ValidationError, _Record
 
 __all__ = [
     "PotentialField",
@@ -497,15 +497,10 @@ def z2_integral(potential: PotentialField, T: float, m: float) -> float:
     return _exp(log_z - c / T) * _grad2_mean(blocks, m, T)
 
 
-@dataclass(frozen=True)
-class KWPrediction:
-    Zr: float
-    Fr: float
-    Er: float
-    Sr: float
-    z2_over_z0: float
-    expansion_parameter: float
-    within_validity: bool
+class KWPrediction(_Record):
+    __slots__ = __match_args__ = (
+        "Zr", "Fr", "Er", "Sr", "z2_over_z0", "expansion_parameter", "within_validity"
+    )
 
 
 def kw_expansion(potential: PotentialField, params: PhysicalParams) -> KWPrediction:

@@ -31,7 +31,6 @@ from .core import (
     ValidationError,
     _Record,
     _regularized,
-    _set_field,
     reduce_oscillator,
     reduce_well,
     sign_with_zero_band,
@@ -99,35 +98,18 @@ class SweepPlan(_Record):
             raise ValidationError("well sweep needs base_geometry")
         if system == "oscillator" and base_spec is None:
             raise ValidationError("oscillator sweep needs base_spec")
-        _set_field(self, "system", system)
-        _set_field(self, "direction", direction)
-        _set_field(self, "grid", grid)
-        _set_field(self, "base_params", base_params)
-        _set_field(self, "base_geometry", base_geometry)
-        _set_field(self, "base_spec", base_spec)
+        self._init_fields(system, direction, grid, base_params, base_geometry, base_spec)
 
 
 class SweepRow(_Record):
     """A swept value with its report, or with the error that replaced it."""
 
     __slots__ = __match_args__ = ("swept_value", "report", "error")
-
-    def __init__(
-        self, swept_value: float, report: ComparisonReport | None, error: str | None = None
-    ):
-        _set_field(self, "swept_value", swept_value)
-        _set_field(self, "report", report)
-        _set_field(self, "error", error)
+    _defaults = {"error": None}
 
 
 class FitResult(_Record):
     __slots__ = __match_args__ = ("coefficient", "slope", "residual_norm", "sign")
-
-    def __init__(self, coefficient: float, slope: float, residual_norm: float, sign: int):
-        _set_field(self, "coefficient", coefficient)
-        _set_field(self, "slope", slope)
-        _set_field(self, "residual_norm", residual_norm)
-        _set_field(self, "sign", sign)
 
 
 class SweepResult(_Record):
@@ -142,9 +124,7 @@ class SweepResult(_Record):
         rows: tuple[SweepRow, ...],
         fitted_rates: dict[str, FitResult] | None = None,
     ):
-        _set_field(self, "plan", plan)
-        _set_field(self, "rows", rows)
-        _set_field(self, "fitted_rates", {} if fitted_rates is None else fitted_rates)
+        self._init_fields(plan, rows, {} if fitted_rates is None else fitted_rates)
 
 
 def _well_residuals(reduced: ReducedParams, z_ratio, e_ratio) -> dict[str, float]:

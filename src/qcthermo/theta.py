@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ConvergenceError, ValidationError, _Record, _set_field
+from .core import ConvergenceError, ValidationError, _Record
 
 __all__ = [
     "ThetaValue",
@@ -70,20 +70,6 @@ class ThetaValue(_Record):
         "value", "representation_used", "terms_used", "truncation_bound", "log_value",
         "mean_energy", "entropy", "excess",
     )
-
-    def __init__(
-        self, value: float, representation_used: str, terms_used: int,
-        truncation_bound: float, log_value: float, mean_energy: float, entropy: float,
-        excess: tuple[float, float, float],
-    ):
-        _set_field(self, "value", value)
-        _set_field(self, "representation_used", representation_used)
-        _set_field(self, "terms_used", terms_used)
-        _set_field(self, "truncation_bound", truncation_bound)
-        _set_field(self, "log_value", log_value)
-        _set_field(self, "mean_energy", mean_energy)
-        _set_field(self, "entropy", entropy)
-        _set_field(self, "excess", excess)
 
 
 def _gaussian_moments(decay: float, tol: float = DEFAULT_TOL):
@@ -187,11 +173,6 @@ class SlopeWitnesses(_Record):
     """
 
     __slots__ = __match_args__ = ("slope_bound", "integral_to_one", "integrand_at_one")
-
-    def __init__(self, slope_bound: float, integral_to_one: float, integrand_at_one: float):
-        _set_field(self, "slope_bound", slope_bound)
-        _set_field(self, "integral_to_one", integral_to_one)
-        _set_field(self, "integrand_at_one", integrand_at_one)
 
 
 def small_mu_slope_witnesses() -> SlopeWitnesses:

@@ -28,7 +28,6 @@ from .core import (
     _excess_sum,
     _Record,
     _regularized,
-    _set_field,
     _z_from_log,
     reduce_rho,
     reduce_well,
@@ -95,10 +94,6 @@ def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet
 class EntropyAsymptote(_Record):
     __slots__ = __match_args__ = ("value", "within_validity")
 
-    def __init__(self, value: float, within_validity: bool):
-        _set_field(self, "value", value)
-        _set_field(self, "within_validity", within_validity)
-
 
 def well_entropy_asymptotic(params: PhysicalParams, geom: BoxGeometry) -> EntropyAsymptote:
     """Small-mu entropy prediction S_c - sum(mu_k)/4.
@@ -121,10 +116,6 @@ class GeometricCoefficients(_Record):
     """
 
     __slots__ = __match_args__ = ("U", "V")
-
-    def __init__(self, U: tuple[float, ...], V: tuple[float, ...]):
-        _set_field(self, "U", U)
-        _set_field(self, "V", V)
 
 
 def geometric_coefficients(geom: BoxGeometry) -> GeometricCoefficients:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -236,7 +237,7 @@ def test_output_holds_only_plain_python_values(args, monkeypatch, capsys):
         assert {v for v in _leaves(rows) if type(v) is float} <= floats
 
 
-def test_validation_exit_code(capsys):
+def test_validation_exit_code(capsys, tmp_path):
     for args in (
         ["eval", "--system", "well", "--T", "1", "--h", "0.1"],
         ["gibbs", "--levels", "0,1", "--T", "1", "--tol", "-1"],
@@ -271,6 +272,29 @@ def test_validation_exit_code(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     assert run(DRUM_ARGS + ["--samples", "28"]) == 0
     assert json.loads(capsys.readouterr().out)["round_trip_error"] < 1e-11
+    # an output file that cannot be opened
+    missing = str(tmp_path / "missing" / "x.json")
+    for out, reason in ((missing, "No such file or directory"), (str(tmp_path), "Is a directory")):
+        assert run(EVAL_ARGS + ["--out", out]) == 2
+        assert capsys.readouterr() == ("", f"error: cannot write {out!r}: {reason}\n")
+
+
+def test_unwritable_stdout_exits_2(capsys, monkeypatch):
+    def full(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys.stdout, "write", full)
+    assert run(DRUM_ARGS) == 2
+    assert capsys.readouterr().err == "error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_device_exits_2():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "qcthermo.cli"] + DRUM_ARGS,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_computation_exit_code(capsys):

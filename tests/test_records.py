@@ -2,6 +2,7 @@
 construction, equality, hash, repr, immutability and validation messages."""
 
 import copy
+import inspect
 import math
 import pickle
 
@@ -15,9 +16,11 @@ from qcthermo.core import (
     ReducedParams,
     ThermoQuartet,
     ValidationError,
+    _Record,
 )
 from qcthermo.gibbs import LevelSet, MinimizeResult, PhaseSpaceCheck, SimplexPoint
 from qcthermo.oscillator import BernoulliSeries, MonotonicityCertificate
+from qcthermo.semiclassical import KWPrediction
 from qcthermo.sweeps import FitResult, SweepPlan, SweepResult, SweepRow
 from qcthermo.theta import SlopeWitnesses, ThetaValue
 from qcthermo.well import EntropyAsymptote, GeometricCoefficients
@@ -67,7 +70,20 @@ FIELDS = [
     (MinimizeResult, dict(point=POINT, F_min=-0.5, iterations=3), True),
     (PhaseSpaceCheck, dict(z_quadrature=1.0, z_exact=1.0, e_quadrature=0.5, e_exact=0.5,
                            variational_ok=True, resolution=64), True),
+    (KWPrediction, dict(Zr=2.0, Fr=-LOG2, Er=0.5, Sr=0.5 + LOG2, z2_over_z0=0.04,
+                        expansion_parameter=4e-4, within_validity=True), True),
 ]
+
+# the defaults each record's signature documents
+DEFAULTS = {
+    ReducedParams: dict(mu=(), tau=(), rho=0.0, lambda_theta=(), eps=None, nu=None,
+                        delta=None, kappa=None),
+    ThermoQuartet: dict(log_Z=math.nan),
+    BernoulliSeries: dict(radius=math.pi),
+    SweepPlan: dict(base_geometry=None, base_spec=None),
+    SweepRow: dict(error=None),
+    SweepResult: dict(fitted_rates=None),
+}
 
 
 @pytest.mark.parametrize(
@@ -106,6 +122,26 @@ def test_record_semantics(cls, fields, hashable):
         f"{k}={v!r}" for k, v in fields.items()) + ")"
     assert copy.copy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("cls", [cls for cls, _, _ in FIELDS], ids=lambda cls: cls.__name__)
+def test_signatures_are_the_fields(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in params) == cls.__match_args__
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    assert repr(defaults) == repr(DEFAULTS.get(cls, {}))
+
+
+def test_field_setter_is_built_on_first_use():
+    record = type("Pair", (_Record,), {"__slots__": ("a", "b"), "__match_args__": ("a", "b"),
+                                       "_defaults": {"b": 2}})
+    assert "__init__" not in vars(record)
+    assert str(inspect.signature(record)) == "(a, b=2)"
+    assert "__init__" in vars(record)
+    assert repr(record(1)) == "Pair(a=1, b=2)" and record(1, b=3).b == 3
+    with pytest.raises(TypeError):
+        record()
 
 
 def test_literal_reprs():
