@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 __all__ = [
     "ValidationError",
@@ -52,7 +53,7 @@ class IntegrationError(RuntimeError):
     """Quadrature could not reach the requested accuracy or diverged."""
 
 
-# Sets a field of a record; a record's own __setattr__ refuses every
+# Sets a derived slot of a geometry; a record's own __setattr__ refuses every
 # assignment once it is built.
 _set_field = object.__setattr__
 
@@ -65,19 +66,24 @@ class _FieldSetter:
     dataclass over those fields does.  It sets each field in straight-line
     code, compiled by one exec per class as dataclasses compiles its
     __init__: a loop over the names would make a record 60 to 90 % dearer
-    to build.  The first lookup through a class compiles the setter and
+    to build.  Each field is stored through its slot's own member
+    descriptor, found through the MRO so that an inherited slot is found
+    too, and bound as _set_<i> in the setter's globals: its __set__ writes
+    the slot directly, where object.__setattr__ would look the name up again
+    on every store.  The first lookup through a class compiles the setter and
     stores it on that class under this attribute's name, so a process
     compiles only the setters of the records it builds or inspects.
     """
 
-    def __set_name__(self, owner, name):
+    def __init__(self, name):
         self.name = name
 
     def __get__(self, record, cls):
         names, defaults = cls.__match_args__, cls._defaults
         params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}" for n in names)
-        body = "".join(f"\n    _set_field(self, {n!r}, {n})" for n in names)
-        namespace = {"_set_field": _set_field, "_defaults": defaults}
+        body = "".join(f"\n    _set_{i}(self, {n})" for i, n in enumerate(names))
+        namespace = {f"_set_{i}": getattr(cls, n).__set__ for i, n in enumerate(names)}
+        namespace["_defaults"] = defaults
         exec(f"def {self.name}(self{params}):{body}", namespace)
         setter = namespace[self.name]
         setter.__qualname__ = f"{cls.__qualname__}.{self.name}"
@@ -96,12 +102,25 @@ class _Record:
     dataclass over the same fields, and assignment or deletion raises
     AttributeError.  Importing dataclasses would cost a process that only
     evaluates a few closed forms a good share of its start-up time.
+
+    A subclass of a record that declares its own __match_args__ gets its own
+    lazy setters, as a dataclass subclass gets its own __init__; otherwise it
+    would find its base's setter once the base had built it.
     """
 
     __slots__ = ()
     _defaults = {}
-    __init__ = _FieldSetter()
-    _init_fields = _FieldSetter()
+    __init__ = _FieldSetter("__init__")
+    _init_fields = _FieldSetter("_init_fields")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a direct subclass finds _Record's setters, which store what they
+        # build on the class that looked them up
+        if "__match_args__" in vars(cls) and hasattr(super(cls, cls), "__match_args__"):
+            cls._init_fields = _FieldSetter("_init_fields")
+            if "__init__" not in vars(cls):
+                cls.__init__ = _FieldSetter("__init__")
 
     def _astuple(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -301,9 +320,10 @@ def sign_with_zero_band(d: float, reference: float = 0.0) -> int:
 def reduce_rho(params: PhysicalParams) -> float:
     """Thermal length scale rho = h*sqrt(pi/(2mT)); mu_k = 2*rho/a_k."""
     mt = 2.0 * params.m * params.T
-    if 0.0 < mt < math.inf:
+    if sys.float_info.min <= mt < math.inf:
         return params.h * math.sqrt(math.pi / mt)
-    # 2mT under- or overflows; take the root factor by factor
+    # 2mT is subnormal, where pi/(2mT) may overflow, or under- or overflows;
+    # take the root factor by factor
     return params.h * math.sqrt(math.pi / 2.0) / math.sqrt(params.m) / math.sqrt(params.T)
 
 

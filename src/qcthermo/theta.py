@@ -118,7 +118,9 @@ def theta_direct(mu: float) -> ThetaValue:
     s0, s2, s2_minus_s0, terms, bound = _gaussian_moments(decay)
     lead = math.exp(-decay)
     log_s0, log_mu = math.log(s0), math.log(mu)
-    mean_energy, entropy = decay * s2 / s0, log_s0 + decay * s2_minus_s0 / s0
+    # s2_minus_s0 is 0 once decay overflows, where decay * s2_minus_s0 would be nan
+    mean_energy = decay * s2 / s0
+    entropy = log_s0 + (decay * s2_minus_s0 / s0 if s2_minus_s0 else 0.0)
     return ThetaValue(
         lead * s0, "direct", terms, lead * bound, -decay + log_s0, mean_energy, entropy,
         (log_mu - decay + log_s0, mean_energy - 0.5, log_mu + entropy - 0.5),

@@ -309,6 +309,8 @@ def test_computation_exit_code(capsys):
         ["kw", "--potential", "x1^4 - 100*x1^2", "--dim", "1", "--T", "0.01", "--h", "0.1"],
         # the samples' rounding at this scale makes a triple root complex
         ["hear-drum", "--edges", "1e150,1e150,1e150", "--T", "1"],
+        # mu = 2.5e155: (pi/4) mu^2 overflows, and the box's free energy with it
+        ["eval", "--system", "well", "--edges", "1", "--T", "1e-310", "--h", "1"],
     ):
         code = run(args)
         err = capsys.readouterr().err
@@ -332,6 +334,23 @@ def test_underflowing_statistical_sums_are_computed(args, capsys):
     tiny = [q for q in (payload["classical"], payload["regularized"]) if q["Z"] == 5e-324]
     assert tiny and all(q["log_Z"] < -700 for q in tiny)
     assert all(q["F"] == pytest.approx(-1.0 * q["log_Z"], rel=1e-15) for q in tiny)  # T = 1
+
+
+def test_subnormal_2mT_keeps_rho_finite(capsys):
+    # 2mT = 2e-310 is subnormal; no oscillator value depends on m
+    args = ["eval", "--system", "oscillator", "--omega", "1", "--T", "1", "--h", "1"]
+    payloads = []
+    for m in ("1e-310", "1"):
+        code, out = run_cli(args + ["--m", m], capsys)
+        assert code == 0
+        payloads.append(json.loads(out))
+    tiny, reference = payloads
+    jsonschema.validate(tiny, SCHEMA)
+    assert tiny["params"].pop("m") == 1e-310 and reference["params"].pop("m") == 1.0
+    rho = math.sqrt(math.pi / 2.0) / math.sqrt(1e-310)
+    assert tiny["reduced"].pop("rho") == pytest.approx(rho, rel=1e-15)
+    del reference["reduced"]["rho"]
+    assert tiny == reference
 
 
 def test_edges_whose_mu_underflows_are_classical(capsys):

@@ -70,6 +70,12 @@ def test_rho_where_2mT_leaves_float_range():
     assert reduce_rho(tiny) == pytest.approx(math.sqrt(math.pi / 2.0) * 1e200, rel=1e-15)
     huge = PhysicalParams(T=1e200, h=1.0, m=1e200)
     assert reduce_rho(huge) == pytest.approx(math.sqrt(math.pi / 2.0) * 1e-200, rel=1e-15)
+    # 2mT is subnormal: pi/(2mT) overflows, rho does not
+    for T, m in ((1e-160, 1e-160), (1.0, 1e-310), (1e-310, 1.0)):
+        rho = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
+        expected = math.sqrt(math.pi / 2.0) / math.sqrt(m) / math.sqrt(T)
+        assert rho == pytest.approx(expected, rel=1e-15) and math.isfinite(rho)
+        assert reduce_rho(PhysicalParams(T=T, h=0.0, m=m)) == 0.0
 
 
 @given(T=positive, h=positive, m=positive, a=positive)

@@ -2,12 +2,15 @@
 construction, equality, hash, repr, immutability and validation messages."""
 
 import copy
+import importlib
 import inspect
 import math
 import pickle
+import pkgutil
 
 import pytest
 
+import qcthermo
 from qcthermo.core import (
     BoxGeometry,
     ComparisonReport,
@@ -142,6 +145,48 @@ def test_field_setter_is_built_on_first_use():
     assert repr(record(1)) == "Pair(a=1, b=2)" and record(1, b=3).b == 3
     with pytest.raises(TypeError):
         record()
+
+
+def _row():
+    """A record with SweepRow's fields whose setters are not built yet."""
+    return type("Row", (_Record,), {"__slots__": SweepRow.__match_args__,
+                                    "__match_args__": SweepRow.__match_args__,
+                                    "_defaults": SweepRow._defaults})
+
+
+@pytest.mark.parametrize("base_first", [True, False], ids=["base_first", "subclass_first"])
+def test_subclass_gets_its_own_setter(base_first):
+    # SweepRow's setter may be built already, which is the base-first order
+    for base in [_row()] + ([SweepRow] if base_first else []):
+        # the subclass's setter finds the base's slots through the MRO
+        tagged = type("Tagged", (base,), {"__slots__": ("tag",),
+                                          "__match_args__": base.__match_args__ + ("tag",),
+                                          "_defaults": {"error": None, "tag": None}})
+        if base_first:
+            assert base(2.0, None).error is None
+        assert repr(tagged(1.0, None)) == (
+            "Tagged(swept_value=1.0, report=None, error=None, tag=None)")
+        assert tagged(1.0, None, None, "y").tag == "y"
+        assert str(inspect.signature(tagged)) == "(swept_value, report, error=None, tag=None)"
+        assert base(2.0, None) == base(2.0, None, None)
+        with pytest.raises(TypeError):
+            base(1.0, None, None, "y")
+
+
+def _package_records():
+    for info in pkgutil.iter_modules(qcthermo.__path__):
+        vars(importlib.import_module(f"qcthermo.{info.name}"))  # runs a lazily loaded module
+    records, stack = set(), [_Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("qcthermo."):
+                records.add(cls)
+    return records
+
+
+def test_every_record_is_covered():
+    assert _package_records() == {cls for cls, _, _ in FIELDS}
 
 
 def test_literal_reprs():

@@ -176,6 +176,13 @@ def test_deep_quantum_stays_in_log_space():
     assert t.mean_energy == pytest.approx((math.pi / 4) * 1e6, rel=1e-15)
 
 
+def test_entropy_where_the_decay_overflows():
+    # (pi/4) mu^2 overflows: every term past the first is 0, and so is the entropy
+    t = theta(1.6e154)
+    assert t.entropy == 0.0
+    assert t.excess[2] == math.log(1.6e154) - 0.5
+
+
 @pytest.mark.parametrize("decay", [1e-3, 0.05, 0.3, 1.0, math.pi, 10.0])
 @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-16])
 def test_truncation_bound_covers_both_moments(decay, tol):
