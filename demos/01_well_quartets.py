@@ -15,7 +15,7 @@ from qcthermo import (
 )
 
 geom = BoxGeometry([1.0, 2.0])
-print(f"box edges: {geom.edges}\n")
+print(f"box edges and their multiplicities: {geom.distinct_edges}\n")
 print(f"{'h':>8} {'Z_r/Z_c':>12} {'E_r/E_c':>12} {'dF':>12} {'dS':>12}")
 
 for h in (1.0, 0.5, 0.2, 0.1, 0.05, 0.01):

@@ -104,37 +104,44 @@ def _quartet_dict(q) -> dict:
     return {"Z": q.Z, "F": q.F, "E": q.E, "S": q.S, "log_Z": q.log_Z, "flavor": q.flavor}
 
 
-def _reduced_dict(r) -> dict:
+def _reduced_dict(r, values) -> dict:
+    """The reduced parameters with one mu, lambda_theta or tau per value, in
+    the order given: r holds one per distinct value, in first-seen order."""
+    where = {v: i for i, v in enumerate(dict.fromkeys(values))}
+    at = [where[v] for v in values]
     out = {"rho": r.rho}
     if r.mu:
-        out.update(mu=list(r.mu), lambda_theta=list(r.lambda_theta), eps=r.eps, nu=r.nu)
+        out.update(mu=[r.mu[i] for i in at], lambda_theta=[r.lambda_theta[i] for i in at],
+                   eps=r.eps, nu=r.nu)
     if r.tau:
-        out.update(tau=list(r.tau), delta=r.delta, kappa=r.kappa)
+        out.update(tau=[r.tau[i] for i in at], delta=r.delta, kappa=r.kappa)
     return out
 
 
 def _build_system(args):
+    """The parsed edges or frequencies, one per axis, and their system."""
     if args.system == "well":
-        if not args.edges:
-            raise ValidationError("well needs --edges")
-        return BoxGeometry(_number_list(args.edges))
-    if not args.omega:
-        raise ValidationError("oscillator needs --omega")
-    return OscillatorSpec(_number_list(args.omega))
+        flag, text, build = "--edges", args.edges, BoxGeometry
+    else:
+        flag, text, build = "--omega", args.omega, OscillatorSpec
+    if not text:
+        raise ValidationError(f"{args.system} needs {flag}")
+    values = _number_list(text)
+    return values, build(values)
 
 
 def cmd_eval(args) -> None:
     from .sweeps import comparison_report
 
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
-    system = _build_system(args)
+    values, system = _build_system(args)
     report = comparison_report(params, system)
     payload = {
         "command": "eval",
         "version": __version__,
         "system": args.system,
         "params": {"T": params.T, "h": params.h, "m": params.m},
-        "reduced": _reduced_dict(report.point),
+        "reduced": _reduced_dict(report.point, values),
         "classical": _quartet_dict(report.classical),
         "regularized": _quartet_dict(report.regularized),
         "ratios": report.ratios,
@@ -162,7 +169,7 @@ def cmd_sweep(args) -> None:
     from .sweeps import RESIDUAL_NAMES, SweepPlan, run_sweep
 
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
-    system = _build_system(args)
+    _, system = _build_system(args)
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
     try:
@@ -229,7 +236,7 @@ def cmd_hear_drum(args) -> None:
 
     edges = _number_list(args.edges)
     geom = BoxGeometry(edges)
-    n = geom.dimension
+    n = len(edges)
     if n > MAX_DRUM_EDGES:
         raise ValidationError(f"at most {MAX_DRUM_EDGES} edges supported, got {n}")
     if args.samples < 1:
@@ -241,18 +248,16 @@ def cmd_hear_drum(args) -> None:
     rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
     samples = []
     for i in range(count):
-        rho = min(geom.edges) * 0.01 * (i + 1)
+        rho = min(edges) * 0.01 * (i + 1)
         params = PhysicalParams(T=T, h=rho / rho_unit, m=m)
         samples.append((rho, math.exp(_box_excess(params, geom)[0])))
     recovered = hear_the_drum(samples, n)
-    true_sorted = sorted(geom.edges)
-    round_trip = max(
-        abs(r - t) / t for r, t in zip(recovered, true_sorted)
-    )
+    true_sorted = sorted(edges)
+    round_trip = max(abs(r - t) / t for r, t in zip(recovered, true_sorted))
     payload = {
         "command": "hear_drum",
         "version": __version__,
-        "edges": list(geom.edges),
+        "edges": edges,
         "samples": [{"rho": r, "ratio": v} for r, v in samples],
         "recovered_edges": list(recovered),
         "round_trip_error": round_trip,

@@ -53,11 +53,6 @@ class IntegrationError(RuntimeError):
     """Quadrature could not reach the requested accuracy or diverged."""
 
 
-# Sets a derived slot of a geometry; a record's own __setattr__ refuses every
-# assignment once it is built.
-_set_field = object.__setattr__
-
-
 class _FieldSetter:
     """A record's field setter, built on first use.
 
@@ -164,59 +159,75 @@ class PhysicalParams(_Record):
         self._init_fields(T, h, m)
 
 
-def _distinct(values: tuple[float, ...]) -> tuple[tuple[float, int], ...]:
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return tuple(counts.items())
+class _Axes:
+    """Mixin of the two systems' records, which store their axes as the
+    (value, multiplicity) pairs of their distinct values, in first-seen order.
 
-
-class BoxGeometry(_Record):
-    """Rectangular box 0 <= x_k <= a_k.
-
-    distinct_edges lists the (edge, multiplicity) pairs in first-seen order;
-    it is derived from edges, so it is not a field.
+    A system is built from a sequence whose items are values, one axis each,
+    or (value, multiplicity) pairs with multiplicity >= 1; equal values
+    merge.  Nothing is kept per axis: an N -> inf sweep row multiplies the
+    base's multiplicities by N, as floats, so a row of 10^12 copies of two
+    edges holds two pairs.  dimension, the number of axes, is the sum of the
+    multiplicities, a finite float at most; it is kept beside the pairs and
+    is not a field.  _names gives the system, an axis and the axes, for the
+    messages.
     """
 
-    __slots__ = ("edges", "distinct_edges")
-    __match_args__ = ("edges",)
+    __slots__ = ("dimension",)
 
-    def __init__(self, edges):
-        edges = tuple(float(a) for a in edges)
-        if len(edges) < 1:
-            raise ValidationError("box needs at least one edge")
-        if any(not (a > 0) for a in edges):
-            raise ValidationError(f"edges must be positive, got {edges}")
-        self._init_fields(edges)
-        _set_field(self, "distinct_edges", _distinct(edges))
+    def _set_axes(self, axes):
+        counts = {}
+        for axis in axes:
+            v, k = axis if isinstance(axis, tuple) else (axis, 1)
+            v = float(v)
+            counts[v] = counts.get(v, 0) + k
+        name, axis, plural = self._names
+        if not counts:
+            raise ValidationError(f"{name} needs at least one {axis}")
+        # 0 < v and 1 <= k, false for NaN too, in map's C loop
+        if not all(map((0.0).__lt__, counts)):
+            raise ValidationError(f"{plural} must be positive, got {tuple(counts)}")
+        if not all(map((1.0).__le__, counts.values())):
+            raise ValidationError(f"multiplicities must be >= 1, got {tuple(counts.values())}")
+        dimension = sum(counts.values())
+        if dimension == math.inf:
+            raise ValidationError(f"{name} with more {plural} than a float counts")
+        self._init_fields(tuple(counts.items()))
+        _set_dimension(self, dimension)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.edges)
+    def _scaled(self, factor=1.0, copies=1):
+        """This system with each value times factor and each multiplicity
+        times copies."""
+        pairs = getattr(self, self.__match_args__[0])  # the one field
+        return self.__class__([(v * factor, k * copies) for v, k in pairs])
 
 
-class OscillatorSpec(_Record):
-    """Harmonic oscillator with angular frequencies omega_k > 0.
+# stores a system's dimension: a record refuses every assignment once built
+_set_dimension = _Axes.dimension.__set__
 
-    distinct_frequencies lists the (frequency, multiplicity) pairs in
-    first-seen order; it is derived from frequencies, so it is not a field.
-    """
 
-    __slots__ = ("frequencies", "distinct_frequencies")
-    __match_args__ = ("frequencies",)
+class BoxGeometry(_Axes, _Record):
+    """Rectangular box 0 <= x_k <= a_k, stored as distinct_edges: the
+    (edge, multiplicity) pairs of its distinct edges, in first-seen order.
+    BoxGeometry([1, 2, 1]) and BoxGeometry([(1, 2), 2]) are one box."""
 
-    def __init__(self, frequencies):
-        frequencies = tuple(float(w) for w in frequencies)
-        if len(frequencies) < 1:
-            raise ValidationError("oscillator needs at least one frequency")
-        if any(not (w > 0) for w in frequencies):
-            raise ValidationError(f"frequencies must be positive, got {frequencies}")
-        self._init_fields(frequencies)
-        _set_field(self, "distinct_frequencies", _distinct(frequencies))
+    __slots__ = __match_args__ = ("distinct_edges",)
+    _names = ("box", "edge", "edges")
 
-    @property
-    def dimension(self) -> int:
-        return len(self.frequencies)
+    def __init__(self, distinct_edges):
+        self._set_axes(distinct_edges)
+
+
+class OscillatorSpec(_Axes, _Record):
+    """Harmonic oscillator with angular frequencies omega_k > 0, stored as
+    distinct_frequencies: the (frequency, multiplicity) pairs of its distinct
+    frequencies, in first-seen order."""
+
+    __slots__ = __match_args__ = ("distinct_frequencies",)
+    _names = ("oscillator", "frequency", "frequencies")
+
+    def __init__(self, distinct_frequencies):
+        self._set_axes(distinct_frequencies)
 
 
 class ReducedParams(_Record):
@@ -226,8 +237,10 @@ class ReducedParams(_Record):
     and the aggregates eps = max(mu), nu = min(mu).  For an oscillator:
     tau_k = h*omega_k/(2T) with delta = max(tau), kappa = min(tau).  rho =
     h*sqrt(pi/(2mT)) is always defined and satisfies mu_k = 2*rho/a_k.
-    Sequences not applicable to the system at hand are empty tuples and the
-    matching aggregates are None.
+    mu, lambda_theta and tau hold one entry per distinct axis, in the order
+    of the system's pairs, whose multiplicities weigh them.  Sequences not
+    applicable to the system at hand are empty tuples and the matching
+    aggregates are None.
     """
 
     __slots__ = __match_args__ = (
@@ -345,7 +358,7 @@ def reduce_well(params: PhysicalParams, geom: BoxGeometry) -> ReducedParams:
     mu to 0 and lam = 4/(pi*mu^2) never divides by an underflowed square.
     """
     rho = reduce_rho(params)
-    mu = tuple(_edge_mu(rho, a) for a in geom.edges)
+    mu = tuple(_edge_mu(rho, a) for a, _ in geom.distinct_edges)
     lam = tuple(4.0 / math.pi / m / m if m > 0 else math.inf for m in mu)
     return ReducedParams(
         mu=mu,
@@ -358,7 +371,7 @@ def reduce_well(params: PhysicalParams, geom: BoxGeometry) -> ReducedParams:
 
 def reduce_oscillator(params: PhysicalParams, spec: OscillatorSpec) -> ReducedParams:
     """Dimensionless oscillator parameters tau_k = h*omega_k/(2T)."""
-    tau = tuple(_frequency_tau(params, w) for w in spec.frequencies)
+    tau = tuple(_frequency_tau(params, w) for w, _ in spec.distinct_frequencies)
     return ReducedParams(
         tau=tau,
         rho=reduce_rho(params),
@@ -374,7 +387,19 @@ _NUMBER_PI = re.compile(
 
 
 def parse_number(text: str) -> float:
-    """Finite float parser for CLI flags; accepts forms like 2pi, pi/2, 1.5e-3."""
+    """Finite float parser for CLI flags; accepts forms like 2pi, pi/2, 1.5e-3.
+
+    A plain float literal is read by float() alone, which accepts the same
+    ones as the pattern and costs a fifth of it; float() also reads '_'
+    between digits, which the pattern does not, so such text takes the
+    pattern's path."""
+    if "_" not in text:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value):
+            return value
     m = _NUMBER_PI.match(text)
     if not m or (m.group("coef") is None and m.group("pi") is None):
         raise ValidationError(f"cannot parse number {text!r}")

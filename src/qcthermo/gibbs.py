@@ -203,9 +203,7 @@ def classical_phase_space_check(
     p_max = 12.0 * math.sqrt(m * T)
 
     if isinstance(system, OscillatorSpec):
-        if system.dimension != 1:
-            raise ValidationError("phase-space check is one-dimensional")
-        w = system.frequencies[0]
+        w = system.distinct_frequencies[0][0]
         q_lo, q_hi = -12.0 * math.sqrt(T / m) / w, 12.0 * math.sqrt(T / m) / w
 
         def hamiltonian(qq, pp):
@@ -214,17 +212,17 @@ def classical_phase_space_check(
         z_exact = 2.0 * math.pi * T / w
         e_exact = T
     elif isinstance(system, BoxGeometry):
-        if system.dimension != 1:
-            raise ValidationError("phase-space check is one-dimensional")
-        q_lo, q_hi = 0.0, system.edges[0]
+        q_lo, q_hi = 0.0, system.distinct_edges[0][0]
 
         def hamiltonian(qq, pp):
             return pp**2 / (2.0 * m) + 0.0 * qq
 
-        z_exact = system.edges[0] * math.sqrt(2.0 * m * T * math.pi)
+        z_exact = q_hi * math.sqrt(2.0 * m * T * math.pi)
         e_exact = T / 2.0
     else:
         raise ValidationError(f"unsupported system {type(system).__name__}")
+    if system.dimension != 1:
+        raise ValidationError("phase-space check is one-dimensional")
 
     def grids(resolution):
         qg = np.linspace(q_lo, q_hi, resolution)

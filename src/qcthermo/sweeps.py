@@ -5,9 +5,11 @@ or N -> inf with shrinking reduced parameters) along a geometric grid,
 collects regularized-vs-classical comparison reports per point, and fits
 the leading-order rate of the deviation of each ratio from 1.
 
-A row costs one lattice sum per distinct edge or frequency: N -> inf repeats
-the base axes N times, and each distinct axis's excess, its regularized less
-classical log z, E/T and S, is weighted by its count.  A row's differences
+A row costs one lattice sum per distinct edge or frequency, and its time and
+memory grow with the distinct axes alone: N -> inf multiplies the base's
+multiplicities by N, and each distinct axis's excess, its regularized less
+classical log z, E/T and S, and its share of the asymptotes are weighted by
+its multiplicity, so N has no cap.  A row's differences
 and ratios are formed from those sums, never as the difference of two
 quartets, so they keep their relative accuracy in the quasi-classical limits
 and at any N, and stay finite even where Z itself is beyond float range.  The
@@ -18,6 +20,7 @@ expm1(-dF/T) and dE/E_c.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import (
     BoxGeometry,
@@ -50,13 +53,11 @@ __all__ = [
 
 WELL_DIRECTIONS = ("h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf")
 OSCILLATOR_DIRECTIONS = ("h_to_0", "T_to_inf", "omega_to_0", "N_to_inf")
-# N_to_inf builds N copies of the base axes, and the cap bounds only the cost of
-# that O(N) geometry (the BoxGeometry or OscillatorSpec, reduce_well and the
-# residuals).  A row's differences are summed per distinct axis, so their
-# accuracy does not depend on N.
-MAX_N = 10**6
+# the largest x whose e^x is a float
+_LOG_MAX = math.log(sys.float_info.max)
 # every residual a report of each system may carry, sorted; a residual whose
-# asymptote is undefined at a point is left out of that point's report
+# asymptote is undefined at a point, or beyond float range, is left out of
+# that point's report
 RESIDUAL_NAMES = {
     "well": ("small_mu_energy", "small_mu_product"),
     "oscillator": ("small_tau_quadratic_e", "small_tau_quadratic_z"),
@@ -70,15 +71,9 @@ class SweepPlan(_Record):
         "system", "direction", "grid", "base_params", "base_geometry", "base_spec"
     )
 
-    def __init__(
-        self,
-        system: str,
-        direction: str,
-        grid: tuple[float, ...],
-        base_params: PhysicalParams,
-        base_geometry: BoxGeometry | None = None,
-        base_spec: OscillatorSpec | None = None,
-    ):
+    def __init__(self, system: str, direction: str, grid: tuple[float, ...],
+                 base_params: PhysicalParams, base_geometry: BoxGeometry | None = None,
+                 base_spec: OscillatorSpec | None = None):
         if system not in ("well", "oscillator"):
             raise ValidationError(f"unknown system {system!r}")
         allowed = WELL_DIRECTIONS if system == "well" else OSCILLATOR_DIRECTIONS
@@ -118,37 +113,52 @@ class SweepResult(_Record):
 
     __slots__ = __match_args__ = ("plan", "rows", "fitted_rates")
 
-    def __init__(
-        self,
-        plan: SweepPlan,
-        rows: tuple[SweepRow, ...],
-        fitted_rates: dict[str, FitResult] | None = None,
-    ):
+    def __init__(self, plan: SweepPlan, rows: tuple[SweepRow, ...],
+                 fitted_rates: dict[str, FitResult] | None = None):
         self._init_fields(plan, rows, {} if fitted_rates is None else fitted_rates)
 
 
-def _well_residuals(reduced: ReducedParams, z_ratio, e_ratio) -> dict[str, float]:
-    z_pred = math.prod(1.0 - mu / 2.0 for mu in reduced.mu)
-    residuals = {"small_mu_product": abs(z_ratio - z_pred)}
-    # the energy asymptote has a pole at mu = 2 and no meaning beyond it
-    if all(mu < 2.0 for mu in reduced.mu):
-        e_pred = sum(1.0 / (1.0 - mu / 2.0) for mu in reduced.mu) / len(reduced.mu)
-        residuals["small_mu_energy"] = abs(e_ratio - e_pred)
-    return residuals
+def _well_residuals(reduced: ReducedParams, geom: BoxGeometry, z_ratio, e_ratio):
+    # prod (1 - mu/2)^k as a sign times the exponential of sum k log|1 - mu/2|
+    # over the distinct axes: log1p keeps each factor's digits as mu -> 0,
+    # where a product over the axes would round once per axis
+    log_z = e_sum = 0.0
+    flips = 0
+    for mu, (_, k) in zip(reduced.mu, geom.distinct_edges):
+        half = mu / 2.0
+        if half < 1.0:
+            log_z += k * math.log1p(-half)
+            e_sum += k / (1.0 - half)
+        elif half > 1.0:
+            log_z += k * math.log(half - 1.0)
+            flips += k
+        else:  # a factor 1 - mu/2 = 0, so the product is 0
+            return {"small_mu_product": abs(z_ratio)}
+    if not flips:
+        return {"small_mu_product": abs(z_ratio - math.exp(log_z)),
+                "small_mu_energy": abs(e_ratio - e_sum / geom.dimension)}
+    # the energy asymptote has a pole at mu = 2 and no meaning beyond it, and
+    # each factor 1 - mu/2 < 0 flips the product's sign
+    if log_z > _LOG_MAX:
+        return {}
+    z_pred = -math.exp(log_z) if flips % 2 else math.exp(log_z)
+    return {"small_mu_product": abs(z_ratio - z_pred)}
 
 
-def _osc_residuals(reduced: ReducedParams, z_ratio, e_ratio) -> dict[str, float]:
-    n = len(reduced.tau)
-    sum_t2 = sum(t * t for t in reduced.tau)
+def _osc_residuals(reduced: ReducedParams, spec: OscillatorSpec, z_ratio, e_ratio):
+    sum_t2 = 0.0
+    for t, (_, k) in zip(reduced.tau, spec.distinct_frequencies):
+        sum_t2 += k * (t * t)
+    if sum_t2 == math.inf:
+        return {}
     return {
         "small_tau_quadratic_z": abs(z_ratio - (1.0 - sum_t2 / 6.0)),
-        "small_tau_quadratic_e": abs(e_ratio - (1.0 + sum_t2 / (3.0 * n))),
+        "small_tau_quadratic_e": abs(e_ratio - (1.0 + sum_t2 / (3.0 * spec.dimension))),
     }
 
 
-def comparison_report(
-    params: PhysicalParams, system: BoxGeometry | OscillatorSpec
-) -> ComparisonReport:
+def comparison_report(params: PhysicalParams,
+                      system: BoxGeometry | OscillatorSpec) -> ComparisonReport:
     """Classical-vs-regularized comparison at one parameter point.
 
     The differences and ratios come from the summed per-axis excess (dlog z,
@@ -183,7 +193,7 @@ def comparison_report(
         ratios={"Z_ratio": z_ratio, "E_ratio": e_ratio},
         diffs=diffs,
         signs=signs,
-        asymptotic_residuals=residuals(reduced, z_ratio, e_ratio),
+        asymptotic_residuals=residuals(reduced, system, z_ratio, e_ratio),
         classical=classical,
         regularized=_regularized(classical, excess),
     )
@@ -192,35 +202,23 @@ def comparison_report(
 def _point_at(plan: SweepPlan, value: float):
     p = plan.base_params
     d = plan.direction
+    system = plan.base_geometry or plan.base_spec
     if d == "h_to_0":
         params = PhysicalParams(T=p.T, h=value, m=p.m)
-        system = plan.base_geometry or plan.base_spec
     elif d == "T_to_inf":
         params = PhysicalParams(T=value, h=p.h, m=p.m)
-        system = plan.base_geometry or plan.base_spec
     elif d == "m_to_inf":
         params = PhysicalParams(T=p.T, h=p.h, m=value)
-        system = plan.base_geometry
-    elif d == "a_to_inf":
-        params = p
-        system = BoxGeometry([a * value for a in plan.base_geometry.edges])
-    elif d == "omega_to_0":
-        params = p
-        system = OscillatorSpec([w * value for w in plan.base_spec.frequencies])
-    elif d == "N_to_inf":
-        # growing dimension with h ~ 1/N so the reduced parameters shrink
-        n = int(round(value))
+    elif d in ("a_to_inf", "omega_to_0"):
+        params, system = p, system._scaled(value)
+    else:  # N_to_inf, the last direction SweepPlan accepts
+        # growing dimension with h ~ 1/N so the reduced parameters shrink;
+        # the multiplicities are floats, which stay total beyond 2^53 copies
+        n = round(value)
         if n < 1:
             raise ValidationError(f"N must be >= 1, got {value}")
-        if n > MAX_N:
-            raise ValidationError(f"N must be <= {MAX_N}, got {value}")
         params = PhysicalParams(T=p.T, h=p.h / n, m=p.m)
-        if plan.system == "well":
-            system = BoxGeometry(tuple(plan.base_geometry.edges) * n)
-        else:
-            system = OscillatorSpec(tuple(plan.base_spec.frequencies) * n)
-    else:  # pragma: no cover - rejected by SweepPlan
-        raise ValidationError(f"unknown direction {d!r}")
+        system = system._scaled(copies=float(n))
     return params, system
 
 

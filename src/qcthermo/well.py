@@ -102,7 +102,7 @@ def well_entropy_asymptotic(params: PhysicalParams, geom: BoxGeometry) -> Entrop
     """
     reduced = reduce_well(params, geom)
     s_c = well_classical(params, geom).S
-    value = s_c - sum(reduced.mu) / 4.0
+    value = s_c - sum(k * mu for mu, (_, k) in zip(reduced.mu, geom.distinct_edges)) / 4.0
     return EntropyAsymptote(value, reduced.eps <= ASYMPTOTIC_EPS_LIMIT)
 
 
@@ -121,8 +121,8 @@ class GeometricCoefficients(_Record):
 def geometric_coefficients(geom: BoxGeometry) -> GeometricCoefficients:
     n = geom.dimension
     u = [1.0] + [0.0] * n
-    for a in geom.edges:
-        for k in range(min(n, len(u) - 1), 0, -1):
+    for a in [a for a, copies in geom.distinct_edges for _ in range(copies)]:
+        for k in range(n, 0, -1):
             u[k] += a * u[k - 1]
     v = tuple(u[k] * 2.0 ** (n - k) for k in range(n + 1))
     return GeometricCoefficients(U=tuple(u), V=v)

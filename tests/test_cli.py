@@ -431,6 +431,34 @@ def test_energy_residual_left_out_beyond_mu_2(capsys):
     assert energy == [False] * 4 + [True] * 2
 
 
+def test_oscillator_residuals_left_out_where_tau_squared_overflows(capsys):
+    # tau = 1.35e154: sum tau^2 is beyond float range, and so are both small-tau
+    # asymptotes; they are left out, and every other field is finite
+    for h in ("2.7e154", "1e300"):
+        code, out = run_cli(["eval", "--system", "oscillator", "--omega", "1", "--T", "1",
+                             "--h", h], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        jsonschema.validate(payload, SCHEMA)
+        assert payload["asymptotic_residuals"] == {}
+    # at tau = 1.25e154, tau^2 = 1.56e308 is a float, and both print
+    code, out = run_cli(["eval", "--system", "oscillator", "--omega", "1", "--T", "1",
+                         "--h", "2.5e154"], capsys)
+    assert code == 0
+    assert json.loads(out)["asymptotic_residuals"] == {
+        "small_tau_quadratic_e": abs(1.25e154 - (1.0 + 1.5625e308 / 3.0)),
+        "small_tau_quadratic_z": abs(0.0 - (1.0 - 1.5625e308 / 6.0)),
+    }
+    code, out = run_cli(["sweep", "--system", "oscillator", "--omega", "1", "--direction",
+                         "h_to_0", "--start", "2.7e154", "--factor", "0.5", "--points", "6",
+                         "--T", "1", "--h", "1", "--format", "csv"], capsys)
+    assert code == 0
+    assert [row[9:] for row in csv.reader(io.StringIO(out))][1:3] == [
+        ["", ""], [format(abs(6.75e153 - (1.0 + 6.75e153**2 / 3.0)), ".17g"),
+                   format(abs(0.0 - (1.0 - 6.75e153**2 / 6.0)), ".17g")]
+    ]
+
+
 def test_sweep_csv_keeps_residual_columns_across_mu_2(capsys):
     code, out = run_cli(WELL_SWEEP_ACROSS_MU_2 + ["--format", "csv"], capsys)
     assert code == 0
@@ -678,14 +706,20 @@ def test_range_reproducers():
         assert check_contract(["sweep", "--system", "well", "--direction", "h_to_0",
                                "--edges", "1", "--start", start, "--factor", factor,
                                "--points", "6", "--T", "1", "--h", "1"]) == (2, None)
-    # N beyond MAX_N is a row error, found before any geometry is built
+    # N has no cap: a row multiplies the base's multiplicities by N.  With h/N,
+    # N mu = 2 sqrt(pi/2) on every row, so dF -> sqrt(pi/2) T and Z_ratio ->
+    # exp(-sqrt(pi/2)), up to N mu^2 / 8 < 1e-16
     for start in ("2e220", "1e16"):
         code, payload = check_contract(["sweep", "--system", "well", "--direction", "N_to_inf",
                                         "--edges", "1", "--start", start, "--factor", "2",
                                         "--points", "6", "--T", "1", "--h", "1"])
         assert code == 0
-        assert all(row["error"].startswith("ValidationError: N must be <= 1000000, got ")
-                   for row in payload["rows"])
+        for row in payload["rows"]:
+            assert "error" not in row
+            assert row["ratios"]["Z_ratio"] == 0.28555685229871414
+            assert row["diffs"]["dF"] == 1.2533141373155001
+            assert row["asymptotic_residuals"] == {"small_mu_energy": pytest.approx(0, abs=3e-16),
+                                                   "small_mu_product": 0.0}
 
 
 def number(lo=-300.0, hi=300.0):

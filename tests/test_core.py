@@ -16,6 +16,7 @@ from qcthermo.core import (
     reduce_well,
     sign_with_zero_band,
     _z_from_log,
+    parse_number,
 )
 
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -42,7 +43,7 @@ def test_geometry_validation():
     with pytest.raises(ValidationError):
         OscillatorSpec([0.0])
     assert BoxGeometry([3, 1]).dimension == 2
-    assert OscillatorSpec([2.0]).frequencies == (2.0,)
+    assert OscillatorSpec([2.0]).distinct_frequencies == ((2.0, 1),)
 
 
 def test_distinct_axes_in_first_seen_order():
@@ -139,3 +140,36 @@ def test_sign_zero_band():
     assert sign_with_zero_band(-1e-9, 0.0) == -1
     # band scales with the reference magnitude
     assert sign_with_zero_band(1e-6, 1e5) == 0
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-400", 0.0), ("-0", -0.0), ("- 1", -1.0), ("\u0661\u0662", 12.0),
+    (" \t2.5\n", 2.5), ("\xa02\u2003", 2.0), ("2pi", 2.0 * math.pi), ("pi/2", math.pi / 2.0),
+    ("+1.5E+3", 1500.0), (".5", 0.5), ("-1e-320", -1e-320),
+])
+def test_parse_number_values(text, value):
+    # float() reads a plain literal, the pattern the rest; each form means
+    # what it meant when the pattern read every text
+    got = parse_number(text)
+    assert got == value and math.copysign(1.0, got) == math.copysign(1.0, value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1_0", "cannot parse number '1_0'"), ("1e5_0", "cannot parse number '1e5_0'"),
+    ("inf", "cannot parse number 'inf'"), ("-inf", "cannot parse number '-inf'"),
+    ("nan", "cannot parse number 'nan'"), ("Infinity", "cannot parse number 'Infinity'"),
+    (" ", "cannot parse number ' '"), ("", "cannot parse number ''"),
+    ("1e400", "number '1e400' is beyond float range"),
+    ("3/0", "division by zero in number '3/0'"),
+])
+def test_parse_number_errors(text, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_number(text)
+    assert str(exc.value) == message
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_parse_number_reads_reprs(x):
+    for text in (repr(x), format(x, ".17g"), format(x, "e")):
+        assert parse_number(text) == float(text)

@@ -85,7 +85,7 @@ frequency = st.floats(min_value=0.1, max_value=10.0)
 @settings(max_examples=100, deadline=None)
 def test_builders_bit_equal_per_axis_on_distinct_frequencies(params, omegas):
     spec = OscillatorSpec(omegas)
-    classical, regularized, _ = per_axis_quartets(params, spec.frequencies)
+    classical, regularized, _ = per_axis_quartets(params, omegas)
     assert quartet_tuple(osc_classical(params, spec)) == classical
     assert quartet_tuple(osc_regularized(params, spec)) == regularized
 
@@ -97,7 +97,7 @@ def test_builders_match_per_axis_on_repeated_frequencies(params, base, copies, s
     omegas = base * copies
     seed.shuffle(omegas)
     spec = OscillatorSpec(omegas)
-    *want, magnitude = per_axis_quartets(params, spec.frequencies)
+    *want, magnitude = per_axis_quartets(params, omegas)
     got = (quartet_tuple(osc_classical(params, spec)),
            quartet_tuple(osc_regularized(params, spec)))
     for got_q, want_q in zip(got, want):

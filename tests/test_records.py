@@ -43,8 +43,8 @@ POINT = SimplexPoint((0.25, 0.75))
 # as given; the flag says whether the fields are hashable
 FIELDS = [
     (PhysicalParams, dict(T=1.0, h=0.1, m=1.0), True),
-    (BoxGeometry, dict(edges=(1.0, 2.0)), True),
-    (OscillatorSpec, dict(frequencies=(1.5,)), True),
+    (BoxGeometry, dict(distinct_edges=((1.0, 1), (2.0, 1))), True),
+    (OscillatorSpec, dict(distinct_frequencies=((1.5, 1),)), True),
     (ReducedParams, dict(mu=(0.25,), tau=(), rho=0.125, lambda_theta=(20.0,), eps=0.25,
                          nu=0.25, delta=None, kappa=None), True),
     (ThermoQuartet, dict(Z=2.0, F=-LOG2, E=0.5, S=0.5 + LOG2, flavor="classical", T=1.0,
@@ -195,7 +195,7 @@ def test_literal_reprs():
         "ThermoQuartet(Z=2.0, F=-0.6931471805599453, E=0.5, S=1.1931471805599454, "
         "flavor='classical', T=1.0, log_Z=0.6931471805599453)"
     )
-    assert repr(BoxGeometry([1, 2])) == "BoxGeometry(edges=(1.0, 2.0))"
+    assert repr(BoxGeometry([1, 2])) == "BoxGeometry(distinct_edges=((1.0, 1), (2.0, 1)))"
     assert repr(ReducedParams(tau=(0.5,), rho=0.1, delta=0.5, kappa=0.5)) == (
         "ReducedParams(mu=(), tau=(0.5,), rho=0.1, lambda_theta=(), eps=None, nu=None, "
         "delta=0.5, kappa=0.5)"
@@ -206,7 +206,7 @@ def test_literal_reprs():
     assert repr(SweepResult(PLAN, ())) == (
         "SweepResult(plan=SweepPlan(system='oscillator', direction='h_to_0', "
         "grid=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0), base_params=PhysicalParams(T=1.0, h=0.1, "
-        "m=1.0), base_geometry=None, base_spec=OscillatorSpec(frequencies=(1.0,))), "
+        "m=1.0), base_geometry=None, base_spec=OscillatorSpec(distinct_frequencies=((1.0, 1),))), "
         "rows=(), fitted_rates={})"
     )
     assert repr(LevelSet([0, 1])) == "LevelSet(energies=(0.0, 1.0))"
@@ -221,15 +221,21 @@ def test_defaults():
     assert first.fitted_rates == {} and first.fitted_rates is not second.fitted_rates
 
 
-def test_geometries_list_distinct_axes_outside_their_fields():
+def test_geometries_store_their_distinct_axes():
+    # the (value, multiplicity) pairs are the field, in first-seen order; a
+    # pair builds what as many equal values build
     box = BoxGeometry([2, 1, 2])
-    assert box.distinct_edges == ((2.0, 2), (1.0, 1))
-    assert box == BoxGeometry((2.0, 1.0, 2.0)) and box != BoxGeometry([1, 2, 2])
-    with pytest.raises(AttributeError):
-        box.distinct_edges = ()
+    assert box.distinct_edges == ((2.0, 2), (1.0, 1)) and box.dimension == 3
+    assert box == BoxGeometry((2.0, 1.0, 2.0)) == BoxGeometry([(2, 2), 1]) == BoxGeometry([2, (1, 1), 2])
+    assert box != BoxGeometry([1, 2, 2])
+    for name in ("distinct_edges", "dimension"):
+        with pytest.raises(AttributeError):
+            setattr(box, name, ())
     spec = OscillatorSpec([3, 3])
-    assert spec.distinct_frequencies == ((3.0, 2),)
-    assert repr(spec) == "OscillatorSpec(frequencies=(3.0, 3.0))"
+    assert spec.distinct_frequencies == ((3.0, 2),) and spec.dimension == 2
+    assert repr(spec) == "OscillatorSpec(distinct_frequencies=((3.0, 2),))"
+    # N -> inf multiplicities are floats, beyond the integers of a float too
+    assert OscillatorSpec([(3.0, 1e300), (3.0, 1e300)]).dimension == 2e300
 
 
 def _plan(system="well", direction="h_to_0", grid=(1, 2, 3, 4, 5, 6), **kwargs):
@@ -244,6 +250,9 @@ def _plan(system="well", direction="h_to_0", grid=(1, 2, 3, 4, 5, 6), **kwargs):
     (lambda: BoxGeometry([1, -1]), "edges must be positive, got (1.0, -1.0)"),
     (lambda: OscillatorSpec([]), "oscillator needs at least one frequency"),
     (lambda: OscillatorSpec([0]), "frequencies must be positive, got (0.0,)"),
+    (lambda: BoxGeometry([1, (2, 0.5)]), "multiplicities must be >= 1, got (1, 0.5)"),
+    (lambda: OscillatorSpec([(1, 1e308), (2, 1e308)]),
+     "oscillator with more frequencies than a float counts"),
     (lambda: ThermoQuartet(0, 0, 0, 0, "x", 1), "statistical sum must be positive, got 0"),
     (lambda: ThermoQuartet(1, 0, 0, 0, "x", 1), "unknown flavor 'x'"),
     (lambda: ThermoQuartet(1, 1, 0, 0, "classical", 1),

@@ -17,7 +17,6 @@ from qcthermo.core import (
     ValidationError,
 )
 from qcthermo.sweeps import (
-    MAX_N,
     OSCILLATOR_DIRECTIONS,
     WELL_DIRECTIONS,
     SweepPlan,
@@ -153,6 +152,16 @@ def test_row_level_error_capture():
     assert all(row.report is not None for row in result.rows[1:])
 
 
+def test_axes_beyond_the_float_count_are_a_row_error():
+    # N copies of three equal edges: 3N passes the largest float between
+    # N = 5.1e307 and N = 7.6e307, the last row, which is recorded, not raised
+    grid = tuple(1e307 * 1.5**k for k in range(6))
+    result = run_sweep(make_plan(direction="N_to_inf", grid=grid,
+                                 base_geometry=BoxGeometry([1.0, 1.0, 1.0])))
+    assert [row.error for row in result.rows] == [None] * 5 + [
+        "ValidationError: box with more edges than a float counts"]
+
+
 def test_run_sweep_propagates_foreign_errors(monkeypatch):
     # only the package's own errors become row records; a TypeError is a fault
     def broken(params, system):
@@ -187,7 +196,7 @@ def box_n_row(T, h, m, base, n):
                 "dE": e_r - e_c, "dS": d_log_z + (e_r - e_c) / T}
 
 
-@pytest.mark.parametrize("n", [10**3, 10**5, MAX_N])
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**6])
 def test_box_n_to_inf_rows_match_mpmath(n):
     # log Z is ~1e3 n here, far beyond float range for e^log_Z; the row is not.
     # Its differences are summed per distinct axis, so their rounding does not
@@ -234,6 +243,58 @@ def box_axis_excess(mu):
 def osc_axis_excess(tau):
     t = mp.mpf(tau)
     return mp.log(t / mp.sinh(t)), t * mp.coth(t) - 1
+
+
+def n_row(system, T, h, m, base, n):
+    """The ratios, differences and residuals of the N_to_inf row N = n (h/n, n
+    copies of base) from each base axis's excess, with digits to spare beyond
+    the scale of mu or tau ~ 1/n, where the excess of tau is ~ tau^2."""
+    with mp.workdps(60 + 2 * len(str(n))):
+        T, h = mp.mpf(T), mp.mpf(h) / n
+        if system == "well":
+            xs = [2 * h * mp.sqrt(mp.pi / (2 * m * T)) / a for a in base]
+            terms, e_c = [box_axis_excess(x) for x in xs], len(base) * n * T / 2
+        else:
+            xs = [h * w / (2 * T) for w in base]
+            terms, e_c = [osc_axis_excess(x) for x in xs], len(base) * n * T
+        dz, de = n * mp.fsum(z for z, _ in terms), n * mp.fsum(e for _, e in terms)
+        z, e = mp.exp(dz), 1 + T * de / e_c
+        row = {"Z_ratio": z, "E_ratio": e, "dF": -T * dz, "dE": T * de, "dS": dz + de}
+        if system == "well":
+            residuals = {"small_mu_product": abs(z - mp.fprod((1 - x / 2) ** n for x in xs)),
+                         "small_mu_energy": abs(e - mp.fsum(1 / (1 - x / 2) for x in xs) / len(xs))}
+        else:
+            t2 = n * mp.fsum(x * x for x in xs)
+            residuals = {"small_tau_quadratic_z": abs(z - (1 - t2 / 6)),
+                         "small_tau_quadratic_e": abs(e - (1 + t2 / (3 * n * len(xs))))}
+        return {k: float(v) for k, v in row.items()}, {k: float(v) for k, v in residuals.items()}
+
+
+@pytest.mark.parametrize("base", [(1.0, 2.0), (1.0, 2.0, 1.0)])
+@pytest.mark.parametrize("system", ["well", "oscillator"])
+@pytest.mark.parametrize("n", [10**3, 10**6, 10**12, 10**100])
+def test_n_to_inf_rows_match_mpmath(n, system, base):
+    # log Z is ~1e3 n here, far beyond float range for e^log_Z; the row is not.
+    # Its differences and residuals are summed per distinct axis, weighted by
+    # multiplicities of n or 2n, so their rounding does not grow with n, and
+    # the row holds one reduced parameter per distinct axis
+    T, h, m = 1.0, 0.3, 1.0
+    well = system == "well"
+    plan = SweepPlan(system, "N_to_inf", tuple(float(n) * 2.0**k for k in range(6)),
+                     PhysicalParams(T=T, h=h, m=m),
+                     base_geometry=BoxGeometry(base) if well else None,
+                     base_spec=None if well else OscillatorSpec(base))
+    row = run_sweep(plan).rows[0]
+    assert row.error is None
+    assert row.report.classical.Z == math.inf
+    assert len(row.report.point.mu if well else row.report.point.tau) == 2
+    want, want_residuals = n_row(system, T, h, m, base, round(row.swept_value))
+    got = dict(row.report.ratios, **row.report.diffs)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-14), key
+    assert row.report.asymptotic_residuals.keys() == want_residuals.keys()
+    for key, value in want_residuals.items():
+        assert row.report.asymptotic_residuals[key] == pytest.approx(value, abs=1e-15), key
 
 
 @pytest.mark.parametrize("system", ["well", "oscillator"])

@@ -112,7 +112,7 @@ box_edge = st.floats(min_value=0.1, max_value=10.0)
 @settings(max_examples=100, deadline=None)
 def test_builders_bit_equal_per_axis_on_distinct_edges(params, edges):
     geom = BoxGeometry(edges)
-    classical, regularized, _ = per_axis_quartets(params, geom.edges)
+    classical, regularized, _ = per_axis_quartets(params, edges)
     assert quartet_tuple(well_classical(params, geom)) == classical
     assert quartet_tuple(well_regularized(params, geom)) == regularized
 
@@ -124,7 +124,7 @@ def test_builders_match_per_axis_on_repeated_edges(params, base, copies, seed):
     edges = base * copies
     seed.shuffle(edges)
     geom = BoxGeometry(edges)
-    *want, magnitude = per_axis_quartets(params, geom.edges)
+    *want, magnitude = per_axis_quartets(params, edges)
     got = (quartet_tuple(well_classical(params, geom)),
            quartet_tuple(well_regularized(params, geom)))
     for got_q, want_q in zip(got, want):
@@ -190,7 +190,7 @@ def test_geometric_coefficients_unit_cube():
 @settings(max_examples=100, deadline=None)
 def test_kac_ratio_equals_product(edges, rho):
     geom = BoxGeometry(edges)
-    product = math.prod(1.0 - rho / a for a in geom.edges)
+    product = math.prod(1.0 - rho / a for a in edges)
     assert kac_expansion_ratio(geom, rho) == pytest.approx(product, rel=1e-13)
 
 
@@ -287,8 +287,8 @@ def _drum_samples(edges, T, m, count=8):
     geom = BoxGeometry(edges)
     rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
     samples = []
-    for i in range(max(count, geom.dimension + 2)):
-        rho = min(geom.edges) * 0.01 * (i + 1)
+    for i in range(max(count, len(edges) + 2)):
+        rho = min(edges) * 0.01 * (i + 1)
         params = PhysicalParams(T=T, h=rho / rho_unit, m=m)
         samples.append((rho, math.exp(_box_excess(params, geom)[0])))
     return samples
