@@ -213,7 +213,9 @@ def _point_at(plan: SweepPlan, value: float):
         params, system = p, system._scaled(value)
     else:  # N_to_inf, the last direction SweepPlan accepts
         # growing dimension with h ~ 1/N so the reduced parameters shrink;
-        # the multiplicities are floats, which stay total beyond 2^53 copies
+        # the multiplicities are floats, so N*k beyond float range is inf,
+        # which the system refuses, where an int would raise OverflowError
+        # on its first use as a float
         n = round(value)
         if n < 1:
             raise ValidationError(f"N must be >= 1, got {value}")
