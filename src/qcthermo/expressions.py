@@ -26,11 +26,21 @@ compile time, with NumPy's float semantics (1/0 is inf, (-1)^0.5 is nan);
 run of constants, so ``1 + 2 + x1 + 3`` adds 3, x1 and 3.
 
 The compiled potential V is vectorized over arrays of shape (..., N) and
-carries its exact gradient.  ``V(x)`` runs the list in one loop over a stack
-of values; ``V.gradient(x)``, of shape (..., N), runs it over a stack of
-(value, {axis: partial derivative}) pairs, so a term in one coordinate
-touches that axis only, and a SUM merges its operands' maps in one pass: an
-N-term sum costs O(N).  Both run with NumPy floating-point warnings off: a
+carries its exact gradient.  The list is walked over a stack of values for
+V(x), and over a stack of (value, {axis: partial derivative}) pairs for the
+gradient, so a term in one coordinate touches that axis only, and a SUM
+merges its operands' maps in one pass: an N-term sum costs O(N).  Each walk
+runs once per potential, block and kind, on the first call, with registers
+for the columns: each arithmetic operation and NumPy ufunc on a register
+appends one step (function, operand slots) to a flat kernel, and constants,
+folded at the walk's own time, become slots.  A step that repeats an earlier
+one's function and operands reuses its value, steps no output needs are
+dropped, and each step writes over a slot no later step reads, so a call
+holds no more arrays than the walk would.  ``V(x)`` and ``V.gradient(x)``
+replay the kernel on x's columns, calling exactly the functions the walk
+calls on the same operands, so the bits are the walk's on arrays.  Kernels
+are tuples of data, left out when a potential is pickled or copied: the
+copy traces its own.  Both run with NumPy floating-point warnings off: a
 non-finite value is left for the caller to reject.
 
 ``V.blocks`` partitions the axes so that V is a constant plus one function of
@@ -52,13 +62,12 @@ a constant factor over a sum of several terms of one block, or a sum nested
 after a term of its block, is distributed or regrouped, exact up to
 rounding.  Blocks with equal programs are equal functions.
 
-Evaluation and the blocks pass do not recurse, and the compile walks the
-left spine of a chain of + and - or of * and / in a loop, so the length of a
-sum or a product is limited only by Python's own parser: about 2990 terms at
-the top of the stack on Python 3.11.7.  The compile recurses into other
-nesting (powers, unary minus, exp, a parenthesized right operand), which the
-interpreter's recursion limit bounds at about 990 levels.  Input too deep for
-either is a ValidationError, "expression nests too deeply to parse".
+Nothing recurses: the compile keeps its own stack of nodes, and the
+walks, the trace and the blocks pass loop over the list, so nesting is
+limited only by Python's own parser.  On Python 3.11.7 that is about 2980
+levels of a sum, a product, unary minus or a power ("expression nests too
+deeply to parse") and 200 nested parentheses, ``exp(...)`` included ("too
+many nested parentheses"); both are ValidationErrors.
 """
 
 from __future__ import annotations
@@ -82,6 +91,8 @@ MAX_INT_POWER = 16
 _CONST, _VAR, _SUM, _MUL, _DIV, _POW, _NEG, _EXP, _IPOW, _CPOW = (
     "const", "var", "sum", "mul", "div", "pow", "neg", "exp", "ipow", "cpow"
 )
+# each opcode by its name, to restore unpickled opcodes to these objects
+_OPCODES = {op: op for op in (_CONST, _VAR, _SUM, _MUL, _DIV, _POW, _NEG, _EXP, _IPOW, _CPOW)}
 # operands taken from the stack; a SUM takes one per sign in its arg
 _ARITY = {_CONST: 0, _VAR: 0, _NEG: 1, _EXP: 1, _IPOW: 1, _CPOW: 1, _MUL: 2, _DIV: 2, _POW: 2}
 
@@ -187,6 +198,121 @@ def _forward(program, cols):
     return stack[0]
 
 
+class _Register:
+    """A value of a trace: each arithmetic operation on it appends a step."""
+
+    __slots__ = ("trace", "node")
+
+    def __init__(self, trace, node: int):
+        self.trace, self.node = trace, node
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        return self.trace.step(ufunc, inputs)
+
+    def __neg__(self):
+        return self.trace.step(operator.neg, (self,))
+
+    def _binary(fn):
+        """The operator of fn, and its reflection with the operands kept in order."""
+        return (lambda self, other: self.trace.step(fn, (self, other)),
+                lambda self, other: self.trace.step(fn, (other, self)))
+
+    __add__, __radd__ = _binary(operator.add)
+    __sub__, __rsub__ = _binary(operator.sub)
+    __mul__, __rmul__ = _binary(operator.mul)
+    __truediv__, __rtruediv__ = _binary(operator.truediv)
+    del _binary
+
+
+class _Trace:
+    """The steps a walk applies to its columns, recorded on registers.
+
+    Node k < n is column k; a later node is a constant (None, value) or a step
+    (function, operand nodes).  Constants are nodes by identity, so every
+    operand is passed on exactly as the walk passed it, and a step that
+    repeats an earlier one's function and operands is that step.
+    """
+
+    def __init__(self, n: int):
+        self.nodes = [None] * n
+        self.columns = [_Register(self, k) for k in range(n)]
+        self._memo = {}
+
+    def _node(self, value) -> int:
+        if isinstance(value, _Register):
+            return value.node
+        return self._add(id(value), (None, value))
+
+    def _add(self, key, node) -> int:
+        if key not in self._memo:
+            self._memo[key] = len(self.nodes)
+            self.nodes.append(node)
+        return self._memo[key]
+
+    def step(self, fn, operands) -> _Register:
+        args = tuple(map(self._node, operands))
+        return _Register(self, self._add((fn, args), (fn, args)))
+
+    def kernel(self, outputs: dict):
+        """(steps, start, (label, slot) pairs) of the outputs, by label.
+
+        A replay's slots are the columns, then start: the constants and None
+        for each slot no constant fills.  A step (function, operand slot,
+        second operand slot or None, output slot) writes over a slot whose
+        value no later step reads, so a replay holds only the arrays still to
+        be read.  Steps no output depends on are left out.
+        """
+        nodes, n = self.nodes, len(self.columns)
+        wanted = {label: self._node(value) for label, value in outputs.items()}
+        live = set(wanted.values())
+        for k in range(len(nodes) - 1, n - 1, -1):
+            if k in live and nodes[k][0] is not None:
+                live.update(nodes[k][1])
+        kept = sorted(k for k in live if k >= n)
+        constants = [k for k in kept if nodes[k][0] is None]
+        computed = [k for k in kept if nodes[k][0] is not None]
+        last_read = {a: i for i, k in enumerate(computed) for a in nodes[k][1]}
+        last_read.update(dict.fromkeys(wanted.values(), len(computed)))
+        slot = {k: k for k in range(n)} | {k: i for i, k in enumerate(constants, n)}
+        size, free, steps = len(slot), [], []
+        for i, k in enumerate(computed):
+            fn, args = nodes[k]
+            a, b = slot[args[0]], slot[args[1]] if len(args) > 1 else None
+            free += sorted({slot[x] for x in args if last_read[x] == i})
+            slot[k] = free.pop() if free else size
+            size = max(size, slot[k] + 1)
+            steps.append((fn, a, b, slot[k]))
+        start = tuple(nodes[k][1] for k in constants) + (None,) * (size - n - len(constants))
+        return tuple(steps), start, tuple((label, slot[k]) for label, k in wanted.items())
+
+
+# what a kernel computes: the value, or the partial derivatives by axis
+_WALKS = {
+    "value": lambda program, cols: {None: _values(program, cols)},
+    "gradient": lambda program, cols: _forward(program, cols)[1],
+}
+
+
+@np.errstate(all="ignore")
+def _trace(kind: str, program, n: int):
+    """The kernel of program's value or gradient on n columns: its tape's walk
+    run once on registers, NumPy warnings off as on every replay."""
+    trace = _Trace(n)
+    return trace.kernel(_WALKS[kind](program, trace.columns))
+
+
+@np.errstate(all="ignore")
+def _replay(kernel, cols):
+    """(label, value) pairs of a kernel run on the columns cols, NumPy warnings off."""
+    steps, start, outputs = kernel
+    slots = [*cols, *start]
+    for fn, a, b, out in steps:
+        slots[out] = fn(slots[a]) if b is None else fn(slots[a], slots[b])
+    return [(label, slots[k]) for label, k in outputs]
+
+
 def _fold(program: list, op: str, arg) -> bool:
     """Replace op's operands, on top of program, by one CONST if all are constants.
 
@@ -238,13 +364,28 @@ def _left_spine(node, ops):
 
 
 def _compile(node, source: str, dimension: int, program: list) -> None:
-    """Append the instructions of a Python syntax tree that stays inside the grammar."""
+    """Append the instructions of a Python syntax tree that stays inside the grammar.
+
+    Each node is compiled by a generator that yields its operands in turn; the
+    operands are compiled on an explicit stack, so nesting costs no recursion.
+    """
+    stack = [_emit(node, source, dimension, program)]
+    while stack:
+        operand = next(stack[-1], None)
+        if operand is None:
+            stack.pop()
+        else:
+            stack.append(_emit(operand, source, dimension, program))
+
+
+def _emit(node, source: str, dimension: int, program: list):
+    """Compile one node, yielding each operand to be compiled where it belongs."""
     first, terms = _left_spine(node, (ast.Add, ast.Sub))
     if terms:  # a chain of + and -, walked in a loop
-        _compile(first, source, dimension, program)
+        yield first
         signs = [False]
         for op, term in terms:
-            _compile(term, source, dimension, program)
+            yield term
             signs.append(isinstance(op, ast.Sub))
             if len(signs) == 2 and _fold(program, _SUM, signs):  # a constant prefix
                 signs = [False]
@@ -253,9 +394,9 @@ def _compile(node, source: str, dimension: int, program: list) -> None:
         return
     first, factors = _left_spine(node, (ast.Mult, ast.Div))
     if factors:  # a chain of * and /, walked in a loop
-        _compile(first, source, dimension, program)
+        yield first
         for op, factor in factors:
-            _compile(factor, source, dimension, program)
+            yield factor
             op = _MUL if isinstance(op, ast.Mult) else _DIV
             if not _fold(program, op, None):
                 program.append((op, None))
@@ -273,7 +414,7 @@ def _compile(node, source: str, dimension: int, program: list) -> None:
         return
     start = len(program)
     for operand in operands:
-        _compile(operand, source, dimension, program)
+        yield operand
     if op is _POW and program[-1][0] is _CONST:
         arg = program.pop()[1]
         if arg == 0.0:  # x^0 is 1 for every float x, nan and inf included
@@ -365,27 +506,42 @@ class _CompiledPotential:
         self._program = program
         self.dimension = dimension
         self.blocks, self.block_keys, self.constant = _blocks(program, dimension)
+        self._kernels = {}  # (block, kind): the kernel traced on the first call
 
-    def _run(self, x, walk, block):
-        """(columns, x's batch shape, walk(program, columns of x)), NumPy warnings off.
-        x's last axis must hold exactly the columns the program reads."""
-        program = self._program if block is None else self.block_keys[block]
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_kernels"}
+
+    def __setstate__(self, state):
+        # an unpickled opcode is a new string, and the tape compares opcodes by identity
+        def canonical(code):
+            return [(_OPCODES[op], arg) for op, arg in code]
+
+        vars(self).update(state, _kernels={})
+        self._program = canonical(self._program)
+        self.block_keys = tuple(tuple(canonical(key)) for key in self.block_keys)
+
+    def _run(self, x, kind, block):
+        """(columns, x's batch shape, (label, value) pairs of the kernel of
+        kind on x).  x's last axis must hold exactly the columns it reads."""
         n = self.dimension if block is None else len(self.blocks[block])
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (n,):
             raise ValidationError(f"expected x of shape (..., {n}), got {x.shape}")
-        with np.errstate(all="ignore"):
-            return n, x.shape[:-1], walk(program, [x[..., k] for k in range(n)])
+        kernel = self._kernels.get((block, kind))
+        if kernel is None:
+            program = self._program if block is None else self.block_keys[block]
+            kernel = self._kernels[block, kind] = _trace(kind, program, n)
+        return n, x.shape[:-1], _replay(kernel, [x[..., k] for k in range(n)])
 
     def __call__(self, x, block=None):
-        _, shape, v = self._run(x, _values, block)
+        _, shape, [(_, v)] = self._run(x, "value", block)
         v = np.asarray(v, dtype=float)
         return v if v.shape == shape else np.full(shape, v)
 
     def gradient(self, x, block=None):
-        n, shape, (_, partials) = self._run(x, _forward, block)
+        n, shape, partials = self._run(x, "gradient", block)
         out = np.zeros(shape + (n,))
-        for axis, d in partials.items():
+        for axis, d in partials:
             out[..., axis] = d
         return out
 

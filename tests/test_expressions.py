@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,9 +10,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcthermo import parse_number
+from qcthermo import PhysicalParams, expressions, parse_number
 from qcthermo.core import ValidationError
 from qcthermo.expressions import parse_potential
+from qcthermo.semiclassical import PotentialField, kw_expansion
 
 
 def test_parse_number_forms():
@@ -123,11 +127,16 @@ def test_deep_trees_raise_validation_error():
 
 
 def test_long_sum_evaluates_deep_in_the_stack():
-    # evaluation runs the instruction list in a loop, however deep its caller;
-    # the compile walks a chain of + and - or of * and / in a loop too
+    # evaluation replays a flat list of steps, however deep its caller; the
+    # compile keeps its own stack, so nesting is limited by Python's parser only
     for text, at, value, slope in (
         (" + ".join(["x1^2"] * 900), 1.5, 900 * 1.5**2, 1800 * 1.5),
         ("*".join(["x1"] * 2000), 1.0, 1.0, 2000.0),
+        ("-" * 1000 + "x1^2/2", 1.5, 1.125, 1.5),
+        ("-" * 2500 + "x1^2/2", 1.5, 1.125, 1.5),
+        ("-" * 999 + "x1^3", 1.5, -(1.5**3), -3 * 1.5**2),
+        ("x1" + "^1" * 1000, 1.5, 1.5, 1.0),
+        ("x1" + "^1" * 2500, 1.5, 1.5, 1.0),
     ):
         f = parse_potential(text, 1)
         x = np.full((1, 1), at)
@@ -508,3 +517,150 @@ def test_block_programs_keep_the_bits_of_a_sum(data, n):
         assert f(x[:, list(block)], j).tolist() == f(padded).tolist(), text
         got = f.gradient(x[:, list(block)], j)
         assert got.tolist() == f.gradient(padded)[:, list(block)].tolist(), text
+
+
+def _compile_recursively(node, source, dimension, program):
+    """The compile as a recursion over the same per-node rules."""
+    for operand in expressions._emit(node, source, dimension, program):
+        _compile_recursively(operand, source, dimension, program)
+
+
+def _check_compile_without_recursion(text, n):
+    # by repr, so that nan equals nan and -0.0 differs from 0.0
+    got = repr(parse_potential(text, n)._program)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expressions, "_compile", _compile_recursively)
+        assert got == repr(parse_potential(text, n)._program), text
+
+
+def test_compile_stack_emits_the_recursive_program_pinned():
+    for text, _, _ in PINNED_BITS:
+        _check_compile_without_recursion(text, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_compile_stack_emits_the_recursive_program(data, n):
+    _check_compile_without_recursion(data.draw(_grammar_expressions(n), label="expression"), n)
+
+
+def _interpreted(f, x, block):
+    """Value and gradient of f's tape walked on the arrays, NumPy warnings off."""
+    program = f._program if block is None else f.block_keys[block]
+    shape, n = x.shape[:-1], x.shape[-1]
+    cols = [x[..., k] for k in range(n)]
+    with np.errstate(all="ignore"):
+        value = np.asarray(expressions._values(program, cols), dtype=float)
+        _, partials = expressions._forward(program, cols)
+    gradient = np.zeros(shape + (n,))
+    for axis, d in partials.items():
+        gradient[..., axis] = d
+    return np.broadcast_to(value, shape), gradient
+
+
+def _hexes(a):
+    return [float.hex(v) for v in np.ravel(a).tolist()]
+
+
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300]),
+    st.floats(-2.0, 2.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3))
+def test_kernels_keep_the_bits_of_the_tape(data, n):
+    # each kernel replays exactly the arithmetic of the tape's walk, at every
+    # point, whole and block by block, and whatever the batch shape
+    text = data.draw(_grammar_expressions(n), label="expression")
+    f = parse_potential(text, n)
+    batch = data.draw(st.sampled_from([(), (1,), (4,), (2, 3)]), label="batch")
+    size = int(np.prod(batch, dtype=int)) * n
+    x = np.array(data.draw(st.lists(_EDGE_FLOATS, min_size=size, max_size=size), label="x"))
+    x = x.reshape(batch + (n,))
+    for block in [None, *range(len(f.blocks))]:
+        y = x if block is None else x[..., list(f.blocks[block])]
+        want_value, want_gradient = _interpreted(f, y, block)
+        for _ in range(2):  # traced on the first call, replayed after
+            assert _hexes(f(y, block)) == _hexes(want_value), text
+            assert _hexes(f.gradient(y, block)) == _hexes(want_gradient), text
+
+
+def test_each_kernel_is_traced_once(monkeypatch):
+    traced = {}
+
+    def counting(walk):
+        def counted(program, cols):
+            key = (walk.__name__, tuple(program))
+            traced[key] = traced.get(key, 0) + 1
+            return walk(program, cols)
+        return counted
+
+    monkeypatch.setattr(expressions, "_values", counting(expressions._values))
+    monkeypatch.setattr(expressions, "_forward", counting(expressions._forward))
+    f = parse_potential("0.7*x1^2 + 0.1*x1^4 + 0.5*x2^2 + x1*x3", 3)
+    assert f.blocks == ((0, 2), (1,))
+    x = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
+    for _ in range(3):
+        f(x), f.gradient(x)
+        for j, block in enumerate(f.blocks):
+            f(x[:, list(block)], j), f.gradient(x[:, list(block)], j)
+    programs = [tuple(f._program), *map(tuple, f.block_keys)]
+    assert traced == {(walk, p): 1 for walk in ("_values", "_forward") for p in programs}
+
+    traced.clear()
+    g = PotentialField(2, parse_potential("0.7*x1^2 + 0.1*x1^4 + 0.5*x2^2 + 0.2*x2^4", 2))
+    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
+    assert kw_expansion(g, params) == kw_expansion(g, params)
+    keys = g.value.block_keys
+    assert traced == {(walk, tuple(k)): 1 for walk in ("_values", "_forward") for k in keys}
+
+
+def test_replay_holds_no_more_arrays_than_the_walk():
+    # a kernel writes each value over one no later step reads, so its peak
+    # memory is the walk's, not one array per step
+    text = ("exp(-(x1^2 + x2^2 + x3^2)/4) * (1 + x1*x2*x3)^2 + (x1 - x2)^4 + (x2 - x3)^4"
+            " + (x3 - x1)^4 + x1^2*x2^2*x3^2")
+    f = parse_potential(text, 3)
+    x = np.random.default_rng(0).normal(size=(8192, 3))
+    f(x), f.gradient(x)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for kernel, walk in ((lambda: f(x), expressions._values),
+                         (lambda: f.gradient(x), expressions._forward)):
+        cols = [x[..., k] for k in range(3)]
+        assert peak(kernel) < 1.5 * peak(lambda: walk(f._program, cols))
+
+
+def _result_hexes(result):
+    return _hexes([getattr(result, a) for a in result.__match_args__])
+
+
+@pytest.mark.parametrize("called", [False, True])
+def test_pickle_and_deepcopy_keep_the_potential(called):
+    # unpickled opcodes are new strings; a copy made before or after the
+    # first call gives the original's bits, whole, block by block and in kw
+    text = "0.7*x1^2 + 0.1*x1^4 - exp(x2/2)*x3 + 2^x2"
+    f = parse_potential(text, 3)
+    x = np.array([[0.3, -1.2, 2.0], [0.0, 0.5, -0.7]])
+    params = PhysicalParams(T=1.0, h=0.1, m=1.0)
+    p = PotentialField(1, parse_potential("x1^2/2", 1))
+    if called:
+        f(x), f.gradient(x), kw_expansion(p, params)
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert (g.blocks, g.block_keys, g.constant) == (f.blocks, f.block_keys, f.constant)
+        for block in [None, *range(len(f.blocks))]:
+            y = x if block is None else x[:, list(f.blocks[block])]
+            assert _hexes(g(y, block)) == _hexes(f(y, block)), text
+            assert _hexes(g.gradient(y, block)) == _hexes(f.gradient(y, block)), text
+    want = _result_hexes(kw_expansion(PotentialField(1, parse_potential("x1^2/2", 1)), params))
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert _result_hexes(kw_expansion(q, params)) == want
