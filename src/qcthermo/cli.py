@@ -17,6 +17,7 @@ import sys
 
 from . import __version__
 from .core import (
+    SYSTEMS,
     BoxGeometry,
     ConvergenceError,
     IntegrationError,
@@ -120,12 +121,10 @@ def _reduced_dict(r, values) -> dict:
 
 def _build_system(args):
     """The parsed edges or frequencies, one per axis, and their system."""
-    if args.system == "well":
-        flag, text, build = "--edges", args.edges, BoxGeometry
-    else:
-        flag, text, build = "--omega", args.omega, OscillatorSpec
+    build = SYSTEMS[args.system]
+    text = getattr(args, build.FLAG)
     if not text:
-        raise ValidationError(f"{args.system} needs {flag}")
+        raise ValidationError(f"{args.system} needs --{build.FLAG}")
     values = _number_list(text)
     return values, build(values)
 
@@ -166,7 +165,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    from .sweeps import RESIDUAL_NAMES, SweepPlan, run_sweep
+    from .sweeps import SweepPlan, run_sweep
 
     params = PhysicalParams(T=args.T, h=args.h, m=args.m)
     _, system = _build_system(args)
@@ -181,11 +180,10 @@ def cmd_sweep(args) -> None:
         direction=args.direction,
         grid=grid,
         base_params=params,
-        base_geometry=system if isinstance(system, BoxGeometry) else None,
-        base_spec=system if isinstance(system, OscillatorSpec) else None,
+        **{system.BASE_FIELD: system},
     )
     result = run_sweep(plan)
-    residual_names = RESIDUAL_NAMES[args.system]
+    residual_names = system.RESIDUALS
     header = [
         "swept_value", "Z_ratio", "E_ratio", "dF", "dE", "dS",
         "sgn_dF", "sgn_dE", "sgn_dS",
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("eval", help="quartets and comparison at one point")
-    p.add_argument("--system", choices=["well", "oscillator"], required=True)
+    p.add_argument("--system", choices=SYSTEMS, required=True)
     p.add_argument("--edges", default=None, help="comma-separated edges")
     p.add_argument("--omega", default=None, help="comma-separated frequencies")
     _add_physics(p)
@@ -402,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="quasi-classical limit sweep")
-    p.add_argument("--system", choices=["well", "oscillator"], required=True)
+    p.add_argument("--system", choices=SYSTEMS, required=True)
     p.add_argument("--direction", required=True)
     p.add_argument("--edges", default=None)
     p.add_argument("--omega", default=None)
@@ -443,10 +441,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flags whose value may start with '-', as negative levels or edges and a
+# potential such as -(x1^2) do; argparse reads such a word as an option
+_DASH_VALUE_FLAGS = ("--levels", "--edges", "--omega", "--potential")
+
+
+def _join_dash_values(argv, parser) -> list[str]:
+    """argv with each of _DASH_VALUE_FLAGS joined, as '--flag=word', to a next
+    word that starts with '-' and begins none of the parser's options; a word
+    that does, such as --dim, stays an option, as argparse reads it."""
+    (commands,) = parser._subparsers._group_actions
+    options = [o for p in commands.choices.values() for o in p._option_string_actions]
+    joined = []
+    for word in argv:
+        if (joined and joined[-1] in _DASH_VALUE_FLAGS and word[:1] == "-"
+                and not any(o.startswith(word.partition("=")[0]) for o in options)):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(sys.argv[1:] if argv is None else argv, parser))
         args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,14 @@ the number parser of the command-line flags.
 Units: k_B = 1 (temperatures are energies), h carries action units, m mass
 units.  h = 0 is accepted by the reductions as the classical limit point;
 operations that evaluate quantum sums reject it.
+
+Each system class, BoxGeometry and OscillatorSpec, states once what is its
+own: its name, the CLI flag of its list, the SweepPlan field of its base, its
+sweep directions and the one that scales its axes, the names of its
+residuals, and its 1-D phase space.  SYSTEMS maps each name to its class.
+The sweeps, the CLI and the phase-space check read them there; the builders
+of each system's report, which live in well and oscillator, are tabled in
+sweeps.
 """
 
 from __future__ import annotations
@@ -213,9 +221,22 @@ class BoxGeometry(_Axes, _Record):
 
     __slots__ = __match_args__ = ("distinct_edges",)
     _names = ("box", "edge", "edges")
+    # its name, the CLI flag of its list and the SweepPlan field of its base
+    SYSTEM, FLAG, BASE_FIELD = "well", "edges", "base_geometry"
+    DIRECTIONS = ("h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf")
+    SCALING_DIRECTION = "a_to_inf"
+    # every residual a report may carry, sorted; one whose asymptote is
+    # undefined at a point, or beyond float range, is left out of its report
+    RESIDUALS = ("small_mu_energy", "small_mu_product")
 
     def __init__(self, distinct_edges):
         self._set_axes(distinct_edges)
+
+    def _phase_space(self, T, m):
+        """(q_lo, q_hi, V(q), Z_c, E_c) of the first edge's 1-D box, Z_c
+        without the 1/h of the quantum sum."""
+        a = self.distinct_edges[0][0]
+        return 0.0, a, lambda qq: 0.0 * qq, a * math.sqrt(2.0 * m * T * math.pi), T / 2.0
 
 
 class OscillatorSpec(_Axes, _Record):
@@ -225,9 +246,24 @@ class OscillatorSpec(_Axes, _Record):
 
     __slots__ = __match_args__ = ("distinct_frequencies",)
     _names = ("oscillator", "frequency", "frequencies")
+    SYSTEM, FLAG, BASE_FIELD = "oscillator", "omega", "base_spec"
+    DIRECTIONS = ("h_to_0", "T_to_inf", "omega_to_0", "N_to_inf")
+    SCALING_DIRECTION = "omega_to_0"
+    RESIDUALS = ("small_tau_quadratic_e", "small_tau_quadratic_z")
 
     def __init__(self, distinct_frequencies):
         self._set_axes(distinct_frequencies)
+
+    def _phase_space(self, T, m):
+        """(q_lo, q_hi, V(q), Z_c, E_c) of the first frequency's 1-D
+        oscillator, Z_c without the 1/h of the quantum sum."""
+        w = self.distinct_frequencies[0][0]
+        q = 12.0 * math.sqrt(T / m) / w  # -q is -12.0 * math.sqrt(T / m) / w, bit for bit
+        return -q, q, lambda qq: m * w**2 * qq**2 / 2.0, 2.0 * math.pi * T / w, T
+
+
+# each system's class by its name
+SYSTEMS = {cls.SYSTEM: cls for cls in (BoxGeometry, OscillatorSpec)}
 
 
 class ReducedParams(_Record):

@@ -194,35 +194,24 @@ def classical_phase_space_check(
 ) -> PhaseSpaceCheck:
     """Trapezoidal phase-space quadrature against the closed forms.
 
-    Reproduces Z_c and E_c of the 1-D box and oscillator, and certifies
+    Reproduces Z_c and E_c of the 1-D box and oscillator, whose ranges,
+    potential and closed forms each system's class gives, and certifies
     that the discretized Gibbs density minimizes the discrete free energy:
     first-order (equal slopes) and second-order (positive curvature)
     conditions from each cell's own term.
     """
     T, m = params.T, params.m
     p_max = 12.0 * math.sqrt(m * T)
-
-    if isinstance(system, OscillatorSpec):
-        w = system.distinct_frequencies[0][0]
-        q_lo, q_hi = -12.0 * math.sqrt(T / m) / w, 12.0 * math.sqrt(T / m) / w
-
-        def hamiltonian(qq, pp):
-            return pp**2 / (2.0 * m) + m * w**2 * qq**2 / 2.0
-
-        z_exact = 2.0 * math.pi * T / w
-        e_exact = T
-    elif isinstance(system, BoxGeometry):
-        q_lo, q_hi = 0.0, system.distinct_edges[0][0]
-
-        def hamiltonian(qq, pp):
-            return pp**2 / (2.0 * m) + 0.0 * qq
-
-        z_exact = q_hi * math.sqrt(2.0 * m * T * math.pi)
-        e_exact = T / 2.0
-    else:
-        raise ValidationError(f"unsupported system {type(system).__name__}")
+    try:
+        phase_space = system._phase_space
+    except AttributeError:
+        raise ValidationError(f"unsupported system {type(system).__name__}") from None
+    q_lo, q_hi, potential, z_exact, e_exact = phase_space(T, m)
     if system.dimension != 1:
         raise ValidationError("phase-space check is one-dimensional")
+
+    def hamiltonian(qq, pp):
+        return pp**2 / (2.0 * m) + potential(qq)
 
     def grids(resolution):
         qg = np.linspace(q_lo, q_hi, resolution)

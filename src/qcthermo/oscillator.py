@@ -34,7 +34,6 @@ __all__ = [
     "osc_regularized",
     "f_ratio",
     "g_ratio",
-    "bernoulli_even",
     "BernoulliSeries",
     "bernoulli_series",
     "series_eval",
@@ -129,7 +128,7 @@ def g_ratio(taus) -> float:
     return 1.0 + sum(_axis_excess(t)[1] for t in taus) / len(taus)
 
 
-def bernoulli_even(k: int) -> Fraction:
+def _bernoulli_even(k: int) -> Fraction:
     """B_{2k} as an exact Fraction via the binomial recurrence."""
     from fractions import Fraction
 
@@ -171,7 +170,7 @@ def bernoulli_series(kind: str, order: int) -> BernoulliSeries:
         raise ValidationError("order must be >= 1")
     coeffs = [1.0]
     for n in range(1, order + 1):
-        b2n = bernoulli_even(n)
+        b2n = _bernoulli_even(n)
         if kind == "f_sinh":
             c = 2 * (1 - Fraction(2) ** (2 * n - 1)) * b2n / factorial(2 * n)
         else:

@@ -15,6 +15,11 @@ quartets, so they keep their relative accuracy in the quasi-classical limits
 and at any N, and stay finite even where Z itself is beyond float range.  The
 rate fit is a closed-form two-parameter least squares in plain Python, on
 expm1(-dF/T) and dE/E_c.
+
+What sets a box apart from an oscillator, its directions, the field of its
+base and the names of its residuals, is stated on its class in core; the one
+thing kept here is _REPORT, each system's classical quartet, excess, reduced
+parameters and residuals, since their builders live in well and oscillator.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import math
 import sys
 
 from .core import (
+    SYSTEMS,
     BoxGeometry,
     ComparisonReport,
     ConvergenceError,
@@ -51,21 +57,14 @@ __all__ = [
     "fit_leading_order",
 ]
 
-WELL_DIRECTIONS = ("h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf")
-OSCILLATOR_DIRECTIONS = ("h_to_0", "T_to_inf", "omega_to_0", "N_to_inf")
 # the largest x whose e^x is a float
 _LOG_MAX = math.log(sys.float_info.max)
-# every residual a report of each system may carry, sorted; a residual whose
-# asymptote is undefined at a point, or beyond float range, is left out of
-# that point's report
-RESIDUAL_NAMES = {
-    "well": ("small_mu_energy", "small_mu_product"),
-    "oscillator": ("small_tau_quadratic_e", "small_tau_quadratic_z"),
-}
 
 
 class SweepPlan(_Record):
-    """One knob swept along a grid; system is well or oscillator."""
+    """One knob swept along a grid; system is a key of core.SYSTEMS, and
+    the field its class names, base_geometry or base_spec, holds the base,
+    an instance of that class, while the other field is None."""
 
     __slots__ = __match_args__ = (
         "system", "direction", "grid", "base_params", "base_geometry", "base_spec"
@@ -74,12 +73,13 @@ class SweepPlan(_Record):
     def __init__(self, system: str, direction: str, grid: tuple[float, ...],
                  base_params: PhysicalParams, base_geometry: BoxGeometry | None = None,
                  base_spec: OscillatorSpec | None = None):
-        if system not in ("well", "oscillator"):
-            raise ValidationError(f"unknown system {system!r}")
-        allowed = WELL_DIRECTIONS if system == "well" else OSCILLATOR_DIRECTIONS
-        if direction not in allowed:
+        try:
+            cls = SYSTEMS[system]
+        except (KeyError, TypeError):  # TypeError: an unhashable system
+            raise ValidationError(f"unknown system {system!r}") from None
+        if direction not in cls.DIRECTIONS:
             raise ValidationError(
-                f"direction {direction!r} not valid for {system}; choose from {allowed}"
+                f"direction {direction!r} not valid for {system}; choose from {cls.DIRECTIONS}"
             )
         grid = tuple(float(g) for g in grid)
         if len(grid) < 6:
@@ -89,10 +89,9 @@ class SweepPlan(_Record):
         steps = [b - a for a, b in zip(grid, grid[1:])]
         if not (all(s > 0 for s in steps) or all(s < 0 for s in steps)):
             raise ValidationError("grid must be strictly monotone")
-        if system == "well" and base_geometry is None:
-            raise ValidationError("well sweep needs base_geometry")
-        if system == "oscillator" and base_spec is None:
-            raise ValidationError("oscillator sweep needs base_spec")
+        bases = {"base_geometry": base_geometry, "base_spec": base_spec}
+        if not isinstance(bases.pop(cls.BASE_FIELD), cls) or [*bases.values()] != [None]:
+            raise ValidationError(f"{system} sweep needs {cls.BASE_FIELD}")
         self._init_fields(system, direction, grid, base_params, base_geometry, base_spec)
 
 
@@ -157,6 +156,18 @@ def _osc_residuals(reduced: ReducedParams, spec: OscillatorSpec, z_ratio, e_rati
     }
 
 
+# each system's (classical quartet, summed excess, reduced parameters,
+# residuals) by its class's SYSTEM, so that a subclass reports as its class
+# does; the lambdas look the builders up by module-level name on every call,
+# where the benchmark's tracer wraps them
+_REPORT = {
+    "well": lambda p, s: (well_classical(p, s), _box_excess(p, s), reduce_well(p, s),
+                          _well_residuals),
+    "oscillator": lambda p, s: (osc_classical(p, s), _osc_excess(p, s), reduce_oscillator(p, s),
+                                _osc_residuals),
+}
+
+
 def comparison_report(params: PhysicalParams,
                       system: BoxGeometry | OscillatorSpec) -> ComparisonReport:
     """Classical-vs-regularized comparison at one parameter point.
@@ -166,18 +177,11 @@ def comparison_report(params: PhysicalParams,
     dlog z, dE = T sum dE/T, dS = sum dS, Z_ratio = exp(-dF/T) and E_ratio =
     1 + dE/E_c.
     """
-    if isinstance(system, BoxGeometry):
-        classical = well_classical(params, system)
-        excess = _box_excess(params, system)
-        reduced = reduce_well(params, system)
-        residuals = _well_residuals
-    elif isinstance(system, OscillatorSpec):
-        classical = osc_classical(params, system)
-        excess = _osc_excess(params, system)
-        reduced = reduce_oscillator(params, system)
-        residuals = _osc_residuals
-    else:
-        raise ValidationError(f"unsupported system {type(system).__name__}")
+    try:
+        parts = _REPORT[system.SYSTEM]
+    except (AttributeError, KeyError):
+        raise ValidationError(f"unsupported system {type(system).__name__}") from None
+    classical, excess, reduced, residuals = parts(params, system)
 
     dz, de, ds = excess
     diffs = {"dF": -params.T * dz, "dE": params.T * de, "dS": ds}
@@ -209,7 +213,7 @@ def _point_at(plan: SweepPlan, value: float):
         params = PhysicalParams(T=value, h=p.h, m=p.m)
     elif d == "m_to_inf":
         params = PhysicalParams(T=p.T, h=p.h, m=value)
-    elif d in ("a_to_inf", "omega_to_0"):
+    elif d == system.SCALING_DIRECTION:
         params, system = p, system._scaled(value)
     else:  # N_to_inf, the last direction SweepPlan accepts
         # growing dimension with h ~ 1/N so the reduced parameters shrink;

@@ -35,7 +35,6 @@ from .core import ConvergenceError, ValidationError, _Record
 
 __all__ = [
     "ThetaValue",
-    "CROSSOVER_MU",
     "theta_direct",
     "theta_poisson",
     "theta",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 # Balanced-decay point: both representations lose exp(-pi) per term here.
-CROSSOVER_MU = 2.0 / math.sqrt(math.pi)
+_CROSSOVER_MU = 2.0 / math.sqrt(math.pi)
 
 MAX_TERMS = 10**6
 DEFAULT_TOL = 1e-16
@@ -155,7 +154,7 @@ def theta_poisson(mu: float) -> ThetaValue:
 
 def theta(mu: float) -> ThetaValue:
     """Z_q(mu) from the representation with the faster-decaying series."""
-    if mu >= CROSSOVER_MU:
+    if mu >= _CROSSOVER_MU:
         return theta_direct(mu)
     return theta_poisson(mu)
 

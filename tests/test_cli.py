@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from qcthermo import cli
 from qcthermo.cli import run
-from qcthermo.core import BoxGeometry, ConvergenceError, PhysicalParams, reduce_well
-from qcthermo.sweeps import OSCILLATOR_DIRECTIONS, WELL_DIRECTIONS
+from qcthermo.core import SYSTEMS, BoxGeometry, ConvergenceError, PhysicalParams, reduce_well
 from qcthermo.well import well_classical, well_regularized
 
 SCHEMA = json.loads(
@@ -277,6 +276,27 @@ def test_validation_exit_code(capsys, tmp_path):
     for out, reason in ((missing, "No such file or directory"), (str(tmp_path), "Is a directory")):
         assert run(EVAL_ARGS + ["--out", out]) == 2
         assert capsys.readouterr() == ("", f"error: cannot write {out!r}: {reason}\n")
+
+
+def test_list_and_text_values_may_start_with_a_minus(capsys):
+    # argparse reads a word that starts with '-' as an option; run joins it to
+    # its flag, so the space form prints what the '=' form prints
+    for flag, value, rest in (
+        ("--levels", "-1,0,1", ["--T", "1"]),
+        ("--potential", "-(x1^2)+x1^4", ["--dim", "1", "--T", "1", "--h", "0.1"]),
+    ):
+        command = "gibbs" if flag == "--levels" else "kw"
+        assert run([command, f"{flag}={value}"] + rest) == 0
+        joined = capsys.readouterr()
+        assert run([command, flag, value] + rest) == 0
+        assert capsys.readouterr() == joined
+    assert run(["eval", "--system", "well", "--edges", "-1,2", "--T", "1", "--h", "1"]) == 2
+    assert capsys.readouterr().err == "error: edges must be positive, got (-1.0, 2.0)\n"
+    # a word that is one of the options is not a value: this one is missing
+    with pytest.raises(SystemExit) as exc:
+        run(["kw", "--potential", "--dim", "1", "--T", "1", "--h", "0.1"])
+    assert exc.value.code == 2
+    assert "argument --potential: expected one argument" in capsys.readouterr().err
 
 
 def test_unwritable_stdout_exits_2(capsys, monkeypatch):
@@ -748,8 +768,7 @@ def eval_argv(draw):
 def sweep_argv(draw):
     system = draw(st.sampled_from(["well", "oscillator"]))
     flag = "--edges" if system == "well" else "--omega"
-    directions = WELL_DIRECTIONS if system == "well" else OSCILLATOR_DIRECTIONS
-    direction = draw(st.sampled_from(directions))
+    direction = draw(st.sampled_from(SYSTEMS[system].DIRECTIONS))
     points = draw(st.integers(min_value=6, max_value=8))
     if direction == "N_to_inf":  # N from 1 to 1e5 along the grid
         start, end = draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0))

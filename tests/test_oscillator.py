@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from qcthermo.core import OscillatorSpec, PhysicalParams, ValidationError
 from qcthermo.oscillator import (
     _axis_excess,
-    bernoulli_even,
+    _bernoulli_even,
     bernoulli_series,
     f_ratio,
     g_ratio,
@@ -171,12 +171,12 @@ def test_ratios_match_quartets():
 
 
 def test_bernoulli_numbers_exact():
-    assert bernoulli_even(0) == Fraction(1)
-    assert bernoulli_even(1) == Fraction(1, 6)
-    assert bernoulli_even(2) == Fraction(-1, 30)
-    assert bernoulli_even(3) == Fraction(1, 42)
-    assert bernoulli_even(6) == Fraction(-691, 2730)
-    assert bernoulli_even(8) == Fraction(-3617, 510)
+    assert _bernoulli_even(0) == Fraction(1)
+    assert _bernoulli_even(1) == Fraction(1, 6)
+    assert _bernoulli_even(2) == Fraction(-1, 30)
+    assert _bernoulli_even(3) == Fraction(1, 42)
+    assert _bernoulli_even(6) == Fraction(-691, 2730)
+    assert _bernoulli_even(8) == Fraction(-3617, 510)
 
 
 def test_series_leading_coefficients():

@@ -266,6 +266,14 @@ def _plan(system="well", direction="h_to_0", grid=(1, 2, 3, 4, 5, 6), **kwargs):
     (lambda: _plan(grid=(1, 2, 3, 4, 6, 5)), "grid must be strictly monotone"),
     (lambda: _plan(), "well sweep needs base_geometry"),
     (lambda: _plan(system="oscillator"), "oscillator sweep needs base_spec"),
+    # the named system's field holds an instance of its class, and the other
+    # field is None: neither plan may sweep the other system
+    pytest.param(lambda: _plan(direction="a_to_inf", grid=(1, 2, 4, 8, 16, 32),
+                               base_geometry=OscillatorSpec([1.0])),
+                 "well sweep needs base_geometry", id="well plan of an oscillator"),
+    pytest.param(lambda: _plan(system="oscillator", direction="omega_to_0",
+                               base_geometry=BoxGeometry([1.0]), base_spec=OscillatorSpec([1.0])),
+                 "oscillator sweep needs base_spec", id="oscillator plan with a box too"),
     (lambda: LevelSet([1]), "need at least two levels"),
     (lambda: LevelSet([2, 1]), "energies must be non-decreasing"),
     (lambda: SimplexPoint([-1, 2]), "probabilities must be >= 0"),

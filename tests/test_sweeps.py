@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcthermo.sweeps
+from qcthermo.cli import build_parser
 from qcthermo.core import (
+    SYSTEMS,
     BoxGeometry,
     ConvergenceError,
     IntegrationError,
@@ -16,14 +18,16 @@ from qcthermo.core import (
     PhysicalParams,
     ValidationError,
 )
+from qcthermo.gibbs import classical_phase_space_check
+from qcthermo.oscillator import osc_classical
 from qcthermo.sweeps import (
-    OSCILLATOR_DIRECTIONS,
-    WELL_DIRECTIONS,
     SweepPlan,
+    _point_at,
     comparison_report,
     fit_leading_order,
     run_sweep,
 )
+from qcthermo.well import well_classical
 
 
 def make_plan(**kwargs):
@@ -52,8 +56,51 @@ def test_plan_validation():
 
 
 def test_direction_lists():
-    assert set(WELL_DIRECTIONS) == {"h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf"}
-    assert set(OSCILLATOR_DIRECTIONS) == {"h_to_0", "T_to_inf", "omega_to_0", "N_to_inf"}
+    assert set(BoxGeometry.DIRECTIONS) == {"h_to_0", "T_to_inf", "a_to_inf", "m_to_inf", "N_to_inf"}
+    assert set(OscillatorSpec.DIRECTIONS) == {"h_to_0", "T_to_inf", "omega_to_0", "N_to_inf"}
+
+
+@pytest.mark.parametrize("name", list(SYSTEMS))
+def test_each_system_class_is_its_one_table(name):
+    cls = SYSTEMS[name]
+    (other,) = (c for c in SYSTEMS.values() if c is not cls)
+    params = PhysicalParams(T=1.0, h=1.0, m=1.0)
+    base = cls([1.0, (2.0, 3)])
+
+    def plan(direction):
+        return SweepPlan(name, direction, (1, 2, 4, 8, 16, 32), params, **{cls.BASE_FIELD: base})
+
+    # a plan takes exactly the class's directions
+    assert [plan(d).direction for d in cls.DIRECTIONS] == list(cls.DIRECTIONS)
+    for direction in set(other.DIRECTIONS) - set(cls.DIRECTIONS):
+        with pytest.raises(ValidationError, match="not valid for"):
+            plan(direction)
+    # a report carries only the class's residuals, at small and large mu or tau
+    for h in (1e-3, 10.0):
+        residuals = comparison_report(PhysicalParams(T=1.0, h=h, m=1.0), base).asymptotic_residuals
+        assert residuals and set(residuals) <= set(cls.RESIDUALS)
+    # the scaling direction multiplies every axis by the swept value
+    assert _point_at(plan(cls.SCALING_DIRECTION), 3.0) == (params, cls([3.0, (6.0, 3)]))
+    # the 1-D phase space reproduces the classical builder's Z and E (at h = 1,
+    # where the quantum sum's 1/h is 1)
+    classical = {"well": well_classical, "oscillator": osc_classical}[name]
+    for T, m, value in ((1.0, 1.0, 1.0), (1.3, 0.7, 1.7), (40.0, 0.01, 3.0)):
+        point = PhysicalParams(T=T, h=1.0, m=m)
+        check = classical_phase_space_check(point, cls([value]))
+        quartet = classical(point, cls([value]))
+        assert check.z_exact == pytest.approx(quartet.Z, rel=1e-15, abs=0)
+        assert check.e_exact == pytest.approx(quartet.E, rel=1e-15, abs=0)
+    # both --system options offer the mapping's names
+    (commands,) = build_parser()._subparsers._group_actions
+    choices = [a.choices for p in commands.choices.values() for a in p._actions
+               if a.dest == "system"]
+    assert len(choices) == 2 and all(list(c) == list(SYSTEMS) for c in choices)
+    # a subclass reports bit for bit as its class does
+    sub = type("Sub", (cls,), {"__slots__": ()})
+    for h in (1e-3, 0.5, 10.0):
+        point = PhysicalParams(T=1.0, h=h, m=1.0)
+        assert repr(comparison_report(point, sub([1.0, (2.0, 3)]))) == repr(
+            comparison_report(point, base))
 
 
 def test_comparison_report_signs_well():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qcthermo.core import ConvergenceError, ValidationError
 from qcthermo.theta import (
-    CROSSOVER_MU,
+    _CROSSOVER_MU,
     _gaussian_moments,
     energy_sum,
     small_mu_slope_witnesses,
@@ -41,11 +41,11 @@ def test_theta_poisson_oracle():
 def test_dispatch_picks_representation():
     assert theta(3.0).representation_used == "direct"
     assert theta(0.5).representation_used == "poisson"
-    assert theta(CROSSOVER_MU).representation_used == "direct"
+    assert theta(_CROSSOVER_MU).representation_used == "direct"
 
 
 def test_crossover_value():
-    assert CROSSOVER_MU == pytest.approx(2.0 / math.sqrt(math.pi), rel=0)
+    assert _CROSSOVER_MU == pytest.approx(2.0 / math.sqrt(math.pi), rel=0)
 
 
 @given(mu=st.floats(min_value=0.3, max_value=3.0))
@@ -161,7 +161,7 @@ def test_kernel_matches_mpmath(log_mu):
     assert got.mean_energy == pytest.approx(float(mean), rel=1e-14, abs=0)
 
 
-@given(mu=st.floats(min_value=0.9 * CROSSOVER_MU, max_value=1.1 * CROSSOVER_MU))
+@given(mu=st.floats(min_value=0.9 * _CROSSOVER_MU, max_value=1.1 * _CROSSOVER_MU))
 @settings(max_examples=100, deadline=None)
 def test_representations_agree_near_crossover(mu):
     direct, dual = theta_direct(mu), theta_poisson(mu)

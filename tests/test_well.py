@@ -147,11 +147,11 @@ def test_regularized_entropy_matches_mpmath(h):
 
 
 def test_energy_ratio_continuity_at_crossover():
-    from qcthermo.theta import CROSSOVER_MU
+    from qcthermo.theta import _CROSSOVER_MU
 
     # the mean-energy ratio, regularized over classical, of one box axis
-    lo = 2 * theta(CROSSOVER_MU * (1 - 1e-9)).mean_energy
-    hi = 2 * theta(CROSSOVER_MU * (1 + 1e-9)).mean_energy
+    lo = 2 * theta(_CROSSOVER_MU * (1 - 1e-9)).mean_energy
+    hi = 2 * theta(_CROSSOVER_MU * (1 + 1e-9)).mean_energy
     assert lo == pytest.approx(hi, rel=1e-7)
 
 
