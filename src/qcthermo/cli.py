@@ -447,14 +447,26 @@ _DASH_VALUE_FLAGS = ("--levels", "--edges", "--omega", "--potential")
 
 
 def _join_dash_values(argv, parser) -> list[str]:
-    """argv with each of _DASH_VALUE_FLAGS joined, as '--flag=word', to a next
-    word that starts with '-' and begins none of the parser's options; a word
-    that does, such as --dim, stays an option, as argparse reads it."""
+    """argv with each flag that argparse reads as one of _DASH_VALUE_FLAGS
+    joined, as 'flag=word', to a next word that starts with '-' and begins
+    none of the parser's options; a word that does, such as --dim, stays an
+    option, as argparse reads it.  A flag is read as argparse reads it in
+    the subcommand that argv[0] names: one of its option strings, or else a
+    prefix of exactly one, so an ambiguous prefix keeps argparse's error."""
     (commands,) = parser._subparsers._group_actions
     options = [o for p in commands.choices.values() for o in p._option_string_actions]
+    command = commands.choices.get(argv[0]) if argv else None
+    own = command._option_string_actions if command else {}
+
+    def dash_value_flag(flag):
+        if flag in own:
+            return flag in _DASH_VALUE_FLAGS
+        matches = [o for o in own if flag[:2] == "--" and o.startswith(flag)]
+        return len(matches) == 1 and matches[0] in _DASH_VALUE_FLAGS
+
     joined = []
     for word in argv:
-        if (joined and joined[-1] in _DASH_VALUE_FLAGS and word[:1] == "-"
+        if (joined and word[:1] == "-" and dash_value_flag(joined[-1])
                 and not any(o.startswith(word.partition("=")[0]) for o in options)):
             joined[-1] += "=" + word
         else:

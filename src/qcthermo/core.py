@@ -172,10 +172,10 @@ class _Axes:
     (value, multiplicity) pairs of their distinct values, in first-seen order.
 
     A system is built from a sequence whose items are values, one axis each,
-    or (value, multiplicity) pairs with multiplicity >= 1; equal values
-    merge.  Nothing is kept per axis: an N -> inf sweep row multiplies the
-    base's multiplicities by N, as floats, so a row of 10^12 copies of two
-    edges holds two pairs.  dimension, the number of axes, is the sum of the
+    or (value, multiplicity) pairs with a whole multiplicity >= 1, int or
+    float; equal values merge.  Nothing is kept per axis: an N -> inf sweep
+    row multiplies the base's multiplicities by N, as floats, so a row of
+    10^12 copies of two edges holds two pairs.  dimension, the number of axes, is the sum of the
     multiplicities, a finite float at most; it is kept beside the pairs and
     is not a field.  _names gives the system, an axis and the axes, for the
     messages.
@@ -200,6 +200,10 @@ class _Axes:
         dimension = sum(counts.values())
         if dimension == math.inf:
             raise ValidationError(f"{name} with more {plural} than a float counts")
+        # every k is finite here, so floor takes it, and keeps a whole one
+        # equal, int or float, in tuple's C loop
+        if tuple(counts.values()) != tuple(map(math.floor, counts.values())):
+            raise ValidationError(f"multiplicities must be whole numbers, got {tuple(counts.values())}")
         self._init_fields(tuple(counts.items()))
         _set_dimension(self, dimension)
 

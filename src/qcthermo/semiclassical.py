@@ -2,7 +2,7 @@
 
 Z0 = int exp(-V/T) dx, Z2 = 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx and the
 mean potential <V> are evaluated by tensor-product Gauss-Legendre quadrature
-over automatically chosen bounds.  A potential V = c + sum_j W_j(x_{B_j})
+over automatically searched boxes.  A potential V = c + sum_j W_j(x_{B_j})
 over disjoint blocks B_j factorizes by Fubini.  With the sums over distinct
 blocks and k_j the number of blocks equal to block j,
 
@@ -17,17 +17,18 @@ has one block per axis, equal where the frequencies are; a parsed potential
 joins the axes of each of its separate terms, and its blocks are equal where
 their own programs are (see qcthermo.expressions).  An opaque callable is
 one block of all N axes (see PotentialField._split).  Each distinct block
-finds its own box from its own origin, one block after another: every round
-probes the faces of its pending axes with one call and decides on Python
-floats, then it probes its corners.  The grids of both orders of the
-distinct blocks of one dimension are packed whole into shared batches of at
-most CHUNK_POINTS nodes, and a block whose grids are larger is cut into
-slabs of its own.  W_j and its gradient are called once per batch, on their
-block's rows, and evaluated once per node; the Boltzmann factor, the moment
-rows and the sums of the grid pieces are formed once per batch, bit for bit
-as block by block, and all moments come from the same factor.  Each block's
-moments are checked on their own against a reduced-order rule, and a moment
-that is not finite is rejected.  Z0 is carried as its logarithm.  The gradient is
+finds its own box from its own origin, one block after another and one axis
+after another: every round probes the faces of one axis with one call and
+decides on Python floats, then the block probes its corners.  The search is
+the only source of boxes.  The grids of both orders of the distinct blocks
+of one dimension are packed whole into shared batches of at most
+CHUNK_POINTS nodes, and a block whose grids are larger is cut into slabs of
+its own.  W_j and its gradient are called once per batch, on their block's
+rows, and evaluated once per node; the Boltzmann factor, the moment rows and
+the sums of the grid pieces are formed once per batch, bit for bit as block
+by block, and all moments come from the same factor.  Each block's moments
+are checked on their own against a reduced-order rule, and a moment that is
+not finite is rejected.  Z0 is carried as its logarithm.  The gradient is
 exact for the built-in harmonic potential and for potentials parsed by
 :func:`qcthermo.expressions.parse_potential`; only an opaque callable without
 a gradient falls back to central differences.  The quartet predictions follow
@@ -83,41 +84,26 @@ class PotentialField:
     gradient returns shape (..., N).  When gradient is None it is adopted
     from value.gradient if value has one, as a parsed expression does, so
     PotentialField(dimension=n, value=parse_potential(text, n)) has an exact
-    gradient.  bounds, when given, is a sequence of one (lo, hi) pair per
-    axis with finite lo < hi, kept as a tuple of float pairs; otherwise
-    bounds are grown automatically until the Boltzmann factor is
-    negligible on the boundary.  scale is the potential's length scale: the
-    first half-width tried by the automatic bounds and, for an opaque value
-    with no gradient, the unit of the finite-difference step.
+    gradient.  scale is the potential's length scale: the first half-width
+    tried by the box search and, for an opaque value with no gradient, the
+    unit of the finite-difference step.
 
     The quadrature integrates each block of V on its own grid where value
     evaluates its blocks on their own columns, as parsed expressions and
     harmonic_potential do (see _split).  Any other value is integrated as one
-    block of all N axes.
+    block of all N axes.  Each block's box is searched, axis by axis, from
+    its own origin until the Boltzmann factor is negligible on its boundary
+    (see _box); there is no other source of boxes.
     """
 
     dimension: int
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
-    bounds: tuple[tuple[float, float], ...] | None = None
     scale: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.scale) and self.scale > 0):
             raise ValidationError(f"scale must be finite and positive, got {self.scale}")
-        if self.bounds is not None:
-            try:
-                bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-                valid = len(bounds) == self.dimension and all(
-                    -math.inf < lo < hi < math.inf for lo, hi in bounds
-                )
-            except (TypeError, ValueError):
-                valid = False
-            if not valid:
-                raise ValidationError(
-                    f"bounds must be {self.dimension} pairs of finite lo < hi, got {self.bounds!r}"
-                )
-            object.__setattr__(self, "bounds", bounds)
         # the adopted gradient is set on the instance, so dataclasses.replace
         # carries it over
         if self.gradient is None:
@@ -151,9 +137,9 @@ class PotentialField:
         gradient(y, j) give W_j and its gradient on y of shape (...,
         len(blocks[j])).  Such a value, with its own gradient, is called
         through self.value and self.gradient with the block's index, and
-        blocks with equal keys are integrated once, unless bounds are
-        explicit; blocks that cover another number of axes than dimension are
-        a ValidationError.  Any other value, or one whose gradient was
+        blocks with equal keys are integrated once, on one searched box;
+        blocks that cover another number of axes than dimension are a
+        ValidationError.  Any other value, or one whose gradient was
         replaced, is one block of all N axes, called on N-vectors.
         """
         inner, grad = inspect.unwrap(self.value), self.gradient_or_fd()
@@ -163,7 +149,7 @@ class PotentialField:
             raise ValidationError(f"potential of {self.dimension} axes has blocks {inner.blocks}")
         groups = {}
         for j, key in enumerate(inner.block_keys):
-            groups.setdefault(j if self.bounds else key, []).append(j)
+            groups.setdefault(key, []).append(j)
         return inner.constant, [
             (inner.blocks[js[0]], len(js), functools.partial(self.value, block=js[0]),
              functools.partial(grad, block=js[0]))
@@ -197,8 +183,8 @@ def harmonic_potential(m: float, omegas) -> PotentialField:
     return PotentialField(dimension=len(omegas), value=value, scale=1.0 / min(omegas))
 
 
-# rungs of each ladder probed per round of the automatic bounds: enough for
-# the usual few doublings, and then the few shrinks, to take one round each
+# rungs of each ladder probed per round of the box search: enough for the
+# usual few doublings, and then the few shrinks, to take one round each
 _RUNGS = 8
 
 
@@ -208,48 +194,39 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
 
     Boltzmann factors are compared through their exponents relative to the
     origin, -(W - W(0))/T against log(1e-16), so no probe overflows however
-    deep the potential dips.  A half-width doubles from scale until the
-    exponents at both faces, +half and -half with every other axis at 0, are
-    below the cutoff, then shrinks by 0.85 while they stay below, so the
-    quadrature window stays as tight as the decay allows (wide windows waste
-    Gauss-Legendre nodes).  Each round probes the next _RUNGS rungs of every
-    pending axis with one call of W on one array, which also takes W(0), and
-    reads the values back with one tolist(): the rungs, the exponents and
-    every decision are Python floats, formed by the IEEE operations of a
-    search axis by axis, in its order.  Rungs past a turn or an end are
-    ignored.  Then the corners are probed.  The box and the error are those
-    of searching axis by axis: the error of the first failing axis is
-    raised.  W(0) is checked before any: the quadrature sums exp(-W/T)
-    unshifted, so it must not underflow to 0 there (one that overflows fails
-    the quadrature's finiteness check).
+    deep the potential dips.  The axes are searched one after another.  A
+    half-width doubles from scale until the exponents at both faces, +half
+    and -half with every other axis at 0, are below the cutoff, then shrinks
+    by 0.85 while they stay below, so the quadrature window stays as tight
+    as the decay allows (wide windows waste Gauss-Legendre nodes).  Each
+    round probes the next _RUNGS rungs of the axis with one call of W on one
+    array, which also takes W(0), and reads the values back with one
+    tolist(): the rungs, the exponents and every decision are Python floats.
+    Rungs past a turn or an end are ignored, and an axis that fails raises
+    its error.  Then the corners are probed.  W(0) is checked before any:
+    the quadrature sums exp(-W/T) unshifted, so it must not underflow to 0
+    there (one that overflows fails the quadrature's finiteness check).
     """
     rise, cutoff = math.log(0.999999), math.log(1e-16)
-    # per pending axis: the next rung, its factor (2.0 doubling, 0.85
-    # shrinking), the last face exponent (doubling) or the half-width accepted
-    # so far (shrinking), the rungs doubled, and whether the accepted
-    # half-width's -half face was not nan (its +half face is not)
-    state = dict.fromkeys(range(d), (scale, 2.0, math.inf, 0, False))
-    halves, clean = {}, False
-    while state:
-        # each pending axis's rungs: its next rung times its factor again and
-        # again.  The probes are W(0), then the faces +rung and -rung of each
-        # rung of each pending axis
-        ladders, probes = [], np.zeros((1 + 2 * _RUNGS * len(state), d))
-        for i, (k, (rung, factor, *_)) in enumerate(state.items()):
+    box, clean = [], False
+    for k in range(d):
+        # the next rung, its factor (2.0 doubling, 0.85 shrinking), the last
+        # face exponent (doubling) or the half-width accepted so far
+        # (shrinking), the rungs doubled, and whether the accepted
+        # half-width's -half face was not nan (its +half face is not)
+        rung, factor, last, doubled, seen = scale, 2.0, math.inf, 0, False
+        half = None
+        while half is None:
+            # the rungs: the next rung times its factor again and again.  The
+            # probes are W(0), then the faces +rung and -rung of each rung
             ladder = list(itertools.accumulate([factor] * (_RUNGS - 1), operator.mul, initial=rung))
-            ladders.append(ladder)
-            faces = slice(1 + 2 * _RUNGS * i, 1 + 2 * _RUNGS * (i + 1))
-            probes[faces, k] = [x for r in ladder for x in (r, -r)]
-        v = value(probes).tolist()
-        w0 = v[0]
-        if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
-            raise IntegrationError("potential not finite at the origin")
-        for i, (k, ladder) in enumerate(zip(list(state), ladders)):
-            _, factor, last, doubled, seen = state.pop(k)
-            end, row = None, 1 + 2 * _RUNGS * i
-            for rung in ladder:
-                lo, hi = -(v[row] - w0) / T, -(v[row + 1] - w0) / T
-                row += 2
+            probes = np.zeros((1 + 2 * _RUNGS, d))
+            probes[1:, k] = [x for r in ladder for x in (r, -r)]
+            w0, *v = value(probes).tolist()
+            if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
+                raise IntegrationError("potential not finite at the origin")
+            for rung, lo, hi in zip(ladder, v[::2], v[1::2]):
+                lo, hi = -(lo - w0) / T, -(hi - w0) / T
                 # Python's max, so a nan at the -half face alone is passed over
                 val = max(lo, hi)
                 if factor == 2.0:
@@ -257,31 +234,23 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
                         factor, last, seen = 0.85, rung, hi == hi
                         break
                     if val > last + rise and val >= 0.0:
-                        end = IntegrationError(
+                        raise IntegrationError(
                             "Boltzmann factor does not decay; potential looks non-integrable"
                         )
-                        break
                     last, doubled = val, doubled + 1
                     if doubled == 200:
-                        end = IntegrationError("could not bound the integration domain")
-                        break
+                        raise IntegrationError("could not bound the integration domain")
                 elif val < cutoff:
                     # an infinite half-width cannot shrink
                     if rung == last:
-                        end = IntegrationError("could not bound the integration domain")
-                        break
+                        raise IntegrationError("could not bound the integration domain")
                     last, seen = rung, hi == hi
                 else:
-                    end, clean = last, seen
+                    half, clean = last, seen
                     break
-            if end is None:
-                state[k] = (factor * rung, factor, last, doubled, seen)
-            else:
-                halves[k] = end
-    box = [halves[k] for k in range(d)]
-    for h in box:
-        if isinstance(h, Exception):
-            raise h
+            # the rung where the doubling turned, or the ladder's last
+            rung *= factor
+        box.append(half)
     # corners may decay slower than face centers for non-separable
     # potentials, along any diagonal: all 2^d are probed (d <=
     # MAX_TENSOR_DIMENSION), (+h, ..., +h) first.  A one-axis block's corners
@@ -393,10 +362,7 @@ def _boltzmann_moments(
         )
     # every box is found before any grid is integrated, so a block that does
     # not decay is rejected early
-    if potential.bounds is None:
-        boxes = [_box(value, len(axes), T, potential.scale) for axes, _, value, _ in parts]
-    else:
-        boxes = [[potential.bounds[k] for k in axes] for axes, *_ in parts]
+    boxes = [_box(value, len(axes), T, potential.scale) for axes, _, value, _ in parts]
     partials = [([], []) for _ in parts]
     for y, w, blocks, pieces in _grid_batches(boxes):
         run = len(w) // len(blocks)

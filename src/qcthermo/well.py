@@ -119,9 +119,10 @@ class GeometricCoefficients(_Record):
 
 
 def geometric_coefficients(geom: BoxGeometry) -> GeometricCoefficients:
-    n = geom.dimension
+    edges = [a for a, copies in geom.distinct_edges for _ in range(int(copies))]
+    n = len(edges)
     u = [1.0] + [0.0] * n
-    for a in [a for a, copies in geom.distinct_edges for _ in range(copies)]:
+    for a in edges:
         for k in range(n, 0, -1):
             u[k] += a * u[k - 1]
     v = tuple(u[k] * 2.0 ** (n - k) for k in range(n + 1))
@@ -137,7 +138,7 @@ def kac_expansion_ratio(geom: BoxGeometry, rho: float) -> float:
     if rho < 0:
         raise ValidationError(f"rho must be >= 0, got {rho}")
     coeffs = geometric_coefficients(geom)
-    n = geom.dimension
+    n = len(coeffs.U) - 1
     terms = [(-1.0) ** k * rho**k * coeffs.U[n - k] for k in range(n + 1)]
     return math.fsum(terms) / coeffs.U[n]
 
@@ -147,7 +148,7 @@ def kac_mean_energy_ratio(geom: BoxGeometry, rho: float) -> float:
     if rho < 0:
         raise ValidationError(f"rho must be >= 0, got {rho}")
     coeffs = geometric_coefficients(geom)
-    n = geom.dimension
+    n = len(coeffs.U) - 1
     return 1.0 + rho * coeffs.V[n - 1] / (2.0 * n * coeffs.V[n])
 
 

@@ -299,6 +299,26 @@ def test_list_and_text_values_may_start_with_a_minus(capsys):
     assert "argument --potential: expected one argument" in capsys.readouterr().err
 
 
+def test_abbreviated_flags_take_values_that_start_with_a_minus(capsys):
+    # argparse takes a unique prefix of an option, and so does the join
+    for abbreviated, full in (
+        (["gibbs", "--lev", "-1,0,1", "--T", "1"], ["gibbs", "--levels=-1,0,1", "--T", "1"]),
+        (["kw", "--pot", "-(x1^2)+x1^4", "--dim", "1", "--T", "1", "--h", "0.1"],
+         ["kw", "--potential=-(x1^2)+x1^4", "--dim", "1", "--T", "1", "--h", "0.1"]),
+    ):
+        assert run(full) == 0
+        expected = capsys.readouterr()
+        assert run(abbreviated) == 0
+        assert capsys.readouterr() == expected
+    assert run(["eval", "--system", "well", "--edg", "-1,2", "--T", "1", "--h", "1"]) == 2
+    assert capsys.readouterr().err == "error: edges must be positive, got (-1.0, 2.0)\n"
+    # a prefix of two options of kw, --omega and --out, is argparse's error
+    with pytest.raises(SystemExit) as exc:
+        run(["kw", "--o", "-1", "--T", "1", "--h", "0.1"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --o could match --omega, --out" in capsys.readouterr().err
+
+
 def test_unwritable_stdout_exits_2(capsys, monkeypatch):
     def full(text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

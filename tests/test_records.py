@@ -253,6 +253,7 @@ def _plan(system="well", direction="h_to_0", grid=(1, 2, 3, 4, 5, 6), **kwargs):
     (lambda: BoxGeometry([1, (2, 0.5)]), "multiplicities must be >= 1, got (1, 0.5)"),
     (lambda: OscillatorSpec([(1, 1e308), (2, 1e308)]),
      "oscillator with more frequencies than a float counts"),
+    (lambda: BoxGeometry([(1.0, 1.5)]), "multiplicities must be whole numbers, got (1.5,)"),
     (lambda: ThermoQuartet(0, 0, 0, 0, "x", 1), "statistical sum must be positive, got 0"),
     (lambda: ThermoQuartet(1, 0, 0, 0, "x", 1), "unknown flavor 'x'"),
     (lambda: ThermoQuartet(1, 1, 0, 0, "classical", 1),

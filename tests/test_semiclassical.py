@@ -151,12 +151,10 @@ def test_box_covers_every_corner():
             z0_integral(pot, 1.0)
 
 
-def test_explicit_bounds_respected():
-    pot = PotentialField(
-        dimension=1,
-        value=lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
-        bounds=((-15.0, 15.0),),
-    )
+def test_explicit_bounds_respected(monkeypatch):
+    # a window of +-15 in place of the searched box
+    monkeypatch.setattr(semiclassical, "_box", lambda value, d, T, scale: ((-15.0, 15.0),))
+    pot = PotentialField(dimension=1, value=lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1))
     assert z0_integral(pot, 1.0) == pytest.approx(SQRT_2PI, rel=1e-10)
     # on +-15 the order-48 rule resolves Z0 but not the weighted moments, and
     # each moment is checked on its own; Z2 is checked before <V>, and
@@ -171,41 +169,13 @@ def test_explicit_bounds_respected():
 
 
 def test_explicit_bounds_split_into_blocks():
-    # each block takes its own axes' bounds, and the constant 3 is split off
-    # the blocks: Z0 = pi/sqrt(2) e^-3 and <V> = 1/2 + 1/2 + 3 at T = 1
-    pot = PotentialField(
-        dimension=2,
-        value=parse_potential("x1^2 + 2*x2^2 + 3", 2),
-        bounds=((-7.0, 7.0), (-5.0, 5.0)),
-    )
+    # each block searches its own box, and the constant 3 is split off the
+    # blocks: Z0 = pi/sqrt(2) e^-3 and <V> = 1/2 + 1/2 + 3 at T = 1
+    pot = PotentialField(dimension=2, value=parse_potential("x1^2 + 2*x2^2 + 3", 2))
     assert [part[:2] for part in pot._split()[1]] == [((0,), 1), ((1,), 1)]
     assert z0_integral(pot, 1.0) == pytest.approx(math.pi / math.sqrt(2.0) / math.e**3, rel=1e-13)
     pred = kw_expansion(pot, PhysicalParams(T=1.0, h=0.1, m=1.0))
     assert pred.Er - 0.02 * pred.z2_over_z0 == pytest.approx(1.0 + 4.0, rel=1e-13)
-
-
-@pytest.mark.parametrize("bounds", [
-    ((-1.0, 1.0),),  # one pair for two axes
-    ((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)),  # three
-    ((5.0, -5.0), (-1.0, 1.0)),
-    ((0.0, 0.0), (-1.0, 1.0)),
-    ((-math.inf, math.inf), (-1.0, 1.0)),
-    ((-1.0, 1.0), (-1.0, math.nan)),
-    ((-1.0, 1.0, 2.0), (-1.0, 1.0)),
-    ((-1.0, "a"), (-1.0, 1.0)),
-    (1.0, 2.0),
-])
-def test_bounds_must_be_one_finite_interval_per_axis(bounds):
-    value = parse_potential("x1^2 + x2^2", 2)
-    with pytest.raises(ValidationError, match="bounds must be 2 pairs of finite lo < hi"):
-        PotentialField(dimension=2, value=value, bounds=bounds)
-
-
-def test_bounds_are_kept_as_float_pairs():
-    pot = PotentialField(dimension=2, value=parse_potential("x1^2 + x2^2", 2), bounds=[[-7, 7], (-8, 7)])
-    assert pot.bounds == ((-7.0, 7.0), (-8.0, 7.0))
-    assert all(type(x) is float for pair in pot.bounds for x in pair)
-    assert z0_integral(pot, 1.0) == pytest.approx(math.pi, rel=1e-13)
 
 
 def test_scale_must_be_finite_and_positive():
@@ -311,7 +281,7 @@ def test_parsed_gradient_adopted_and_kept_by_replace():
     value = parse_potential("x1^2/2", 1)
     pot = PotentialField(dimension=1, value=value)
     assert pot.gradient == value.gradient
-    assert dataclasses.replace(pot, bounds=((-9.0, 9.0),)).gradient == value.gradient
+    assert dataclasses.replace(pot, scale=9.0).gradient == value.gradient
     explicit = lambda x: np.zeros(np.shape(x))  # noqa: E731
     assert PotentialField(dimension=1, value=value, gradient=explicit).gradient is explicit
 
@@ -347,10 +317,9 @@ def test_parsed_quartic_z2_closed_form():
 
 
 def test_non_finite_moments_rejected():
-    # sqrt(x + 1) is nan for x < -1, inside the box: the moments are nan
-    pot = PotentialField(
-        1, parse_potential("x1^2 + (x1+1)^0.5", 1), bounds=((-3.0, 3.0),)
-    )
+    # the root is nan for 0.4 < x < 0.6, inside the searched box and between
+    # its probes: the moments are nan
+    pot = PotentialField(1, parse_potential("x1^2 + ((x1-0.5)^2 - 0.01)^0.5", 1))
     with pytest.raises(IntegrationError, match="quadrature not finite"):
         z0_integral(pot, 1.0)
     with pytest.raises(IntegrationError, match="quadrature not finite"):
@@ -574,6 +543,9 @@ _SEARCHED = [
     # the cutoff, in either order: the first axis's error is raised
     (PotentialField(2, parse_potential("-x1^2 - exp(-x2^2) + 0*x1*x2", 2)), 1.0),
     (PotentialField(2, parse_potential("-exp(-x1^2) - x2^2 + 0*x1*x2", 2)), 1.0),
+    # a coupled block of MAX_TENSOR_DIMENSION axes
+    (PotentialField(4, parse_potential(
+        "x1^2 + x2^2 + x3^2 + x4^4 + 0.5*x1*x2 + 0.5*x3*x4 + 0.5*x2*x3", 4)), 1.0),
 ]
 
 
@@ -665,19 +637,23 @@ def _slab_by_slab(parts, T, with_gradient, boxes):
     return out
 
 
-def _assert_moments_match_the_slab_by_slab_pass(potentials):
+def _assert_moments_match_the_slab_by_slab_pass(monkeypatch, potentials):
+    """Each entry is a potential, or (potential, boxes) to integrate it on
+    the boxes given, one per distinct block, in place of the searched ones."""
     for pot in potentials:
+        pot, given = pot if isinstance(pot, tuple) else (pot, None)
         c, parts = pot._split()
-        if pot.bounds is None:
-            boxes = [_box(value, len(axes), 0.8, pot.scale) for axes, _, value, _ in parts]
-        else:
-            boxes = [[pot.bounds[k] for k in axes] for axes, *_ in parts]
-        for with_gradient in (False, True):
-            got = semiclassical._boltzmann_moments(pot, parts, 0.8, with_gradient)
-            expected = _slab_by_slab(parts, 0.8, with_gradient, boxes)
-            assert len(got) == len(expected)
-            for (count, moments), (want_count, want) in zip(got, expected):
-                assert count == want_count and np.array_equal(moments, want)
+        boxes = given or [_box(value, len(axes), 0.8, pot.scale) for axes, _, value, _ in parts]
+        with monkeypatch.context() as patch:
+            if given:
+                box_of = {id(value): box for (_, _, value, _), box in zip(parts, given)}
+                patch.setattr(semiclassical, "_box", lambda value, d, T, scale: box_of[id(value)])
+            for with_gradient in (False, True):
+                got = semiclassical._boltzmann_moments(pot, parts, 0.8, with_gradient)
+                expected = _slab_by_slab(parts, 0.8, with_gradient, boxes)
+                assert len(got) == len(expected)
+                for (count, moments), (want_count, want) in zip(got, expected):
+                    assert count == want_count and np.array_equal(moments, want)
 
 
 # 200 distinct one-axis blocks span three shared batches of the default size
@@ -689,7 +665,7 @@ _MIXED = PotentialField(5, parse_potential("x1^2 + (x2 + x3)^2 + x3^2 + x4^4 + 2
 @pytest.mark.parametrize("chunk", [semiclassical.CHUNK_POINTS, 1000])
 def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
     monkeypatch.setattr(semiclassical, "CHUNK_POINTS", chunk)
-    _assert_moments_match_the_slab_by_slab_pass([
+    _assert_moments_match_the_slab_by_slab_pass(monkeypatch, [
         harmonic_potential(1.3, [0.6, 1.7, 1.1]),
         harmonic_potential(1.0, [0.5 + k / 40 for k in range(40)]),
         _MANY,
@@ -699,10 +675,12 @@ def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
         PotentialField(5, parse_potential("x1^2 + x2^2 + x1*x2 + x3^2 + x4^2 + x5^4 + 0.3*(x3*x4*x5)^2", 5)),
         # a grid larger than CHUNK_POINTS = 1000 is streamed in slabs
         _opaque(harmonic_potential(1.0, [0.7, 1.9])),
-        # an opaque callable with central differences, and explicit bounds
+        # an opaque callable with central differences, and boxes given in
+        # place of the searched ones: unequal, and asymmetric
         PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 0.1 * x[..., 0] ** 4),
-        PotentialField(2, parse_potential("x1^2 + 2*x2^2 + 3", 2), bounds=((-7.0, 7.0), (-5.0, 5.0))),
-        PotentialField(2, parse_potential("x1^2 + 2*x2^2", 2), bounds=((-6.3, 7.1), (-5.0, 4.7))),
+        (PotentialField(2, parse_potential("x1^2 + 2*x2^2 + 3", 2)), [((-7.0, 7.0),), ((-5.0, 5.0),)]),
+        (PotentialField(2, parse_potential("x1^2 + 2*x2^2", 2)), [((-6.3, 7.1),), ((-5.0, 4.7),)]),
+        (_opaque(PotentialField(2, parse_potential("x1^2 + 2*x2^2", 2))), [((-6.3, 7.1), (-5.0, 4.7))]),
         # equal blocks, and an opaque callable of a separable potential: it is one block
         harmonic_potential(1.0, [0.7, 1.9, 0.7, 0.7]),
         PotentialField(2, lambda x: np.sum(np.asarray(x) ** 2, axis=-1) + 1.0),
@@ -714,7 +692,7 @@ def test_batched_moments_match_the_slab_by_slab_pass(monkeypatch, chunk):
 @pytest.mark.parametrize("chunk", [250, 100])
 def test_small_shared_batches_match_the_slab_by_slab_pass(monkeypatch, chunk):
     monkeypatch.setattr(semiclassical, "CHUNK_POINTS", chunk)
-    _assert_moments_match_the_slab_by_slab_pass([
+    _assert_moments_match_the_slab_by_slab_pass(monkeypatch, [
         _MANY,
         _MIXED,
         harmonic_potential(1.0, [0.7, 1.9, 0.7, 0.7, 1.2]),

@@ -183,6 +183,14 @@ def test_geometric_coefficients_unit_cube():
     assert coeffs.V == (8.0, 12.0, 6.0, 1.0)
 
 
+def test_kac_functions_take_float_multiplicities():
+    # an N -> inf row's multiplicities are floats; the box is the same
+    pairs, axes = BoxGeometry([(1.0, 2.0), 3.0]), BoxGeometry([1, 1, 3])
+    assert geometric_coefficients(pairs) == geometric_coefficients(axes)
+    assert kac_expansion_ratio(pairs, 0.1) == kac_expansion_ratio(axes, 0.1)
+    assert kac_mean_energy_ratio(pairs, 0.1) == kac_mean_energy_ratio(axes, 0.1)
+
+
 @given(
     edges=st.lists(st.floats(min_value=0.5, max_value=10.0), min_size=1, max_size=5),
     rho=st.floats(min_value=0.0, max_value=0.2),
