@@ -38,10 +38,10 @@ one's function and operands reuses its value, steps no output needs are
 dropped, and each step writes over a slot no later step reads, so a call
 holds no more arrays than the walk would.  ``V(x)`` and ``V.gradient(x)``
 replay the kernel on x's columns, calling exactly the functions the walk
-calls on the same operands, so the bits are the walk's on arrays.  Kernels
-are tuples of data, left out when a potential is pickled or copied: the
-copy traces its own.  Both run with NumPy floating-point warnings off: a
-non-finite value is left for the caller to reject.
+calls on the same operands, so the bits are the walk's on arrays.  Both
+run with NumPy floating-point warnings off: a non-finite value is left for
+the caller to reject.  A copy or an unpickled potential is its text parsed
+again, and it traces its own kernels.
 
 ``V.blocks`` partitions the axes so that V is a constant plus one function of
 each block's axes.  One pass over the list keeps, for each value on the
@@ -91,8 +91,6 @@ MAX_INT_POWER = 16
 _CONST, _VAR, _SUM, _MUL, _DIV, _POW, _NEG, _EXP, _IPOW, _CPOW = (
     "const", "var", "sum", "mul", "div", "pow", "neg", "exp", "ipow", "cpow"
 )
-# each opcode by its name, to restore unpickled opcodes to these objects
-_OPCODES = {op: op for op in (_CONST, _VAR, _SUM, _MUL, _DIV, _POW, _NEG, _EXP, _IPOW, _CPOW)}
 # operands taken from the stack; a SUM takes one per sign in its arg
 _ARITY = {_CONST: 0, _VAR: 0, _NEG: 1, _EXP: 1, _IPOW: 1, _CPOW: 1, _MUL: 2, _DIV: 2, _POW: 2}
 
@@ -499,26 +497,18 @@ class _CompiledPotential:
     gradient(x) returns shape (..., N).  Given a block index j, both run
     block j's own program W_j on x of shape (..., len(blocks[j])), the
     block's columns.  blocks, block_keys and constant are described in the
-    module docstring.  Hashable by identity.
+    module docstring.  Hashable by identity; copied and pickled as
+    parse_potential(text, dimension).
     """
 
-    def __init__(self, program, dimension: int):
-        self._program = program
+    def __init__(self, text: str, program, dimension: int):
+        self._text, self._program = text, program
         self.dimension = dimension
         self.blocks, self.block_keys, self.constant = _blocks(program, dimension)
         self._kernels = {}  # (block, kind): the kernel traced on the first call
 
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k != "_kernels"}
-
-    def __setstate__(self, state):
-        # an unpickled opcode is a new string, and the tape compares opcodes by identity
-        def canonical(code):
-            return [(_OPCODES[op], arg) for op, arg in code]
-
-        vars(self).update(state, _kernels={})
-        self._program = canonical(self._program)
-        self.block_keys = tuple(tuple(canonical(key)) for key in self.block_keys)
+    def __reduce__(self):
+        return parse_potential, (self._text, self.dimension)
 
     def _run(self, x, kind, block):
         """(columns, x's batch shape, (label, value) pairs of the kernel of
@@ -567,4 +557,4 @@ def parse_potential(text: str, dimension: int):
     except (RecursionError, MemoryError) as exc:
         # Python's parser reports input too deep for its own stack as MemoryError
         raise ValidationError("expression nests too deeply to parse") from exc
-    return _CompiledPotential(program, dimension)
+    return _CompiledPotential(text, program, dimension)

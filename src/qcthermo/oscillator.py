@@ -18,6 +18,7 @@ import math
 from math import comb, factorial
 
 from .core import (
+    ConvergenceError,
     OscillatorSpec,
     PhysicalParams,
     ThermoQuartet,
@@ -97,12 +98,17 @@ def _axis_excess(tau: float) -> tuple[float, float, float]:
 
 
 def _osc_excess(params: PhysicalParams, spec: OscillatorSpec) -> tuple[float, float, float]:
-    """Sum over the distinct frequencies of multiplicity times _axis_excess."""
+    """Sum over the distinct frequencies of multiplicity times _axis_excess;
+    a ConvergenceError where a tau is beyond float range."""
     if params.h == 0:
         raise ValidationError("quantum sums need h > 0")
-    return _excess_sum(
-        [(_axis_excess(_frequency_tau(params, w)), k) for w, k in spec.distinct_frequencies]
-    )
+    excess = []
+    for w, k in spec.distinct_frequencies:
+        tau = _frequency_tau(params, w)
+        if tau == math.inf:
+            raise ConvergenceError(f"tau = h*omega/(2T) is beyond float range at omega={w}")
+        excess.append((_axis_excess(tau), k))
+    return _excess_sum(excess)
 
 
 def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet:

@@ -24,12 +24,13 @@ the only source of boxes.  The grids of both orders of the distinct blocks
 of one dimension are packed whole into shared batches of at most
 CHUNK_POINTS nodes, and a block whose grids are larger is cut into slabs of
 its own.  W_j and its gradient are called once per batch, on their block's
-rows, and evaluated once per node; the Boltzmann factor, the moment rows and
-the sums of the grid pieces are formed once per batch, bit for bit as block
-by block, and all moments come from the same factor.  Each block's moments
-are checked on their own against a reduced-order rule, and a moment that is
-not finite is rejected.  Z0 is carried as its logarithm.  The gradient is
-exact for the built-in harmonic potential and for potentials parsed by
+rows, and evaluated once per node, in every pass, Z0's own included; the
+Boltzmann factor, the moment rows and the sums of the grid pieces are formed
+once per batch, bit for bit as block by block, and all moments come from the
+same factor.  Each block's moments are checked on their own against a
+reduced-order rule, and a moment that is not finite is rejected.  Z0 is
+carried as its logarithm.  The gradient is exact for the built-in harmonic
+potential and for potentials parsed by
 :func:`qcthermo.expressions.parse_potential`; only an opaque callable without
 a gradient falls back to central differences.  The quartet predictions follow
 
@@ -337,14 +338,12 @@ def _grid_batches(boxes):
 INT_B, INT_BV, INT_B_ABS_V, INT_B_GRAD2 = range(4)
 
 
-def _boltzmann_moments(
-    potential: PotentialField, parts, T: float, with_gradient: bool = False
-) -> list[tuple[int, np.ndarray]]:
+def _boltzmann_moments(potential: PotentialField, parts, T: float) -> list[tuple[int, np.ndarray]]:
     """(k, moments) for each distinct block (axes, k, W, grad W) of parts.
 
     A block's moments are those of b = exp(-W/T) over its own columns, in
     the columns INT_B, INT_BV, INT_B_ABS_V and INT_B_GRAD2: int b, int b*W,
-    int b*|W| and int b*|grad W|^2 (0 without with_gradient).  Row 0 holds
+    int b*|W| and int b*|grad W|^2.  Every pass forms all four.  Row 0 holds
     them at QUADRATURE_ORDER, row 1 at CHECK_ORDER (see _stable).  Every
     block's box is found first.  Then the grids of all blocks go through
     shared batches (_grid_batches), and memory stays O(CHUNK_POINTS): each W
@@ -375,17 +374,12 @@ def _boltzmann_moments(
             rows = slice(i * run, (i + 1) * run)
             x = y[rows]
             bv[rows] = value(x)
-            if with_gradient:
-                # summed over the block's axes in order, as sum does below 8
-                # terms
-                bg2[rows] = (gradient(x) ** 2).sum(axis=-1)
+            # summed over the block's axes in order, as sum does below 8 terms
+            bg2[rows] = (gradient(x) ** 2).sum(axis=-1)
         np.multiply(np.exp(-bv / T), w, out=b)
         bv *= b
         np.abs(bv, out=terms[INT_B_ABS_V])
-        if with_gradient:
-            bg2 *= b
-        else:
-            bg2.fill(0.0)
+        bg2 *= b
         by_run = terms.reshape(4, len(blocks), run)
         for row, piece in pieces:
             for j, sums in zip(blocks, by_run[:, :, piece].sum(axis=-1).T.tolist()):
@@ -416,12 +410,12 @@ def _stable(moments: np.ndarray, k: int, scale: int | None = None) -> float:
 # a Boltzmann factor beyond float range makes a moment non-finite, which
 # _stable reports in one line; numpy need not warn about it as well
 @np.errstate(over="ignore", invalid="ignore")
-def _integrals(potential: PotentialField, T: float, with_gradient: bool):
+def _integrals(potential: PotentialField, T: float):
     """(c, sum_j k_j log z_j, the blocks' (k, moments)), each z_j checked."""
     c, parts = potential._split()
     if not math.isfinite(c):
         raise IntegrationError("potential not finite at the origin")
-    blocks = _boltzmann_moments(potential, parts, T, with_gradient)
+    blocks = _boltzmann_moments(potential, parts, T)
     return c, math.fsum(k * math.log(_stable(moments, INT_B)) for k, moments in blocks), blocks
 
 
@@ -448,18 +442,22 @@ def _exp(x: float) -> float:
 
 
 def z0_integral(potential: PotentialField, T: float) -> float:
-    """Configuration integral int exp(-V/T) dx; inf where it overflows."""
-    if T <= 0:
+    """Configuration integral int exp(-V/T) dx; inf where it overflows.
+
+    The pass integrates the gradient too, but only int exp(-V/T) is judged,
+    so a gradient moment that is not finite does not fail Z0.
+    """
+    if not (T > 0):
         raise ValidationError("T must be positive")
-    c, log_z, _ = _integrals(potential, T, False)
+    c, log_z, _ = _integrals(potential, T)
     return _exp(log_z - c / T)
 
 
 def z2_integral(potential: PotentialField, T: float, m: float) -> float:
     """First quantum correction 1/(24 m T^3) int exp(-V/T) |grad V|^2 dx."""
-    if T <= 0 or m <= 0:
+    if not (T > 0 and m > 0):
         raise ValidationError("need T > 0 and m > 0")
-    c, log_z, blocks = _integrals(potential, T, True)
+    c, log_z, blocks = _integrals(potential, T)
     return _exp(log_z - c / T) * _grad2_mean(blocks, m, T)
 
 
@@ -476,7 +474,7 @@ def kw_expansion(potential: PotentialField, params: PhysicalParams) -> KWPredict
     Z_c = (2 pi m T)^(N/2) Z0, E_c = N T/2 + <V>.
     """
     T, m, h = params.T, params.m, params.h
-    c, log_z, blocks = _integrals(potential, T, True)
+    c, log_z, blocks = _integrals(potential, T)
     ratio = _grad2_mean(blocks, m, T)
     v_mean = math.fsum(
         k * (_stable(moments, INT_BV, INT_B_ABS_V) / moments[0, INT_B]) for k, moments in blocks

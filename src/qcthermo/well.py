@@ -20,6 +20,7 @@ import sys
 
 from .core import (
     BoxGeometry,
+    ConvergenceError,
     InversionError,
     PhysicalParams,
     ThermoQuartet,
@@ -49,6 +50,9 @@ __all__ = [
 # e^{-4*pi/eps^2} < 1e-60 for eps <= 0.3: the neglected tail of the
 # small-parameter expansions is far below float noise in this range.
 ASYMPTOTIC_EPS_LIMIT = 0.3
+# largest rounding bound of kac_expansion_ratio's alternating sum, relative
+# to the sum, that it returns
+KAC_ROUNDING_LIMIT = 1e-8
 
 
 def well_classical(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
@@ -119,13 +123,18 @@ class GeometricCoefficients(_Record):
 
 
 def geometric_coefficients(geom: BoxGeometry) -> GeometricCoefficients:
+    """U and V of the box's edges; a ValidationError where one of them
+    leaves the normal float range, since every one is positive."""
     edges = [a for a, copies in geom.distinct_edges for _ in range(int(copies))]
     n = len(edges)
     u = [1.0] + [0.0] * n
     for a in edges:
         for k in range(n, 0, -1):
             u[k] += a * u[k - 1]
-    v = tuple(u[k] * 2.0 ** (n - k) for k in range(n + 1))
+    big = sys.float_info.max_exp  # 2.0**big overflows
+    v = tuple(u[k] * (2.0 ** (n - k) if n - k < big else math.inf) for k in range(n + 1))
+    if not all(sys.float_info.min <= c < math.inf for c in (*u, *v)):
+        raise ValidationError(f"geometric coefficients of {n} edges leave the float range")
     return GeometricCoefficients(U=tuple(u), V=v)
 
 
@@ -133,19 +142,33 @@ def kac_expansion_ratio(geom: BoxGeometry, rho: float) -> float:
     """Geometric expansion of the statistical-sum ratio.
 
     U_N^(-1) * sum_k (-1)^k rho^k U_{N-k}; exact for boxes, where it equals
-    prod_k (1 - rho/a_k).
+    prod_k (1 - rho/a_k).  The terms alternate in sign and math.fsum adds
+    them exactly, so the error is the terms' own rounding, at most about
+    (N + 2) eps sum_k |term k|.  Where that bound exceeds KAC_ROUNDING_LIMIT
+    times the sum, or a term leaves float range, the digits are lost and a
+    ConvergenceError is raised.
     """
-    if rho < 0:
+    if not (rho >= 0):
         raise ValidationError(f"rho must be >= 0, got {rho}")
     coeffs = geometric_coefficients(geom)
     n = len(coeffs.U) - 1
-    terms = [(-1.0) ** k * rho**k * coeffs.U[n - k] for k in range(n + 1)]
-    return math.fsum(terms) / coeffs.U[n]
+    try:
+        terms = [(-1.0) ** k * rho**k * coeffs.U[n - k] for k in range(n + 1)]
+        size, total = math.fsum(map(abs, terms)), math.fsum(terms)
+    except (OverflowError, ValueError):  # a power, or a sum, beyond float range
+        size = total = math.inf
+    if not (size < math.inf and (n + 2) * sys.float_info.epsilon * size
+            <= KAC_ROUNDING_LIMIT * abs(total)):
+        raise ConvergenceError(
+            f"Kac expansion at rho={rho} cancels past float precision: terms of "
+            f"total size {size:.6g} sum to {total:.6g}"
+        )
+    return total / coeffs.U[n]
 
 
 def kac_mean_energy_ratio(geom: BoxGeometry, rho: float) -> float:
     """Leading-order mean-energy ratio 1 + rho * V_{N-1} / (2N * V_N)."""
-    if rho < 0:
+    if not (rho >= 0):
         raise ValidationError(f"rho must be >= 0, got {rho}")
     coeffs = geometric_coefficients(geom)
     n = len(coeffs.U) - 1

@@ -161,6 +161,21 @@ def test_kw_z_beyond_float_range_exits_3(capsys):
     assert err == "error: non-finite value in output field '$.predicted.Zr'\n"
 
 
+def test_tau_beyond_float_range_is_named(capsys):
+    # tau = h*omega/(2T) = 5e309 is beyond float range
+    message = "tau = h*omega/(2T) is beyond float range at omega=1e+300"
+    for args in (["eval", "--system", "oscillator", "--omega", "1e300", "--T", "1", "--h", "1e10"],
+                 ["kw", "--omega", "1e300", "--T", "1", "--h", "1e10"]):
+        assert run(args) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+    code, out = run_cli(["sweep", "--system", "oscillator", "--omega", "1e300", "--direction",
+                         "h_to_0", "--start", "1e10", "--factor", "1e-10", "--points", "6",
+                         "--T", "1", "--h", "1", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"][0] == {"error": f"ConvergenceError: {message}",
+                                          "swept_value": 1e10}
+
+
 def test_unused_axes_of_a_huge_dimension_exit_3(capsys):
     # x2..x300000 are blocks of their own with W = 0, all equal: one
     # integral, which does not decay

@@ -664,3 +664,23 @@ def test_pickle_and_deepcopy_keep_the_potential(called):
     want = _result_hexes(kw_expansion(PotentialField(1, parse_potential("x1^2/2", 1)), params))
     for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
         assert _result_hexes(kw_expansion(q, params)) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_a_copy_is_its_text_parsed_again(data, n):
+    # the copy's tape holds the parser's own opcode objects, which the tape
+    # compares by identity, and its kernels give the original's bits
+    text = data.draw(_grammar_expressions(n), label="expression")
+    f = parse_potential(text, n)
+    x = np.array(
+        data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n), label="x")
+    )[None, :]
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert (g._program, g.blocks, g.block_keys, g.constant) == (
+            f._program, f.blocks, f.block_keys, f.constant), text
+        assert all(a is b for (a, _), (b, _) in zip(g._program, f._program)), text
+        for block in [None, *range(len(f.blocks))]:
+            y = x if block is None else x[:, list(f.blocks[block])]
+            assert _hexes(g(y, block)) == _hexes(f(y, block)), text
+            assert _hexes(g.gradient(y, block)) == _hexes(f.gradient(y, block)), text

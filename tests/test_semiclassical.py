@@ -178,6 +178,25 @@ def test_explicit_bounds_split_into_blocks():
     assert pred.Er - 0.02 * pred.z2_over_z0 == pytest.approx(1.0 + 4.0, rel=1e-13)
 
 
+def test_z0_never_judges_the_gradient():
+    # every pass integrates the gradient, but only Z2 reads its moment
+    nan_gradient = lambda x: np.full(np.shape(x), np.nan)
+    pot = PotentialField(1, parse_potential("x1^2/2", 1), gradient=nan_gradient)
+    assert z0_integral(pot, 1.0) == pytest.approx(SQRT_2PI, rel=1e-13)
+    with pytest.raises(IntegrationError, match="quadrature not finite"):
+        z2_integral(pot, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda pot: z0_integral(pot, math.nan),
+    lambda pot: z2_integral(pot, math.nan, 1.0),
+    lambda pot: z2_integral(pot, 1.0, math.nan),
+])
+def test_nan_temperature_or_mass_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call(harmonic_potential(1.0, [1.0]))
+
+
 def test_scale_must_be_finite_and_positive():
     for scale in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
@@ -614,7 +633,7 @@ def _reference_grid(box, order, start=0, stop=None):
     return y, np.prod([wt[i] for wt, i in zip(wts, index)], axis=0)
 
 
-def _slab_by_slab(parts, T, with_gradient, boxes):
+def _slab_by_slab(parts, T, boxes):
     """Each distinct block's moments from its own slabs, one pass per order
     and one call of its W per slab, as _boltzmann_moments summed them before
     the grids of a block, and then of several blocks, were batched."""
@@ -630,7 +649,7 @@ def _slab_by_slab(parts, T, with_gradient, boxes):
                 v = value(y)
                 b = np.exp(-v / T) * w
                 bv = b * v
-                g2 = np.sum(b * np.sum(gradient(y) ** 2, axis=-1)) if with_gradient else 0.0
+                g2 = np.sum(b * np.sum(gradient(y) ** 2, axis=-1))
                 partials.append((np.sum(b), np.sum(bv), np.sum(np.abs(bv)), g2))
             moments[row] = [math.fsum(column) for column in zip(*partials)]
         out.append((count, moments))
@@ -648,12 +667,11 @@ def _assert_moments_match_the_slab_by_slab_pass(monkeypatch, potentials):
             if given:
                 box_of = {id(value): box for (_, _, value, _), box in zip(parts, given)}
                 patch.setattr(semiclassical, "_box", lambda value, d, T, scale: box_of[id(value)])
-            for with_gradient in (False, True):
-                got = semiclassical._boltzmann_moments(pot, parts, 0.8, with_gradient)
-                expected = _slab_by_slab(parts, 0.8, with_gradient, boxes)
-                assert len(got) == len(expected)
-                for (count, moments), (want_count, want) in zip(got, expected):
-                    assert count == want_count and np.array_equal(moments, want)
+            got = semiclassical._boltzmann_moments(pot, parts, 0.8)
+            expected = _slab_by_slab(parts, 0.8, boxes)
+            assert len(got) == len(expected)
+            for (count, moments), (want_count, want) in zip(got, expected):
+                assert count == want_count and np.array_equal(moments, want)
 
 
 # 200 distinct one-axis blocks span three shared batches of the default size

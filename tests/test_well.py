@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qcthermo.core import (
     BoxGeometry,
+    ConvergenceError,
     InversionError,
     PhysicalParams,
     ValidationError,
@@ -200,6 +201,41 @@ def test_kac_ratio_equals_product(edges, rho):
     geom = BoxGeometry(edges)
     product = math.prod(1.0 - rho / a for a in edges)
     assert kac_expansion_ratio(geom, rho) == pytest.approx(product, rel=1e-13)
+
+
+@pytest.mark.parametrize("edges, rho", [
+    # sum |terms| / U_N = 1.1^200 = 1.9e8, against a ratio of 0.9^200 = 7.1e-10
+    ([(1.0, 200)], 0.1),
+    # 4.0e21 against a ratio of 7.5e-28
+    ([(1.0, 100), (2.0, 100), (3.0, 100)], 0.3),
+    # rho at an edge: the sum 0 cannot be told from its rounding
+    ([1.0], 1.0),
+    # rho^k, or a term, beyond float range
+    ([1.0, 2.0], math.inf),
+    ([1.0, 2.0], 1e200),
+])
+def test_kac_ratio_refuses_a_sum_its_rounding_swamps(edges, rho):
+    with pytest.raises(ConvergenceError, match="cancels past float precision"):
+        kac_expansion_ratio(BoxGeometry(edges), rho)
+
+
+@pytest.mark.parametrize("edges", [
+    [(1.0, 1000)],  # V_k = U_k 2^(N-k) overflows
+    [(1.0, 1100)],  # and so does 2^N itself
+    [(1e-3, 1000)],  # U_N = 1e-3000 underflows
+])
+def test_coefficients_beyond_float_range_are_refused(edges):
+    geom = BoxGeometry(edges)
+    for call in (geometric_coefficients, lambda g: kac_expansion_ratio(g, 0.1),
+                 lambda g: kac_mean_energy_ratio(g, 0.1)):
+        with pytest.raises(ValidationError, match="leave the float range"):
+            call(geom)
+
+
+def test_kac_functions_refuse_a_nan_rho():
+    for call in (kac_expansion_ratio, kac_mean_energy_ratio):
+        with pytest.raises(ValidationError, match="rho must be >= 0, got nan"):
+            call(BoxGeometry([1.0]), math.nan)
 
 
 def test_kac_energy_ratio_leading_term():
