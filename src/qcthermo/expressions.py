@@ -26,22 +26,23 @@ compile time, with NumPy's float semantics (1/0 is inf, (-1)^0.5 is nan);
 run of constants, so ``1 + 2 + x1 + 3`` adds 3, x1 and 3.
 
 The compiled potential V is vectorized over arrays of shape (..., N) and
-carries its exact gradient.  The list is walked over a stack of values for
-V(x), and over a stack of (value, {axis: partial derivative}) pairs for the
-gradient, so a term in one coordinate touches that axis only, and a SUM
-merges its operands' maps in one pass: an N-term sum costs O(N).  Each walk
-runs once per potential, block and kind, on the first call, with registers
-for the columns: each arithmetic operation and NumPy ufunc on a register
-appends one step (function, operand slots) to a flat kernel, and constants,
-folded at the walk's own time, become slots.  A step that repeats an earlier
-one's function and operands reuses its value, steps no output needs are
-dropped, and each step writes over a slot no later step reads, so a call
-holds no more arrays than the walk would.  ``V(x)`` and ``V.gradient(x)``
-replay the kernel on x's columns, calling exactly the functions the walk
-calls on the same operands, so the bits are the walk's on arrays.  Both
-run with NumPy floating-point warnings off: a non-finite value is left for
-the caller to reject.  A copy or an unpickled potential is its text parsed
-again, and it traces its own kernels.
+carries its exact gradient.  The list is walked forward over a stack of
+(value, {axis: partial derivative}) pairs, so a term in one coordinate
+touches that axis only, and a SUM merges its operands' maps in one pass: an
+N-term sum costs O(N).  One forward walk per potential and block, on the
+first call of either V or its gradient, runs with registers for the
+columns: each arithmetic operation and NumPy ufunc on a register appends
+one step (function, operand slots) to a flat trace, and constants, folded
+at the walk's own time, become slots.  The trace is cut into two kernels,
+one for the value and one for the partial derivatives: a step that repeats
+an earlier one's function and operands reuses its value, steps a kernel's
+outputs do not need are dropped from it, and each step writes over a slot
+no later step reads, so a call holds no more arrays than the walk would.
+``V(x)`` and ``V.gradient(x)`` replay their kernel on x's columns, calling
+exactly the functions the walk calls on the same operands, so the bits are
+the walk's on arrays.  Both run with NumPy floating-point warnings off: a
+non-finite value is left for the caller to reject.  A copy or an unpickled
+potential is its text parsed again, and it traces its own kernels.
 
 ``V.blocks`` partitions the axes so that V is a constant plus one function of
 each block's axes.  One pass over the list keeps, for each value on the
@@ -63,7 +64,7 @@ after a term of its block, is distributed or regrouped, exact up to
 rounding.  Blocks with equal programs are equal functions.
 
 Nothing recurses: the compile keeps its own stack of nodes, and the
-walks, the trace and the blocks pass loop over the list, so nesting is
+walk, the trace and the blocks pass loop over the list, so nesting is
 limited only by Python's own parser.  On Python 3.11.7 that is about 2980
 levels of a sum, a product, unary minus or a power ("expression nests too
 deeply to parse") and 200 nested parentheses, ``exp(...)`` included ("too
@@ -164,20 +165,6 @@ def _linear(terms):
                 d = coef * d
             out[axis] = out[axis] + d if axis in out else d
     return out
-
-
-def _values(program, cols):
-    """The value of program at the coordinates cols."""
-    stack = []
-    for op, arg in program:
-        if op is _VAR:
-            stack.append(cols[arg])
-        elif op is _CONST:
-            stack.append(arg)
-        else:
-            k = len(stack) - _arity(op, arg)
-            stack[k:] = [_apply(op, arg, stack[k:])]
-    return stack[0]
 
 
 def _forward(program, cols):
@@ -286,19 +273,14 @@ class _Trace:
         return tuple(steps), start, tuple((label, slot[k]) for label, k in wanted.items())
 
 
-# what a kernel computes: the value, or the partial derivatives by axis
-_WALKS = {
-    "value": lambda program, cols: {None: _values(program, cols)},
-    "gradient": lambda program, cols: _forward(program, cols)[1],
-}
-
-
 @np.errstate(all="ignore")
-def _trace(kind: str, program, n: int):
-    """The kernel of program's value or gradient on n columns: its tape's walk
-    run once on registers, NumPy warnings off as on every replay."""
+def _trace(program, n: int):
+    """The kernels of program's value and of its partial derivatives by axis on
+    n columns: its tape's forward walk run once on registers, NumPy warnings
+    off as on every replay."""
     trace = _Trace(n)
-    return trace.kernel(_WALKS[kind](program, trace.columns))
+    value, partials = _forward(program, trace.columns)
+    return trace.kernel({None: value}), trace.kernel(partials)
 
 
 @np.errstate(all="ignore")
@@ -505,31 +487,32 @@ class _CompiledPotential:
         self._text, self._program = text, program
         self.dimension = dimension
         self.blocks, self.block_keys, self.constant = _blocks(program, dimension)
-        self._kernels = {}  # (block, kind): the kernel traced on the first call
+        self._kernels = {}  # block: its (value, gradient) kernels, traced on the first call
 
     def __reduce__(self):
         return parse_potential, (self._text, self.dimension)
 
-    def _run(self, x, kind, block):
-        """(columns, x's batch shape, (label, value) pairs of the kernel of
-        kind on x).  x's last axis must hold exactly the columns it reads."""
+    def _run(self, x, gradient: bool, block):
+        """(columns, x's batch shape, (label, value) pairs of the value or
+        gradient kernel on x).  x's last axis must hold exactly the columns it
+        reads."""
         n = self.dimension if block is None else len(self.blocks[block])
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (n,):
             raise ValidationError(f"expected x of shape (..., {n}), got {x.shape}")
-        kernel = self._kernels.get((block, kind))
-        if kernel is None:
+        kernels = self._kernels.get(block)
+        if kernels is None:
             program = self._program if block is None else self.block_keys[block]
-            kernel = self._kernels[block, kind] = _trace(kind, program, n)
-        return n, x.shape[:-1], _replay(kernel, [x[..., k] for k in range(n)])
+            kernels = self._kernels[block] = _trace(program, n)
+        return n, x.shape[:-1], _replay(kernels[gradient], [x[..., k] for k in range(n)])
 
     def __call__(self, x, block=None):
-        _, shape, [(_, v)] = self._run(x, "value", block)
+        _, shape, [(_, v)] = self._run(x, False, block)
         v = np.asarray(v, dtype=float)
         return v if v.shape == shape else np.full(shape, v)
 
     def gradient(self, x, block=None):
-        n, shape, partials = self._run(x, "gradient", block)
+        n, shape, partials = self._run(x, True, block)
         out = np.zeros(shape + (n,))
         for axis, d in partials:
             out[..., axis] = d

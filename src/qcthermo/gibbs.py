@@ -69,10 +69,10 @@ class SimplexPoint(_Record):
 
     def __init__(self, probabilities):
         probabilities = tuple(float(p) for p in probabilities)
-        if any(p < 0 for p in probabilities):
+        if not all(p >= 0 for p in probabilities):
             raise ValidationError("probabilities must be >= 0")
         total = math.fsum(probabilities)
-        if abs(total - 1.0) > 1e-12:
+        if not (abs(total - 1.0) <= 1e-12):
             raise ValidationError(f"probabilities must sum to 1, got {total}")
         self._init_fields(probabilities)
 
@@ -80,7 +80,7 @@ class SimplexPoint(_Record):
 def _shifted(levels: LevelSet, T: float):
     """(E_min, eps) with eps_n = (E_n - E_min)/T, the levels in units of T above
     the lowest one.  An eps_n beyond float range is inf, whose level has P_n = 0."""
-    if T <= 0:
+    if not (T > 0):
         raise ValidationError("T must be positive")
     e_min = levels.energies[0]
     with np.errstate(over="ignore"):
@@ -129,7 +129,7 @@ def minimize_free_energy(levels: LevelSet, T: float, tol: float) -> MinimizeResu
     formed in units of T, as sum P g = sum P r + log P_0, and E_min added
     back.
     """
-    if tol <= 0:
+    if not (tol > 0):
         raise ValidationError("tol must be positive")
     e_min, eps = _shifted(levels, T)
     # the levels are sorted, so those beyond float range come last

@@ -71,6 +71,15 @@ def _log_classical_axis(T: float, omega: float) -> float:
 _EXCESS_SERIES = tuple((1.0 / factorial(m), (m - 1.0) / factorial(m)) for m in range(19, 2, -2))
 
 
+def _excess_series(t2: float) -> tuple[float, float]:
+    """r/t^2 and c/t^2 at t^2 = t2 < 1, summed from their series."""
+    r = c = 0.0
+    for a, b in _EXCESS_SERIES:
+        r = r * t2 + a
+        c = c * t2 + b
+    return r, c
+
+
 def _axis_excess(tau: float) -> tuple[float, float, float]:
     """One axis's regularized less classical (dlog z, dE/T, dS) at tau = h*omega/(2T).
 
@@ -79,21 +88,20 @@ def _axis_excess(tau: float) -> tuple[float, float, float]:
     and c = (tau cosh tau - sinh tau)/tau summed from their series, so nothing
     cancels as tau -> 0 (tau = 0 gives zeros).  From tau = 1 on they come from
     q = e^{-2 tau}, with the entropy's large parts -tau and +tau cancelled
-    analytically.
+    analytically; tau = inf gives their limits (-inf, inf, inf).
     """
     if tau < 1.0:
         t2 = tau * tau
-        r = c = 0.0
-        for a, b in _EXCESS_SERIES:
-            r = r * t2 + a
-            c = c * t2 + b
+        r, c = _excess_series(t2)
         r *= t2
         dz = -math.log1p(r)
         de = c * t2 / (1.0 + r)
         return dz, de, dz + de
+    if tau == math.inf:
+        return -math.inf, math.inf, math.inf
     q = math.exp(-2.0 * tau)
     log_lead = math.log(2.0) + math.log(tau) - math.log1p(-q)  # log(2 tau/(1 - q))
-    tail = 2.0 * tau * q / (1.0 - q)  # tau coth tau - tau
+    tail = 2.0 * (tau * q) / (1.0 - q)  # tau coth tau - tau; 2 tau may overflow
     return log_lead - tau, tau - 1.0 + tail, log_lead - 1.0 + tail
 
 
@@ -204,23 +212,42 @@ class MonotonicityCertificate(_Record):
 
     z_ratio_slope is d/dtau tau/sinh(tau), negative; e_ratio_slope is
     d/dtau tau/tanh(tau), positive; entropy_slope is d/dtau S_r, positive.
+    signs are their signs, that of an underflowed slope included.
     """
 
     __slots__ = __match_args__ = ("z_ratio_slope", "e_ratio_slope", "entropy_slope", "signs")
 
 
 def monotonicity_certificates(tau: float) -> MonotonicityCertificate:
-    if not (tau > 0):
-        raise ValidationError(f"tau must be positive, got {tau}")
-    sh = math.sinh(tau)
-    dz = (sh - tau * math.cosh(tau)) / (sh * sh)
-    de = (math.sinh(2.0 * tau) - 2.0 * tau) / (2.0 * sh * sh)
-    ds = (sh * sh - tau * tau) / (tau * sh * sh)
+    """The slopes at 0 < tau < inf, free of cancellation at every such tau.
+
+    Below tau = 1 they come from the series R = r/tau^2 and C = c/tau^2 of
+    _axis_excess and s = 1 + r = sinh(tau)/tau: the slopes are -tau*C,
+    tau*(R + s*(R + C)) and tau*R*(1 + s), each over s^2, so none underflows
+    before tau does.  From tau = 1 on they come from h = e^{-tau/2} and
+    q = e^{-2 tau}: the z slope is -2 h^2 (tau coth tau - 1)/(1 - q), taken
+    one factor h at a time so that it stays accurate while it is a normal
+    float, though e^{-tau} = h^2 is subnormal from tau ~ 708.
+    """
+    if not (0.0 < tau < math.inf):
+        raise ValidationError(f"tau must be positive and finite, got {tau}")
+    if tau < 1.0:
+        t2 = tau * tau
+        r, c = _excess_series(t2)
+        s = 1.0 + r * t2
+        dz = -tau * c / (s * s)
+        de = tau * (r + s * (r + c)) / (s * s)
+        ds = tau * r * (1.0 + s) / (s * s)
+    else:
+        h, q = math.exp(-0.5 * tau), math.exp(-2.0 * tau)
+        dz = -2.0 * h * (_axis_excess(tau)[1] * h) / (1.0 - q)  # _axis_excess: tau coth tau - 1
+        tail = 4.0 * (tau * q) / ((1.0 - q) * (1.0 - q))
+        de = (1.0 + q) / (1.0 - q) - tail
+        ds = 1.0 / tau - tail
     return MonotonicityCertificate(
         z_ratio_slope=dz,
         e_ratio_slope=de,
         entropy_slope=ds,
-        signs=(-1 if dz < 0 else (0 if dz == 0 else 1),
-               -1 if de < 0 else (0 if de == 0 else 1),
-               -1 if ds < 0 else (0 if ds == 0 else 1)),
+        # a slope that underflows to zero keeps its sign bit
+        signs=tuple(int(math.copysign(1.0, d)) for d in (dz, de, ds)),
     )

@@ -102,8 +102,8 @@ def _gaussian_moments(decay: float, tol: float = DEFAULT_TOL):
 
 
 def _check(mu: float) -> None:
-    if not (mu > 0):
-        raise ValidationError(f"mu must be positive, got {mu}")
+    if not (0 < mu < math.inf):
+        raise ValidationError(f"mu must be positive and finite, got {mu}")
 
 
 def theta_direct(mu: float) -> ThetaValue:

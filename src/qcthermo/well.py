@@ -80,14 +80,21 @@ def _log_edge_root(a: float, root: float, params: PhysicalParams) -> float:
 
 
 def _box_excess(params: PhysicalParams, geom: BoxGeometry) -> tuple[float, float, float]:
-    """Sum over the distinct edges of multiplicity times theta's excess."""
+    """Sum over the distinct edges of multiplicity times theta's excess; a
+    ConvergenceError where a mu is beyond float range."""
     if params.h == 0:
         raise ValidationError("quantum sums need h > 0")
     rho = reduce_rho(params)
-    mus = ((_edge_mu(rho, a), k) for a, k in geom.distinct_edges)
-    # an edge whose mu underflows to 0 sits at its classical limit, where the
-    # excess is 0, as the oscillator's is at tau = 0
-    return _excess_sum([(theta(mu).excess, k) for mu, k in mus if mu != 0.0])
+    excess = []
+    for a, k in geom.distinct_edges:
+        mu = _edge_mu(rho, a)
+        if mu == math.inf:
+            raise ConvergenceError(f"mu = 2*rho/a is beyond float range at edge a={a}")
+        # an edge whose mu underflows to 0 sits at its classical limit, where
+        # the excess is 0, as the oscillator's is at tau = 0
+        if mu != 0.0:
+            excess.append((theta(mu).excess, k))
+    return _excess_sum(excess)
 
 
 def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:

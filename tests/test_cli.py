@@ -176,6 +176,15 @@ def test_tau_beyond_float_range_is_named(capsys):
                                           "swept_value": 1e10}
 
 
+def test_mu_beyond_float_range_is_named(capsys):
+    # mu = 2*rho/a is inf in both: a tiny edge, and a tiny mass and temperature
+    for args, edge in ((["--edges", "1e-300", "--T", "1", "--h", "1e10"], "1e-300"),
+                       (["--edges", "1", "--T", "1e-300", "--h", "1e300", "--m", "1e-300"], "1.0")):
+        assert run(["eval", "--system", "well", *args]) == 3
+        message = f"mu = 2*rho/a is beyond float range at edge a={edge}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_unused_axes_of_a_huge_dimension_exit_3(capsys):
     # x2..x300000 are blocks of their own with W = 0, all equal: one
     # integral, which does not decay

@@ -550,8 +550,8 @@ def _interpreted(f, x, block):
     shape, n = x.shape[:-1], x.shape[-1]
     cols = [x[..., k] for k in range(n)]
     with np.errstate(all="ignore"):
-        value = np.asarray(expressions._values(program, cols), dtype=float)
-        _, partials = expressions._forward(program, cols)
+        value, partials = expressions._forward(program, cols)
+    value = np.asarray(value, dtype=float)
     gradient = np.zeros(shape + (n,))
     for axis, d in partials.items():
         gradient[..., axis] = d
@@ -588,17 +588,15 @@ def test_kernels_keep_the_bits_of_the_tape(data, n):
 
 
 def test_each_kernel_is_traced_once(monkeypatch):
+    # one forward walk per program gives both its kernels; no other walk runs
     traced = {}
+    walk = expressions._forward
 
-    def counting(walk):
-        def counted(program, cols):
-            key = (walk.__name__, tuple(program))
-            traced[key] = traced.get(key, 0) + 1
-            return walk(program, cols)
-        return counted
+    def counted(program, cols):
+        traced[tuple(program)] = traced.get(tuple(program), 0) + 1
+        return walk(program, cols)
 
-    monkeypatch.setattr(expressions, "_values", counting(expressions._values))
-    monkeypatch.setattr(expressions, "_forward", counting(expressions._forward))
+    monkeypatch.setattr(expressions, "_forward", counted)
     f = parse_potential("0.7*x1^2 + 0.1*x1^4 + 0.5*x2^2 + x1*x3", 3)
     assert f.blocks == ((0, 2), (1,))
     x = np.linspace(-1.0, 1.0, 12).reshape(4, 3)
@@ -607,19 +605,21 @@ def test_each_kernel_is_traced_once(monkeypatch):
         for j, block in enumerate(f.blocks):
             f(x[:, list(block)], j), f.gradient(x[:, list(block)], j)
     programs = [tuple(f._program), *map(tuple, f.block_keys)]
-    assert traced == {(walk, p): 1 for walk in ("_values", "_forward") for p in programs}
+    assert traced == dict.fromkeys(programs, 1)
 
     traced.clear()
     g = PotentialField(2, parse_potential("0.7*x1^2 + 0.1*x1^4 + 0.5*x2^2 + 0.2*x2^4", 2))
     params = PhysicalParams(T=1.0, h=0.1, m=1.0)
     assert kw_expansion(g, params) == kw_expansion(g, params)
     keys = g.value.block_keys
-    assert traced == {(walk, tuple(k)): 1 for walk in ("_values", "_forward") for k in keys}
+    assert traced == dict.fromkeys(map(tuple, keys), 1)
 
 
 def test_replay_holds_no_more_arrays_than_the_walk():
     # a kernel writes each value over one no later step reads, so its peak
-    # memory is the walk's, not one array per step
+    # memory is the walk's, not one array per step: the value kernel holds
+    # about 9 columns' worth (a kernel that took a new slot for every step
+    # would hold about 28), and the gradient kernel no more than the walk
     text = ("exp(-(x1^2 + x2^2 + x3^2)/4) * (1 + x1*x2*x3)^2 + (x1 - x2)^4 + (x2 - x3)^4"
             " + (x3 - x1)^4 + x1^2*x2^2*x3^2")
     f = parse_potential(text, 3)
@@ -634,10 +634,9 @@ def test_replay_holds_no_more_arrays_than_the_walk():
         finally:
             tracemalloc.stop()
 
-    for kernel, walk in ((lambda: f(x), expressions._values),
-                         (lambda: f.gradient(x), expressions._forward)):
-        cols = [x[..., k] for k in range(3)]
-        assert peak(kernel) < 1.5 * peak(lambda: walk(f._program, cols))
+    cols = [x[..., k] for k in range(3)]
+    assert peak(lambda: f(x)) < 12 * cols[0].nbytes
+    assert peak(lambda: f.gradient(x)) < 1.5 * peak(lambda: expressions._forward(f._program, cols))
 
 
 def _result_hexes(result):

@@ -51,6 +51,20 @@ def test_simplex_validation():
     assert SimplexPoint([0.25, 0.75]).probabilities == (0.25, 0.75)
 
 
+def test_nan_temperature_tolerance_or_probability_is_refused():
+    # a nan compares false, so each check is written as the test it must pass
+    levels = LevelSet([0.0, 1.0])
+    with pytest.raises(ValidationError, match="T must be positive"):
+        gibbs_closed_form(levels, math.nan)
+    with pytest.raises(ValidationError, match="T must be positive"):
+        minimize_free_energy(levels, math.nan, 1e-10)
+    with pytest.raises(ValidationError, match="tol must be positive"):
+        minimize_free_energy(levels, 1.0, math.nan)
+    for probabilities in ([math.nan, math.nan], [0.5, math.nan], [1.0, 0.0, math.nan]):
+        with pytest.raises(ValidationError, match="probabilities must be >= 0"):
+            SimplexPoint(probabilities)
+
+
 def test_closed_form_oracle():
     point = gibbs_closed_form(LevelSet([0.0, 1.0, 2.0]), 1.0)
     assert np.allclose(point.probabilities, P_012, rtol=1e-14)

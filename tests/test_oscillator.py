@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -226,6 +227,55 @@ def test_certificates_match_finite_differences():
         assert cert.z_ratio_slope == pytest.approx(fd_z, rel=1e-8)
         assert cert.e_ratio_slope == pytest.approx(fd_e, rel=1e-8)
         assert cert.entropy_slope == pytest.approx(fd_s, rel=1e-8)
+
+
+def _slopes_to_digits(tau):
+    """The three slopes at tau in mpmath, carrying enough bits through the
+    cancellation of sinh tau - tau cosh tau, whose terms agree to ~tau^2."""
+    bits = 128 + 2 * max(0, -math.frexp(tau)[1])
+    with mpmath.workprec(bits):
+        t = mpmath.mpf(tau)
+        sh, ch = mpmath.sinh(t), mpmath.cosh(t)
+        return (+((sh - t * ch) / sh**2), +(ch / sh - t / sh**2),
+                +((sh**2 - t**2) / (t * sh**2)))
+
+
+@given(exponent=st.floats(min_value=-300.0, max_value=300.0))
+@settings(max_examples=200, deadline=None)
+def test_certificates_hold_from_the_classical_to_the_deep_quantum_limit(exponent):
+    # the slopes keep their signs as tau -> 0, the paper's limit, and as tau
+    # grows, and every one that is a normal float is within a few ulp
+    tau = 10.0**exponent
+    cert = monotonicity_certificates(tau)
+    assert cert.signs == (-1, 1, 1)
+    got = (cert.z_ratio_slope, cert.e_ratio_slope, cert.entropy_slope)
+    for slope, want in zip(got, _slopes_to_digits(tau)):
+        if abs(want) >= sys.float_info.min:
+            assert abs(slope - want) <= 8 * math.ulp(float(want)), (tau, slope, want)
+
+
+@pytest.mark.parametrize("tau", [1e-200, 1e-100, 1e-10, 1e-8, 355.0, 356.0, 746.0, 1e300])
+def test_certificates_neither_cancel_nor_overflow(tau):
+    # sinh tau - tau cosh tau cancelled below tau ~ 1e-8, sinh(tau)^2
+    # overflowed from tau ~ 355 and tau * sinh(tau)^2 underflowed at 1e-200
+    cert = monotonicity_certificates(tau)
+    assert cert.signs == (-1, 1, 1)
+    assert all(map(math.isfinite, (cert.z_ratio_slope, cert.e_ratio_slope, cert.entropy_slope)))
+    assert cert.e_ratio_slope > 0 and cert.entropy_slope > 0
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+def test_certificates_need_a_positive_finite_tau(tau):
+    # tau = inf gave nan slopes with signs (1, 1, 1)
+    with pytest.raises(ValidationError, match="tau must be positive"):
+        monotonicity_certificates(tau)
+
+
+def test_ratios_take_their_limits_at_infinite_tau():
+    assert f_ratio([math.inf]) == 0.0 and f_ratio([math.inf, 1.0]) == 0.0
+    assert g_ratio([math.inf]) == math.inf and g_ratio([math.inf, 1.0]) == math.inf
+    # 2 tau overflows here, which made g nan
+    assert g_ratio([sys.float_info.max]) == sys.float_info.max
 
 
 @given(tau=st.floats(min_value=0.01, max_value=5.0))

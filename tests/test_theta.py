@@ -114,6 +114,12 @@ def test_validation():
         theta_direct(1e-6)
 
 
+def test_infinite_mu_is_refused():
+    # the excess at mu = inf was (nan, inf, inf)
+    with pytest.raises(ValidationError, match="mu must be positive and finite"):
+        theta(math.inf)
+
+
 def test_slope_witnesses():
     # Frozen against mpmath: the bound is negative, barely
     w = small_mu_slope_witnesses()
