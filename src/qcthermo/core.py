@@ -9,9 +9,8 @@ Each system class, BoxGeometry and OscillatorSpec, states once what is its
 own: its name, the CLI flag of its list, the SweepPlan field of its base, its
 sweep directions and the one that scales its axes, the names of its
 residuals, and its 1-D phase space.  SYSTEMS maps each name to its class.
-The sweeps, the CLI and the phase-space check read them there; the builders
-of each system's report, which live in well and oscillator, are tabled in
-sweeps.
+The sweeps, the CLI and the phase-space check read them there; each
+system's report pass, which lives in well or oscillator, is tabled in sweeps.
 """
 
 from __future__ import annotations
@@ -104,7 +103,9 @@ class _Record:
     self._init_fields.  Equality, hash and repr are those of a frozen
     dataclass over the same fields, and assignment or deletion raises
     AttributeError.  Importing dataclasses would cost a process that only
-    evaluates a few closed forms a good share of its start-up time.
+    evaluates a few closed forms a good share of its start-up time.  The
+    records of a comparison report are built with positional arguments, in
+    field order, since a keyword call costs a third to a half more.
 
     A subclass of a record that declares its own __match_args__ gets its own
     lazy setters, as a dataclass subclass gets its own __init__; otherwise it
@@ -355,12 +356,21 @@ def _excess_sum(axes) -> tuple[float, float, float]:
     return dz, de, ds
 
 
+def _classical(log_z: float, dof: float, T: float) -> ThermoQuartet:
+    """The classical quartet of log Z, with E = dof*T and S = dof + log Z:
+    dof is N/2 for a box and N for an oscillator."""
+    z = _z_from_log(log_z)
+    e = dof * T
+    s = dof + log_z
+    return ThermoQuartet(z, e - T * s, e, s, "classical", T, log_z)
+
+
 def _regularized(classical: ThermoQuartet, excess: tuple[float, float, float]) -> ThermoQuartet:
     """The regularized quartet as the classical one plus the summed excess."""
     dz, de, ds = excess
     T, log_z = classical.T, classical.log_Z + dz
-    return ThermoQuartet(Z=_z_from_log(log_z), F=-T * log_z, E=classical.E + T * de,
-                         S=classical.S + ds, flavor="regularized", T=T, log_Z=log_z)
+    return ThermoQuartet(_z_from_log(log_z), -T * log_z, classical.E + T * de, classical.S + ds,
+                         "regularized", T, log_z)
 
 
 def sign_with_zero_band(d: float, reference: float = 0.0) -> int:
@@ -381,43 +391,43 @@ def reduce_rho(params: PhysicalParams) -> float:
 
 
 def _edge_mu(rho: float, a: float) -> float:
-    """mu = 2*rho/a for one edge a; reduce_well and the box builders share it."""
+    """mu = 2*rho/a for one edge a; reduce_well and the box's report pass
+    share it."""
     return 2.0 * rho / a
 
 
 def _frequency_tau(params: PhysicalParams, omega: float) -> float:
     """tau = h*omega/(2T) for one frequency; reduce_oscillator and the
-    oscillator builders share it."""
+    oscillator's report pass share it."""
     return params.h * omega / (2.0 * params.T)
 
 
 def reduce_well(params: PhysicalParams, geom: BoxGeometry) -> ReducedParams:
-    """Dimensionless box parameters mu_k = 2*rho/a_k = h*sqrt(2*pi/(m*a_k^2*T)).
+    """Dimensionless box parameters mu_k = 2*rho/a_k = h*sqrt(2*pi/(m*a_k^2*T))."""
+    rho = reduce_rho(params)
+    return _box_point(rho, tuple(_edge_mu(rho, a) for a, _ in geom.distinct_edges))
+
+
+def _box_point(rho: float, mu: tuple[float, ...]) -> ReducedParams:
+    """A box's reduced parameters from rho and the mu of each distinct edge.
 
     Neither a_k^2 nor mu_k^2 is formed, so no edge in float range overflows
     mu to 0 and lam = 4/(pi*mu^2) never divides by an underflowed square.
     """
-    rho = reduce_rho(params)
-    mu = tuple(_edge_mu(rho, a) for a, _ in geom.distinct_edges)
-    lam = tuple(4.0 / math.pi / m / m if m > 0 else math.inf for m in mu)
-    return ReducedParams(
-        mu=mu,
-        lambda_theta=lam,
-        rho=rho,
-        eps=max(mu),
-        nu=min(mu),
-    )
+    lam = tuple([4.0 / math.pi / m / m if m > 0 else math.inf for m in mu])
+    return ReducedParams(mu, (), rho, lam, max(mu), min(mu))
 
 
 def reduce_oscillator(params: PhysicalParams, spec: OscillatorSpec) -> ReducedParams:
     """Dimensionless oscillator parameters tau_k = h*omega_k/(2T)."""
     tau = tuple(_frequency_tau(params, w) for w, _ in spec.distinct_frequencies)
-    return ReducedParams(
-        tau=tau,
-        rho=reduce_rho(params),
-        delta=max(tau),
-        kappa=min(tau),
-    )
+    return _osc_point(reduce_rho(params), tau)
+
+
+def _osc_point(rho: float, tau: tuple[float, ...]) -> ReducedParams:
+    """An oscillator's reduced parameters from rho and the tau of each
+    distinct frequency."""
+    return ReducedParams((), tau, rho, (), None, None, max(tau), min(tau))
 
 
 _NUMBER_PI = re.compile(

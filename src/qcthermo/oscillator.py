@@ -10,6 +10,12 @@ its relative accuracy as tau -> 0 and the entropy never cancels deep in the
 quantum regime.  The regularized quartet is the classical one plus the
 excess of each distinct frequency weighted by its multiplicity, and the
 comparison report and the ratio functions read the same kernel.
+
+One pass over the distinct frequencies, _osc_report_parts, forms each
+frequency's tau once, with its classical log term and its excess, and gives
+the classical quartet, the summed excess and the reduced parameters
+together; osc_classical, osc_regularized and a comparison report are built
+from it.
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ from .core import (
     PhysicalParams,
     ThermoQuartet,
     ValidationError,
+    _classical,
     _excess_sum,
     _frequency_tau,
+    _osc_point,
     _Record,
     _regularized,
-    _z_from_log,
+    reduce_rho,
 )
 
 __all__ = [
@@ -47,14 +55,32 @@ SERIES_RADIUS_MARGIN = 0.9 * math.pi
 
 def osc_classical(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet:
     """Classical quartet: Z = prod(2*pi*T/omega_k), E = N*T, S = N + log Z."""
-    n = spec.dimension
-    T = params.T
-    log_z = sum(k * _log_classical_axis(T, w) for w, k in spec.distinct_frequencies)
-    e = n * T
-    s = n + log_z
-    return ThermoQuartet(
-        Z=_z_from_log(log_z), F=e - T * s, E=e, S=s, flavor="classical", T=T, log_Z=log_z
-    )
+    return _osc_report_parts(params, spec, kernel=False)[0]
+
+
+def _osc_report_parts(params: PhysicalParams, spec: OscillatorSpec, kernel: bool = True):
+    """(classical quartet, summed excess, reduced parameters) from one pass
+    over the distinct frequencies.
+
+    Each frequency gives its classical log term, its tau and, with kernel,
+    multiplicity times _axis_excess(tau).  Errors come in a comparison
+    report's order: the classical quartet's, then, with kernel, h = 0, then
+    the first frequency whose tau is beyond float range.  Without kernel the
+    excess is zeros and only the classical quartet checks.
+    """
+    logs, tau, excess = [], [], []
+    for w, k in spec.distinct_frequencies:
+        logs.append(k * _log_classical_axis(params.T, w))
+        tau.append(_frequency_tau(params, w))
+        if kernel:
+            excess.append((_axis_excess(tau[-1]), k))
+    classical = _classical(sum(logs), spec.dimension, params.T)
+    if kernel and params.h == 0:
+        raise ValidationError("quantum sums need h > 0")
+    if kernel and math.inf in tau:
+        w = spec.distinct_frequencies[tau.index(math.inf)][0]
+        raise ConvergenceError(f"tau = h*omega/(2T) is beyond float range at omega={w}")
+    return classical, _excess_sum(excess), _osc_point(reduce_rho(params), tuple(tau))
 
 
 def _log_classical_axis(T: float, omega: float) -> float:
@@ -108,20 +134,12 @@ def _axis_excess(tau: float) -> tuple[float, float, float]:
 def _osc_excess(params: PhysicalParams, spec: OscillatorSpec) -> tuple[float, float, float]:
     """Sum over the distinct frequencies of multiplicity times _axis_excess;
     a ConvergenceError where a tau is beyond float range."""
-    if params.h == 0:
-        raise ValidationError("quantum sums need h > 0")
-    excess = []
-    for w, k in spec.distinct_frequencies:
-        tau = _frequency_tau(params, w)
-        if tau == math.inf:
-            raise ConvergenceError(f"tau = h*omega/(2T) is beyond float range at omega={w}")
-        excess.append((_axis_excess(tau), k))
-    return _excess_sum(excess)
+    return _osc_report_parts(params, spec)[1]
 
 
 def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet:
     """Regularized quartet Z_r = prod 2*pi*T*tau_k/(omega_k*sinh(tau_k))."""
-    return _regularized(osc_classical(params, spec), _osc_excess(params, spec))
+    return _regularized(*_osc_report_parts(params, spec)[:2])
 
 
 def f_ratio(taus) -> float:

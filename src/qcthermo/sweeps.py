@@ -12,14 +12,19 @@ classical log z, E/T and S, and its share of the asymptotes are weighted by
 its multiplicity, so N has no cap.  A row's differences
 and ratios are formed from those sums, never as the difference of two
 quartets, so they keep their relative accuracy in the quasi-classical limits
-and at any N, and stay finite even where Z itself is beyond float range.  The
-rate fit is a closed-form two-parameter least squares in plain Python, on
-expm1(-dF/T) and dE/E_c.
+and at any N, and stay finite even where Z itself is beyond float range.  A
+row whose ratios, differences or residuals leave float range all the same
+(the box's E_ratio can, where E_c is tiny beside dE) is a row error naming
+the first such field, and the fits leave it out.  The rate fit is a
+closed-form two-parameter least squares in plain Python, on expm1(-dF/T) and
+dE/E_c.
 
 What sets a box apart from an oscillator, its directions, the field of its
 base and the names of its residuals, is stated on its class in core; the one
-thing kept here is _REPORT, each system's classical quartet, excess, reduced
-parameters and residuals, since their builders live in well and oscillator.
+thing kept here is _REPORT, each system's report pass and residuals, since
+the passes live in well and oscillator.  A pass gives a report's classical
+quartet, summed excess and reduced parameters from one loop over the
+distinct axes.
 """
 
 from __future__ import annotations
@@ -40,12 +45,10 @@ from .core import (
     ValidationError,
     _Record,
     _regularized,
-    reduce_oscillator,
-    reduce_well,
     sign_with_zero_band,
 )
-from .oscillator import _osc_excess, osc_classical
-from .well import _box_excess, well_classical
+from .oscillator import _osc_report_parts
+from .well import _box_report_parts
 
 __all__ = [
     "SweepPlan",
@@ -156,15 +159,12 @@ def _osc_residuals(reduced: ReducedParams, spec: OscillatorSpec, z_ratio, e_rati
     }
 
 
-# each system's (classical quartet, summed excess, reduced parameters,
-# residuals) by its class's SYSTEM, so that a subclass reports as its class
-# does; the lambdas look the builders up by module-level name on every call,
-# where the benchmark's tracer wraps them
+# each system's report parts, (classical quartet, summed excess, reduced
+# parameters) from one pass over its distinct axes, and its residuals, by its
+# class's SYSTEM, so that a subclass reports as its class does
 _REPORT = {
-    "well": lambda p, s: (well_classical(p, s), _box_excess(p, s), reduce_well(p, s),
-                          _well_residuals),
-    "oscillator": lambda p, s: (osc_classical(p, s), _osc_excess(p, s), reduce_oscillator(p, s),
-                                _osc_residuals),
+    "well": (_box_report_parts, _well_residuals),
+    "oscillator": (_osc_report_parts, _osc_residuals),
 }
 
 
@@ -178,10 +178,10 @@ def comparison_report(params: PhysicalParams,
     1 + dE/E_c.
     """
     try:
-        parts = _REPORT[system.SYSTEM]
+        parts, residuals = _REPORT[system.SYSTEM]
     except (AttributeError, KeyError):
         raise ValidationError(f"unsupported system {type(system).__name__}") from None
-    classical, excess, reduced, residuals = parts(params, system)
+    classical, excess, reduced = parts(params, system)
 
     dz, de, ds = excess
     diffs = {"dF": -params.T * dz, "dE": params.T * de, "dS": ds}
@@ -192,15 +192,9 @@ def comparison_report(params: PhysicalParams,
         "sgn_dE": sign_with_zero_band(diffs["dE"], classical.E),
         "sgn_dS": sign_with_zero_band(diffs["dS"], classical.S),
     }
-    return ComparisonReport(
-        point=reduced,
-        ratios={"Z_ratio": z_ratio, "E_ratio": e_ratio},
-        diffs=diffs,
-        signs=signs,
-        asymptotic_residuals=residuals(reduced, system, z_ratio, e_ratio),
-        classical=classical,
-        regularized=_regularized(classical, excess),
-    )
+    return ComparisonReport(reduced, {"Z_ratio": z_ratio, "E_ratio": e_ratio}, diffs, signs,
+                            residuals(reduced, system, z_ratio, e_ratio), classical,
+                            _regularized(classical, excess))
 
 
 def _point_at(plan: SweepPlan, value: float):
@@ -231,14 +225,20 @@ def _point_at(plan: SweepPlan, value: float):
 def run_sweep(plan: SweepPlan) -> SweepResult:
     """Evaluate the plan row by row.
 
-    A row that fails with one of the package's errors is recorded, not
-    raised; any other exception is a fault and propagates.
+    A row that fails with one of the package's errors, or whose ratios,
+    differences or residuals are not all finite, is recorded as a row error,
+    not raised; any other exception is a fault and propagates.
     """
     rows = []
     for value in plan.grid:
         try:
             params, system = _point_at(plan, value)
-            rows.append(SweepRow(value, comparison_report(params, system)))
+            report = comparison_report(params, system)
+            for field in ("ratios", "diffs", "asymptotic_residuals"):
+                for key, v in getattr(report, field).items():
+                    if not math.isfinite(v):
+                        raise ConvergenceError(f"non-finite value in report field '{field}.{key}'")
+            rows.append(SweepRow(value, report))
         except (ValidationError, ConvergenceError, InversionError, IntegrationError) as exc:
             rows.append(SweepRow(value, None, error=f"{type(exc).__name__}: {exc}"))
 

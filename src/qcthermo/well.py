@@ -10,6 +10,12 @@ regularized less classical log z, E/T and S, formed without subtracting the
 two flavours.  So a box of N copies of a few edges costs one lattice sum per
 distinct edge, not N; the excess keeps its relative accuracy as mu -> 0; and
 the entropy never cancels deep in the quantum regime.
+
+One pass over the distinct edges, _box_report_parts, forms each edge's mu
+once, with its classical log term and its lattice sum, and gives the
+classical quartet, the summed excess and the reduced parameters together.
+well_classical, well_regularized and a comparison report are built from it,
+so a report's three parts cost one loop and one reduction of the parameters.
 """
 
 from __future__ import annotations
@@ -25,13 +31,13 @@ from .core import (
     PhysicalParams,
     ThermoQuartet,
     ValidationError,
+    _box_point,
+    _classical,
     _edge_mu,
     _excess_sum,
     _Record,
     _regularized,
-    _z_from_log,
     reduce_rho,
-    reduce_well,
 )
 from .theta import theta
 
@@ -57,15 +63,42 @@ KAC_ROUNDING_LIMIT = 1e-8
 
 def well_classical(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
     """Classical quartet: Z = (2mT*pi)^(N/2) * prod(a_k), E = N*T/2."""
-    n = geom.dimension
-    T = params.T
-    root = math.sqrt(2.0 * params.m * T * math.pi)
-    log_z = sum(k * _log_edge_root(a, root, params) for a, k in geom.distinct_edges)
-    z = _z_from_log(log_z)
-    e = 0.5 * n * T
-    s = 0.5 * n + log_z
-    f = e - T * s
-    return ThermoQuartet(Z=z, F=f, E=e, S=s, flavor="classical", T=T, log_Z=log_z)
+    return _box_report_parts(params, geom, kernel=False)[0]
+
+
+def _box_report_parts(params: PhysicalParams, geom: BoxGeometry, kernel: bool = True):
+    """(classical quartet, summed excess, reduced parameters) from one pass
+    over the distinct edges.
+
+    Each edge gives its classical log term, its mu and, with kernel,
+    multiplicity times theta(mu).excess.  Errors come in a comparison
+    report's order: the classical quartet's, then, with kernel, h = 0, then
+    the first edge whose mu is beyond float range or not a number.  Without
+    kernel the excess is zeros and only the classical quartet checks.
+    """
+    root = math.sqrt(2.0 * params.m * params.T * math.pi)
+    rho = reduce_rho(params)
+    logs, mu, excess, refused = [], [], [], None
+    for a, k in geom.distinct_edges:
+        logs.append(k * _log_edge_root(a, root, params))
+        mu_k = _edge_mu(rho, a)
+        mu.append(mu_k)
+        # an edge whose mu underflows to 0 sits at its classical limit, where
+        # the excess is 0, as the oscillator's is at tau = 0; theta refuses an
+        # inf or nan mu, and the first such edge is refused after the loop
+        if 0.0 < mu_k < math.inf:
+            if kernel:
+                excess.append((theta(mu_k).excess, k))
+        elif mu_k and not refused:
+            refused = a, mu_k
+    classical = _classical(sum(logs), 0.5 * geom.dimension, params.T)
+    if kernel and params.h == 0:
+        raise ValidationError("quantum sums need h > 0")
+    if kernel and refused:
+        if refused[1] == math.inf:
+            raise ConvergenceError(f"mu = 2*rho/a is beyond float range at edge a={refused[0]}")
+        theta(refused[1])  # a nan mu, which theta refuses
+    return classical, _excess_sum(excess), _box_point(rho, tuple(mu))
 
 
 def _log_edge_root(a: float, root: float, params: PhysicalParams) -> float:
@@ -82,24 +115,12 @@ def _log_edge_root(a: float, root: float, params: PhysicalParams) -> float:
 def _box_excess(params: PhysicalParams, geom: BoxGeometry) -> tuple[float, float, float]:
     """Sum over the distinct edges of multiplicity times theta's excess; a
     ConvergenceError where a mu is beyond float range."""
-    if params.h == 0:
-        raise ValidationError("quantum sums need h > 0")
-    rho = reduce_rho(params)
-    excess = []
-    for a, k in geom.distinct_edges:
-        mu = _edge_mu(rho, a)
-        if mu == math.inf:
-            raise ConvergenceError(f"mu = 2*rho/a is beyond float range at edge a={a}")
-        # an edge whose mu underflows to 0 sits at its classical limit, where
-        # the excess is 0, as the oscillator's is at tau = 0
-        if mu != 0.0:
-            excess.append((theta(mu).excess, k))
-    return _excess_sum(excess)
+    return _box_report_parts(params, geom)[1]
 
 
 def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
     """Regularized quantum quartet (2*pi*h)^N * prod_k Z_q(mu_k)."""
-    return _regularized(well_classical(params, geom), _box_excess(params, geom))
+    return _regularized(*_box_report_parts(params, geom)[:2])
 
 
 class EntropyAsymptote(_Record):
@@ -111,9 +132,8 @@ def well_entropy_asymptotic(params: PhysicalParams, geom: BoxGeometry) -> Entrop
 
     within_validity is False once max(mu_k) exceeds ASYMPTOTIC_EPS_LIMIT.
     """
-    reduced = reduce_well(params, geom)
-    s_c = well_classical(params, geom).S
-    value = s_c - sum(k * mu for mu, (_, k) in zip(reduced.mu, geom.distinct_edges)) / 4.0
+    classical, _, reduced = _box_report_parts(params, geom, kernel=False)
+    value = classical.S - sum(k * mu for mu, (_, k) in zip(reduced.mu, geom.distinct_edges)) / 4.0
     return EntropyAsymptote(value, reduced.eps <= ASYMPTOTIC_EPS_LIMIT)
 
 

@@ -185,6 +185,25 @@ def test_mu_beyond_float_range_is_named(capsys):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_sweep_rows_beyond_float_range_are_row_errors(capsys):
+    # E_ratio overflows in rows 0-2 only (mu = 2.5e156 down to 2.5e154): they
+    # are row errors, left out of the CSV and of the fits, and the sweep exits 0
+    args = ["sweep", "--system", "well", "--edges", "1", "--direction", "h_to_0",
+            "--start", "1e156", "--factor", "0.1", "--points", "8", "--T", "1", "--h", "1"]
+    code, out = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header.startswith("swept_value,Z_ratio,E_ratio,") and len(rows) == 5
+    assert [float(row.split(",")[0]) for row in rows] == [1e156 * 0.1**k for k in range(3, 8)]
+    code, out = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert [row.get("error") for row in payload["rows"]] == [
+        "ConvergenceError: non-finite value in report field 'ratios.E_ratio'"] * 3 + [None] * 5
+    assert sorted(payload["fitted_rates"]) == ["E_ratio", "Z_ratio"]
+
+
 def test_unused_axes_of_a_huge_dimension_exit_3(capsys):
     # x2..x300000 are blocks of their own with W = 0, all equal: one
     # integral, which does not decay

@@ -17,9 +17,11 @@ from qcthermo.core import (
     OscillatorSpec,
     PhysicalParams,
     ValidationError,
+    reduce_oscillator,
+    reduce_well,
 )
 from qcthermo.gibbs import classical_phase_space_check
-from qcthermo.oscillator import osc_classical
+from qcthermo.oscillator import osc_classical, osc_regularized
 from qcthermo.sweeps import (
     SweepPlan,
     _point_at,
@@ -27,7 +29,7 @@ from qcthermo.sweeps import (
     fit_leading_order,
     run_sweep,
 )
-from qcthermo.well import well_classical
+from qcthermo.well import well_classical, well_regularized
 
 
 def make_plan(**kwargs):
@@ -207,6 +209,23 @@ def test_axes_beyond_the_float_count_are_a_row_error():
                                  base_geometry=BoxGeometry([1.0, 1.0, 1.0])))
     assert [row.error for row in result.rows] == [None] * 5 + [
         "ValidationError: box with more edges than a float counts"]
+
+
+def test_rows_beyond_float_range_are_row_errors_and_leave_the_fits():
+    # mu = 2*rho/a runs from 2.5e156 down, and deep in the quantum regime dE/T
+    # is about (pi/4) mu^2, which overflows in the first three rows only: they
+    # are row errors naming the field, and both rates fit the other five
+    plan = make_plan(grid=tuple(1e156 * 0.1**k for k in range(8)),
+                     base_params=PhysicalParams(T=1.0, h=1.0, m=1.0))
+    result = run_sweep(plan)
+    assert [row.error for row in result.rows[:3]] == [
+        "ConvergenceError: non-finite value in report field 'ratios.E_ratio'"] * 3
+    assert all(row.report is not None for row in result.rows[3:])
+    for row in result.rows[3:]:
+        for field in (row.report.ratios, row.report.diffs, row.report.asymptotic_residuals):
+            assert all(math.isfinite(v) for v in field.values())
+    assert set(result.fitted_rates) == {"Z_ratio", "E_ratio"}
+    assert result.fitted_rates["E_ratio"].slope == pytest.approx(2.0, abs=1e-9)
 
 
 def test_run_sweep_propagates_foreign_errors(monkeypatch):
@@ -419,6 +438,55 @@ def test_report_raises_only_package_errors(T, h, m, box, axes):
         comparison_report(params, system)
     except (ValidationError, ConvergenceError, InversionError, IntegrationError):
         pass
+
+
+# each system's builders of a report's classical quartet, regularized quartet
+# and reduced parameters, which a comparison report must reproduce bit for bit
+BUILDERS = {"well": (well_classical, well_regularized, reduce_well),
+            "oscillator": (osc_classical, osc_regularized, reduce_oscillator)}
+
+
+def float_bits(value):
+    """value with each float, in tuples too, as its hex: equal bits compare
+    equal, NaN included, and -0.0 differs from 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(map(float_bits, value))
+    return value
+
+
+def outcome(build):
+    """('ok', the fields' bits of each record build returns) or ('raised',
+    the exception's type and message)."""
+    try:
+        records = build()
+    except Exception as exc:  # any error: its type is compared too
+        return "raised", type(exc), str(exc)
+    return "ok", [float_bits(r._astuple()) for r in records]
+
+
+@given(system=st.sampled_from(["well", "oscillator"]), subclass=st.booleans(),
+       T=log_uniform(-300, 300), h=st.one_of(st.just(0.0), log_uniform(-300, 300)),
+       m=log_uniform(-300, 300),
+       axes=st.lists(st.tuples(log_uniform(-300, 300), log_uniform(0, 30).map(math.floor)),
+                     min_size=1, max_size=3, unique_by=lambda axis: axis[0]))
+@settings(max_examples=300, deadline=None)
+def test_report_is_its_builders_bit_for_bit(system, subclass, T, h, m, axes):
+    # comparison_report forms its quartets and reduced parameters in one pass
+    # per distinct axis; the public builders must give the same bits, and
+    # wherever either side raises, both raise the same error
+    cls = SYSTEMS[system]
+    if subclass:
+        cls = type("Sub", (cls,), {"__slots__": ()})
+    params, body = PhysicalParams(T=T, h=h, m=m), cls([(v, float(k)) for v, k in axes])
+
+    def report():
+        r = comparison_report(params, body)
+        return r.classical, r.regularized, r.point
+
+    want = outcome(lambda: [build(params, body) for build in BUILDERS[system]])
+    assert outcome(report) == want
 
 
 def lstsq_fit(xs, ys):
