@@ -26,7 +26,6 @@ from .core import (
     PhysicalParams,
     ValidationError,
     parse_number,
-    reduce_rho,
 )
 
 __all__ = ["main", "run"]
@@ -230,7 +229,7 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_hear_drum(args) -> None:
-    from .well import _box_excess, hear_the_drum
+    from .well import _drum_samples, hear_the_drum
 
     edges = _number_list(args.edges)
     geom = BoxGeometry(edges)
@@ -241,14 +240,7 @@ def cmd_hear_drum(args) -> None:
         raise ValidationError("--samples must be >= 1")
     if args.samples > MAX_DRUM_SAMPLES:
         raise ValidationError(f"--samples must be <= {MAX_DRUM_SAMPLES}")
-    T, m = args.T, args.m
-    count = max(args.samples, n + 2)
-    rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
-    samples = []
-    for i in range(count):
-        rho = min(edges) * 0.01 * (i + 1)
-        params = PhysicalParams(T=T, h=rho / rho_unit, m=m)
-        samples.append((rho, math.exp(_box_excess(params, geom)[0])))
+    samples = _drum_samples(geom, args.T, args.m, args.samples)
     recovered = hear_the_drum(samples, n)
     true_sorted = sorted(edges)
     round_trip = max(abs(r - t) / t for r, t in zip(recovered, true_sorted))

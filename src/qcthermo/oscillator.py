@@ -131,12 +131,6 @@ def _axis_excess(tau: float) -> tuple[float, float, float]:
     return log_lead - tau, tau - 1.0 + tail, log_lead - 1.0 + tail
 
 
-def _osc_excess(params: PhysicalParams, spec: OscillatorSpec) -> tuple[float, float, float]:
-    """Sum over the distinct frequencies of multiplicity times _axis_excess;
-    a ConvergenceError where a tau is beyond float range."""
-    return _osc_report_parts(params, spec)[1]
-
-
 def osc_regularized(params: PhysicalParams, spec: OscillatorSpec) -> ThermoQuartet:
     """Regularized quartet Z_r = prod 2*pi*T*tau_k/(omega_k*sinh(tau_k))."""
     return _regularized(*_osc_report_parts(params, spec)[:2])

@@ -18,21 +18,25 @@ joins the axes of each of its separate terms, and its blocks are equal where
 their own programs are (see qcthermo.expressions).  An opaque callable is
 one block of all N axes (see PotentialField._split).  Each distinct block
 finds its own box from its own origin, one block after another and one axis
-after another: every round probes the faces of one axis with one call and
-decides on Python floats, then the block probes its corners.  The search is
-the only source of boxes.  The grids of both orders of the distinct blocks
-of one dimension are packed whole into shared batches of at most
-CHUNK_POINTS nodes, and a block whose grids are larger is cut into slabs of
-its own.  W_j and its gradient are called once per batch, on their block's
-rows, and evaluated once per node, in every pass, Z0's own included; the
-Boltzmann factor, the moment rows and the sums of the grid pieces are formed
-once per batch, bit for bit as block by block, and all moments come from the
-same factor.  Each block's moments are checked on their own against a
-reduced-order rule, and a moment that is not finite is rejected.  Z0 is
-carried as its logarithm.  The gradient is exact for the built-in harmonic
-potential and for potentials parsed by
-:func:`qcthermo.expressions.parse_potential`; only an opaque callable without
-a gradient falls back to central differences.  The quartet predictions follow
+after another, by two plain loops per axis over its faces: the first doubles
+the half-width until the Boltzmann factor is negligible on both faces, the
+second shrinks it while it stays so.  Each call of W probes the faces of the
+next rungs of one ladder, and every decision is on Python floats; then the
+block probes its corners.  The search is the only source of boxes.  The
+grids of both orders of the distinct blocks of one dimension are packed
+whole into shared batches of at most CHUNK_POINTS nodes, and a block whose
+grids are larger is cut into slabs of its own.  W_j and its gradient are
+called once per batch, on their block's rows, and evaluated once per node,
+in every pass, Z0's own included; the Boltzmann factor, the moment rows and
+the sums of the grid pieces are formed once per batch, bit for bit as block
+by block, and all moments come from the same factor.  Each block's moments
+are checked on their own against a reduced-order rule, and a moment that is
+not finite, or a Boltzmann factor with no weight at any node, is rejected.
+Z0 is carried as its logarithm.  The gradient is exact for the built-in
+harmonic potential and for potentials parsed by
+:func:`qcthermo.expressions.parse_potential`; only an opaque callable
+without a gradient falls back to central differences.  The quartet
+predictions follow
 
     Z_r ~ (2 pi m T)^(N/2) (Z0 - h^2 Z2)
     F_r ~ F_c + h^2 T Z2/Z0
@@ -184,9 +188,34 @@ def harmonic_potential(m: float, omegas) -> PotentialField:
     return PotentialField(dimension=len(omegas), value=value, scale=1.0 / min(omegas))
 
 
-# rungs of each ladder probed per round of the box search: enough for the
-# usual few doublings, and then the few shrinks, to take one round each
+# rungs of each ladder probed per call of W: enough for the usual few
+# doublings, and then the few shrinks, to take one call each
 _RUNGS = 8
+
+
+def _faces(value, d: int, k: int, T: float, start: float, factor: float):
+    """(W(0), rung, exponent, clean) for the rungs start, start*factor, ...
+    of axis k, the ladder a running product.
+
+    Each call of W takes W(0) and the faces +rung and -rung of the next
+    _RUNGS rungs on one array, and is read back with one tolist().  The
+    exponent is the larger of -(W - W(0))/T at the two faces by Python's
+    max rule, which passes over a nan at the -rung face; clean is whether
+    that face's exponent was not nan.  W(0) is checked before any rung of a
+    call is yielded.
+    """
+    while True:
+        # this call's rungs, and the next call's first
+        *ladder, start = itertools.accumulate([factor] * _RUNGS, operator.mul, initial=start)
+        probes = np.zeros((1 + 2 * _RUNGS, d))
+        probes[1:, k] = [x for r in ladder for x in (r, -r)]
+        w0, *v = value(probes).tolist()
+        if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
+            raise IntegrationError("potential not finite at the origin")
+        for rung, plus, minus in zip(ladder, v[::2], v[1::2]):
+            plus, minus = -(plus - w0) / T, -(minus - w0) / T
+            # Python's max(plus, minus), without the cost of a call
+            yield w0, rung, minus if minus > plus else plus, minus == minus
 
 
 def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ...]:
@@ -195,68 +224,43 @@ def _box(value, d: int, T: float, scale: float) -> tuple[tuple[float, float], ..
 
     Boltzmann factors are compared through their exponents relative to the
     origin, -(W - W(0))/T against log(1e-16), so no probe overflows however
-    deep the potential dips.  The axes are searched one after another.  A
-    half-width doubles from scale until the exponents at both faces, +half
-    and -half with every other axis at 0, are below the cutoff, then shrinks
-    by 0.85 while they stay below, so the quadrature window stays as tight
-    as the decay allows (wide windows waste Gauss-Legendre nodes).  Each
-    round probes the next _RUNGS rungs of the axis with one call of W on one
-    array, which also takes W(0), and reads the values back with one
-    tolist(): the rungs, the exponents and every decision are Python floats.
-    Rungs past a turn or an end are ignored, and an axis that fails raises
-    its error.  Then the corners are probed.  W(0) is checked before any:
-    the quadrature sums exp(-W/T) unshifted, so it must not underflow to 0
-    there (one that overflows fails the quadrature's finiteness check).
+    deep the potential dips.  The axes are searched one after another, each
+    by two loops over the faces +half and -half, every other axis at 0
+    (_faces).  The first doubles the half-width from scale until the
+    exponents at both faces are below the cutoff; the second shrinks it by
+    0.85 from there while they stay below, so the quadrature window stays as
+    tight as the decay allows (wide windows waste Gauss-Legendre nodes).
+    Then the corners are probed.  W(0) is checked before any face: the
+    quadrature sums exp(-W/T) unshifted, so it must not underflow to 0 there
+    (one that overflows fails the quadrature's finiteness check).
     """
     rise, cutoff = math.log(0.999999), math.log(1e-16)
-    box, clean = [], False
+    box = []
     for k in range(d):
-        # the next rung, its factor (2.0 doubling, 0.85 shrinking), the last
-        # face exponent (doubling) or the half-width accepted so far
-        # (shrinking), the rungs doubled, and whether the accepted
-        # half-width's -half face was not nan (its +half face is not)
-        rung, factor, last, doubled, seen = scale, 2.0, math.inf, 0, False
-        half = None
-        while half is None:
-            # the rungs: the next rung times its factor again and again.  The
-            # probes are W(0), then the faces +rung and -rung of each rung
-            ladder = list(itertools.accumulate([factor] * (_RUNGS - 1), operator.mul, initial=rung))
-            probes = np.zeros((1 + 2 * _RUNGS, d))
-            probes[1:, k] = [x for r in ladder for x in (r, -r)]
-            w0, *v = value(probes).tolist()
-            if not (math.isfinite(w0) and math.exp(min(-w0 / T, 0.0)) > 0.0):
-                raise IntegrationError("potential not finite at the origin")
-            for rung, lo, hi in zip(ladder, v[::2], v[1::2]):
-                lo, hi = -(lo - w0) / T, -(hi - w0) / T
-                # Python's max, so a nan at the -half face alone is passed over
-                val = max(lo, hi)
-                if factor == 2.0:
-                    if val < cutoff:
-                        factor, last, seen = 0.85, rung, hi == hi
-                        break
-                    if val > last + rise and val >= 0.0:
-                        raise IntegrationError(
-                            "Boltzmann factor does not decay; potential looks non-integrable"
-                        )
-                    last, doubled = val, doubled + 1
-                    if doubled == 200:
-                        raise IntegrationError("could not bound the integration domain")
-                elif val < cutoff:
-                    # an infinite half-width cannot shrink
-                    if rung == last:
-                        raise IntegrationError("could not bound the integration domain")
-                    last, seen = rung, hi == hi
-                else:
-                    half, clean = last, seen
-                    break
-            # the rung where the doubling turned, or the ladder's last
-            rung *= factor
+        # at most 200 doublings, each judged against the exponent before it
+        last = math.inf
+        for w0, half, val, clean in itertools.islice(_faces(value, d, k, T, scale, 2.0), 200):
+            if val < cutoff:
+                break
+            if val > last + rise and val >= 0.0:
+                raise IntegrationError(
+                    "Boltzmann factor does not decay; potential looks non-integrable"
+                )
+            last = val
+        else:
+            raise IntegrationError("could not bound the integration domain")
+        for w0, rung, val, seen in _faces(value, d, k, T, half * 0.85, 0.85):
+            if not val < cutoff:
+                break
+            # an infinite half-width cannot shrink
+            if rung == half:
+                raise IntegrationError("could not bound the integration domain")
+            half, clean = rung, seen
         box.append(half)
     # corners may decay slower than face centers for non-separable
     # potentials, along any diagonal: all 2^d are probed (d <=
     # MAX_TENSOR_DIMENSION), (+h, ..., +h) first.  A one-axis block's corners
     # are its faces, which have been probed: they pass if neither was nan
-    # (clean, set as its search ended)
     if d > 1 or not clean:
         for _ in range(60):
             corners = np.array(list(itertools.product(*((h, -h) for h in box))))
@@ -397,6 +401,8 @@ def _stable(moments: np.ndarray, k: int, scale: int | None = None) -> float:
     The two rules must agree to 1e-8 of |moment k|, or of moment scale when
     given: a moment of a sign-changing integrand is judged against the
     integral of its magnitude, so a mean near 0 is not held to 1e-8 of itself.
+    int exp(-W/T) must be positive as well: it is 0 where exp(-W/T)
+    underflows at every node, as it can where the weight lies between them.
     """
     value, check = float(moments[0, k]), float(moments[1, k])
     if not (math.isfinite(value) and math.isfinite(check)):
@@ -404,6 +410,8 @@ def _stable(moments: np.ndarray, k: int, scale: int | None = None) -> float:
     size = abs(value) if scale is None else float(moments[0, scale])
     if abs(value - check) > 1e-8 * (size + 1e-300):
         raise IntegrationError(f"quadrature unstable: {value} vs {check} at reduced order")
+    if k == INT_B and not value > 0.0:
+        raise IntegrationError("quadrature found no weight: exp(-W/T) is 0 at every node")
     return value
 
 

@@ -175,13 +175,18 @@ def comparison_report(params: PhysicalParams,
     The differences and ratios come from the summed per-axis excess (dlog z,
     dE/T, dS), never from the difference of the two quartets: dF = -T sum
     dlog z, dE = T sum dE/T, dS = sum dS, Z_ratio = exp(-dF/T) and E_ratio =
-    1 + dE/E_c.
+    1 + dE/E_c.  A classical mean energy E_c below the normal float range is
+    a ConvergenceError.
     """
     try:
         parts, residuals = _REPORT[system.SYSTEM]
     except (AttributeError, KeyError):
         raise ValidationError(f"unsupported system {type(system).__name__}") from None
     classical, excess, reduced = parts(params, system)
+    # dE and E_ratio are formed from T and E_c, which keep only a few bits
+    # below the normal range, or none at all where E_c rounds to 0
+    if classical.E < sys.float_info.min:
+        raise ConvergenceError(f"classical E_c = {classical.E!r} is below the normal float range")
 
     dz, de, ds = excess
     diffs = {"dF": -params.T * dz, "dE": params.T * de, "dS": ds}

@@ -112,12 +112,6 @@ def _log_edge_root(a: float, root: float, params: PhysicalParams) -> float:
     )
 
 
-def _box_excess(params: PhysicalParams, geom: BoxGeometry) -> tuple[float, float, float]:
-    """Sum over the distinct edges of multiplicity times theta's excess; a
-    ConvergenceError where a mu is beyond float range."""
-    return _box_report_parts(params, geom)[1]
-
-
 def well_regularized(params: PhysicalParams, geom: BoxGeometry) -> ThermoQuartet:
     """Regularized quantum quartet (2*pi*h)^N * prod_k Z_q(mu_k)."""
     return _regularized(*_box_report_parts(params, geom)[:2])
@@ -152,16 +146,20 @@ class GeometricCoefficients(_Record):
 def geometric_coefficients(geom: BoxGeometry) -> GeometricCoefficients:
     """U and V of the box's edges; a ValidationError where one of them
     leaves the normal float range, since every one is positive."""
+    n = sum(int(copies) for _, copies in geom.distinct_edges)
+    message = f"geometric coefficients of {n} edges leave the float range"
+    # V[0] = 2^N is beyond float range from N = max_exp on, so such a box is
+    # refused before its edges are expanded
+    if n >= sys.float_info.max_exp:
+        raise ValidationError(message)
     edges = [a for a, copies in geom.distinct_edges for _ in range(int(copies))]
-    n = len(edges)
     u = [1.0] + [0.0] * n
     for a in edges:
         for k in range(n, 0, -1):
             u[k] += a * u[k - 1]
-    big = sys.float_info.max_exp  # 2.0**big overflows
-    v = tuple(u[k] * (2.0 ** (n - k) if n - k < big else math.inf) for k in range(n + 1))
+    v = tuple(u[k] * 2.0 ** (n - k) for k in range(n + 1))
     if not all(sys.float_info.min <= c < math.inf for c in (*u, *v)):
-        raise ValidationError(f"geometric coefficients of {n} edges leave the float range")
+        raise ValidationError(message)
     return GeometricCoefficients(U=tuple(u), V=v)
 
 
@@ -200,6 +198,17 @@ def kac_mean_energy_ratio(geom: BoxGeometry, rho: float) -> float:
     coeffs = geometric_coefficients(geom)
     n = len(coeffs.U) - 1
     return 1.0 + rho * coeffs.V[n - 1] / (2.0 * n * coeffs.V[n])
+
+
+def _drum_samples(geom: BoxGeometry, T: float, m: float, samples: int) -> list:
+    """The (rho, ratio) samples that hear-drum fits: max(samples, N + 2) of
+    them, at rho = 1 %, 2 %, ... of the shortest edge, each ratio the box's
+    exp(dlog z) at h = rho/unit, with unit the rho of h = 1."""
+    shortest = min(a for a, _ in geom.distinct_edges)
+    unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
+    rhos = [shortest * 0.01 * (i + 1) for i in range(max(samples, int(geom.dimension) + 2))]
+    excess = (_box_report_parts(PhysicalParams(T=T, h=rho / unit, m=m), geom)[1] for rho in rhos)
+    return [(rho, math.exp(dz)) for rho, (dz, _, _) in zip(rhos, excess)]
 
 
 def hear_the_drum(samples, n_edges: int) -> tuple[float, ...]:

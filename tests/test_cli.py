@@ -204,6 +204,47 @@ def test_sweep_rows_beyond_float_range_are_row_errors(capsys):
     assert sorted(payload["fitted_rates"]) == ["E_ratio", "Z_ratio"]
 
 
+@pytest.mark.parametrize("args, e_c", [
+    # E_c = N T/2 rounds to 0
+    (["eval", "--system", "well", "--edges", "1", "--T", "5e-324", "--h", "2", "--m", "1e10"],
+     "0.0"),
+    # E_c = N T is subnormal, and so is dE: E_ratio kept a few bits and read
+    # 1.15, where g_ratio([0.7]) is 1.1582351450618407
+    (["eval", "--system", "oscillator", "--omega", "1", "--T", "1e-322", "--h", "1.4e-322"],
+     "1e-322"),
+])
+def test_classical_energy_below_the_normal_range_exits_3(args, e_c, capsys):
+    assert run(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: classical E_c = {e_c} is below the normal float range\n"
+
+
+def test_sweep_rows_whose_classical_energy_rounds_to_0_are_row_errors(capsys):
+    args = ["sweep", "--system", "well", "--edges", "1", "--direction", "h_to_0", "--start", "2",
+            "--factor", "0.5", "--points", "6", "--T", "5e-324", "--h", "2", "--m", "1e10"]
+    code, out = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[0].startswith("swept_value,Z_ratio,E_ratio,") and out.count("\n") == 1
+    code, out = run_cli(args + ["--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMA)
+    assert [row["error"] for row in payload["rows"]] == [
+        "ConvergenceError: classical E_c = 0.0 is below the normal float range"] * 6
+    assert payload["fitted_rates"] == {}
+
+
+def test_block_without_weight_at_any_node_exits_3(capsys):
+    # the box is +-6963.2 on each axis and the weight of exp(-W/T) lies along
+    # the axes, between the nodes: it underflows to 0 at every node of both rules
+    args = ["kw", "--potential", "x1^2*x2^2+x1^2+x2^2", "--dim", "2", "--T", "1e6", "--h", "0.1"]
+    assert run(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: quadrature found no weight: exp(-W/T) is 0 at every node\n"
+
+
 def test_unused_axes_of_a_huge_dimension_exit_3(capsys):
     # x2..x300000 are blocks of their own with W = 0, all equal: one
     # integral, which does not decay

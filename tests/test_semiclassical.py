@@ -589,6 +589,37 @@ def test_batched_bounds_match_the_sequential_search(pot, T):
         assert str(got.value) == errors[0]
 
 
+@given(
+    log2_scale=st.floats(-40.0, 40.0), log10_T=st.floats(-3.0, 3.0),
+    a=st.floats(0.01, 100.0), b=st.floats(0.01, 10.0), r=st.floats(-0.95, 0.95),
+    coupled=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_batched_bounds_match_the_sequential_search_on_drawn_blocks(log2_scale, log10_T, a, b, r,
+                                                                    coupled):
+    # scales and temperatures over many decades put the turn of the doubling
+    # and the end of the shrinking at every rung of a ladder
+    scale, T = 2.0**log2_scale, 10.0**log10_T
+    if coupled:  # a quadratic, positive definite since |r| < 1
+        c = 2.0 * r * math.sqrt(a * b)
+        d, value = 2, lambda y: a * y[:, 0] ** 2 + b * y[:, 1] ** 2 + c * y[:, 0] * y[:, 1]
+    else:  # a quadratic plus a quartic
+        d, value = 1, lambda y: a * y[:, 0] ** 2 + (b - 0.01) * y[:, 0] ** 4
+    assert _box(value, d, T, scale) == _sequential_box(value, d, scale, T)
+
+
+def test_a_block_without_weight_at_any_node_is_refused():
+    # the box is +-6963.2 on each axis, and the weight of exp(-W/T) lies along
+    # the axes, between the nodes: it underflows to 0 at every node of both rules
+    pot = PotentialField(2, parse_potential("x1^2*x2^2+x1^2+x2^2", 2))
+    assert _box(pot.value, 2, 1e6, 1.0) == ((-6963.2, 6963.2),) * 2
+    for integral in (lambda: z0_integral(pot, 1e6),
+                     lambda: kw_expansion(pot, PhysicalParams(T=1e6, h=0.1, m=1.0))):
+        with pytest.raises(IntegrationError) as err:
+            integral()
+        assert str(err.value) == "quadrature found no weight: exp(-W/T) is 0 at every node"
+
+
 def test_bounds_fail_where_the_window_cannot_shrink():
     # V stays below 37 T up to the largest float and is inf beyond it, so the
     # half-width doubles to inf, where 0.85 * inf = inf can never shrink

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -226,6 +227,25 @@ def test_rows_beyond_float_range_are_row_errors_and_leave_the_fits():
             assert all(math.isfinite(v) for v in field.values())
     assert set(result.fitted_rates) == {"Z_ratio", "E_ratio"}
     assert result.fitted_rates["E_ratio"].slope == pytest.approx(2.0, abs=1e-9)
+
+
+def test_classical_energy_below_the_normal_range_is_refused():
+    tiny = sys.float_info.min
+    # E_c = T is the smallest normal float: every bit of E_ratio is kept
+    report = comparison_report(PhysicalParams(T=tiny, h=1.4 * tiny, m=1.0), OscillatorSpec([1.0]))
+    assert report.ratios["E_ratio"] == 1.1582351450618407  # g_ratio([0.7])
+    # E_c = T/2 is subnormal, and E_c = 0.5 * 5e-324 rounds to 0
+    for T, e_c in ((tiny, tiny / 2), (5e-324, 0.0)):
+        with pytest.raises(ConvergenceError) as err:
+            comparison_report(PhysicalParams(T=T, h=1.4 * tiny, m=1.0), BoxGeometry([1.0]))
+        assert str(err.value) == f"classical E_c = {e_c!r} is below the normal float range"
+    # a sweep records each such row as a row error, and has nothing to fit
+    plan = make_plan(grid=tuple(2.0 * 0.5**k for k in range(6)),
+                     base_params=PhysicalParams(T=5e-324, h=2.0, m=1e10))
+    result = run_sweep(plan)
+    assert [row.error for row in result.rows] == [
+        "ConvergenceError: classical E_c = 0.0 is below the normal float range"] * 6
+    assert result.fitted_rates == {}
 
 
 def test_run_sweep_propagates_foreign_errors(monkeypatch):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import time
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +21,7 @@ from qcthermo.core import (
 from qcthermo.theta import theta
 from qcthermo.well import (
     _aberth_roots,
-    _box_excess,
+    _drum_samples,
     geometric_coefficients,
     hear_the_drum,
     kac_expansion_ratio,
@@ -192,6 +193,18 @@ def test_kac_functions_take_float_multiplicities():
     assert kac_mean_energy_ratio(pairs, 0.1) == kac_mean_energy_ratio(axes, 0.1)
 
 
+@pytest.mark.parametrize("fn", [kac_expansion_ratio, kac_mean_energy_ratio])
+@pytest.mark.parametrize("copies", [1024.0, 1e9])
+def test_kac_functions_refuse_1024_edges_before_expanding_them(fn, copies):
+    # V[0] = 2^N overflows from N = 1024 on: the box is refused at once,
+    # where expanding 1e9 edges and their O(N^2) sums would not finish
+    start = time.perf_counter()
+    with pytest.raises(ValidationError) as err:
+        fn(BoxGeometry([(1.0, copies)]), 0.1)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == f"geometric coefficients of {int(copies)} edges leave the float range"
+
+
 @given(
     edges=st.lists(st.floats(min_value=0.5, max_value=10.0), min_size=1, max_size=5),
     rho=st.floats(min_value=0.0, max_value=0.2),
@@ -326,18 +339,6 @@ def _numpy_hear_the_drum(samples, n_edges):
     return tuple(float(a) for a in edges)
 
 
-def _drum_samples(edges, T, m, count=8):
-    """(rho, ratio) samples as cmd_hear_drum takes them, at its default --samples."""
-    geom = BoxGeometry(edges)
-    rho_unit = reduce_rho(PhysicalParams(T=T, h=1.0, m=m))
-    samples = []
-    for i in range(max(count, len(edges) + 2)):
-        rho = min(edges) * 0.01 * (i + 1)
-        params = PhysicalParams(T=T, h=rho / rho_unit, m=m)
-        samples.append((rho, math.exp(_box_excess(params, geom)[0])))
-    return samples
-
-
 def test_hear_the_drum_is_as_accurate_as_numpy():
     # random boxes of 1-10 edges; from about 6 edges on most fits turn complex
     # at the default --samples, for either fit
@@ -346,7 +347,8 @@ def test_hear_the_drum_is_as_accurate_as_numpy():
     log_errors = {"plain": [], "numpy": []}
     for _ in range(1000):
         edges = [rng.uniform(0.5, 3.0) for _ in range(rng.randint(1, 10))]
-        samples = _drum_samples(edges, rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        # as hear-drum takes them, at its default --samples
+        samples = _drum_samples(BoxGeometry(edges), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), 8)
         errors = {}
         for name, fit in (("plain", hear_the_drum), ("numpy", _numpy_hear_the_drum)):
             try:
